@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 seed="${1:-1}"
-seconds="${2:-20}"
+seconds="${2:-24}"
 for workload in wordcount sort-spill oltp-mixed query; do
     for trace in 0 1; do
         cargo run --release --offline --quiet --manifest-path wallbench/Cargo.toml -- \

@@ -72,8 +72,8 @@ pub struct Unit {
     pub ops: f64,
 }
 
-/// Unit samples collected by [`drive`]. Times are corrected for
-/// hypervisor steal (see [`drive`]).
+/// Unit samples collected by [`drive`]: raw wall times of the units
+/// that ran without hypervisor steal (see [`drive`]).
 #[derive(Debug, Default)]
 pub struct Timing {
     /// Times of units run with tracing off, in seconds.
@@ -89,6 +89,8 @@ pub struct Timing {
     /// Share of the machine's CPU time the hypervisor stole while units
     /// ran.
     pub steal_share: f64,
+    /// Timed units left out of the samples because of steal.
+    pub discarded: usize,
 }
 
 /// The system's stolen CPU time so far, in clock ticks, and its CPU
@@ -107,17 +109,23 @@ fn steal_ticks() -> (u64, usize) {
 /// Clock ticks per second in `/proc/stat` (`USER_HZ`).
 const TICKS_PER_SEC: f64 = 100.0;
 
+/// A unit is left out of the samples when the hypervisor stole more
+/// than this many CPU-seconds per second of its wall time.
+const STEAL_LIMIT: f64 = 0.1;
+
 /// Runs `warmup` untimed units, then timed units until `ctx.seconds`
 /// of wall time have passed (and at least `min_units` ran). In a traced
 /// run every second timed unit is traced, so both halves see the same
-/// drift. The peak-memory mark is reset before each unit.
+/// drift. Before each unit the heap is trimmed and the peak-memory mark
+/// reset.
 ///
 /// On a virtual machine the hypervisor may take CPU time away from the
 /// guest ("steal"); on a shared 2-vCPU host this slowed whole runs by a
-/// third for a minute at a time. Each unit's time is scaled by the share
-/// of the machine's CPU time that was not stolen while it ran, so the
-/// figures describe the code rather than the neighbours. Without steal
-/// the scale is 1.
+/// third for a minute at a time. Times are never rescaled: a unit during
+/// which more than one clock tick and more than [`STEAL_LIMIT`] was
+/// stolen (`/proc/stat`, all CPUs) is left out of the samples, unless
+/// fewer than `min_units` units ran without, in which case every unit is
+/// kept.
 pub fn drive(
     ctx: &mut Ctx,
     warmup: usize,
@@ -127,31 +135,42 @@ pub fn drive(
     for _ in 0..warmup {
         unit(&mut ctx.tracer, Phase::Warmup);
     }
-    let mut timing = Timing::default();
     let (mut stolen, mut capacity) = (0.0, 0.0);
+    let mut units = Vec::new();
+    let mut clean = 0usize;
     let start = Instant::now();
     let mut i = 0usize;
     while i < min_units || start.elapsed() < ctx.seconds {
         let phase = if ctx.traced && i % 2 == 1 { Phase::Traced } else { Phase::Untraced };
         ctx.tracer.set_enabled(phase == Phase::Traced);
+        trim_heap();
         reset_peak_rss();
         let (steal0, cpus) = steal_ticks();
         let (u, wall) = ctx.tracer.time("bench.unit", |t| unit(t, phase));
-        let unit_stolen = steal_ticks().0.saturating_sub(steal0) as f64 / TICKS_PER_SEC;
+        let ticks = steal_ticks().0.saturating_sub(steal0);
         ctx.tracer.set_enabled(false);
-        let unit_capacity = wall.as_secs_f64() * cpus.max(1) as f64;
+        let unit_stolen = ticks as f64 / TICKS_PER_SEC;
         stolen += unit_stolen;
-        capacity += unit_capacity;
-        let secs = u.secs * (1.0 - (unit_stolen / unit_capacity).min(0.9));
-        if phase == Phase::Traced {
-            timing.traced.push(secs);
-        } else {
-            timing.untraced.push(secs);
-            timing.peak_mb.push(u.peak_mb);
-            timing.mb_s.push(u.bytes / 1e6 / secs);
-            timing.ops_s.push(u.ops / secs);
-        }
+        capacity += wall.as_secs_f64() * cpus.max(1) as f64;
+        // The counter moves in whole ticks, so one tick may be rounding.
+        let ok = ticks <= 1 || unit_stolen <= STEAL_LIMIT * wall.as_secs_f64();
+        clean += usize::from(ok);
+        units.push((phase, u, ok));
         i += 1;
+    }
+    let keep_all = clean < min_units;
+    let mut timing = Timing::default();
+    for (phase, u, ok) in units {
+        if !(ok || keep_all) {
+            timing.discarded += 1;
+        } else if phase == Phase::Traced {
+            timing.traced.push(u.secs);
+        } else {
+            timing.untraced.push(u.secs);
+            timing.peak_mb.push(u.peak_mb);
+            timing.mb_s.push(u.bytes / 1e6 / u.secs);
+            timing.ops_s.push(u.ops / u.secs);
+        }
     }
     timing.steal_share = if capacity > 0.0 { stolen / capacity } else { 0.0 };
     timing
@@ -176,14 +195,16 @@ pub fn setup<T>(ctx: &mut Ctx, mut f: impl FnMut(&mut Tracer, usize) -> T) -> (T
 }
 
 /// Adds the metrics every workload reports the same way: peak memory,
-/// throughput (medians over units), the steal share, and in traced runs
-/// the harness metrics.
+/// throughput (medians over units), the steal share and the units left
+/// out for it, and in traced runs the harness metrics.
 pub fn finish(ctx: &Ctx, timing: &mut Timing, report: &mut Report) {
     let n = timing.untraced.len();
     report.set("peak_rss_mb", timing.peak_mb.median(), n);
     report.set("dps_mb_s", timing.mb_s.median(), n);
     report.set("ops_s", timing.ops_s.median(), n);
-    report.detail("steal_share", timing.steal_share, "ratio", n);
+    let all = n + timing.traced.len() + timing.discarded;
+    report.detail("steal_share", timing.steal_share, "ratio", all);
+    report.detail("steal_discarded_units", timing.discarded as f64, "count", all);
     if !ctx.traced {
         return;
     }
@@ -303,12 +324,30 @@ fn fix_malloc_mmap_threshold() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn fix_malloc_mmap_threshold() {}
 
-/// The commit being measured: `WALLBENCH_COMMIT` if set, else the
-/// working directory's `.git/HEAD` when it is a git checkout.
-fn commit() -> String {
-    if let Ok(c) = std::env::var("WALLBENCH_COMMIT") {
-        return c;
+/// Returns the heap's free memory to the system, so a unit starts with
+/// only live data resident. Without it, how much freed memory glibc
+/// kept after a unit depended on where the last small allocations
+/// landed: `query` then peaked at 167 to 266 MB per process, and ran
+/// faster when more was kept, since the next round took fewer page
+/// faults.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
     }
+    // SAFETY: `malloc_trim` only releases free heap memory; it takes the
+    // allocator's own locks.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn trim_heap() {}
+
+/// The commit being measured: the working directory's `.git/HEAD` when
+/// it is a git checkout.
+fn commit() -> String {
     let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
     let head = head.trim();
     match head.strip_prefix("ref: ") {

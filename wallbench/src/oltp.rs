@@ -177,8 +177,15 @@ pub fn run(ctx: &mut Ctx) -> Report {
                     let (k, v) = (key.clone(), value.clone());
                     let (res, d) = t.time("kvstore.put", |_| store.put(k, v));
                     model.insert(key, value);
+                    let after = store.stats();
+                    // Tables written by any put are marked seen, so a
+                    // traced put counts only the ones it wrote itself.
+                    let sst_bytes = if after.flushes > before.flushes {
+                        new_table_bytes(&dir, &mut seen)
+                    } else {
+                        0
+                    };
                     if traced {
-                        let after = store.stats();
                         let ms = d.as_secs_f64() * 1e3;
                         layer.puts += 1;
                         layer.put_user_bytes += moved as u64;
@@ -190,9 +197,7 @@ pub fn run(ctx: &mut Ctx) -> Report {
                             layer.flush_put.push(ms);
                         }
                         layer.flushes += after.flushes - before.flushes;
-                        if after.flushes > before.flushes {
-                            layer.sst_bytes += new_table_bytes(&dir, &mut seen);
-                        }
+                        layer.sst_bytes += sst_bytes;
                     }
                     (res.is_ok(), moved, d.as_nanos() as u64)
                 }
