@@ -75,6 +75,17 @@ fi
 run cargo test --workspace -q
 
 if [ "$fast" -eq 0 ]; then
+    # Concurrency guard: these suites run jobs in parallel test threads
+    # that share the temp directory, so a name collision or scheduling
+    # race shows up only some of the time. Ten rounds; the first
+    # failure stops the gate.
+    for round in $(seq 1 10); do
+        echo "== concurrency suites, round $round/10 =="
+        cargo test -q -p bdb-mapreduce \
+            --test concurrent_spill --test faults --test proptest_engine
+        cargo test -q -p bdb-integration --test telemetry_trace --test bench_results
+    done
+
     # Fault-injection smoke: WordCount with an injected spill error,
     # map-task panic and straggler must match the fault-free run.
     run cargo run --release -q -p bdb-bench --bin reproduce -- --faults 42

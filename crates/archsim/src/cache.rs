@@ -6,7 +6,6 @@
 //! single [`Cache`] simulates one level; [`crate::MachineSim`] wires
 //! levels into a hierarchy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Geometry of one cache level.
@@ -18,7 +17,7 @@ use std::fmt;
 /// let l1 = CacheConfig::new("L1D", 32 * 1024, 8, 64);
 /// assert_eq!(l1.sets(), 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Human-readable level name, e.g. `"L1D"`.
     pub name: String,
@@ -56,7 +55,7 @@ impl CacheConfig {
 }
 
 /// Access counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub accesses: u64,

@@ -10,10 +10,9 @@ use crate::layout::CodeRegion;
 use crate::metrics::{CharacterizationReport, CounterSnapshot, InstructionMix};
 use crate::timing::TimingModel;
 use crate::tlb::{Tlb, TlbConfig};
-use serde::{Deserialize, Serialize};
 
 /// Full machine description: hierarchy geometry plus timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Marketing name, e.g. `"Xeon E5645"`.
     pub name: String,

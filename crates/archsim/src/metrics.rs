@@ -6,11 +6,10 @@
 //! (Figure 5), and the timing-model MIPS estimate (Figure 3-1).
 
 use crate::cache::CacheStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dynamic instruction breakdown by class (paper Figure 4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstructionMix {
     /// Memory loads.
     pub loads: u64,
@@ -108,7 +107,7 @@ impl InstructionMix {
 }
 
 /// Instruction classes used for breakdown reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstClass {
     /// Memory load.
     Load,
@@ -123,7 +122,7 @@ pub enum InstClass {
 }
 
 /// Per-level cache/TLB statistics in a finished report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Raw access counters.
     pub stats: CacheStats,
@@ -151,7 +150,7 @@ impl From<CacheStats> for LevelStats {
 /// them reproduces the whole-run totals exactly, including `cycles`
 /// (each snapshot's cycle count is rounded the same way, so consecutive
 /// differences cancel).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// Dynamic instruction breakdown so far.
     pub mix: InstructionMix,
@@ -273,7 +272,7 @@ impl CounterSnapshot {
 }
 
 /// Counter deltas attributed to one named phase of a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseCounters {
     /// Phase name, e.g. `"map"`, `"shuffle"`, `"iter-3"`.
     pub name: String,
@@ -304,7 +303,7 @@ pub const BASE_FEATURES: [&str; 16] = [
 ];
 
 /// Everything the simulator learned from one characterized run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CharacterizationReport {
     /// Machine configuration name (e.g. `"Xeon E5645"`).
     pub machine: String,
@@ -544,14 +543,6 @@ mod tests {
         assert_eq!(r.mips(), 0.0);
         assert_eq!(r.fp_intensity(), 0.0);
         assert_eq!(r.l3_mpki(), 0.0);
-    }
-
-    #[test]
-    fn report_serializes_roundtrip() {
-        let r = CharacterizationReport { machine: "x".into(), mix: mix(), ..Default::default() };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: CharacterizationReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.mix, r.mix);
     }
 
     fn snap(scale: u64) -> CounterSnapshot {

@@ -5,10 +5,8 @@
 //! the *trends* in the paper's Figure 3-1 (MIPS versus data volume),
 //! where MIPS moves because the miss profile moves.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency parameters for the additive timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Base cycles per instruction with a perfect memory system.
     pub cpi_base: f64,

@@ -5,10 +5,9 @@
 //! 6-2); both are instances of [`Tlb`] inside [`crate::MachineSim`].
 
 use crate::cache::CacheStats;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a TLB.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Human-readable name, e.g. `"DTLB"`.
     pub name: String,

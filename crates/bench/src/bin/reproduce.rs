@@ -26,6 +26,7 @@ use bdb_archsim::Probe;
 use bdb_bench::paper;
 use bdb_bench::table::{fnum, TextTable};
 use bdb_mapreduce::{Emitter, Job};
+use bdb_telemetry::json::ObjectWriter;
 use bdb_telemetry::TraceSession;
 use bigdatabench::characterize::{self, Fig3Row};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
@@ -305,13 +306,40 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn save_json<T: serde::Serialize>(dir: &Option<std::path::PathBuf>, name: &str, value: &T) {
+/// Writes `rows` to `DIR/NAME.json` as an array of objects, one per
+/// row, with `fields` filling each object.
+fn save_json<T>(
+    dir: &Option<std::path::PathBuf>,
+    name: &str,
+    rows: &[T],
+    fields: impl Fn(&mut ObjectWriter<'_>, &T),
+) {
     if let Some(dir) = dir {
+        let mut out = String::from("[");
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n  ");
+            let mut o = ObjectWriter::new(&mut out);
+            fields(&mut o, row);
+            o.finish();
+        }
+        out.push_str("\n]\n");
         std::fs::create_dir_all(dir).expect("create json dir");
         let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, serde_json::to_string_pretty(value).expect("serialize"))
-            .expect("write json");
+        std::fs::write(&path, out).expect("write json");
         eprintln!("  wrote {}", path.display());
+    }
+}
+
+/// Writes a figure value; JSON has no literal for `inf`/`NaN` (Figure
+/// 4's int:fp ratio without FP work), so those become `null`.
+fn field_num(o: &mut ObjectWriter<'_>, key: &str, v: f64) {
+    if v.is_finite() {
+        o.field_f64(key, v);
+    } else {
+        o.field_raw(key).push_str("null");
     }
 }
 
@@ -836,14 +864,24 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig2", &fig2_rows);
+        save_json(&args.json_dir, "fig2", &fig2_rows, |o, r| {
+            o.field_str("workload", &r.workload);
+            field_num(o, "small_l3_mpki", r.small_l3_mpki);
+            field_num(o, "large_l3_mpki", r.large_l3_mpki);
+            o.field_u64("large_multiplier", r.large_multiplier.into());
+        });
     }
 
     if args.fig3 {
         eprintln!("figure 3: native + traced sweeps over 5 multipliers x 19 workloads...");
         fig3_rows = characterize::figure3(&suite, &machine);
         print_fig3(&fig3_rows);
-        save_json(&args.json_dir, "fig3", &fig3_rows);
+        save_json(&args.json_dir, "fig3", &fig3_rows, |o, r| {
+            o.field_str("workload", &r.workload).field_u64("multiplier", r.multiplier.into());
+            field_num(o, "mips", r.mips);
+            field_num(o, "speedup", r.speedup);
+            field_num(o, "l3_mpki", r.l3_mpki);
+        });
     }
 
     if args.fig4 {
@@ -862,7 +900,15 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig4", &fig4_rows);
+        save_json(&args.json_dir, "fig4", &fig4_rows, |o, r| {
+            o.field_str("name", &r.name);
+            field_num(o, "load", r.load);
+            field_num(o, "store", r.store);
+            field_num(o, "branch", r.branch);
+            field_num(o, "int", r.int);
+            field_num(o, "fp", r.fp);
+            field_num(o, "int_fp_ratio", r.int_fp_ratio);
+        });
     }
 
     if args.fig5 {
@@ -880,7 +926,13 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig5", &fig5_rows);
+        save_json(&args.json_dir, "fig5", &fig5_rows, |o, r| {
+            o.field_str("name", &r.name);
+            field_num(o, "fp_e5310", r.fp_e5310);
+            field_num(o, "fp_e5645", r.fp_e5645);
+            field_num(o, "int_e5310", r.int_e5310);
+            field_num(o, "int_e5645", r.int_e5645);
+        });
     }
 
     if args.fig6 {
@@ -898,7 +950,14 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig6", &fig6_rows);
+        save_json(&args.json_dir, "fig6", &fig6_rows, |o, r| {
+            o.field_str("name", &r.name);
+            field_num(o, "l1i_mpki", r.l1i_mpki);
+            field_num(o, "l2_mpki", r.l2_mpki);
+            field_num(o, "l3_mpki", r.l3_mpki);
+            field_num(o, "itlb_mpki", r.itlb_mpki);
+            field_num(o, "dtlb_mpki", r.dtlb_mpki);
+        });
     }
 
     if args.checks {
@@ -977,10 +1036,12 @@ fn faults_smoke(seed: u64) {
     }
 
     let metrics = MetricsRegistry::new();
+    // The first straggle check always belongs to a first attempt; a
+    // retried attempt is never speculated.
     let plan = FaultPlan::builder(seed)
         .io_error_nth(sites::SPILL_WRITE, 0)
         .panic_nth(sites::MAP_TASK, 1)
-        .straggle_nth(sites::MAP_STRAGGLER, 3, Duration::from_millis(400))
+        .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(400))
         .metrics(metrics.clone())
         .build();
     let (faulty, stats) = build(plan.clone()).run(&TraceWordCount, &input);
@@ -1237,7 +1298,6 @@ fn slo_pass(args: &Args) {
 /// fast per-PR tier).
 fn chaos_pass(args: &Args) {
     use bdb_chaos::{oltp_campaign, serving_campaign, wordcount_campaign, OltpCampaignConfig};
-    use bdb_telemetry::json::ObjectWriter;
 
     let seed = args.chaos_seed.expect("chaos_pass called without --chaos");
     let dir = args.chaos_dir.as_ref().expect("--chaos always parses its directory");

@@ -48,19 +48,22 @@ fn engine(faults: FaultPlan) -> Engine {
 }
 
 /// One round's fault mix, rotating map-side, reduce-side, and
-/// straggler-plus-tear schedules.
+/// straggler-plus-tear schedules. Stragglers take the first straggle
+/// check, which always belongs to a first attempt: a later check can
+/// land on a retried attempt, which the engine never speculates, and
+/// the recovery count would then depend on thread scheduling.
 fn round_plan(seed: u64, round: u32) -> FaultPlan {
     let b = FaultPlan::builder(seed.wrapping_add(u64::from(round)));
     match round % 3 {
         0 => b
             .io_error_nth(sites::SPILL_WRITE, 0)
             .panic_nth(sites::MAP_TASK, 1)
-            .straggle_nth(sites::MAP_STRAGGLER, 3, Duration::from_millis(400))
+            .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(400))
             .build(),
         1 => b.io_error_nth(sites::SPILL_READ, 0).panic_nth(sites::REDUCE_TASK, 1).build(),
         _ => b
             .torn_write_nth(sites::SPILL_WRITE, 1)
-            .straggle_nth(sites::MAP_STRAGGLER, 2, Duration::from_millis(300))
+            .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(300))
             .build(),
     }
 }
@@ -80,7 +83,6 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     let mut reduce_retries = 0u64;
     let mut speculative_tasks = 0u64;
     let mut injected: std::collections::BTreeMap<String, u64> = Default::default();
-    let mut recovered: std::collections::BTreeMap<String, u64> = Default::default();
     let mut spans = Vec::new();
 
     // One virtual second per round on the campaign timeline.
@@ -94,19 +96,18 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
         }
         injected_total += plan.injected();
         recovered_total += plan.recovered();
-        // The retry/speculation split is scheduling-dependent (a
-        // straggler's re-execution races between the two buckets), so
-        // it may gate the pass boolean below but must stay out of the
-        // byte-compared report; only plan-derived counters — pinned to
-        // the injected schedule — are reported.
+        // Recoveries and the retry/speculation split are
+        // scheduling-dependent (a straggler's re-execution races between
+        // the two buckets, and a task that merely runs slow on a busy
+        // host can be speculated and win), so they may gate the pass
+        // boolean below but must stay out of the byte-compared report;
+        // only plan-derived counters — pinned to the injected schedule —
+        // are reported.
         map_retries += stats.map_retries;
         reduce_retries += stats.reduce_retries;
         speculative_tasks += stats.speculative_tasks;
         for (site, n) in plan.injected_by_site() {
             *injected.entry(site).or_insert(0) += n;
-        }
-        for (site, n) in plan.recovered_by_site() {
-            *recovered.entry(site).or_insert(0) += n;
         }
         spans.push(SpanEvent {
             name: "wordcount-round",
@@ -138,7 +139,6 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
             && base_stats.spills > 0,
     )
     .detail("injected", injected_total)
-    .detail("recovered", recovered_total)
     .detail("baseline_spills", base_stats.spills);
 
     CampaignReport {
@@ -147,10 +147,9 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
         rounds,
         checkers: vec![identity, recovery],
         injected: injected.into_iter().collect(),
-        recovered: recovered.into_iter().collect(),
+        recovered: Vec::new(),
         stats: vec![
             ("faults_injected".into(), injected_total),
-            ("faults_recovered".into(), recovered_total),
             ("identical_rounds".into(), identical_rounds),
             ("output_pairs".into(), baseline.len() as u64),
         ],

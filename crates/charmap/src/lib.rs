@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod json;
 pub mod pca;
 pub mod report;
 

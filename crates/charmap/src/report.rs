@@ -11,8 +11,8 @@
 //! a legend below, so column widths are fixed regardless of how long
 //! or hostile (embedded spaces, unicode, quotes) workload names get.
 
-use crate::json::{self, write_escaped, write_f64, write_f64_array, write_str_array, Json};
 use crate::{Charmap, SCHEMA_VERSION, VARIANCE_TARGET};
+use bdb_telemetry::json::{self, write_escaped, write_f64, write_f64_array, write_str_array, Json};
 use std::fmt::Write as _;
 
 impl Charmap {
@@ -247,8 +247,8 @@ impl Baseline {
         };
         let strs = |key: &str| -> Result<Vec<String>, String> {
             doc.get(key)
-                .and_then(Json::as_str_array)
-                .map(|v| v.into_iter().map(str::to_owned).collect())
+                .and_then(Json::as_array)
+                .and_then(|items| items.iter().map(|v| v.as_str().map(str::to_owned)).collect())
                 .ok_or_else(|| format!("charmap baseline: missing string array {key}"))
         };
         Ok(Self {

@@ -11,7 +11,6 @@ use crate::suite::Suite;
 use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig};
 use bdb_refbench::{characterize_suite, RefSuite};
-use serde::{Deserialize, Serialize};
 
 /// Refbench kernel scale used for suite averages — large enough that
 /// the streaming kernels (STREAM, PTRANS, RandomAccess) exceed the L3.
@@ -22,7 +21,7 @@ const REF_SCALE: usize = 1 << 20;
 /// Following the paper, the *large* input is the multiplier at which the
 /// workload achieved its best user-perceivable performance in the native
 /// sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// Workload name.
     pub workload: String,
@@ -61,7 +60,7 @@ fn best_multiplier(sweep: &[WorkloadReport]) -> u32 {
 }
 
 /// One point of the Figure 3 sweeps: traced MIPS plus native speedup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     /// Workload name.
     pub workload: String,
@@ -101,7 +100,7 @@ pub fn figure3(suite: &Suite, machine: &MachineConfig) -> Vec<Fig3Row> {
 }
 
 /// Figure 4 — dynamic instruction breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Row {
     /// Workload or suite-average name.
     pub name: String,
@@ -190,7 +189,7 @@ pub fn average_report(reports: &[(WorkloadId, CharacterizationReport)]) -> Chara
 }
 
 /// Figure 5 — operation intensity on both machines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Workload or suite-average name.
     pub name: String,
@@ -246,7 +245,7 @@ pub fn figure5(suite: &Suite) -> Vec<Fig5Row> {
 }
 
 /// Figure 6 — memory-hierarchy behaviour (cache and TLB MPKI).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// Workload or suite-average name.
     pub name: String,
@@ -293,7 +292,7 @@ pub fn figure6(
 /// metrics recomputed over that phase alone. This is the drill-down
 /// behind Figures 2–6: the same MPKI and instruction-mix axes, but
 /// attributed to the phase that caused them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseRow {
     /// Workload name.
     pub workload: String,

@@ -1,11 +1,10 @@
 //! User-perceivable metrics and run reports (paper Section 6.1.2).
 
 use crate::workload::WorkloadId;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Which of the paper's three metric families a value belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Data processed per second (analytics workloads).
     Dps,
@@ -16,7 +15,7 @@ pub enum MetricKind {
 }
 
 /// A user-perceivable measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UserMetric {
     /// Bytes of input processed per second.
     Dps {
@@ -85,9 +84,9 @@ impl UserMetric {
 }
 
 /// The result of one native workload run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadReport {
-    /// Workload name (serialized rather than the enum for stable JSON).
+    /// Workload name, Table 6 spelling.
     pub workload: String,
     /// Data-volume multiplier the run used.
     pub multiplier: u32,
@@ -143,21 +142,5 @@ mod tests {
     fn zero_time_guard() {
         let m = UserMetric::Dps { input_bytes: 10, seconds: 0.0 };
         assert_eq!(m.value(), 0.0);
-    }
-
-    #[test]
-    fn report_serializes() {
-        let r = WorkloadReport::new(
-            WorkloadId::Sort,
-            4,
-            UserMetric::Dps { input_bytes: 1, seconds: 1.0 },
-            1,
-        )
-        .with_detail("x");
-        let json = serde_json::to_string(&r).unwrap();
-        let back: WorkloadReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.workload, "Sort");
-        assert_eq!(back.multiplier, 4);
-        assert_eq!(back.detail, "x");
     }
 }

@@ -11,6 +11,7 @@ use bdb_kvstore::{Store, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Library-scale baseline operation count ("32 GB" ≈ 20k ops here).
@@ -20,13 +21,13 @@ const PRELOAD_ROWS: u64 = 10_000;
 /// Rows returned per scan.
 const SCAN_SPAN: u64 = 100;
 
-fn fresh_dir(tag: &str, scale: &RunScale) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "bdb-oltp-{tag}-{}-{}-{}",
-        std::process::id(),
-        scale.multiplier,
-        scale.seed
-    ));
+/// A store directory no other run in this process uses, so concurrent
+/// runs never share (and delete) each other's store. A leftover from an
+/// earlier process with the same pid is cleared first.
+fn fresh_dir(tag: &str) -> PathBuf {
+    static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bdb-oltp-{tag}-{}-{id}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -109,7 +110,7 @@ macro_rules! oltp_workload {
             fn run_native(&self, scale: &RunScale) -> WorkloadReport {
                 let ops = scale.native_units(OLTP_BASELINE_OPS) / $ops_divisor;
                 let rows = scale.native_units(PRELOAD_ROWS);
-                let dir = fresh_dir($tag, scale);
+                let dir = fresh_dir($tag);
                 let mut store = preload(&dir, rows, scale.seed_for(10), false);
                 let start = Instant::now();
                 let (done, touched) = run_ops(
@@ -138,7 +139,7 @@ macro_rules! oltp_workload {
             ) -> CharacterizationReport {
                 let ops = (scale.traced_units(OLTP_BASELINE_OPS) / $ops_divisor).max(10);
                 let rows = scale.traced_units(PRELOAD_ROWS).max(100);
-                let dir = fresh_dir(concat!($tag, "-traced"), scale);
+                let dir = fresh_dir(concat!($tag, "-traced"));
                 let mut store = preload(&dir, rows, scale.seed_for(10), true);
                 let mut probe = SimProbe::new(machine);
                 store.warm_trace(&mut probe);

@@ -441,15 +441,8 @@ impl Engine {
                 }
                 self.faults.maybe_panic(crate::sites::MAP_TASK);
                 let mut probe = NullProbe;
-                let r = self.map_task(
-                    job,
-                    records,
-                    task_id,
-                    attempt,
-                    &self.faults,
-                    &mut probe,
-                    &mut None,
-                )?;
+                let r =
+                    self.map_task(job, records, task_id, &self.faults, &mut probe, &mut None)?;
                 task_span.arg("output_pairs", r.output_pairs);
                 task_span.arg("spills", r.spills);
                 Ok(r)
@@ -737,7 +730,7 @@ impl Engine {
             let before = probe.counters();
             let mut map_span = span!(self.telemetry, "mapreduce", "map-phase");
             let task = self
-                .map_task(job, inputs, 0, 0, &no_faults, probe, &mut fw)
+                .map_task(job, inputs, 0, &no_faults, probe, &mut fw)
                 .expect("spill write failed (traced runs are fault-free)");
             attach_counter_delta(&mut map_span, before.as_ref(), probe);
             task
@@ -810,13 +803,11 @@ impl Engine {
     /// (real or injected) propagate so the scheduler can retry the
     /// attempt; partially written spill files are cleaned up on the way
     /// out (the result's `SpillFile`s delete themselves on drop).
-    #[allow(clippy::too_many_arguments)]
     fn map_task<J: Job, P: Probe + ?Sized>(
         &self,
         job: &J,
         records: &[J::Input],
         task_id: usize,
-        attempt: u32,
         faults: &FaultPlan,
         probe: &mut P,
         fw: &mut Option<FrameworkModel>,
@@ -836,7 +827,6 @@ impl Engine {
             (0..self.reducers).map(|_| Vec::new()).collect();
         let mut buffered_bytes = 0usize;
         let mut emitter = Emitter::new();
-        let mut spill_seq = 0usize;
 
         for record in records {
             result.records += 1;
@@ -854,17 +844,7 @@ impl Engine {
                 buffers[p].push((k, v));
             }
             if buffered_bytes > self.map_buffer_bytes {
-                self.spill(
-                    job,
-                    &mut buffers,
-                    &mut result,
-                    task_id,
-                    attempt,
-                    faults,
-                    &mut spill_seq,
-                    probe,
-                    fw,
-                )?;
+                self.spill(job, &mut buffers, &mut result, task_id, faults, probe, fw)?;
                 buffered_bytes = 0;
             }
         }
@@ -887,9 +867,7 @@ impl Engine {
         buffers: &mut [Vec<(J::Key, J::Value)>],
         result: &mut MapTaskResult<J::Key, J::Value>,
         task_id: usize,
-        attempt: u32,
         faults: &FaultPlan,
-        spill_seq: &mut usize,
         probe: &mut P,
         fw: &mut Option<FrameworkModel>,
     ) -> std::io::Result<()> {
@@ -912,10 +890,8 @@ impl Engine {
                 fw.on_spill(probe, n, bytes);
             }
             let write_start = Instant::now();
-            let file =
-                SpillFile::write_with(&self.spill_dir, task_id, attempt, *spill_seq, &run, faults)?;
+            let file = SpillFile::write_with(&self.spill_dir, &run, faults)?;
             result.spill_time += write_start.elapsed();
-            *spill_seq += 1;
             result.spills += 1;
             result.spill_bytes += file.bytes;
             spilled_bytes += file.bytes;

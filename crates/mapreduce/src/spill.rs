@@ -8,9 +8,10 @@
 
 use crate::codec::Datum;
 use bdb_faults::FaultPlan;
-use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A sorted run of `(key, value)` pairs persisted to a temporary file.
 ///
@@ -31,40 +32,42 @@ impl SpillFile {
     /// # Errors
     ///
     /// Propagates I/O errors from file creation or writing.
-    pub fn write<K: Datum, V: Datum>(
-        dir: &Path,
-        task: usize,
-        seq: usize,
-        pairs: &[(K, V)],
-    ) -> std::io::Result<Self> {
-        Self::write_with(dir, task, 0, seq, pairs, &FaultPlan::disabled())
+    pub fn write<K: Datum, V: Datum>(dir: &Path, pairs: &[(K, V)]) -> std::io::Result<Self> {
+        Self::write_with(dir, pairs, &FaultPlan::disabled())
     }
 
-    /// [`SpillFile::write`] for a specific task attempt, writing through
-    /// the fault plan's [`crate::sites::SPILL_WRITE`] site. Attempts get
-    /// distinct file names so a speculative re-execution never collides
-    /// with the attempt it races. A failed write removes the partial
-    /// file before returning.
+    /// [`SpillFile::write`] through the fault plan's
+    /// [`crate::sites::SPILL_WRITE`] site. Every file gets a name no
+    /// other spill in this process has used — concurrent jobs and a
+    /// speculative attempt racing its original share `dir` without
+    /// collisions — and is created exclusively, so a stale file from an
+    /// earlier process is skipped rather than overwritten. A failed
+    /// write removes the partial file before returning.
     ///
     /// # Errors
     ///
     /// Propagates real and injected I/O errors from creation or writing.
     pub fn write_with<K: Datum, V: Datum>(
         dir: &Path,
-        task: usize,
-        attempt: u32,
-        seq: usize,
         pairs: &[(K, V)],
         faults: &FaultPlan,
     ) -> std::io::Result<Self> {
-        let path = dir.join(format!("bdb-spill-{}-{task}a{attempt}-{seq}.run", std::process::id()));
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let (path, file) = loop {
+            let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("bdb-spill-{}-{id}.run", std::process::id()));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+                file => break (path, file?),
+            }
+        };
         let mut buf = Vec::new();
         for (k, v) in pairs {
             k.encode(&mut buf);
             v.encode(&mut buf);
         }
         let written = (|| {
-            let mut w = faults.wrap_write(crate::sites::SPILL_WRITE, File::create(&path)?);
+            let mut w = faults.wrap_write(crate::sites::SPILL_WRITE, file);
             w.write_all(&buf)?;
             w.flush()
         })();
@@ -192,7 +195,7 @@ mod tests {
     fn spill_roundtrip() {
         let dir = std::env::temp_dir();
         let pairs: Vec<(u64, String)> = (0..100).map(|i| (i, format!("v{i}"))).collect();
-        let spill = SpillFile::write(&dir, 0, 0, &pairs).unwrap();
+        let spill = SpillFile::write(&dir, &pairs).unwrap();
         assert_eq!(spill.pairs, 100);
         assert!(spill.bytes > 0);
         let back: Vec<(u64, String)> = spill.read().unwrap();
@@ -203,7 +206,7 @@ mod tests {
     fn spill_file_removed_on_drop() {
         let dir = std::env::temp_dir();
         let pairs: Vec<(u64, u64)> = vec![(1, 2)];
-        let spill = SpillFile::write(&dir, 1, 7, &pairs).unwrap();
+        let spill = SpillFile::write(&dir, &pairs).unwrap();
         let path = spill.path.clone();
         assert!(path.exists());
         drop(spill);

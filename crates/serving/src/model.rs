@@ -17,16 +17,10 @@
 
 use std::time::Duration;
 
-/// SplitMix64: a tiny, high-quality 64-bit mixer. Used both as the
-/// sample stream generator and as the trace-id hash shared with the
-/// observability layer's sampling decisions.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64 (the simulator's mixer), used both as the sample stream
+/// generator and as the trace-id hash shared with the observability
+/// layer's sampling decisions.
+pub use bdb_archsim::layout::splitmix64;
 
 /// Uniform in [0, 1) from one mixed word.
 fn unit(x: u64) -> f64 {

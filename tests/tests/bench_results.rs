@@ -1,21 +1,22 @@
 //! Golden test for the BENCH_RESULTS.json regression artifact: the
-//! document must parse with `serde_json`, carry every gated metric for
+//! document must parse with the workspace JSON reader, carry every gated metric for
 //! all ten traced workloads, and its per-phase counters must sum to
 //! the whole-run totals.
 
 use bdb_bench::results::{collect, DEFAULT_WORKLOADS, SCHEMA_VERSION};
+use bdb_telemetry::json::{self, Json};
 
-fn artifact() -> serde_json::Value {
+fn artifact() -> Json {
     let results = collect(1.0 / 64.0, &DEFAULT_WORKLOADS);
-    serde_json::from_str(&results.to_json()).expect("artifact must be valid JSON")
+    json::parse(&results.to_json()).expect("artifact must be valid JSON")
 }
 
 #[test]
 fn artifact_has_every_required_metric_per_workload() {
     let v = artifact();
-    assert_eq!(v.get("schema_version").and_then(serde_json::Value::as_u64), Some(SCHEMA_VERSION));
+    assert_eq!(v.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
     assert!(v.get("machine").and_then(|m| m.as_str()).is_some());
-    assert!(v.get("fraction").and_then(serde_json::Value::as_f64).is_some());
+    assert!(v.get("fraction").and_then(Json::as_f64).is_some());
 
     let workloads = v.get("workloads").and_then(|w| w.as_array()).expect("workloads array");
     let names: Vec<&str> =
@@ -39,29 +40,26 @@ fn artifact_has_every_required_metric_per_workload() {
     for w in workloads {
         let name = w.get("name").and_then(|n| n.as_str()).unwrap_or("?");
         for scalar in ["wall_ms", "metric_value", "mips", "ipc"] {
-            let value = w.get(scalar).and_then(serde_json::Value::as_f64);
+            let value = w.get(scalar).and_then(Json::as_f64);
             assert!(value.is_some(), "{name}: {scalar} present");
         }
-        assert!(w.get("instructions").and_then(serde_json::Value::as_u64).unwrap_or(0) > 0);
-        assert!(
-            w.get("dram_bytes").and_then(serde_json::Value::as_u64).is_some(),
-            "{name}: dram_bytes present"
-        );
+        assert!(w.get("instructions").and_then(Json::as_u64).unwrap_or(0) > 0);
+        assert!(w.get("dram_bytes").and_then(Json::as_u64).is_some(), "{name}: dram_bytes present");
         let mpki = w.get("mpki").expect("mpki object");
         for level in ["l1i", "l1d", "l2", "l3", "itlb", "dtlb", "branch"] {
             assert!(
-                mpki.get(level).and_then(serde_json::Value::as_f64).is_some(),
+                mpki.get(level).and_then(Json::as_f64).is_some(),
                 "{name}: mpki.{level} present"
             );
         }
         let mix = w.get("mix").expect("mix object");
         let mix_sum: f64 = ["load", "store", "branch", "int", "fp"]
             .iter()
-            .map(|c| mix.get(c).and_then(serde_json::Value::as_f64).expect("mix fraction"))
+            .map(|c| mix.get(c).and_then(Json::as_f64).expect("mix fraction"))
             .sum();
         assert!((mix_sum - 1.0).abs() < 1e-6, "{name}: mix fractions sum to 1, got {mix_sum}");
-        assert!(w.get("int_per_dram_byte").and_then(serde_json::Value::as_f64).is_some());
-        assert!(w.get("fp_per_dram_byte").and_then(serde_json::Value::as_f64).is_some());
+        assert!(w.get("int_per_dram_byte").and_then(Json::as_f64).is_some());
+        assert!(w.get("fp_per_dram_byte").and_then(Json::as_f64).is_some());
     }
 }
 
@@ -80,9 +78,9 @@ fn phase_counters_sum_to_whole_run_totals() {
             );
             continue;
         }
-        let total = |key: &str| w.get(key).and_then(serde_json::Value::as_u64).unwrap();
+        let total = |key: &str| w.get(key).and_then(Json::as_u64).unwrap();
         let phase_sum = |key: &str| -> u64 {
-            phases.iter().map(|p| p.get(key).and_then(serde_json::Value::as_u64).unwrap()).sum()
+            phases.iter().map(|p| p.get(key).and_then(Json::as_u64).unwrap()).sum()
         };
         assert_eq!(
             phase_sum("instructions"),

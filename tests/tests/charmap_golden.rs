@@ -115,14 +115,14 @@ fn committed_repo_artifacts_are_mutually_consistent() {
         );
     }
     // Both artifacts describe the same run configuration.
-    let bench_doc: serde_json::Value = serde_json::from_str(&bench).expect("bench JSON");
+    let bench_doc = bdb_telemetry::json::parse(&bench).expect("bench JSON");
     assert_eq!(
         bench_doc.get("machine").and_then(|m| m.as_str()),
         Some(baseline.machine.as_str()),
         "same simulated machine"
     );
     assert_eq!(
-        bench_doc.get("fraction").and_then(serde_json::Value::as_f64),
+        bench_doc.get("fraction").and_then(bdb_telemetry::json::Json::as_f64),
         Some(baseline.fraction),
         "same input fraction"
     );

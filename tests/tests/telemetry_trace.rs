@@ -1,8 +1,9 @@
 //! Golden test: the Chrome trace-event JSON emitted by the telemetry
-//! layer must be a valid trace-event array — parseable by `serde_json`
+//! layer must be a valid trace-event array — parseable by the JSON reader
 //! and structurally loadable by `chrome://tracing` / Perfetto.
 
 use bdb_mapreduce::{Emitter, Engine, Job};
+use bdb_telemetry::json::{parse, Json};
 use bdb_telemetry::TraceSession;
 use std::collections::HashMap;
 
@@ -57,7 +58,7 @@ fn traced_session() -> TraceSession {
 fn emitted_json_is_a_valid_chrome_trace_event_array() {
     let session = traced_session();
     let json = session.trace_json();
-    let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace must be valid JSON");
+    let parsed = parse(&json).expect("trace must be valid JSON");
     let events = parsed.as_array().expect("trace-event format is a JSON array");
     assert!(!events.is_empty(), "an instrumented run produces events");
 
@@ -70,15 +71,15 @@ fn emitted_json_is_a_valid_chrome_trace_event_array() {
             matches!(ph, "X" | "i" | "M" | "C"),
             "only complete/instant/metadata/counter events are emitted, got {ph:?}"
         );
-        assert!(e.get("pid").and_then(serde_json::Value::as_u64).is_some());
-        assert!(e.get("ts").and_then(serde_json::Value::as_u64).is_some());
+        assert!(e.get("pid").and_then(Json::as_u64).is_some());
+        assert!(e.get("ts").and_then(Json::as_u64).is_some());
         assert!(e.get("name").and_then(|v| v.as_str()).is_some());
         match ph {
             "X" => {
                 span_count += 1;
-                let ts = e.get("ts").and_then(serde_json::Value::as_u64).unwrap();
-                let tid = e.get("tid").and_then(serde_json::Value::as_u64).expect("X has tid");
-                assert!(e.get("dur").and_then(serde_json::Value::as_u64).is_some(), "X has dur");
+                let ts = e.get("ts").and_then(Json::as_u64).unwrap();
+                let tid = e.get("tid").and_then(Json::as_u64).expect("X has tid");
+                assert!(e.get("dur").and_then(Json::as_u64).is_some(), "X has dur");
                 // Complete events must be ordered by start time per thread
                 // (the recorder sorts globally, which implies per-tid order).
                 let last = last_ts_per_tid.entry(tid).or_insert(0);
@@ -110,7 +111,7 @@ fn emitted_json_is_a_valid_chrome_trace_event_array() {
 fn balanced_span_names_cover_all_engine_phases() {
     let session = traced_session();
     let json = session.trace_json();
-    let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    let parsed = parse(&json).expect("valid JSON");
     let names: Vec<String> = parsed
         .as_array()
         .unwrap()
@@ -145,7 +146,7 @@ fn traced_run_trace_has_counter_tracks_with_multiple_samples() {
     assert!(!out.is_empty());
 
     let json = session.trace_json();
-    let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+    let parsed = parse(&json).expect("valid JSON");
     let mut samples: HashMap<String, usize> = HashMap::new();
     for e in parsed.as_array().expect("array") {
         if e.get("ph").and_then(|v| v.as_str()) != Some("C") {
@@ -154,10 +155,7 @@ fn traced_run_trace_has_counter_tracks_with_multiple_samples() {
         let name = e.get("name").and_then(|v| v.as_str()).expect("counter name");
         if name.starts_with("counter.") {
             assert!(
-                e.get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(serde_json::Value::as_u64)
-                    .is_some(),
+                e.get("args").and_then(|a| a.get("value")).and_then(Json::as_u64).is_some(),
                 "counter sample carries a numeric value"
             );
             *samples.entry(name.to_owned()).or_insert(0) += 1;
