@@ -26,6 +26,21 @@ run() {
     "$@"
 }
 
+# Fails the gate unless directories $1 and $2 hold the same file names
+# with byte-identical contents ($3 names the pass in the message).
+same_files() {
+    if [ "$(ls "$1")" != "$(ls "$2")" ]; then
+        echo "ci: two $3 runs wrote different files" >&2
+        exit 1
+    fi
+    for f in "$1"/*; do
+        if ! cmp -s "$f" "$2/$(basename "$f")"; then
+            echo "ci: $3 artifact $(basename "$f") is not byte-deterministic" >&2
+            exit 1
+        fi
+    done
+}
+
 if [ "$subset" -eq 1 ]; then
     # Representative-subset fast tier: run only the workloads the
     # characterization map selected (one per cluster, committed in
@@ -131,25 +146,29 @@ if [ "$fast" -eq 0 ]; then
     # write the report plus a dashboard, Prometheus exposition and
     # chain trace per service. The binary gates alert firing, chain
     # completeness and tail agreement in-process; here we gate the
-    # artifacts' presence.
+    # artifacts' presence and their byte-determinism across two runs
+    # (the chain traces are where the span-context export shows).
     slodir="$(mktemp -d)"
     trap 'rm -rf "$profdir" "$charmapdir" "$slodir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --slo "$slodir"
-    if [ ! -s "$slodir/slo_report.json" ]; then
+    for tag in a b; do
+        run cargo run --release -q -p bdb-bench --bin reproduce -- \
+            --slo "$slodir/$tag"
+    done
+    if [ ! -s "$slodir/a/slo_report.json" ]; then
         echo "ci: missing or empty slo_report.json" >&2
         exit 1
     fi
     for stem in nutch-server olio-server rubis-server; do
         for suffix in dash.txt slo.prom.txt slo.trace.json; do
-            f="$slodir/$stem.$suffix"
+            f="$slodir/a/$stem.$suffix"
             if [ ! -s "$f" ]; then
                 echo "ci: missing or empty SLO artifact: $f" >&2
                 exit 1
             fi
         done
     done
-    echo "ci: SLO artifacts present for all serving workloads"
+    same_files "$slodir/a" "$slodir/b" "--slo"
+    echo "ci: SLO artifacts present for all serving workloads (deterministic)"
 
     # Vectorized-engine gate: the columnar kernels must equal the row
     # oracle exactly (values, row order, float bits) on random tables,
@@ -166,8 +185,9 @@ if [ "$fast" -eq 0 ]; then
     # WordCount and serving campaigns under seeded fault schedules. The
     # binary exits nonzero if any invariant checker fails or the OLTP
     # campaign did not force at least one failover and one read-repair;
-    # here we additionally gate the report artifact and its
-    # byte-determinism (two runs of the same seed must diff clean).
+    # here we additionally gate the report artifact and the
+    # byte-determinism of everything the pass writes (two runs of the
+    # same seed must diff clean).
     chaosdir="$(mktemp -d)"
     trap 'rm -rf "$profdir" "$charmapdir" "$slodir" "$chaosdir"' EXIT
     for seed in 7 21 1337; do
@@ -180,19 +200,16 @@ if [ "$fast" -eq 0 ]; then
     done
     run cargo run --release -q -p bdb-bench --bin reproduce -- \
         --chaos 7 "$chaosdir/seed-7-again"
-    if ! cmp -s "$chaosdir/seed-7/chaos_report.json" \
-                "$chaosdir/seed-7-again/chaos_report.json"; then
-        echo "ci: chaos_report.json is not byte-deterministic for seed 7" >&2
-        exit 1
-    fi
+    # The report plus the three per-campaign Chrome traces.
+    same_files "$chaosdir/seed-7" "$chaosdir/seed-7-again" "--chaos 7"
     echo "ci: chaos campaigns passed for seeds 7, 21, 1337 (deterministic)"
 
     # Time-series gate: the tsdb pass scrapes a traced cluster run and
     # a shaped serving overload into the embedded store. The binary
     # gates span-chain completeness, stored-vs-live p99 agreement and
     # the recording-rule replay in-process; here we gate the artifacts
-    # and the snapshot's byte-determinism across two identical-seed
-    # runs.
+    # and their byte-determinism (snapshot, timeline, dashboards)
+    # across two identical-seed runs.
     tsdbdir="$(mktemp -d)"
     trap 'rm -rf "$profdir" "$charmapdir" "$slodir" "$chaosdir" "$tsdbdir"' EXIT
     for tag in a b; do
@@ -206,11 +223,8 @@ if [ "$fast" -eq 0 ]; then
             exit 1
         fi
     done
-    if ! cmp -s "$tsdbdir/a/tsdb_snapshot.bin" "$tsdbdir/b/tsdb_snapshot.bin"; then
-        echo "ci: tsdb_snapshot.bin is not byte-deterministic" >&2
-        exit 1
-    fi
-    echo "ci: tsdb snapshot deterministic, dashboards and timeline present"
+    same_files "$tsdbdir/a" "$tsdbdir/b" "--tsdb"
+    echo "ci: tsdb snapshot, timeline and dashboards present and deterministic"
 fi
 
 if [ "$bench_check" -eq 1 ]; then

@@ -1430,7 +1430,7 @@ fn chaos_pass(args: &Args) {
 /// `timeline.txt`. Exits 1 on any gate. With `--bench-subset`, the
 /// scrape is shortened (the fast per-PR tier).
 fn tsdb_pass(args: &Args) {
-    use bdb_obs::{phase_salt, ObsConfig, ObsPipeline, TraceId};
+    use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline};
     use bdb_serving::queue::RequestOutcome;
     use bdb_serving::{QueuePolicy, QueueSim};
     use bdb_telemetry::MetricsRegistry;
@@ -1497,9 +1497,8 @@ fn tsdb_pass(args: &Args) {
             }
         }
         let value = format!("v{i}-t{t_us}").into_bytes();
-        let trace = TraceId::derive(TSDB_SEED, salt, i).0;
         cluster
-            .put_traced(&key, &value, trace)
+            .put_traced(&key, &value, derive_trace_id(TSDB_SEED, salt, i))
             .unwrap_or_else(|e| die(&format!("traced write {i}: {e}")));
         scraper.scrape_at(&mut db, t_us);
     }

@@ -246,6 +246,7 @@ pub fn oltp_campaign(
             start_us: ev.at_us,
             dur_us: None,
             tid: ev.node as u64,
+            ctx: None,
             args: vec![
                 ("node", ArgValue::Int(ev.node as i64)),
                 ("shard", ArgValue::Int(if ev.shard == usize::MAX { -1 } else { ev.shard as i64 })),

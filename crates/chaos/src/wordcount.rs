@@ -115,6 +115,7 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
             start_us: u64::from(round) * ROUND_US,
             dur_us: None,
             tid: 0,
+            ctx: None,
             args: vec![
                 ("round", ArgValue::Int(i64::from(round))),
                 ("identical", ArgValue::Int(i64::from(identical))),

@@ -5,7 +5,7 @@ use crate::shard::ShardMap;
 use crate::{decode_value, encode_value, sites};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::{Store, StoreConfig};
-use bdb_telemetry::{ArgValue, MetricsRegistry, SpanEvent};
+use bdb_telemetry::{ArgValue, MetricsRegistry, SpanContext, SpanEvent, TraceId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -366,11 +366,11 @@ impl Cluster {
 
     /// [`Cluster::put`] carrying a Dapper-style trace id: the write's
     /// hop through shard routing → primary WAL append → replica ship →
-    /// quorum ack is emitted as linked [`SpanEvent`]s (drained via
-    /// [`Cluster::take_trace_spans`]) using the same
-    /// `trace_id`/`span_id`/`parent_span_id` argument convention as
-    /// `bdb-obs` service traces. Span times are virtual, modeled on a
-    /// fixed per-hop cost, so the stream is deterministic.
+    /// quorum ack is emitted as [`SpanEvent`]s (drained via
+    /// [`Cluster::take_trace_spans`]) linked by their typed
+    /// [`SpanContext`], the same context `bdb-obs` service traces
+    /// carry. Span times are virtual, modeled on a fixed per-hop cost,
+    /// so the stream is deterministic.
     ///
     /// # Errors
     ///
@@ -379,7 +379,7 @@ impl Cluster {
         &mut self,
         key: &[u8],
         value: &[u8],
-        trace: u64,
+        trace: TraceId,
     ) -> std::io::Result<PutOutcome> {
         self.put_impl(key, value, Some(trace))
     }
@@ -396,7 +396,7 @@ impl Cluster {
         &mut self,
         key: &[u8],
         value: &[u8],
-        trace: Option<u64>,
+        trace: Option<TraceId>,
     ) -> std::io::Result<PutOutcome> {
         let shard = self.map.shard_of(key);
         self.next_seq[shard] += 1;
@@ -404,31 +404,34 @@ impl Cluster {
         let enc = encode_value(seq, value);
         let rec_len = 10 + key.len() as u64 + enc.len() as u64;
         let t0 = u64::try_from(self.now.as_micros()).unwrap_or(u64::MAX);
-        let trace_hex = trace.map(|t| format!("{t:016x}"));
+        // A span of this write's trace; `None` for an untraced put.
         let span = |name: &'static str,
                     start: u64,
                     dur: Option<u64>,
-                    id: i64,
-                    parent: i64,
+                    id: u64,
+                    parent: Option<u64>,
                     node: usize,
-                    extra: Vec<(&'static str, ArgValue)>| {
-            let mut args = vec![
-                ("trace_id", ArgValue::Str(trace_hex.clone().unwrap_or_default())),
-                ("span_id", ArgValue::Int(id)),
-            ];
-            if parent != 0 {
-                args.push(("parent_span_id", ArgValue::Int(parent)));
-            }
-            args.push(("node", ArgValue::Int(node as i64)));
-            args.extend(extra);
-            SpanEvent { name, cat: "cluster", start_us: start, dur_us: dur, tid: node as u64, args }
+                    extra: &[(&'static str, ArgValue)]| {
+            trace.map(|trace| {
+                let mut args = vec![("node", ArgValue::Int(node as i64))];
+                args.extend_from_slice(extra);
+                SpanEvent {
+                    name,
+                    cat: "cluster",
+                    start_us: start,
+                    dur_us: dur,
+                    tid: node as u64,
+                    ctx: Some(SpanContext { trace, span: id, parent }),
+                    args,
+                }
+            })
         };
 
         let mut spans: Vec<SpanEvent> = Vec::new();
         let mut retried = false;
         let mut acks = 0usize;
         let mut ack_at: Option<u64> = None;
-        let mut next_id: i64 = 3;
+        let mut next_id: u64 = 3;
         let mut primary_used = 0usize;
         for _attempt in 0..2 {
             let primary = self.ensure_primary(shard)?;
@@ -440,17 +443,15 @@ impl Cluster {
                     if acks >= self.config.write_quorum {
                         ack_at = Some(Self::ROUTE_US + Self::APPEND_US);
                     }
-                    if trace.is_some() {
-                        spans.push(span(
-                            "cluster.wal_append",
-                            t0 + Self::ROUTE_US,
-                            Some(Self::APPEND_US),
-                            2,
-                            1,
-                            primary,
-                            vec![("rec_len", ArgValue::Int(rec_len as i64))],
-                        ));
-                    }
+                    spans.extend(span(
+                        "cluster.wal_append",
+                        t0 + Self::ROUTE_US,
+                        Some(Self::APPEND_US),
+                        2,
+                        Some(1),
+                        primary,
+                        &[("rec_len", ArgValue::Int(rec_len as i64))],
+                    ));
                 }
                 Err(e) if bdb_faults::is_injected(&e) => {
                     self.kill_node(primary);
@@ -483,17 +484,15 @@ impl Cluster {
                     self.metrics[replica].counter("cluster.ships_lost_total").inc();
                     self.dirty.insert((shard, replica));
                     self.event("ship_lost", replica, shard);
-                    if trace.is_some() {
-                        spans.push(span(
-                            "cluster.ship",
-                            ship_start,
-                            Some(5),
-                            ship_id,
-                            2,
-                            replica,
-                            vec![("outcome", ArgValue::Str("lost".into()))],
-                        ));
-                    }
+                    spans.extend(span(
+                        "cluster.ship",
+                        ship_start,
+                        Some(5),
+                        ship_id,
+                        Some(2),
+                        replica,
+                        &[("outcome", ArgValue::Str("lost".into()))],
+                    ));
                     continue;
                 }
                 match self.apply_to_node(replica, key, &enc) {
@@ -503,33 +502,29 @@ impl Cluster {
                         if acks == self.config.write_quorum {
                             ack_at = Some(ship_start - t0 + Self::ACK_HOP_US);
                         }
-                        if trace.is_some() {
-                            spans.push(span(
-                                "cluster.ship",
-                                ship_start,
-                                Some(Self::ACK_HOP_US),
-                                ship_id,
-                                2,
-                                replica,
-                                Vec::new(),
-                            ));
-                        }
+                        spans.extend(span(
+                            "cluster.ship",
+                            ship_start,
+                            Some(Self::ACK_HOP_US),
+                            ship_id,
+                            Some(2),
+                            replica,
+                            &[],
+                        ));
                     }
                     Err(e) if bdb_faults::is_injected(&e) => {
                         // The replica crashed mid-apply (possibly a torn
                         // WAL record); it rejoins via anti-entropy.
                         self.kill_node(replica);
-                        if trace.is_some() {
-                            spans.push(span(
-                                "cluster.ship",
-                                ship_start,
-                                Some(8),
-                                ship_id,
-                                2,
-                                replica,
-                                vec![("outcome", ArgValue::Str("crashed".into()))],
-                            ));
-                        }
+                        spans.extend(span(
+                            "cluster.ship",
+                            ship_start,
+                            Some(8),
+                            ship_id,
+                            Some(2),
+                            replica,
+                            &[("outcome", ArgValue::Str("crashed".into()))],
+                        ));
                     }
                     Err(e) => return Err(e),
                 }
@@ -543,17 +538,15 @@ impl Cluster {
             self.stats.acked_writes += 1;
             let ack_us = ack_at.unwrap_or(Self::ROUTE_US + Self::APPEND_US);
             self.metrics[primary_used].histogram("cluster.quorum_ack_us").record_micros(ack_us);
-            if trace.is_some() {
-                spans.push(span(
-                    "cluster.quorum_ack",
-                    t0 + ack_us,
-                    None,
-                    next_id,
-                    1,
-                    primary_used,
-                    Vec::new(),
-                ));
-            }
+            spans.extend(span(
+                "cluster.quorum_ack",
+                t0 + ack_us,
+                None,
+                next_id,
+                Some(1),
+                primary_used,
+                &[],
+            ));
         } else {
             self.stats.failed_writes += 1;
         }
@@ -571,16 +564,15 @@ impl Cluster {
             if retried {
                 extra.push(("retried", ArgValue::Int(1)));
             }
-            let route = span(
+            self.trace_spans.extend(span(
                 "cluster.route",
                 t0,
                 Some(children_end.saturating_sub(t0) + Self::ROUTE_US),
                 1,
-                0,
+                None,
                 primary_used,
-                extra,
-            );
-            self.trace_spans.push(route);
+                &extra,
+            ));
             self.trace_spans.append(&mut spans);
         }
         self.refresh_lag_gauges();

@@ -5,6 +5,7 @@
 use bdb_cluster::{check_history, sites, Cluster, ClusterConfig, History, Op};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::StoreConfig;
+use bdb_telemetry::TraceId;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -142,7 +143,7 @@ fn traced_writes_chain_and_feed_node_metrics() {
     let mut c = Cluster::open(&root, config(), plan).unwrap();
     for i in 0..20u32 {
         c.advance(Duration::from_micros(u64::from(i + 1) * 500));
-        let out = c.put_traced(&key(i), &val(i, 0), 0x1000 + u64::from(i)).unwrap();
+        let out = c.put_traced(&key(i), &val(i, 0), TraceId(0x1000 + u64::from(i))).unwrap();
         assert!(out.acked, "W=2 of 3 reached even with one lost ship");
     }
 
@@ -151,8 +152,11 @@ fn traced_writes_chain_and_feed_node_metrics() {
     let spans = c.take_trace_spans();
     let chains = bdb_tsdb::reconstruct_writes(&spans);
     assert_eq!(chains.len(), 20);
+    let traces: Vec<TraceId> = chains.iter().map(|ch| ch.trace).collect();
+    assert_eq!(traces, (0..20).map(|i| TraceId(0x1000 + i)).collect::<Vec<_>>());
     for ch in &chains {
-        assert!(ch.complete, "chain {} causally complete", ch.trace);
+        assert!(ch.complete, "chain {} causally complete", ch.trace.hex());
+        assert!(ch.spans.iter().all(|s| s.ctx.is_some_and(|x| x.trace == ch.trace)));
         assert!(ch.shard >= 0);
         assert!(ch.acked);
         assert!(ch.quorum_ack_us.is_some());

@@ -14,14 +14,16 @@
 //!
 //! Shed requests stop at `queue` (the admission decision *is* their
 //! whole life); timed-out requests stop at `queue` too, with the span
-//! covering the abandoned wait. Linkage is carried in span args
-//! (`trace_id`, `span_id`, `parent_span_id`), so [`reconstruct`] can
-//! rebuild every chain from a flat `Vec<SpanEvent>` with no access to
-//! the pipeline that wrote it.
+//! covering the abandoned wait. Linkage is each span's typed
+//! [`SpanContext`]; [`reconstruct`] regroups the flat span stream with
+//! [`bdb_telemetry::trace::chains`] and checks only this module's
+//! rules: which spans a chain needs for its outcome, and which must
+//! nest inside their parent.
 
-use crate::context::{SampleDecision, TraceId};
+use crate::context::SampleDecision;
 use bdb_serving::queue::{RequestOutcome, RequestRecord};
-use bdb_telemetry::{ArgValue, SpanEvent};
+use bdb_telemetry::trace::chains;
+use bdb_telemetry::{ArgValue, SpanContext, SpanEvent, TraceId};
 
 /// Everything needed to synthesize one request's chain.
 #[derive(Debug)]
@@ -40,89 +42,52 @@ pub struct ChainInput<'a> {
     pub offset_us: u64,
 }
 
-fn arg_chain(
-    trace: TraceId,
-    span_id: u64,
-    parent: Option<u64>,
-    extra: Vec<(&'static str, ArgValue)>,
-) -> Vec<(&'static str, ArgValue)> {
-    let mut args =
-        vec![("trace_id", ArgValue::Str(trace.hex())), ("span_id", ArgValue::Int(span_id as i64))];
-    if let Some(p) = parent {
-        args.push(("parent_span_id", ArgValue::Int(p as i64)));
-    }
-    args.extend(extra);
-    args
-}
-
 /// Synthesizes the linked spans for one kept request. The `tid` row is
 /// the serving worker (+1, row 0 is reserved for un-admitted
 /// requests), so chains line up under the worker that ran them.
 pub fn synthesize_chain(input: &ChainInput<'_>) -> Vec<SpanEvent> {
     let r = input.record;
-    let us = |ns: u64| input.offset_us + ns / 1_000;
     let tid = r.worker.map_or(0, |w| w as u64 + 1);
-    let trace = input.trace;
+    // Span `id` of the chain (its parent is `id - 1`; span 1 is the
+    // root), starting at virtual `start_ns`.
+    let span = |name, id: u64, start_ns: u64, dur_us, args| SpanEvent {
+        name,
+        cat: "obs",
+        start_us: input.offset_us + start_ns / 1_000,
+        dur_us: Some(dur_us),
+        tid,
+        ctx: Some(SpanContext { trace: input.trace, span: id, parent: (id > 1).then(|| id - 1) }),
+        args,
+    };
     let mut spans = Vec::with_capacity(4);
     let latency_us = r.latency_ns() / 1_000;
-    spans.push(SpanEvent {
-        name: "request",
-        cat: "obs",
-        start_us: us(r.arrival_ns),
-        dur_us: Some(latency_us),
-        tid,
-        args: arg_chain(
-            trace,
-            1,
-            None,
-            vec![
-                ("outcome", ArgValue::Str(r.outcome.label().to_owned())),
-                ("sampled", ArgValue::Str(input.decision.label().to_owned())),
-                ("phase", ArgValue::Str(input.phase.to_owned())),
-                ("latency_us", ArgValue::Int(latency_us as i64)),
-            ],
-        ),
-    });
+    spans.push(span(
+        "request",
+        1,
+        r.arrival_ns,
+        latency_us,
+        vec![
+            ("outcome", ArgValue::Str(r.outcome.label().to_owned())),
+            ("sampled", ArgValue::Str(input.decision.label().to_owned())),
+            ("phase", ArgValue::Str(input.phase.to_owned())),
+            ("latency_us", ArgValue::Int(latency_us as i64)),
+        ],
+    ));
     // Queue span: admission decision through service start (or the
     // whole life for shed/timed-out requests).
     let queue_end_ns = match r.outcome {
         RequestOutcome::Shed => r.arrival_ns,
         _ => r.start_ns.unwrap_or(r.arrival_ns),
     };
-    spans.push(SpanEvent {
-        name: "queue",
-        cat: "obs",
-        start_us: us(r.arrival_ns),
-        dur_us: Some((queue_end_ns - r.arrival_ns) / 1_000),
-        tid,
-        args: arg_chain(trace, 2, Some(1), Vec::new()),
-    });
+    spans.push(span("queue", 2, r.arrival_ns, (queue_end_ns - r.arrival_ns) / 1_000, Vec::new()));
     if matches!(r.outcome, RequestOutcome::Completed | RequestOutcome::Unfinished) {
         let start = r.start_ns.expect("admitted requests start");
         let service_us = r.service_ns / 1_000;
-        spans.push(SpanEvent {
-            name: "handle",
-            cat: "obs",
-            start_us: us(start),
-            dur_us: Some(service_us),
-            tid,
-            args: arg_chain(
-                trace,
-                3,
-                Some(2),
-                vec![("worker", ArgValue::Int(r.worker.unwrap_or(0) as i64))],
-            ),
-        });
+        let worker = vec![("worker", ArgValue::Int(r.worker.unwrap_or(0) as i64))];
+        spans.push(span("handle", 3, start, service_us, worker));
         // The store access leads the handler's work.
         let store_us = (service_us as f64 * input.store_fraction) as u64;
-        spans.push(SpanEvent {
-            name: "store",
-            cat: "obs",
-            start_us: us(start),
-            dur_us: Some(store_us),
-            tid,
-            args: arg_chain(trace, 4, Some(3), Vec::new()),
-        });
+        spans.push(span("store", 4, start, store_us, Vec::new()));
     }
     spans
 }
@@ -130,8 +95,8 @@ pub fn synthesize_chain(input: &ChainInput<'_>) -> Vec<SpanEvent> {
 /// One chain rebuilt from a flat span list.
 #[derive(Debug, Clone)]
 pub struct ChainView {
-    /// The trace id (16 hex digits).
-    pub trace: String,
+    /// The trace id.
+    pub trace: TraceId,
     /// The root request's outcome label (empty if the root is
     /// missing).
     pub outcome: String,
@@ -146,20 +111,6 @@ pub struct ChainView {
     pub complete: bool,
 }
 
-fn str_arg(e: &SpanEvent, key: &str) -> Option<String> {
-    e.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::Str(s) => Some(s.clone()),
-        _ => None,
-    })
-}
-
-fn int_arg(e: &SpanEvent, key: &str) -> Option<i64> {
-    e.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::Int(i) => Some(*i),
-        _ => None,
-    })
-}
-
 fn encloses(parent: &SpanEvent, child: &SpanEvent) -> bool {
     let p_end = parent.start_us + parent.dur_us.unwrap_or(0);
     let c_end = child.start_us + child.dur_us.unwrap_or(0);
@@ -167,49 +118,36 @@ fn encloses(parent: &SpanEvent, child: &SpanEvent) -> bool {
 }
 
 /// Rebuilds every chain found in `events` (spans carrying a
-/// `trace_id` arg), sorted by trace id for deterministic output.
+/// [`SpanContext`]), in ascending trace-id order.
 pub fn reconstruct(events: &[SpanEvent]) -> Vec<ChainView> {
-    use std::collections::BTreeMap;
-    let mut by_trace: BTreeMap<String, Vec<&SpanEvent>> = BTreeMap::new();
-    for e in events {
-        if let Some(t) = str_arg(e, "trace_id") {
-            by_trace.entry(t).or_default().push(e);
-        }
-    }
-    by_trace
+    chains(events)
         .into_iter()
-        .map(|(trace, mut spans)| {
-            spans.sort_by_key(|e| int_arg(e, "span_id").unwrap_or(i64::MAX));
-            let find = |id: i64| spans.iter().find(|e| int_arg(e, "span_id") == Some(id)).copied();
-            let root = find(1);
-            let outcome = root.and_then(|r| str_arg(r, "outcome")).unwrap_or_default();
-            let latency_us = root.and_then(|r| int_arg(r, "latency_us")).unwrap_or(0) as u64;
-            let linked = |child: Option<&SpanEvent>, parent: Option<&SpanEvent>, pid: i64| match (
-                child, parent,
-            ) {
-                (Some(c), Some(p)) => int_arg(c, "parent_span_id") == Some(pid) && encloses(p, c),
-                _ => false,
+        .map(|chain| {
+            let root = chain.span(1);
+            let outcome = root.and_then(|r| r.str_arg("outcome")).unwrap_or_default().to_owned();
+            let latency_us = root.and_then(|r| r.int_arg("latency_us")).unwrap_or(0) as u64;
+            // Span `id` and its resolved parent, if that parent is `pid`.
+            let link = |id: u64, pid: u64| {
+                let child = chain.span(id).filter(|c| c.ctx.and_then(|x| x.parent) == Some(pid))?;
+                Some((chain.parent(child)?, child))
             };
-            let queue_ok = linked(find(2), root, 1);
+            let nested = |id, pid| link(id, pid).is_some_and(|(p, c)| encloses(p, c));
+            let queue_ok = nested(2, 1);
             let complete = match outcome.as_str() {
-                "completed" | "unfinished" => {
-                    // The handle span of an unfinished request (and a
-                    // timed-out wait) extends past the root's recorded
-                    // latency, so nesting is only enforced where the
-                    // model guarantees it: queue under request, store
-                    // under handle.
-                    let handle = find(3);
-                    let handle_ok = handle.is_some_and(|h| int_arg(h, "parent_span_id") == Some(2));
-                    queue_ok && handle_ok && linked(find(4), handle, 3)
-                }
-                "shed" | "timed_out" => queue_ok && find(3).is_none(),
+                // The handle span of an unfinished request (and a
+                // timed-out wait) extends past the root's recorded
+                // latency, so nesting is only enforced where the model
+                // guarantees it: queue under request, store under
+                // handle.
+                "completed" | "unfinished" => queue_ok && link(3, 2).is_some() && nested(4, 3),
+                "shed" | "timed_out" => queue_ok && chain.span(3).is_none(),
                 _ => false,
             };
             ChainView {
-                trace,
+                trace: chain.trace,
                 outcome,
                 latency_us,
-                names: spans.iter().map(|e| e.name).collect(),
+                names: chain.spans.iter().map(|e| e.name).collect(),
                 complete,
             }
         })
@@ -278,6 +216,19 @@ mod tests {
         assert_eq!(spans[0].dur_us, Some(10_000));
         // store is half the 8ms service.
         assert_eq!(spans[3].dur_us, Some(4_000));
+        // Linkage is the typed context, not args.
+        let ids: Vec<_> =
+            spans.iter().map(|s| s.ctx.map(|c| (c.trace, c.span, c.parent))).collect();
+        let t = TraceId(0xABCD);
+        assert_eq!(
+            ids,
+            [
+                Some((t, 1, None)),
+                Some((t, 2, Some(1))),
+                Some((t, 3, Some(2))),
+                Some((t, 4, Some(3)))
+            ]
+        );
         let views = reconstruct(&spans);
         assert_eq!(views.len(), 1);
         assert!(views[0].complete, "{views:?}");
@@ -313,6 +264,12 @@ mod tests {
             store.start_us += 1_000_000;
         }
         assert!(!reconstruct(&spans)[0].complete);
+
+        // A store span naming the wrong parent fails even though it
+        // nests inside the handle span.
+        let mut spans = chain(RequestOutcome::Completed);
+        spans[3].ctx = Some(SpanContext { trace: TraceId(0xABCD), span: 4, parent: Some(2) });
+        assert!(!reconstruct(&spans)[0].complete);
     }
 
     #[test]
@@ -324,7 +281,7 @@ mod tests {
                 .enumerate()
         {
             all.extend(synthesize_chain(&ChainInput {
-                trace: TraceId(i as u64 + 1),
+                trace: TraceId(3 - i as u64),
                 record: &rec(outcome),
                 decision: SampleDecision::Head,
                 phase: "steady",
@@ -335,5 +292,9 @@ mod tests {
         let views = reconstruct(&all);
         assert_eq!(views.len(), 3);
         assert!(views.iter().all(|v| v.complete));
+        // Ascending trace order, whatever the emission order.
+        let traces: Vec<TraceId> = views.iter().map(|v| v.trace).collect();
+        assert_eq!(traces, [TraceId(1), TraceId(2), TraceId(3)]);
+        assert_eq!(views[1].outcome, "shed");
     }
 }

@@ -1,6 +1,6 @@
 //! Per-request trace context and sampling policy.
 //!
-//! Every simulated request gets a 64-bit trace id derived
+//! Every simulated request gets a 64-bit [`TraceId`] derived
 //! deterministically from the run seed and the request's arrival
 //! sequence, so the same seed reproduces the same ids — and therefore
 //! the same sampling decisions and the same kept traces — on any host.
@@ -9,23 +9,13 @@
 
 use bdb_serving::queue::{RequestOutcome, RequestRecord};
 use bdb_serving::splitmix64;
+use bdb_telemetry::TraceId;
 use std::time::Duration;
 
-/// A 64-bit trace identifier, rendered as 16 lowercase hex digits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TraceId(pub u64);
-
-impl TraceId {
-    /// Derives the id for request `seq` of phase `phase_salt` under
-    /// `seed`. Pure; collision-free in practice for one run's volumes.
-    pub fn derive(seed: u64, phase_salt: u64, seq: u64) -> Self {
-        TraceId(splitmix64(seed ^ splitmix64(phase_salt) ^ seq.wrapping_mul(0x9E37_79B9)))
-    }
-
-    /// The canonical 16-hex-digit rendering.
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
+/// Derives the trace id for request `seq` of phase `phase_salt` under
+/// `seed`. Pure; collision-free in practice for one run's volumes.
+pub fn derive_trace_id(seed: u64, phase_salt: u64, seq: u64) -> TraceId {
+    TraceId(splitmix64(seed ^ splitmix64(phase_salt) ^ seq.wrapping_mul(0x9E37_79B9)))
 }
 
 /// Stable salt for a phase name (FNV-1a), so distinct load phases of
@@ -134,11 +124,11 @@ mod tests {
 
     #[test]
     fn trace_ids_are_stable_and_distinct() {
-        let a = TraceId::derive(1, phase_salt("steady"), 0);
-        assert_eq!(a, TraceId::derive(1, phase_salt("steady"), 0));
-        assert_ne!(a, TraceId::derive(1, phase_salt("steady"), 1));
-        assert_ne!(a, TraceId::derive(1, phase_salt("overload"), 0));
-        assert_ne!(a, TraceId::derive(2, phase_salt("steady"), 0));
+        let a = derive_trace_id(1, phase_salt("steady"), 0);
+        assert_eq!(a, derive_trace_id(1, phase_salt("steady"), 0));
+        assert_ne!(a, derive_trace_id(1, phase_salt("steady"), 1));
+        assert_ne!(a, derive_trace_id(1, phase_salt("overload"), 0));
+        assert_ne!(a, derive_trace_id(2, phase_salt("steady"), 0));
         assert_eq!(a.hex().len(), 16);
     }
 
@@ -146,11 +136,11 @@ mod tests {
     fn head_rate_is_roughly_honored() {
         let policy = SamplingPolicy { head_rate: 0.1, slow_threshold: Duration::from_millis(50) };
         let kept =
-            (0..10_000u64).filter(|&i| policy.head_sampled(TraceId::derive(7, 0, i))).count();
+            (0..10_000u64).filter(|&i| policy.head_sampled(derive_trace_id(7, 0, i))).count();
         assert!((800..1200).contains(&kept), "kept {kept} of 10k at 10%");
         // Deterministic: same ids, same decisions.
         let again =
-            (0..10_000u64).filter(|&i| policy.head_sampled(TraceId::derive(7, 0, i))).count();
+            (0..10_000u64).filter(|&i| policy.head_sampled(derive_trace_id(7, 0, i))).count();
         assert_eq!(kept, again);
     }
 

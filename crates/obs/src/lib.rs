@@ -62,7 +62,7 @@ pub mod slo;
 pub mod window;
 
 pub use chain::{reconstruct, synthesize_chain, ChainInput, ChainView};
-pub use context::{phase_salt, SampleDecision, SamplingPolicy, TraceId};
+pub use context::{derive_trace_id, phase_salt, SampleDecision, SamplingPolicy};
 pub use slo::{AlertEvent, BudgetStatus, BurnRateRule, Severity, SloEngine, SloSpec};
 pub use window::{ReqEvent, WindowRing, WindowStats};
 
@@ -238,6 +238,7 @@ impl ObsPipeline {
             start_us: a.at_ns / 1_000,
             dur_us: None,
             tid: 0,
+            ctx: None,
             args: vec![
                 ("rule", ArgValue::Str(a.rule.clone())),
                 ("severity", ArgValue::Str(a.severity.label().to_owned())),
@@ -288,7 +289,7 @@ impl ObsPipeline {
 
         for (t, _, seq, kind) in events {
             let r = &records[seq as usize];
-            let trace = TraceId::derive(self.config.seed, salt, seq);
+            let trace = derive_trace_id(self.config.seed, salt, seq);
             let ev = match kind {
                 Kind::Arrive => ReqEvent::Offered,
                 Kind::Terminal => match r.outcome {
@@ -335,7 +336,7 @@ impl ObsPipeline {
                 }
                 RequestOutcome::Unfinished => {}
             }
-            let trace = TraceId::derive(self.config.seed, salt, r.seq);
+            let trace = derive_trace_id(self.config.seed, salt, r.seq);
             let decision = self.config.sampling.decide(trace, r);
             if !decision.keep() {
                 continue;

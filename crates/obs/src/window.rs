@@ -8,8 +8,7 @@
 //! exports itself two ways: Prometheus text with exemplar trace ids on
 //! hot buckets, and [`CounterTrack`]s for the Chrome trace timeline.
 
-use crate::context::TraceId;
-use bdb_telemetry::{CounterTrack, LatencyHistogram};
+use bdb_telemetry::{CounterTrack, LatencyHistogram, TraceId};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 

@@ -5,7 +5,7 @@
 //! corresponding failure counter so an operator can jump from the
 //! counter straight to a concrete failed trace.
 
-use bdb_obs::{phase_salt, ObsConfig, ObsPipeline, SampleDecision, TraceId};
+use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline, SampleDecision};
 use bdb_serving::queue::QueueResult;
 use bdb_serving::{QueuePolicy, QueueSim, RequestOutcome, ServiceTimeModel};
 use bdb_telemetry::assert_prometheus_grammar;
@@ -54,7 +54,7 @@ fn fault_failed_requests_are_always_tail_sampled() {
     config.sampling.head_rate = 0.0;
     let salt = phase_salt("overload");
     for r in &failures {
-        let trace = TraceId::derive(SEED, salt, r.seq);
+        let trace = derive_trace_id(SEED, salt, r.seq);
         assert_eq!(
             config.sampling.decide(trace, r),
             SampleDecision::TailError,
@@ -114,7 +114,7 @@ fn failure_counters_carry_exemplar_trace_ids() {
             .records
             .iter()
             .filter(|r| r.outcome == outcome)
-            .map(|r| TraceId::derive(SEED, salt, r.seq).hex())
+            .map(|r| derive_trace_id(SEED, salt, r.seq).hex())
             .collect();
         assert!(
             failed_ids.iter().any(|id| id == hex),

@@ -7,7 +7,7 @@
 //! over. Events without a duration (instant markers, or spans left
 //! unclosed by a crash) are counted and skipped, never unwrapped.
 
-use bdb_telemetry::{ArgValue, SpanEvent};
+use bdb_telemetry::SpanEvent;
 use std::collections::BTreeMap;
 
 /// One reconstructed span with its nesting links resolved.
@@ -108,10 +108,6 @@ impl SpanForest {
             }
             let parent = stack.last().copied();
             let idx = forest.nodes.len();
-            let iter = e.args.iter().find_map(|(k, v)| match (*k, v) {
-                ("iter", ArgValue::Int(i)) => Some(*i),
-                _ => None,
-            });
             forest.nodes.push(SpanNode {
                 name: e.name,
                 cat: e.cat,
@@ -122,7 +118,7 @@ impl SpanForest {
                 parent,
                 children: Vec::new(),
                 self_us: 0,
-                iter,
+                iter: e.int_arg("iter"),
             });
             match parent {
                 Some(p) => forest.nodes[p].children.push(idx),
@@ -169,10 +165,8 @@ impl SpanForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    pub(crate) fn span(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
-        SpanEvent { name, cat: "test", start_us, dur_us: Some(dur_us), tid, args: Vec::new() }
-    }
+    use crate::tests::span;
+    use bdb_telemetry::ArgValue;
 
     #[test]
     fn nesting_by_containment() {

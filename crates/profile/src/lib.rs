@@ -22,7 +22,7 @@
 //! use bdb_telemetry::SpanEvent;
 //!
 //! let span = |name, start_us, dur_us| SpanEvent {
-//!     name, cat: "demo", start_us, dur_us: Some(dur_us), tid: 1, args: Vec::new(),
+//!     name, cat: "demo", start_us, dur_us: Some(dur_us), tid: 1, ctx: None, args: Vec::new(),
 //! };
 //! let profile =
 //!     bdb_profile::Profile::from_events(&[span("job", 0, 100), span("map-task", 10, 80)]);
@@ -132,8 +132,17 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn span(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
-        SpanEvent { name, cat: "test", start_us, dur_us: Some(dur_us), tid, args: Vec::new() }
+    /// A context-free test span on thread `tid`.
+    pub(crate) fn span(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
+        SpanEvent {
+            name,
+            cat: "test",
+            start_us,
+            dur_us: Some(dur_us),
+            tid,
+            ctx: None,
+            args: Vec::new(),
+        }
     }
 
     fn profile() -> Profile {

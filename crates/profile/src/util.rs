@@ -160,11 +160,7 @@ impl Utilization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdb_telemetry::SpanEvent;
-
-    fn span(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
-        SpanEvent { name, cat: "test", start_us, dur_us: Some(dur_us), tid, args: Vec::new() }
-    }
+    use crate::tests::span;
 
     fn fixture() -> SpanForest {
         SpanForest::build(&[

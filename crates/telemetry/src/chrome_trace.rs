@@ -4,11 +4,13 @@
 //! and in the Perfetto UI (<https://ui.perfetto.dev> — "Open trace
 //! file"). Spans become complete (`"ph":"X"`) events, instants become
 //! `"ph":"i"`, counters become `"ph":"C"` samples, and process/thread
-//! names are attached via `"ph":"M"` metadata events.
+//! names are attached via `"ph":"M"` metadata events. Only this module
+//! names a [`SpanContext`]'s args: `trace_id`, `span_id`, `parent_span_id`.
 
 use crate::json::ObjectWriter;
 use crate::metrics::MetricsRegistry;
 use crate::span::{ArgValue, SpanEvent, SpanRecorder};
+use crate::trace::SpanContext;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -16,8 +18,14 @@ use std::path::{Path, PathBuf};
 /// Process id used for all exported events (the suite is one process).
 const PID: u64 = 1;
 
-fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+fn write_args(out: &mut String, ctx: Option<SpanContext>, args: &[(&'static str, ArgValue)]) {
     let mut o = ObjectWriter::new(out);
+    if let Some(c) = ctx {
+        o.field_str("trace_id", &c.trace.hex()).field_u64("span_id", c.span);
+        if let Some(parent) = c.parent {
+            o.field_u64("parent_span_id", parent);
+        }
+    }
     for (k, v) in args {
         match v {
             ArgValue::Int(i) => o.field_i64(k, *i),
@@ -41,8 +49,8 @@ fn write_event(out: &mut String, e: &SpanEvent) {
     } else {
         o.field_str("s", "t"); // instant scope: thread
     }
-    if !e.args.is_empty() {
-        write_args(o.field_raw("args"), &e.args);
+    if e.ctx.is_some() || !e.args.is_empty() {
+        write_args(o.field_raw("args"), e.ctx, &e.args);
     }
     o.finish();
 }
@@ -254,7 +262,15 @@ mod tests {
     use super::*;
 
     fn event(name: &'static str, start: u64, dur: u64, tid: u64) -> SpanEvent {
-        SpanEvent { name, cat: "test", start_us: start, dur_us: Some(dur), tid, args: Vec::new() }
+        SpanEvent {
+            name,
+            cat: "test",
+            start_us: start,
+            dur_us: Some(dur),
+            tid,
+            ctx: None,
+            args: Vec::new(),
+        }
     }
 
     #[test]
@@ -356,6 +372,54 @@ mod tests {
         e.args.push(("tag", ArgValue::Str("x\"y".into())));
         let json = chrome_trace_json("t", &[e], None);
         assert!(json.contains("\"args\":{\"n\":5,\"ratio\":0.5,\"tag\":\"x\\\"y\"}"));
+    }
+
+    #[test]
+    fn span_context_leads_the_args() {
+        use crate::json::{parse, Json};
+        use crate::trace::TraceId;
+        let ctx = |span, parent| Some(SpanContext { trace: TraceId(0xabc), span, parent });
+        let mut root = event("request", 0, 10, 1);
+        root.ctx = ctx(1, None);
+        root.args.push(("outcome", ArgValue::Str("completed".into())));
+        let mut queue = event("queue", 0, 4, 1);
+        queue.ctx = ctx(2, Some(1));
+        let mut handle = event("handle", 4, 6, 1);
+        handle.ctx = ctx(3, Some(2));
+        handle.args.push(("worker", ArgValue::Int(0)));
+        let json = chrome_trace_json("t", &[root, queue, handle, event("untraced", 0, 1, 1)], None);
+        // Exact key order: context first, parent only below the root,
+        // then the span's own args.
+        assert!(json.contains(
+            "\"args\":{\"trace_id\":\"0000000000000abc\",\"span_id\":1,\"outcome\":\"completed\"}"
+        ));
+        assert!(json.contains(
+            "\"args\":{\"trace_id\":\"0000000000000abc\",\"span_id\":2,\"parent_span_id\":1}"
+        ));
+        assert!(json.contains(
+            "\"args\":{\"trace_id\":\"0000000000000abc\",\"span_id\":3,\"parent_span_id\":2,\"worker\":0}"
+        ));
+
+        let parsed = parse(&json).expect("exporter writes valid JSON");
+        let find = |name: &str| {
+            parsed
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} event"))
+        };
+        let args = find("queue").get("args").expect("a context-only span still has args");
+        let keys: Vec<&str> = match args {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("args is not an object: {other:?}"),
+        };
+        assert_eq!(keys, ["trace_id", "span_id", "parent_span_id"]);
+        assert_eq!(args.get("trace_id").and_then(Json::as_str), Some("0000000000000abc"));
+        assert_eq!(args.get("span_id").and_then(Json::as_u64), Some(2));
+        assert_eq!(args.get("parent_span_id").and_then(Json::as_u64), Some(1));
+        assert!(find("request").get("args").unwrap().get("parent_span_id").is_none());
+        assert!(find("untraced").get("args").is_none(), "no context, no args: no args key");
     }
 
     #[test]

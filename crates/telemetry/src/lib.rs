@@ -16,6 +16,9 @@
 //! * [`chrome_trace_json`] / [`TraceSession`] — export to the Chrome
 //!   trace-event format, loadable in `chrome://tracing` or the Perfetto
 //!   UI, plus a plain-text metrics summary.
+//! * [`trace`] — typed per-request [`SpanContext`]s on spans, and the
+//!   one walker ([`trace::chains`]) that regroups a flat span stream
+//!   into per-trace chains.
 //!
 //! Zero external dependencies by design: telemetry must build wherever
 //! the suite builds, including fully offline environments, so the JSON
@@ -46,6 +49,7 @@ pub mod chrome_trace;
 pub mod json;
 pub mod metrics;
 pub mod span;
+pub mod trace;
 
 pub use chrome_trace::{
     chrome_trace_json, chrome_trace_json_with_tracks, file_stem, CounterTrack, TraceSession,
@@ -55,3 +59,4 @@ pub use metrics::{
     HistogramHandle, LatencyHistogram, MetricsRegistry,
 };
 pub use span::{current_thread_id, ArgValue, SpanEvent, SpanGuard, SpanRecorder};
+pub use trace::{SpanContext, TraceId};

@@ -7,6 +7,7 @@
 //! branch with no clock read and no allocation, so engines can keep the
 //! instrumentation in place on hot paths unconditionally.
 
+use crate::trace::SpanContext;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -77,8 +78,28 @@ pub struct SpanEvent {
     pub dur_us: Option<u64>,
     /// Recording thread, as a small dense id.
     pub tid: u64,
+    /// The span's place in a traced request, if it belongs to one.
+    pub ctx: Option<SpanContext>,
     /// Span arguments.
     pub args: Vec<(&'static str, ArgValue)>,
+}
+
+impl SpanEvent {
+    /// The first integer argument named `key`.
+    pub fn int_arg(&self, key: &str) -> Option<i64> {
+        self.args.iter().find_map(|(k, v)| match v {
+            ArgValue::Int(i) if *k == key => Some(*i),
+            _ => None,
+        })
+    }
+
+    /// The first string argument named `key`.
+    pub fn str_arg(&self, key: &str) -> Option<&str> {
+        self.args.iter().find_map(|(k, v)| match v {
+            ArgValue::Str(s) if *k == key => Some(s.as_str()),
+            _ => None,
+        })
+    }
 }
 
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
@@ -185,6 +206,7 @@ impl SpanRecorder {
                 start_us: now,
                 dur_us: None,
                 tid: current_thread_id(),
+                ctx: None,
                 args: Vec::new(),
             });
         }
@@ -254,6 +276,7 @@ impl Drop for SpanGuard<'_> {
                 start_us: self.start_us,
                 dur_us: Some(end.saturating_sub(self.start_us)),
                 tid: current_thread_id(),
+                ctx: None,
                 args: std::mem::take(&mut self.args),
             });
         }
@@ -342,6 +365,11 @@ mod tests {
         assert_eq!(events[0].args.len(), 2);
         assert_eq!(events[0].args[0], ("items", ArgValue::Int(3)));
         assert_eq!(events[0].args[1], ("label", ArgValue::Str("x".into())));
+        assert_eq!(events[0].int_arg("items"), Some(3));
+        assert_eq!(events[0].str_arg("label"), Some("x"));
+        assert_eq!(events[0].int_arg("label"), None, "typed: a string is not an int");
+        assert_eq!(events[0].str_arg("missing"), None);
+        assert_eq!(events[0].ctx, None, "recorded spans carry no trace context");
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! `bdb-cluster` emits each traced client write as a flat stream of
 //! Dapper-style spans — `cluster.route` (root) → `cluster.wal_append`
 //! → one `cluster.ship` per replica → `cluster.quorum_ack` — linked
-//! only by `trace_id` / `span_id` / `parent_span_id` args (the same
-//! convention `bdb-obs::chain` uses for service traces). This module
-//! rebuilds the per-write causal chain from that flat stream and
-//! renders it against the cluster's membership events as a plain-text
-//! failover timeline.
+//! only by their typed [`SpanContext`](bdb_telemetry::SpanContext)
+//! (the same context `bdb-obs::chain` uses for service traces). This
+//! module regroups that stream with [`bdb_telemetry::trace::chains`],
+//! checks the write path's own rules, and renders the chains against
+//! the cluster's membership events as a plain-text failover timeline.
 
-use bdb_telemetry::{ArgValue, SpanEvent};
-use std::collections::BTreeMap;
+use bdb_telemetry::trace::{chains, Chain};
+use bdb_telemetry::{SpanEvent, TraceId};
 use std::fmt::Write as _;
 
 /// A cluster membership/recovery event on the timeline (converted by
@@ -31,8 +31,8 @@ pub struct TimelineEvent {
 /// facts recovered from them.
 #[derive(Debug, Clone)]
 pub struct WriteChain {
-    /// Trace id (16 lowercase hex chars).
-    pub trace: String,
+    /// Trace id.
+    pub trace: TraceId,
     /// Shard the write routed to (-1 if unrecoverable).
     pub shard: i64,
     /// Whether the write reached quorum.
@@ -47,69 +47,38 @@ pub struct WriteChain {
     pub quorum_ack_us: Option<u64>,
 }
 
-fn arg_int(span: &SpanEvent, key: &str) -> Option<i64> {
-    span.args.iter().find_map(|(k, v)| match v {
-        ArgValue::Int(i) if *k == key => Some(*i),
-        _ => None,
-    })
-}
-
-fn arg_str<'a>(span: &'a SpanEvent, key: &str) -> Option<&'a str> {
-    span.args.iter().find_map(|(k, v)| match v {
-        ArgValue::Str(s) if *k == key => Some(s.as_str()),
-        _ => None,
-    })
-}
-
 /// Rebuilds every `cluster.*` write chain from a flat span stream
 /// (non-cluster spans are ignored). Chains come back in trace-id
 /// order, deterministically.
 #[must_use]
 pub fn reconstruct_writes(spans: &[SpanEvent]) -> Vec<WriteChain> {
-    let mut by_trace: BTreeMap<String, Vec<SpanEvent>> = BTreeMap::new();
-    for span in spans {
-        if span.cat != "cluster" {
-            continue;
-        }
-        if let Some(trace) = arg_str(span, "trace_id") {
-            by_trace.entry(trace.to_owned()).or_default().push(span.clone());
-        }
-    }
-    by_trace
+    chains(spans.iter().filter(|s| s.cat == "cluster"))
         .into_iter()
-        .map(|(trace, mut spans)| {
-            spans.sort_by_key(|s| arg_int(s, "span_id").unwrap_or(i64::MAX));
-            let root = spans.iter().find(|s| s.name == "cluster.route");
-            let shard = root.and_then(|s| arg_int(s, "shard")).unwrap_or(-1);
-            let acked = root.and_then(|s| arg_int(s, "acked")) == Some(1);
-            let ack_span = spans.iter().find(|s| s.name == "cluster.quorum_ack");
+        .map(|chain| {
+            let root = chain.spans.iter().find(|s| s.name == "cluster.route");
+            let shard = root.and_then(|s| s.int_arg("shard")).unwrap_or(-1);
+            let acked = root.and_then(|s| s.int_arg("acked")) == Some(1);
+            let ack_span = chain.spans.iter().find(|s| s.name == "cluster.quorum_ack");
             let quorum_ack_us =
                 ack_span.zip(root).map(|(ack, root)| ack.start_us.saturating_sub(root.start_us));
-            let complete = chain_is_complete(&spans, acked);
-            WriteChain { trace, shard, acked, spans, complete, quorum_ack_us }
+            let complete = chain_is_complete(&chain, acked);
+            let spans = chain.spans.into_iter().cloned().collect();
+            WriteChain { trace: chain.trace, shard, acked, spans, complete, quorum_ack_us }
         })
         .collect()
 }
 
-fn chain_is_complete(spans: &[SpanEvent], acked: bool) -> bool {
-    let mut ids: BTreeMap<i64, u64> = BTreeMap::new();
-    for span in spans {
-        let Some(id) = arg_int(span, "span_id") else { return false };
-        ids.insert(id, span.start_us);
-    }
-    let has = |name: &str| spans.iter().any(|s| s.name == name);
-    if !has("cluster.route") || !has("cluster.wal_append") {
-        return false;
-    }
-    if acked != has("cluster.quorum_ack") {
-        return false;
-    }
-    // Causal links: every non-root parent exists and starts no later
-    // than its child.
-    spans.iter().all(|span| match arg_int(span, "parent_span_id") {
-        None | Some(0) => span.name == "cluster.route",
-        Some(parent) => ids.get(&parent).is_some_and(|&p_start| p_start <= span.start_us),
-    })
+fn chain_is_complete(chain: &Chain<'_>, acked: bool) -> bool {
+    let has = |name: &str| chain.spans.iter().any(|s| s.name == name);
+    // Causal links: only the route span is a root, and every other
+    // span's parent exists and starts no later than its child.
+    has("cluster.route")
+        && has("cluster.wal_append")
+        && acked == has("cluster.quorum_ack")
+        && chain.spans.iter().all(|span| match span.ctx.and_then(|c| c.parent) {
+            None => span.name == "cluster.route",
+            Some(_) => chain.parent(span).is_some_and(|p| p.start_us <= span.start_us),
+        })
 }
 
 /// Renders the failover timeline: cluster events interleaved
@@ -133,15 +102,15 @@ pub fn render_timeline(events: &[TimelineEvent], chains: &[WriteChain]) -> Strin
             .spans
             .iter()
             .map(|s| {
-                let node = arg_int(s, "node").map_or(String::new(), |n| format!("@n{n}"));
-                let lost = if arg_str(s, "outcome") == Some("lost") { "!" } else { "" };
+                let node = s.int_arg("node").map_or(String::new(), |n| format!("@n{n}"));
+                let lost = if s.str_arg("outcome") == Some("lost") { "!" } else { "" };
                 format!("{}{node}{lost}", s.name.trim_start_matches("cluster."))
             })
             .collect();
         let _ = writeln!(
             out,
             "trace {}  shard {}  {}  {}  [{}]",
-            c.trace,
+            c.trace.hex(),
             c.shard,
             if c.acked { "acked" } else { "UNACKED" },
             c.quorum_ack_us.map_or("-".to_owned(), |us| format!("{us}us")),
@@ -156,35 +125,34 @@ pub fn render_timeline(events: &[TimelineEvent], chains: &[WriteChain]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdb_telemetry::{ArgValue, SpanContext};
 
     fn span(
         name: &'static str,
         start_us: u64,
-        trace: &str,
-        span_id: i64,
-        parent: i64,
+        trace: u64,
+        span: u64,
+        parent: Option<u64>,
         extra: &[(&'static str, i64)],
     ) -> SpanEvent {
-        let mut args = vec![
-            ("trace_id", ArgValue::Str(trace.to_owned())),
-            ("span_id", ArgValue::Int(span_id)),
-        ];
-        if parent != 0 {
-            args.push(("parent_span_id", ArgValue::Int(parent)));
+        SpanEvent {
+            name,
+            cat: "cluster",
+            start_us,
+            dur_us: Some(10),
+            tid: 0,
+            ctx: Some(SpanContext { trace: TraceId(trace), span, parent }),
+            args: extra.iter().map(|&(k, v)| (k, ArgValue::Int(v))).collect(),
         }
-        for &(k, v) in extra {
-            args.push((k, ArgValue::Int(v)));
-        }
-        SpanEvent { name, cat: "cluster", start_us, dur_us: Some(10), tid: 0, args }
     }
 
-    fn full_chain(trace: &str, t0: u64) -> Vec<SpanEvent> {
+    fn full_chain(trace: u64, t0: u64) -> Vec<SpanEvent> {
         vec![
-            span("cluster.route", t0, trace, 1, 0, &[("shard", 3), ("acked", 1)]),
-            span("cluster.wal_append", t0 + 10, trace, 2, 1, &[("node", 1)]),
-            span("cluster.ship", t0 + 40, trace, 3, 2, &[("node", 2)]),
-            span("cluster.ship", t0 + 70, trace, 4, 2, &[("node", 3)]),
-            span("cluster.quorum_ack", t0 + 60, trace, 5, 1, &[]),
+            span("cluster.route", t0, trace, 1, None, &[("shard", 3), ("acked", 1)]),
+            span("cluster.wal_append", t0 + 10, trace, 2, Some(1), &[("node", 1)]),
+            span("cluster.ship", t0 + 40, trace, 3, Some(2), &[("node", 2)]),
+            span("cluster.ship", t0 + 70, trace, 4, Some(2), &[("node", 3)]),
+            span("cluster.quorum_ack", t0 + 60, trace, 5, Some(1), &[]),
         ]
     }
 
@@ -192,27 +160,27 @@ mod tests {
     fn reconstructs_a_complete_acked_chain() {
         // Interleave two writes to prove grouping by trace id works on
         // a flat, time-ordered stream.
-        let mut stream = full_chain("00000000000000aa", 100);
-        stream.extend(full_chain("00000000000000bb", 130));
+        let mut stream = full_chain(0xbb, 100);
+        stream.extend(full_chain(0xaa, 130));
         stream.sort_by_key(|s| s.start_us);
 
         let chains = reconstruct_writes(&stream);
         assert_eq!(chains.len(), 2);
         for c in &chains {
-            assert!(c.complete, "chain {} must be causally complete", c.trace);
+            assert!(c.complete, "chain {} must be causally complete", c.trace.hex());
             assert!(c.acked);
             assert_eq!(c.shard, 3);
             assert_eq!(c.quorum_ack_us, Some(60));
             assert_eq!(c.spans.len(), 5);
             assert_eq!(c.spans[0].name, "cluster.route");
         }
-        assert_eq!(chains[0].trace, "00000000000000aa", "trace order is deterministic");
+        assert_eq!(chains[0].trace, TraceId(0xaa), "trace order is deterministic");
     }
 
     #[test]
     fn broken_chains_are_flagged_not_dropped() {
         // Missing WAL append: incomplete.
-        let mut spans = full_chain("00000000000000cc", 0);
+        let mut spans = full_chain(0xcc, 0);
         spans.remove(1);
         // wal_append's children now dangle on parent 2.
         let chains = reconstruct_writes(&spans);
@@ -220,14 +188,24 @@ mod tests {
         assert!(!chains[0].complete);
 
         // Acked chain without a quorum-ack span: incomplete.
-        let mut spans = full_chain("00000000000000dd", 0);
+        let mut spans = full_chain(0xdd, 0);
         spans.retain(|s| s.name != "cluster.quorum_ack");
+        assert!(!reconstruct_writes(&spans)[0].complete);
+
+        // A second root: incomplete.
+        let mut spans = full_chain(0xde, 0);
+        spans[2].ctx.as_mut().unwrap().parent = None;
+        assert!(!reconstruct_writes(&spans)[0].complete);
+
+        // A parent that starts after its child: incomplete.
+        let mut spans = full_chain(0xdf, 0);
+        spans[1].start_us = 50;
         assert!(!reconstruct_writes(&spans)[0].complete);
 
         // Unacked chain without an ack span: complete as-is.
         let spans = vec![
-            span("cluster.route", 0, "00000000000000ee", 1, 0, &[("shard", 1), ("acked", 0)]),
-            span("cluster.wal_append", 10, "00000000000000ee", 2, 1, &[("node", 0)]),
+            span("cluster.route", 0, 0xee, 1, None, &[("shard", 1), ("acked", 0)]),
+            span("cluster.wal_append", 10, 0xee, 2, Some(1), &[("node", 0)]),
         ];
         let c = &reconstruct_writes(&spans)[0];
         assert!(c.complete);
@@ -237,14 +215,15 @@ mod tests {
 
     #[test]
     fn non_cluster_spans_are_ignored() {
-        let mut spans = full_chain("00000000000000ff", 0);
+        let mut spans = full_chain(0xff, 0);
         spans.push(SpanEvent {
             name: "serve",
             cat: "serving",
             start_us: 5,
             dur_us: Some(1),
             tid: 0,
-            args: vec![("trace_id", ArgValue::Str("00000000000000ff".into()))],
+            ctx: Some(SpanContext { trace: TraceId(0xff), span: 6, parent: Some(1) }),
+            args: Vec::new(),
         });
         let chains = reconstruct_writes(&spans);
         assert_eq!(chains.len(), 1);
@@ -258,7 +237,7 @@ mod tests {
             TimelineEvent { at_us: 5_500, kind: "failover".into(), node: 3, shard: 4 },
             TimelineEvent { at_us: 1_000, kind: "rejoin".into(), node: 1, shard: -1 },
         ];
-        let chains = reconstruct_writes(&full_chain("0000000000000001", 100));
+        let chains = reconstruct_writes(&full_chain(1, 100));
         let text = render_timeline(&events, &chains);
         assert!(text.contains("node_down"));
         assert!(text.contains("failover"));

@@ -7,7 +7,15 @@ use bdb_profile::Profile;
 use bdb_telemetry::{ArgValue, SpanEvent};
 
 fn span(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
-    SpanEvent { name, cat: "test", start_us, dur_us: Some(dur_us), tid, args: Vec::new() }
+    SpanEvent {
+        name,
+        cat: "test",
+        start_us,
+        dur_us: Some(dur_us),
+        tid,
+        ctx: None,
+        args: Vec::new(),
+    }
 }
 
 /// A deterministic two-worker MapReduce timeline used by the golden
