@@ -90,6 +90,21 @@ fi
 run cargo test --workspace -q
 
 if [ "$fast" -eq 0 ]; then
+    # Benchmark build guard: wallbench is its own package outside the
+    # workspace, so only this step notices when an engine API change
+    # breaks it. Cargo refreshes wallbench's stale Cargo.lock on every
+    # build; the committed copy is put back whatever the outcome.
+    wblock="$(mktemp)"
+    cp wallbench/Cargo.lock "$wblock"
+    wbstatus=0
+    run cargo test --release --offline -q --manifest-path wallbench/Cargo.toml || wbstatus=$?
+    cp "$wblock" wallbench/Cargo.lock
+    rm -f "$wblock"
+    if [ "$wbstatus" -ne 0 ]; then
+        echo "ci: wallbench does not build or its tests fail" >&2
+        exit 1
+    fi
+
     # Concurrency guard: these suites run jobs in parallel test threads
     # that share the temp directory, so a name collision or scheduling
     # race shows up only some of the time. Ten rounds; the first

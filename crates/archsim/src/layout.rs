@@ -320,6 +320,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// 64-bit FNV-1a over `bytes` — the workspace's one stable byte-string
+/// hash (MapReduce partitioning, store and SQL key hashes, trace salts).
+/// Its value is part of committed artifacts: never change it.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,5 +420,13 @@ mod tests {
         let b = splitmix64(2);
         assert_ne!(a, b);
         assert_ne!(a, 1);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -4,7 +4,7 @@ use crate::memtable::{Entry, Memtable};
 use crate::sstable::SsTable;
 use crate::trace::StoreTraceModel;
 use crate::wal::{WalOp, WriteAheadLog};
-use bdb_archsim::layout::splitmix64;
+use bdb_archsim::layout::{fnv1a, splitmix64};
 use bdb_archsim::{NullProbe, Probe};
 use bdb_faults::FaultPlan;
 use bdb_telemetry::{span, Counter, MetricsRegistry, SpanRecorder};
@@ -265,7 +265,7 @@ impl Store {
         if let Some(t) = self.trace.as_mut() {
             t.on_op(probe);
             t.wal_append(probe, key.len() + value.len());
-            t.memtable_walk(probe, hash_key(&key), self.memtable.len(), true);
+            t.memtable_walk(probe, fnv1a(&key), self.memtable.len(), true);
         }
         {
             let _wal =
@@ -302,7 +302,7 @@ impl Store {
         if let Some(t) = self.trace.as_mut() {
             t.on_op(probe);
             t.wal_append(probe, key.len());
-            t.memtable_walk(probe, hash_key(key), self.memtable.len(), true);
+            t.memtable_walk(probe, fnv1a(key), self.memtable.len(), true);
         }
         {
             let _wal = span!(self.telemetry, "kvstore", "wal-append", bytes = key.len());
@@ -338,7 +338,7 @@ impl Store {
         self.stats.gets += 1;
         if let Some(t) = self.trace.as_mut() {
             t.on_op(probe);
-            t.memtable_walk(probe, hash_key(key), self.memtable.len(), false);
+            t.memtable_walk(probe, fnv1a(key), self.memtable.len(), false);
         }
         if let Some(entry) = self.memtable.get(key) {
             return Ok(entry.value().map(<[u8]>::to_vec));
@@ -405,7 +405,7 @@ impl Store {
             let rows = table.scan(start, end)?;
             if let Some(t) = self.trace.as_mut() {
                 t.index_search(probe, table_id, table.block_count());
-                t.block_read(probe, table_id, hash_key(start) as usize, rows.len() * 64);
+                t.block_read(probe, table_id, fnv1a(start) as usize, rows.len() * 64);
             }
             for (k, e) in rows {
                 merged.insert(k, e);
@@ -413,7 +413,7 @@ impl Store {
         }
         for (k, e) in self.memtable.range(start, end) {
             if self.trace.is_some() {
-                probe.load(splitmix64(hash_key(k)) | 1 << 45, 64);
+                probe.load(splitmix64(fnv1a(k)) | 1 << 45, 64);
             }
             merged.insert(k.to_vec(), e.clone());
         }
@@ -539,14 +539,6 @@ impl Store {
 
 fn table_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("table-{id:012}.sst"))
-}
-
-fn hash_key(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -13,11 +13,13 @@ use crate::error::JobError;
 use crate::job::{Emitter, Job};
 use crate::spill::{merge_run_slices, SpillFile};
 use crate::trace::FrameworkModel;
+use bdb_archsim::layout::fnv1a;
 use bdb_archsim::{CounterSnapshot, NullProbe, Probe};
 use bdb_faults::FaultPlan;
 use bdb_profile::{critical_path, CriticalPathSummary, SpanForest};
 use bdb_telemetry::{span, MetricsRegistry, SpanGuard, SpanRecorder};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
@@ -823,10 +825,11 @@ impl Engine {
             sort_time: Duration::ZERO,
             spill_time: Duration::ZERO,
         };
-        let mut buffers: Vec<Vec<(J::Key, J::Value)>> =
-            (0..self.reducers).map(|_| Vec::new()).collect();
+        let mut buffers: Vec<SortBuffer<J::Key, J::Value>> =
+            (0..self.reducers).map(|_| SortBuffer::default()).collect();
         let mut buffered_bytes = 0usize;
         let mut emitter = Emitter::new();
+        let mut scratch = Vec::new();
 
         for record in records {
             result.records += 1;
@@ -835,13 +838,13 @@ impl Engine {
             }
             job.map(record, &mut emitter, probe);
             buffered_bytes += emitter.bytes();
-            for (k, v) in emitter.take() {
+            for (k, v) in emitter.drain() {
                 if let Some(fw) = fw.as_mut() {
                     fw.on_emit(probe, k.size_hint() + v.size_hint());
                 }
                 result.output_pairs += 1;
-                let p = partition_of(&k, self.reducers);
-                buffers[p].push((k, v));
+                let hash = key_hash(&k, &mut scratch);
+                buffers[partition(hash, self.reducers)].push(hash, k, v);
             }
             if buffered_bytes > self.map_buffer_bytes {
                 self.spill(job, &mut buffers, &mut result, task_id, faults, probe, fw)?;
@@ -850,8 +853,8 @@ impl Engine {
         }
         // Final in-memory runs: sort + combine, keep in memory.
         let sort_start = Instant::now();
-        for (p, buf) in buffers.into_iter().enumerate() {
-            let run = sort_and_combine(job, buf);
+        for (p, buf) in buffers.iter_mut().enumerate() {
+            let run = buf.sort_and_combine(job);
             result.combined_pairs += run.len() as u64;
             result.memory_runs[p] = run;
         }
@@ -864,7 +867,7 @@ impl Engine {
     fn spill<J: Job, P: Probe + ?Sized>(
         &self,
         job: &J,
-        buffers: &mut [Vec<(J::Key, J::Value)>],
+        buffers: &mut [SortBuffer<J::Key, J::Value>],
         result: &mut MapTaskResult<J::Key, J::Value>,
         task_id: usize,
         faults: &FaultPlan,
@@ -876,13 +879,12 @@ impl Engine {
         let mut spill_span = span!(self.telemetry, "mapreduce", "spill", task = task_id);
         let mut spilled_bytes = 0u64;
         for (p, buf) in buffers.iter_mut().enumerate() {
-            if buf.is_empty() {
+            if buf.pairs == 0 {
                 continue;
             }
-            let pairs = std::mem::take(buf);
-            let n = pairs.len();
+            let n = buf.pairs;
             let sort_start = Instant::now();
-            let run = sort_and_combine(job, pairs);
+            let run = buf.sort_and_combine(job);
             result.sort_time += sort_start.elapsed();
             result.combined_pairs += run.len() as u64;
             if let Some(fw) = fw.as_mut() {
@@ -978,37 +980,102 @@ fn attach_counter_delta<P: Probe + ?Sized>(
     }
 }
 
-/// Deterministic hash partitioner (FNV-1a over the encoded key).
-fn partition_of<K: crate::codec::Datum>(key: &K, reducers: usize) -> usize {
-    let mut buf = Vec::with_capacity(16);
-    key.encode(&mut buf);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % reducers as u64) as usize
+/// A key's partitioning hash: FNV-1a over its encoding, written into
+/// the caller's reused `scratch` buffer.
+fn key_hash<K: Datum>(key: &K, scratch: &mut Vec<u8>) -> u64 {
+    scratch.clear();
+    key.encode(scratch);
+    fnv1a(scratch)
 }
 
-/// Sorts a buffer by key and applies the job's combiner per key group.
-fn sort_and_combine<J: Job>(
-    job: &J,
-    mut pairs: Vec<(J::Key, J::Value)>,
-) -> Vec<(J::Key, J::Value)> {
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut iter = pairs.into_iter().peekable();
-    while let Some((key, value)) = iter.next() {
-        let mut values = vec![value];
-        while iter.peek().is_some_and(|(k, _)| *k == key) {
-            values.push(iter.next().expect("peeked").1);
-        }
-        let combined = job.combine(&key, values);
-        for v in combined {
-            out.push((key.clone(), v));
-        }
+/// The reduce partition of a key with hash `hash`.
+fn partition(hash: u64, reducers: usize) -> usize {
+    (hash % reducers as u64) as usize
+}
+
+/// A key with its [`key_hash`], so the sort buffer's table reuses the
+/// hash the partitioner already computed.
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
     }
-    out
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands [`Hashed::hash`] to the table unchanged. Unlike std's keyed
+/// default this gives no protection against keys crafted to collide:
+/// such keys slow a map task down (never change its output), which is
+/// acceptable for intermediate keys produced by the job's own `map`.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("only Hashed keys, which write one u64, use this hasher")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One partition's map-side sort buffer. Pairs are grouped by key as
+/// they arrive, each key's values kept in emission order, so a flush
+/// sorts only the distinct keys instead of every buffered pair. The
+/// runs it yields equal a stable sort of the pairs grouped per key.
+struct SortBuffer<K, V> {
+    groups: HashMap<Hashed<K>, Vec<V>, BuildHasherDefault<PassThrough>>,
+    /// Pairs pushed since the last flush.
+    pairs: usize,
+}
+
+impl<K, V> Default for SortBuffer<K, V> {
+    fn default() -> Self {
+        Self { groups: HashMap::default(), pairs: 0 }
+    }
+}
+
+impl<K: Datum + Ord, V: Datum> SortBuffer<K, V> {
+    /// Buffers one pair; `hash` is the key's [`key_hash`].
+    fn push(&mut self, hash: u64, key: K, value: V) {
+        self.pairs += 1;
+        self.groups.entry(Hashed { hash, key }).or_default().push(value);
+    }
+
+    /// Empties the buffer into one run sorted by key, calling the job's
+    /// combiner once per key on that key's values in emission order.
+    fn sort_and_combine<J: Job<Key = K, Value = V>>(&mut self, job: &J) -> Vec<(K, V)> {
+        self.pairs = 0;
+        // Keys in the table are distinct, so an unstable sort is exact.
+        let mut groups: Vec<_> = self.groups.drain().collect();
+        groups.sort_unstable_by(|a, b| a.0.key.cmp(&b.0.key));
+        let mut run = Vec::with_capacity(groups.len());
+        for (Hashed { key, .. }, values) in groups {
+            let mut combined = job.combine(&key, values).into_iter();
+            let Some(mut last) = combined.next() else { continue };
+            for v in combined {
+                run.push((key.clone(), std::mem::replace(&mut last, v)));
+            }
+            run.push((key, last));
+        }
+        run
+    }
 }
 
 #[cfg(test)]
@@ -1287,10 +1354,60 @@ mod tests {
 
     #[test]
     fn partitioner_is_deterministic_and_bounded() {
+        let mut scratch = Vec::new();
         for k in 0u64..1000 {
-            let p = partition_of(&k, 7);
+            let p = partition(key_hash(&k, &mut scratch), 7);
             assert!(p < 7);
-            assert_eq!(p, partition_of(&k, 7));
+            assert_eq!(p, partition(key_hash(&k, &mut scratch), 7));
         }
+    }
+
+    /// The partition of a key decides which reducer and output position
+    /// it lands in, so outputs, traces and committed artifacts depend on
+    /// these exact FNV-1a values.
+    #[test]
+    fn partitioner_golden_values() {
+        let mut scratch = Vec::new();
+        let strings = [
+            ("", (1, 5)),
+            ("a", (1, 2)),
+            ("ab", (0, 3)),
+            ("the", (1, 3)),
+            ("dog", (0, 0)),
+            ("fox", (1, 0)),
+            ("brown", (0, 6)),
+            ("BigDataBench", (1, 2)),
+            ("héllo wörld", (1, 6)),
+        ];
+        for (key, expect) in strings {
+            let h = key_hash(&key.to_owned(), &mut scratch);
+            assert_eq!((partition(h, 2), partition(h, 7)), expect, "{key:?}");
+        }
+        let ints = [
+            (0u64, (1, 5)),
+            (1, (0, 1)),
+            (42, (1, 0)),
+            (1 << 32, (0, 6)),
+            (0xdead_beef, (1, 5)),
+            (u64::MAX, (1, 6)),
+        ];
+        for (key, expect) in ints {
+            let h = key_hash(&key, &mut scratch);
+            assert_eq!((partition(h, 2), partition(h, 7)), expect, "{key}");
+        }
+    }
+
+    #[test]
+    fn sort_buffer_keeps_colliding_keys_apart() {
+        let mut buf = SortBuffer::default();
+        // Same forced hash, distinct keys: two groups, each combined.
+        buf.push(7, "b".to_owned(), 1);
+        buf.push(7, "a".to_owned(), 2);
+        buf.push(7, "b".to_owned(), 3);
+        assert_eq!(buf.pairs, 3);
+        let run = buf.sort_and_combine(&WordCount);
+        assert_eq!(run, [("a".to_owned(), 2), ("b".to_owned(), 4)]);
+        assert_eq!(buf.pairs, 0);
+        assert!(buf.sort_and_combine(&WordCount).is_empty());
     }
 }

@@ -39,10 +39,11 @@ impl<K: Datum, V: Datum> Emitter<K, V> {
         self.bytes
     }
 
-    /// Drains the emitted pairs, resetting the emitter.
-    pub fn take(&mut self) -> Vec<(K, V)> {
+    /// Drains the emitted pairs, resetting the emitter but keeping its
+    /// capacity for the next record.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, (K, V)> {
         self.bytes = 0;
-        std::mem::take(&mut self.pairs)
+        self.pairs.drain(..)
     }
 }
 
@@ -85,7 +86,9 @@ pub trait Job: Sync {
     );
 
     /// Optional map-side pre-aggregation over the values of one key
-    /// within one sorted buffer. The default keeps values unchanged.
+    /// within one buffer flush (a spill or the task's final run), in the
+    /// order map emitted them. Called once per key and flush. The
+    /// default keeps values unchanged.
     fn combine(&self, key: &Self::Key, values: Vec<Self::Value>) -> Vec<Self::Value> {
         let _ = key;
         values
@@ -127,8 +130,7 @@ mod tests {
         e.emit("ab".to_owned(), 7);
         assert_eq!(e.len(), 1);
         assert_eq!(e.bytes(), 4 + 2 + 8);
-        let drained = e.take();
-        assert_eq!(drained.len(), 1);
+        assert_eq!(e.drain().len(), 1);
         assert!(e.is_empty());
         assert_eq!(e.bytes(), 0);
     }

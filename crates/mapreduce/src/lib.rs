@@ -7,9 +7,13 @@
 //! implements the same execution model from scratch:
 //!
 //! * **map** — user function over input records, emitting `(key, value)`
-//!   pairs into per-partition sort buffers;
-//! * **combine** — optional map-side pre-aggregation applied when a
-//!   buffer is sorted (and before any spill);
+//!   pairs into per-partition sort buffers. A pair's partition is the
+//!   FNV-1a hash of its encoded key modulo the reducer count; the buffer
+//!   groups values under their key as they arrive, reusing that hash;
+//! * **combine** — optional map-side pre-aggregation, applied when a
+//!   buffer is flushed (at each spill and at task end): the buffer sorts
+//!   its distinct keys and combines each key's values in emission order,
+//!   exactly as a stable sort of every buffered pair would group them;
 //! * **spill** — when a map task's buffer exceeds its memory budget the
 //!   sorted run is serialized to a temporary file, exactly the mechanism
 //!   that makes Sort degrade once inputs exceed memory (paper Figure 3-2);

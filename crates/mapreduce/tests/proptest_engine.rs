@@ -2,6 +2,7 @@
 //! implementations, the codec against round-tripping, and the merge
 //! against plain sorting.
 
+use bdb_archsim::layout::fnv1a;
 use bdb_archsim::Probe;
 use bdb_mapreduce::spill::merge_runs;
 use bdb_mapreduce::{Datum, Emitter, Engine, Job};
@@ -47,6 +48,88 @@ impl Job for SortJob {
     }
 }
 
+/// Order-sensitive job: identity combine, and reduce emits each key's
+/// values exactly as the engine hands them over. Values are unique
+/// `(record, position)` tags, so any change in grouping or value order
+/// shows in the output.
+struct OrderJob;
+impl Job for OrderJob {
+    type Input = (u64, Vec<String>);
+    type Key = String;
+    type Value = u64;
+    type Output = (String, Vec<u64>);
+    fn map<P: Probe + ?Sized>(
+        &self,
+        (id, words): &(u64, Vec<String>),
+        emit: &mut Emitter<String, u64>,
+        _p: &mut P,
+    ) {
+        for (pos, w) in words.iter().enumerate() {
+            emit.emit(w.clone(), id * 1000 + pos as u64);
+        }
+    }
+    fn reduce<P: Probe + ?Sized>(
+        &self,
+        key: String,
+        values: Vec<u64>,
+        out: &mut Vec<(String, Vec<u64>)>,
+        _p: &mut P,
+    ) {
+        out.push((key, values));
+    }
+}
+
+/// Reference model of [`OrderJob`] on the engine: the same task split,
+/// FNV-1a partitioning and spill rule, but every buffer kept as emitted
+/// pairs that are stable-sorted and grouped. Each partition's runs are
+/// ordered as the engine merges them (every task's in-memory run, then
+/// every task's spills in spill order); a stable sort of their
+/// concatenation equals the stable k-way merge of the sorted runs.
+fn order_job_model(
+    inputs: &[(u64, Vec<String>)],
+    threads: usize,
+    reducers: usize,
+    buffer: usize,
+) -> Vec<(String, Vec<u64>)> {
+    let mut memory: Vec<Vec<(String, u64)>> = vec![Vec::new(); reducers];
+    let mut spilled: Vec<Vec<(String, u64)>> = vec![Vec::new(); reducers];
+    let chunk = inputs.len().div_ceil(threads).max(1);
+    for task in inputs.chunks(chunk) {
+        let mut parts: Vec<Vec<(String, u64)>> = vec![Vec::new(); reducers];
+        let mut buffered = 0;
+        for (id, words) in task {
+            for (pos, w) in words.iter().enumerate() {
+                let mut encoded = Vec::new();
+                w.encode(&mut encoded);
+                let p = (fnv1a(&encoded) % reducers as u64) as usize;
+                buffered += w.size_hint() + 8;
+                parts[p].push((w.clone(), id * 1000 + pos as u64));
+            }
+            if buffered > buffer {
+                for (p, part) in parts.iter_mut().enumerate() {
+                    spilled[p].append(part);
+                }
+                buffered = 0;
+            }
+        }
+        for (p, part) in parts.iter_mut().enumerate() {
+            memory[p].append(part);
+        }
+    }
+    let mut out: Vec<(String, Vec<u64>)> = Vec::new();
+    for (mut pairs, spills) in memory.into_iter().zip(spilled) {
+        pairs.extend(spills);
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        for (k, v) in pairs {
+            match out.last_mut() {
+                Some((last, values)) if *last == k => values.push(v),
+                _ => out.push((k, vec![v])),
+            }
+        }
+    }
+    out
+}
+
 fn word_lines() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(
         proptest::collection::vec("[a-e]{1,3}", 0..12).prop_map(|ws| ws.join(" ")),
@@ -77,6 +160,28 @@ proptest! {
             }
         }
         prop_assert_eq!(got, expect);
+    }
+
+    /// Grouping, key order and per-key value order equal the stable
+    /// sort-then-group model, with and without spills.
+    #[test]
+    fn grouping_matches_stable_sort_model(
+        inputs in proptest::collection::vec(
+            proptest::collection::vec("[a-d]{1,2}", 0..16), 0..60),
+        threads in 1usize..5,
+        reducers in 1usize..6,
+        spill in any::<bool>(),
+    ) {
+        let inputs: Vec<(u64, Vec<String>)> =
+            inputs.into_iter().enumerate().map(|(i, ws)| (i as u64, ws)).collect();
+        let buffer = if spill { 1024 } else { 64 << 20 };
+        let engine = Engine::builder()
+            .threads(threads)
+            .reducers(reducers)
+            .map_buffer_bytes(buffer)
+            .build();
+        let (out, _) = engine.run(&OrderJob, &inputs);
+        prop_assert_eq!(out, order_job_model(&inputs, threads, reducers, buffer));
     }
 
     /// Sort with a single reducer totally sorts any input, even when the

@@ -4,7 +4,7 @@
 //! sentiment. This is the standard multinomial formulation with Laplace
 //! smoothing over a bag-of-words model.
 
-use bdb_archsim::layout::{splitmix64, HEAP_BASE};
+use bdb_archsim::layout::{fnv1a, splitmix64, HEAP_BASE};
 use bdb_archsim::{NullProbe, Probe};
 use std::collections::HashMap;
 
@@ -114,7 +114,7 @@ impl NaiveBayes {
         let span = ((self.vocab.len() as u64 + 1) * 48).clamp(1 << 16, 8 << 20);
         for token in text.split_whitespace() {
             let id = self.vocab.get(token).copied();
-            probe.load(table_base + splitmix64(hash_str(token)) % span, 8);
+            probe.load(table_base + splitmix64(fnv1a(token.as_bytes())) % span, 8);
             probe.int_ops(8);
             for (c, score) in scores.iter_mut().enumerate() {
                 *score += match id {
@@ -135,14 +135,6 @@ impl NaiveBayes {
         let correct = docs.iter().filter(|(l, t)| self.predict(t) == *l).count();
         correct as f64 / docs.len() as f64
     }
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

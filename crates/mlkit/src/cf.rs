@@ -61,9 +61,13 @@ impl ItemCf {
             ratings.iter().map(|&(_, _, r)| r as f64).sum::<f64>() as f32 / ratings.len() as f32;
 
         // Co-rating dot products: for each user, every pair of their
-        // rated items contributes r_a * r_b.
+        // rated items contributes r_a * r_b. Users, and below the item
+        // pairs, go in key order, so the float sums, the probe's access
+        // order and the neighbour lists repeat exactly across runs.
+        let mut users: Vec<_> = user_ratings.iter().collect();
+        users.sort_unstable_by_key(|&(&u, _)| u);
         let mut dots: HashMap<(u64, u64), f64> = HashMap::new();
-        for items in user_ratings.values() {
+        for (_, items) in users {
             for (a_idx, &(ia, ra)) in items.iter().enumerate() {
                 for &(ib, rb) in &items[a_idx + 1..] {
                     let key = if ia < ib { (ia, ib) } else { (ib, ia) };
@@ -78,8 +82,10 @@ impl ItemCf {
             }
         }
         // Normalize to cosine and keep top-k per item.
+        let mut dots: Vec<_> = dots.into_iter().collect();
+        dots.sort_unstable_by_key(|&(pair, _)| pair);
         let mut similarities: HashMap<u64, Vec<(u64, f32)>> = HashMap::new();
-        for (&(a, b), &dot) in &dots {
+        for ((a, b), dot) in dots {
             let sim = dot / (norms[&a].sqrt() * norms[&b].sqrt());
             probe.fp_ops(4);
             let sim = sim as f32;
@@ -87,7 +93,7 @@ impl ItemCf {
             similarities.entry(b).or_default().push((a, sim));
         }
         for list in similarities.values_mut() {
-            list.sort_by(|x, y| y.1.total_cmp(&x.1));
+            list.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
             list.truncate(neighbors);
         }
         Self { user_ratings, similarities, global_mean }
@@ -233,6 +239,32 @@ mod tests {
         let before = probe.mix().loads;
         model.predict_traced(1, 21, &mut probe);
         assert!(probe.mix().loads > before);
+    }
+
+    /// Two trainings on one input give the same neighbour lists and the
+    /// same simulated trace, whatever order the hash maps iterate in.
+    #[test]
+    fn traced_training_is_deterministic() {
+        use bdb_archsim::{MachineConfig, SimProbe};
+        // Integer ratings over few items: many users co-rate the same
+        // pairs, and many similarities tie at the truncation boundary.
+        let ratings: Vec<(u64, u64, f32)> = (0..400u64)
+            .map(|i| {
+                let r = 1 + splitmix64(i ^ 0x5EED) % 5;
+                (splitmix64(i) % 60, splitmix64(i ^ 0xABCD) % 25, r as f32)
+            })
+            .collect();
+        let train = || {
+            let mut probe = SimProbe::new(MachineConfig::xeon_e5645());
+            let model = ItemCf::train_traced(&ratings, 3, &mut probe);
+            let mut sims: Vec<_> = model.similarities.into_iter().collect();
+            sims.sort_by_key(|(item, _)| *item);
+            (sims, format!("{:?}", probe.finish()))
+        };
+        let first = train();
+        for _ in 0..4 {
+            assert!(train() == first, "a retraining differed");
+        }
     }
 
     #[test]

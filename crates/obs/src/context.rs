@@ -8,7 +8,7 @@
 //! chain loadgen → queue → handler → store.
 
 use bdb_serving::queue::{RequestOutcome, RequestRecord};
-use bdb_serving::splitmix64;
+use bdb_serving::{fnv1a, splitmix64};
 use bdb_telemetry::TraceId;
 use std::time::Duration;
 
@@ -21,12 +21,7 @@ pub fn derive_trace_id(seed: u64, phase_salt: u64, seq: u64) -> TraceId {
 /// Stable salt for a phase name (FNV-1a), so distinct load phases of
 /// one run draw from disjoint trace-id streams.
 pub fn phase_salt(phase: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in phase.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(phase.as_bytes())
 }
 
 /// Why a trace was kept (or that it was not).

@@ -50,6 +50,7 @@ pub mod server;
 pub mod social;
 pub mod trace;
 
+pub use bdb_archsim::layout::fnv1a;
 pub use latency::LatencyHistogram;
 pub use loadgen::{
     run_closed_loop, run_closed_loop_instrumented, run_closed_loop_sampled, run_offered_load,

@@ -1,5 +1,6 @@
 //! Cell values.
 
+use bdb_archsim::layout::fnv1a;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -138,20 +139,13 @@ impl<'a> ValueRef<'a> {
 
     /// A stable 64-bit hash; same function as [`Value::hash64`].
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
         match self {
-            ValueRef::Int(x) => mix(&x.to_le_bytes()),
-            ValueRef::Float(x) => mix(&x.to_bits().to_le_bytes()),
-            ValueRef::Str(s) => mix(s.as_bytes()),
-            ValueRef::Date(d) => mix(&d.to_le_bytes()),
-            ValueRef::Null => mix(&[0xFF]),
+            ValueRef::Int(x) => fnv1a(&x.to_le_bytes()),
+            ValueRef::Float(x) => fnv1a(&x.to_bits().to_le_bytes()),
+            ValueRef::Str(s) => fnv1a(s.as_bytes()),
+            ValueRef::Date(d) => fnv1a(&d.to_le_bytes()),
+            ValueRef::Null => fnv1a(&[0xFF]),
         }
-        h
     }
 }
 
