@@ -1,26 +1,12 @@
 //! Regenerates every table and figure of the BigDataBench paper's
-//! evaluation section.
+//! evaluation section, and runs the suite's artifact passes: telemetry
+//! traces and profiles, the BENCH_RESULTS.json performance artifact, the
+//! workload characterization map, the fault-injection smoke, and the SLO,
+//! chaos and time-series passes.
 //!
-//! ```text
-//! reproduce [--all] [--table2] [--table3] [--table4] [--table5] [--table6]
-//!           [--fig2] [--fig3] [--fig4] [--fig5] [--fig6] [--checks]
-//!           [--fraction F] [--json DIR] [--trace DIR] [--profile DIR]
-//!           [--charmap DIR] [--charmap-baseline PATH]
-//! ```
-//!
-//! `--fraction` shrinks the library-scale inputs (default 0.25 — a full
-//! `--all` run finishes in a few minutes). `--json DIR` additionally
-//! dumps each artifact as JSON for EXPERIMENTS.md bookkeeping.
-//! `--trace DIR` runs an instrumented pass of representative workloads
-//! and writes one Chrome trace-event JSON (loadable in the Perfetto UI
-//! / `chrome://tracing`) plus a plain-text metrics summary per workload.
-//! `--profile DIR` analyzes that same pass post hoc, writing per
-//! workload a collapsed-stack flamegraph (`.folded`), a critical-path
-//! report with per-phase blame (`.critpath.txt`) and a worker
-//! utilization timeline (`.util.txt`). `--slo DIR` runs the serving
-//! workloads through the online observability pipeline (steady plus
-//! shaped overload) and writes `slo_report.json` plus per-service
-//! dashboards, Prometheus expositions and chain traces.
+//! Every flag is a row of [`PASSES`]; `reproduce --help` prints the usage
+//! generated from it. Exit status: 0 on success, 1 when a pass's gate
+//! rejects the run, 2 on a usage or I/O error.
 
 use bdb_archsim::Probe;
 use bdb_bench::paper;
@@ -30,306 +16,406 @@ use bdb_telemetry::json::ObjectWriter;
 use bdb_telemetry::TraceSession;
 use bigdatabench::characterize::{self, Fig3Row};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
+use std::path::{Path, PathBuf};
 
-#[derive(Debug, Default)]
+/// Runs a pass, pushing every artifact it makes onto the vector.
+type Run = fn(&Args, &mut Vec<Artifact>) -> Result<(), Failure>;
+
+/// One row of the pass table.
+struct Pass {
+    /// `(usage, help)` per flag; the usage is the flag's name followed by
+    /// one placeholder per value it takes (`--chaos SEED DIR`).
+    flags: &'static [(&'static str, &'static str)],
+    /// The files the pass writes; `<w>`, `<c>` and `<n>` stand for a
+    /// workload, campaign or node.
+    artifacts: &'static [&'static str],
+    /// Whether the same arguments always write byte-identical artifacts.
+    seed_fixed: bool,
+    /// `None` for the options row, whose flags only configure other rows.
+    run: Option<Run>,
+}
+
+/// Every flag `reproduce` takes, grouped by the pass it drives. Giving
+/// any flag of a row runs that row's pass, in table order; when no pass
+/// is given, every paper section runs.
+const PASSES: &[Pass] = &[
+    Pass {
+        flags: &[
+            ("--all", "every table, figure and shape check"),
+            ("--table2", "Table 2: the real-world seed data sets"),
+            ("--table3", "Table 3: the e-commerce transaction schema"),
+            ("--table4", "Table 4: the BigDataBench suite"),
+            ("--table5", "Tables 5 and 7: the simulated processors"),
+            ("--table6", "Table 6: workloads and inputs"),
+            ("--fig2", "Figure 2: L3 MPKI, small vs large input"),
+            ("--fig3", "Figure 3: MIPS and speedup with data scale"),
+            ("--fig4", "Figure 4: instruction breakdown"),
+            ("--fig5", "Figure 5: operation intensity"),
+            ("--fig6", "Figure 6: memory hierarchy MPKI"),
+            ("--checks", "shape checks vs the paper's headline claims"),
+        ],
+        // Figures 2 and 3 pick their multipliers from native wall time.
+        artifacts: &["fig2.json", "fig3.json", "fig4.json", "fig5.json", "fig6.json"],
+        seed_fixed: false,
+        run: Some(paper_sections),
+    },
+    Pass {
+        flags: &[
+            ("--fraction F", "scale library inputs by F (default 0.25)"),
+            ("--json DIR", "write the paper figures as JSON into DIR"),
+            ("--help", "this text (also -h)"),
+        ],
+        artifacts: &[],
+        seed_fixed: false,
+        run: None,
+    },
+    Pass {
+        flags: &[
+            ("--trace DIR", "instrumented run of eight representative workloads"),
+            (
+                "--profile DIR",
+                "profile that run: flamegraph stacks, critical path and worker utilization; \
+                 traces go to --trace DIR when given; fails if the WordCount critical path \
+                 covers less than 90% of wall time",
+            ),
+        ],
+        artifacts: &[
+            "<w>.trace.json",
+            "<w>.metrics.txt",
+            "<w>.prom.txt",
+            "<w>.folded",
+            "<w>.critpath.txt",
+            "<w>.util.txt",
+        ],
+        seed_fixed: false,
+        run: Some(trace_pass),
+    },
+    Pass {
+        flags: &[
+            ("--bench-json PATH", "write the versioned performance artifact to PATH"),
+            ("--bench-baseline PATH", "fail if a gated metric drifts over 2% from PATH"),
+            (
+                "--bench-subset PATH",
+                "gate only the representative workloads of the charmap.json at PATH; also \
+                 shortens the --slo, --chaos and --tsdb runs",
+            ),
+        ],
+        artifacts: &["BENCH_RESULTS.json"],
+        seed_fixed: false,
+        run: Some(bench_results),
+    },
+    Pass {
+        flags: &[
+            ("--charmap DIR", "characterization map: metric vectors -> PCA -> clusters"),
+            ("--charmap-baseline PATH", "fail unless the map keeps PATH's subset"),
+        ],
+        artifacts: &["charmap.txt", "charmap.json"],
+        seed_fixed: true,
+        run: Some(charmap_pass),
+    },
+    Pass {
+        flags: &[("--faults SEED", "WordCount under injected faults must match a clean run")],
+        artifacts: &[],
+        seed_fixed: false,
+        run: Some(faults_smoke),
+    },
+    Pass {
+        flags: &[(
+            "--slo DIR",
+            "steady then shaped-overload load through the serving SLO engine; fails unless \
+             exactly one page alert fires, in the overload",
+        )],
+        artifacts: &["slo_report.json", "<w>.dash.txt", "<w>.slo.prom.txt", "<w>.slo.trace.json"],
+        seed_fixed: true,
+        run: Some(slo_pass),
+    },
+    Pass {
+        flags: &[(
+            "--chaos SEED DIR",
+            "seeded fault campaigns on the replicated OLTP store, WordCount and the serving \
+             tier; fails if an invariant checker fails or no failover and read-repair happened",
+        )],
+        artifacts: &["chaos_report.json", "<c>.chaos.trace.json"],
+        seed_fixed: true,
+        run: Some(chaos_pass),
+    },
+    Pass {
+        flags: &[(
+            "--tsdb DIR",
+            "scrape a faulty cluster and a serving overload into the time-series store; fails \
+             on an incomplete write chain, p99 drift or diverging replayed alerts",
+        )],
+        artifacts: &["tsdb_snapshot.bin", "node-<n>.dash.txt", "serving.dash.txt", "timeline.txt"],
+        seed_fixed: true,
+        run: Some(tsdb_pass),
+    },
+];
+
+fn flag_name(usage: &'static str) -> &'static str {
+    usage.split_once(' ').map_or(usage, |(name, _)| name)
+}
+
+/// The usage text, generated from [`PASSES`].
+fn usage() -> String {
+    let mut out = String::from(
+        "reproduce — regenerate the BigDataBench paper's tables and figures\n\n\
+         usage: reproduce [FLAG [VALUE...]]...\n\n\
+         Flags are grouped by the pass they drive; giving any flag of a group runs\n\
+         that pass (the options group only configures). With no pass given, every\n\
+         paper section runs. Exit status: 0 on success, 1 when a pass's gate fails,\n\
+         2 on a usage or I/O error.\n",
+    );
+    for pass in PASSES {
+        out.push('\n');
+        for (usage, help) in pass.flags {
+            push_entry(&mut out, usage, help);
+        }
+        if !pass.artifacts.is_empty() {
+            let fixed =
+                if pass.seed_fixed { ", byte-identical for the same arguments" } else { "" };
+            push_entry(&mut out, "", &format!("writes {}{fixed}", pass.artifacts.join(" ")));
+        }
+    }
+    out
+}
+
+/// Appends one usage entry: `head`, then `text` word-wrapped to 79
+/// columns from column 25.
+fn push_entry(out: &mut String, head: &str, text: &str) {
+    let mut line = format!("  {head:<22}");
+    for word in text.split_whitespace() {
+        if line.len() > 25 && line.len() + 1 + word.len() > 79 {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(24);
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// The parsed command line: each flag given, with its checked values.
 struct Args {
-    table2: bool,
-    table3: bool,
-    table4: bool,
-    table5: bool,
-    table6: bool,
-    fig2: bool,
-    fig3: bool,
-    fig4: bool,
-    fig5: bool,
-    fig6: bool,
-    checks: bool,
-    fraction: f64,
-    json_dir: Option<std::path::PathBuf>,
-    trace_dir: Option<std::path::PathBuf>,
-    profile_dir: Option<std::path::PathBuf>,
-    bench_json: Option<std::path::PathBuf>,
-    bench_baseline: Option<std::path::PathBuf>,
-    bench_tolerance: f64,
-    bench_subset: Option<std::path::PathBuf>,
-    charmap_dir: Option<std::path::PathBuf>,
-    charmap_baseline: Option<std::path::PathBuf>,
-    faults_seed: Option<u64>,
-    slo_dir: Option<std::path::PathBuf>,
-    chaos_seed: Option<u64>,
-    chaos_dir: Option<std::path::PathBuf>,
-    tsdb_dir: Option<std::path::PathBuf>,
+    given: Vec<(&'static str, Vec<String>)>,
+    help: bool,
 }
 
-const USAGE: &str = "\
-reproduce — regenerate the BigDataBench paper's tables and figures
-
-usage: reproduce [SELECTION...] [OPTIONS...]
-
-selection (default: everything):
-  --all                  every table, figure and shape check
-  --table2..--table6     individual tables
-  --fig2..--fig6         individual figures
-  --checks               shape checks vs the paper's headline claims
-
-options:
-  --fraction F           scale library inputs by F (default 0.25)
-  --json DIR             dump each artifact as JSON into DIR
-  --trace DIR            instrumented pass: Chrome trace + metrics +
-                         Prometheus text exposition per workload
-  --profile DIR          profile the instrumented pass: per workload,
-                         write <w>.folded (collapsed stacks for
-                         inferno/flamegraph.pl/speedscope),
-                         <w>.critpath.txt (critical path + phase blame)
-                         and <w>.util.txt (worker utilization), and add
-                         a busy-workers counter track to the trace;
-                         traces land in --trace DIR when given, else DIR
-  --bench-json PATH      write the versioned BENCH_RESULTS.json
-                         performance artifact to PATH
-  --bench-baseline PATH  compare this run against a committed
-                         BENCH_RESULTS.json; exit 1 on regression
-  --bench-tolerance PCT  allowed drift per gated metric (default 2.0)
-  --bench-subset PATH    with --bench-baseline: gate only the
-                         representative workloads listed in the
-                         committed charmap.json at PATH (the ci.sh
-                         --subset fast tier)
-  --charmap DIR          workload characterization map: metric vectors
-                         -> PCA -> clustered subset; writes DIR/
-                         charmap.txt and DIR/charmap.json, exit 1 if
-                         the retained variance misses the target
-  --charmap-baseline PATH  validate this run's map against a committed
-                         charmap.json under the subset stability rule
-                         (same k, exactly one committed representative
-                         per fresh cluster); exit 1 on drift
-  --faults SEED          fault-injection smoke: run WordCount with an
-                         injected spill-write error, map-task panic and
-                         straggler; exit 1 unless the output is
-                         byte-identical to the fault-free run
-  --slo DIR              online observability pass over the serving
-                         workloads: steady + shaped-overload phases
-                         through the SLO/error-budget engine; writes
-                         DIR/slo_report.json plus per service
-                         <w>.dash.txt, <w>.slo.prom.txt (Prometheus
-                         text with exemplar trace ids) and
-                         <w>.slo.trace.json (linked request chains +
-                         window counter tracks); the overload phase
-                         must fire exactly one page burn-rate alert,
-                         deterministically. With --bench-subset, only
-                         the representative serving workload runs.
-  --chaos SEED DIR       deterministic chaos campaigns: the replicated
-                         Cloud-OLTP store (lost ships, torn WAL writes,
-                         virtual-time node kills -> failover, read
-                         repair, anti-entropy), WordCount under
-                         rotating fault mixes, and an overloaded
-                         serving tier — each judged by invariant
-                         checkers (history safety, replica convergence,
-                         byte-identical output, tail-sampled failures);
-                         writes DIR/chaos_report.json (byte-identical
-                         across runs for a seed) and a Chrome trace of
-                         lifecycle instants per campaign
-                         (<c>.chaos.trace.json); exit 1 on any checker
-                         failure or if the Cloud-OLTP campaign forced
-                         no failover or no read-repair.
-                         With --bench-subset, runs shortened campaigns.
-  --tsdb DIR             embedded time-series pass: run an OLTP chaos
-                         round with traced writes plus a shaped serving
-                         overload, scrape every node's metrics registry
-                         into the bdb-tsdb store throughout, replay the
-                         stored series through the burn-rate rules and
-                         cross-check quantiles against the live window
-                         ring; writes DIR/tsdb_snapshot.bin (byte-
-                         deterministic for a seed), per node
-                         node-<n>.dash.txt sparkline dashboards and
-                         timeline.txt (failover events + reconstructed
-                         write span chains); exit 1 if any traced chain
-                         is causally incomplete, the stored p99 drifts
-                         more than one histogram bucket from the live
-                         value, or replayed alerts diverge. With
-                         --bench-subset, runs a shortened scrape.
-  -h, --help             this text
-
-`--trace`/`--profile`/`--bench-json`/`--bench-baseline`/`--charmap`/
-`--charmap-baseline`/`--faults`/`--slo`/`--chaos`/`--tsdb` without a
-selection run only that pass.";
-
-/// What the next raw argument is expected to be. The parser is a
-/// two-state machine: flags, or the value owed to the previous flag.
-enum Expecting {
-    Flag,
-    Value(&'static str),
-    /// The seed owed to `--chaos` (which takes two values).
-    ChaosSeed,
-    /// The directory owed to `--chaos SEED`.
-    ChaosDir,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { fraction: 0.25, bench_tolerance: 2.0, ..Default::default() };
-    let mut selected = false;
-    let mut state = Expecting::Flag;
-    for raw in std::env::args().skip(1) {
-        match state {
-            Expecting::Value(flag) => {
-                apply_value(&mut args, flag, &raw);
-                state = Expecting::Flag;
-            }
-            Expecting::ChaosSeed => {
-                args.chaos_seed = Some(
-                    raw.parse().unwrap_or_else(|_| usage_error("--chaos needs an integer seed")),
-                );
-                state = Expecting::ChaosDir;
-            }
-            Expecting::ChaosDir => {
-                args.chaos_dir = Some(raw.into());
-                state = Expecting::Flag;
-            }
-            Expecting::Flag => match raw.as_str() {
-                "--all" => {
-                    select_everything(&mut args);
-                    selected = true;
-                }
-                "--table2" => (args.table2, selected) = (true, true),
-                "--table3" => (args.table3, selected) = (true, true),
-                "--table4" => (args.table4, selected) = (true, true),
-                "--table5" => (args.table5, selected) = (true, true),
-                "--table6" => (args.table6, selected) = (true, true),
-                "--fig2" => (args.fig2, selected) = (true, true),
-                "--fig3" => (args.fig3, selected) = (true, true),
-                "--fig4" => (args.fig4, selected) = (true, true),
-                "--fig5" => (args.fig5, selected) = (true, true),
-                "--fig6" => (args.fig6, selected) = (true, true),
-                "--checks" => (args.checks, selected) = (true, true),
-                "--fraction" => state = Expecting::Value("--fraction"),
-                "--json" => state = Expecting::Value("--json"),
-                "--trace" => state = Expecting::Value("--trace"),
-                "--profile" => state = Expecting::Value("--profile"),
-                "--bench-json" => state = Expecting::Value("--bench-json"),
-                "--bench-baseline" => state = Expecting::Value("--bench-baseline"),
-                "--bench-tolerance" => state = Expecting::Value("--bench-tolerance"),
-                "--bench-subset" => state = Expecting::Value("--bench-subset"),
-                "--charmap" => state = Expecting::Value("--charmap"),
-                "--charmap-baseline" => state = Expecting::Value("--charmap-baseline"),
-                "--faults" => state = Expecting::Value("--faults"),
-                "--slo" => state = Expecting::Value("--slo"),
-                "--chaos" => state = Expecting::ChaosSeed,
-                "--tsdb" => state = Expecting::Value("--tsdb"),
-                "--help" | "-h" => {
-                    println!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => usage_error(&format!("unknown argument `{other}`")),
-            },
-        }
+impl Args {
+    /// The values of the last `flag` given.
+    fn values(&self, flag: &str) -> Option<&[String]> {
+        self.given.iter().rev().find(|(name, _)| *name == flag).map(|(_, v)| v.as_slice())
     }
-    match state {
-        Expecting::Flag => {}
-        Expecting::Value(flag) => usage_error(&format!("{flag} needs a value")),
-        Expecting::ChaosSeed | Expecting::ChaosDir => {
-            usage_error("--chaos needs a seed and a directory (`--chaos SEED DIR`)")
-        }
-    }
-    if args.bench_subset.is_some() && args.bench_baseline.is_none() {
-        usage_error("--bench-subset requires --bench-baseline");
-    }
-    let side_pass = args.trace_dir.is_some()
-        || args.profile_dir.is_some()
-        || args.bench_json.is_some()
-        || args.bench_baseline.is_some()
-        || args.charmap_dir.is_some()
-        || args.charmap_baseline.is_some()
-        || args.faults_seed.is_some()
-        || args.slo_dir.is_some()
-        || args.chaos_seed.is_some()
-        || args.tsdb_dir.is_some();
-    if !selected && !side_pass {
-        select_everything(&mut args);
-    }
-    args
-}
 
-fn apply_value(args: &mut Args, flag: &str, value: &str) {
-    match flag {
-        "--fraction" => {
-            args.fraction = value
-                .parse()
-                .ok()
-                .filter(|f| *f > 0.0)
-                .unwrap_or_else(|| usage_error("--fraction needs a positive number"));
-        }
-        "--json" => args.json_dir = Some(value.into()),
-        "--trace" => args.trace_dir = Some(value.into()),
-        "--profile" => args.profile_dir = Some(value.into()),
-        "--bench-json" => args.bench_json = Some(value.into()),
-        "--bench-baseline" => args.bench_baseline = Some(value.into()),
-        "--bench-tolerance" => {
-            args.bench_tolerance = value
-                .parse()
-                .ok()
-                .filter(|t| *t >= 0.0)
-                .unwrap_or_else(|| usage_error("--bench-tolerance needs a percentage >= 0"));
-        }
-        "--bench-subset" => args.bench_subset = Some(value.into()),
-        "--charmap" => args.charmap_dir = Some(value.into()),
-        "--charmap-baseline" => args.charmap_baseline = Some(value.into()),
-        "--faults" => {
-            args.faults_seed = Some(
-                value.parse().unwrap_or_else(|_| usage_error("--faults needs an integer seed")),
-            );
-        }
-        "--slo" => args.slo_dir = Some(value.into()),
-        "--tsdb" => args.tsdb_dir = Some(value.into()),
-        _ => unreachable!("values are only owed to known flags"),
+    fn has(&self, flag: &str) -> bool {
+        self.values(flag).is_some()
+    }
+
+    /// The flag's last value as a path.
+    fn path(&self, flag: &str) -> Option<&Path> {
+        self.values(flag).and_then(<[String]>::last).map(Path::new)
+    }
+
+    /// The flag's first value as a seed (checked when parsed).
+    fn seed(&self, flag: &str) -> Option<u64> {
+        self.values(flag).and_then(|v| v[0].parse().ok())
+    }
+
+    fn fraction(&self) -> f64 {
+        self.values("--fraction").and_then(|v| v[0].parse().ok()).unwrap_or(0.25)
     }
 }
 
-fn select_everything(args: &mut Args) {
-    args.table2 = true;
-    args.table3 = true;
-    args.table4 = true;
-    args.table5 = true;
-    args.table6 = true;
-    args.fig2 = true;
-    args.fig3 = true;
-    args.fig4 = true;
-    args.fig5 = true;
-    args.fig6 = true;
-    args.checks = true;
+/// Parses the command line by looking each flag up in [`PASSES`].
+fn parse(mut raw: impl Iterator<Item = String>) -> Result<Args, Failure> {
+    let mut args = Args { given: Vec::new(), help: false };
+    while let Some(arg) = raw.next() {
+        let wanted = if arg == "-h" { "--help" } else { arg.as_str() };
+        let (usage, _) = PASSES
+            .iter()
+            .flat_map(|pass| pass.flags)
+            .find(|(usage, _)| flag_name(usage) == wanted)
+            .ok_or_else(|| Failure::Usage(format!("unknown argument `{arg}`")))?;
+        let name = flag_name(usage);
+        if name == "--help" {
+            args.help = true;
+            return Ok(args);
+        }
+        let mut values = Vec::new();
+        for placeholder in usage.split(' ').skip(1) {
+            let value = raw.next().ok_or_else(|| Failure::Usage(missing_value(usage)))?;
+            check_value(name, placeholder, &value)?;
+            values.push(value);
+        }
+        args.given.push((name, values));
+    }
+    if args.has("--bench-subset") && !args.has("--bench-baseline") {
+        return Err(Failure::Usage("--bench-subset requires --bench-baseline".into()));
+    }
+    Ok(args)
 }
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    std::process::exit(2);
+/// Rejects a malformed value: a `SEED` is an integer, an `F` a positive
+/// number.
+fn check_value(flag: &str, placeholder: &str, raw: &str) -> Result<(), Failure> {
+    let want = match placeholder {
+        "SEED" if raw.parse::<u64>().is_err() => "an integer seed",
+        "F" if !raw.parse::<f64>().is_ok_and(|f| f > 0.0) => "a positive number",
+        _ => return Ok(()),
+    };
+    Err(Failure::Usage(format!("{flag} needs {want}")))
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+fn missing_value(usage: &str) -> String {
+    let (name, shape) = usage.split_once(' ').expect("only a flag that takes values misses one");
+    if !shape.contains(' ') {
+        return format!("{name} needs a value");
+    }
+    let nouns: Vec<&str> =
+        shape.split(' ').map(|v| if v == "SEED" { "a seed" } else { "a directory" }).collect();
+    format!("{name} needs {} (`{usage}`)", nouns.join(" and "))
 }
 
-/// Writes `rows` to `DIR/NAME.json` as an array of objects, one per
-/// row, with `fields` filling each object.
+/// Why a run stopped; `main` maps each kind to its exit status.
+enum Failure {
+    /// A pass's gate rejected the run (exit 1).
+    Gate(String),
+    /// A malformed command line (exit 2, with the usage text).
+    Usage(String),
+    /// Reading an input or writing an artifact failed (exit 2).
+    Io(String),
+}
+
+/// Maps an error to a [`Failure::Io`] that says what was being done.
+fn io_err<E: std::fmt::Display>(doing: impl std::fmt::Display) -> impl FnOnce(E) -> Failure {
+    move |e| Failure::Io(format!("{doing}: {e}"))
+}
+
+fn gate<T>(msg: impl Into<String>) -> Result<T, Failure> {
+    Err(Failure::Gate(msg.into()))
+}
+
+/// One file a pass writes.
+struct Artifact {
+    path: PathBuf,
+    bytes: Vec<u8>,
+}
+
+impl Artifact {
+    fn new(path: PathBuf, bytes: impl Into<Vec<u8>>) -> Self {
+        Self { path, bytes: bytes.into() }
+    }
+
+    /// Writes the file, creating its directory. An empty artifact is a
+    /// failed pass, not a file to leave behind.
+    fn write(&self) -> Result<(), Failure> {
+        if self.bytes.is_empty() {
+            return gate(format!("{}: refusing to write an empty artifact", self.path.display()));
+        }
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir).map_err(io_err(format!("creating {}", dir.display())))?;
+        }
+        std::fs::write(&self.path, &self.bytes)
+            .map_err(io_err(format!("writing {}", self.path.display())))?;
+        eprintln!("wrote {}", self.path.display());
+        Ok(())
+    }
+}
+
+fn main() {
+    quiet_injected_panics();
+    let status = match run_selected() {
+        Ok(()) => return,
+        Err(Failure::Gate(msg)) => {
+            eprintln!("{msg}");
+            1
+        }
+        Err(Failure::Usage(msg)) => {
+            eprintln!("error: {msg}\n\n{}", usage());
+            2
+        }
+        Err(Failure::Io(msg)) => {
+            eprintln!("error: {msg}");
+            2
+        }
+    };
+    std::process::exit(status);
+}
+
+/// Runs each selected pass in table order and writes the artifacts it
+/// made, those made before a failing gate included, so the failure can
+/// be inspected.
+fn run_selected() -> Result<(), Failure> {
+    let args = parse(std::env::args().skip(1))?;
+    if args.help {
+        println!("{}", usage());
+        return Ok(());
+    }
+    eprintln!(
+        "reproduce: fraction {} on simulated {} (paper testbed: 14 nodes)",
+        args.fraction(),
+        MachineConfig::xeon_e5645().name
+    );
+    let mut runs: Vec<Run> = PASSES
+        .iter()
+        .filter(|pass| pass.flags.iter().any(|(usage, _)| args.has(flag_name(usage))))
+        .filter_map(|pass| pass.run)
+        .collect();
+    if runs.is_empty() {
+        runs.push(paper_sections);
+    }
+    for run in runs {
+        let mut artifacts = Vec::new();
+        let verdict = run(&args, &mut artifacts);
+        for artifact in &artifacts {
+            artifact.write()?;
+        }
+        verdict?;
+    }
+    Ok(())
+}
+
+/// Keeps injected-fault panics off the console: the engine catches and
+/// retries them, and the faults smoke and chaos campaigns inject them on
+/// purpose. Every other panic reaches the default hook.
+fn quiet_injected_panics() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| info.payload().downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if !msg.starts_with("injected fault:") {
+            default_hook(info);
+        }
+    }));
+}
+
+/// Pushes `DIR/NAME.json` when `dir` is given: an array of objects, one
+/// per row, with `fields` filling each object.
 fn save_json<T>(
-    dir: &Option<std::path::PathBuf>,
+    out: &mut Vec<Artifact>,
+    dir: Option<&Path>,
     name: &str,
     rows: &[T],
     fields: impl Fn(&mut ObjectWriter<'_>, &T),
 ) {
     if let Some(dir) = dir {
-        let mut out = String::from("[");
+        let mut json = String::from("[");
         for (i, row) in rows.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                json.push(',');
             }
-            out.push_str("\n  ");
-            let mut o = ObjectWriter::new(&mut out);
+            json.push_str("\n  ");
+            let mut o = ObjectWriter::new(&mut json);
             fields(&mut o, row);
             o.finish();
         }
-        out.push_str("\n]\n");
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, out).expect("write json");
-        eprintln!("  wrote {}", path.display());
+        json.push_str("\n]\n");
+        out.push(Artifact::new(dir.join(format!("{name}.json")), json));
     }
 }
 
@@ -535,34 +621,46 @@ impl Job for TraceSort {
     }
 }
 
-/// Writes one workload's profiling artifacts — `<stem>.folded`,
-/// `<stem>.critpath.txt`, `<stem>.util.txt` — next to its trace.
-fn write_profile(
+/// Pushes one traced workload's artifacts: its Chrome trace and metrics
+/// summary into `dir`, and with `profile_dir` its profile (`.folded`,
+/// `.critpath.txt`, `.util.txt`) plus a busy-workers counter track in
+/// the trace. Returns the profile for callers that gate on it.
+fn export_session(
+    out: &mut Vec<Artifact>,
     session: &TraceSession,
-    dir: &std::path::Path,
-) -> std::io::Result<bdb_profile::Profile> {
-    std::fs::create_dir_all(dir)?;
-    let profile = bdb_profile::Profile::from_events(&session.recorder.events());
+    detail: &str,
+    dir: &Path,
+    profile_dir: Option<&Path>,
+) -> Option<bdb_profile::Profile> {
     let stem = bdb_telemetry::file_stem(&session.name);
-    std::fs::write(dir.join(format!("{stem}.folded")), profile.folded())?;
-    std::fs::write(dir.join(format!("{stem}.critpath.txt")), profile.critpath_text())?;
-    std::fs::write(dir.join(format!("{stem}.util.txt")), profile.util_text())?;
-    Ok(profile)
+    let profile = profile_dir.map(|pdir| {
+        let profile = bdb_profile::Profile::from_events(&session.recorder.events());
+        out.push(Artifact::new(pdir.join(format!("{stem}.folded")), profile.folded()));
+        out.push(Artifact::new(pdir.join(format!("{stem}.critpath.txt")), profile.critpath_text()));
+        out.push(Artifact::new(pdir.join(format!("{stem}.util.txt")), profile.util_text()));
+        profile
+    });
+    let tracks: Vec<bdb_telemetry::CounterTrack> =
+        profile.iter().map(bdb_profile::Profile::concurrency_track).collect();
+    out.push(Artifact::new(
+        dir.join(format!("{stem}.trace.json")),
+        session.trace_json_with_tracks(&tracks),
+    ));
+    out.push(Artifact::new(dir.join(format!("{stem}.metrics.txt")), session.metrics_summary()));
+    println!("  {:<20} {detail}", session.name);
+    if let Some(p) = &profile {
+        println!("  {:<20} {}", "", p.critical_summary().render());
+    }
+    profile
 }
 
-/// Runs an instrumented pass of representative workloads, writing a
-/// Chrome trace-event JSON + plain-text metrics summary per workload
-/// into `trace_dir` (loadable at <https://ui.perfetto.dev>). With
-/// `profile_dir`, each workload additionally gets profiling artifacts
-/// (see [`write_profile`]) and a busy-workers counter track in its
-/// trace; traces fall back to `profile_dir` when `--trace` was not
-/// given.
-fn trace_exports(
-    suite: &Suite,
-    fraction: f64,
-    trace_dir: Option<&std::path::Path>,
-    profile_dir: Option<&std::path::Path>,
-) {
+/// Runs an instrumented pass of representative workloads, pushing a
+/// Chrome trace-event JSON (loadable at <https://ui.perfetto.dev>) and a
+/// plain-text metrics summary per workload into `--trace DIR`. With
+/// `--profile DIR`, each workload also gets profiling artifacts (see
+/// [`export_session`]); traces fall back to that directory when
+/// `--trace` was not given.
+fn trace_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_archsim::SimProbe;
     use bdb_graph::{label_propagation_instrumented, pagerank_instrumented, PageRankConfig};
     use bdb_kvstore::{Store, StoreConfig};
@@ -575,29 +673,12 @@ fn trace_exports(
     use bdb_sql::ColumnarTable;
 
     section("Telemetry traces — Chrome trace JSON + metrics per workload");
-    let dir = trace_dir.or(profile_dir).expect("trace_exports needs a destination");
-    let f = fraction.max(0.05);
-    // Exports one workload's trace (and, when profiling, its artifacts
-    // + busy-workers counter track); returns the profile for callers
-    // that gate on it.
-    let export = |session: &TraceSession, detail: &str| -> Option<bdb_profile::Profile> {
-        let profile = profile_dir.map(|pdir| {
-            write_profile(session, pdir)
-                .unwrap_or_else(|e| die(&format!("{}: profile export failed: {e}", session.name)))
-        });
-        let tracks: Vec<bdb_telemetry::CounterTrack> =
-            profile.iter().map(bdb_profile::Profile::concurrency_track).collect();
-        match session.write_with_tracks(dir, &tracks) {
-            Ok((trace, _metrics)) => {
-                println!("  {:<20} {detail}", session.name);
-                println!("  {:<20} -> {}", "", trace.display());
-            }
-            Err(e) => eprintln!("  {}: trace export failed: {e}", session.name),
-        }
-        if let Some(p) = &profile {
-            println!("  {:<20} {}", "", p.critical_summary().render());
-        }
-        profile
+    let profile_dir = args.path("--profile");
+    let dir =
+        args.path("--trace").or(profile_dir).expect("the trace row runs only with a directory");
+    let f = args.fraction().max(0.05);
+    let export = |out: &mut Vec<Artifact>, session: &TraceSession, detail: &str| {
+        export_session(out, session, detail, dir, profile_dir)
     };
 
     // MapReduce micro benchmarks: WordCount and Sort.
@@ -618,23 +699,24 @@ fn trace_exports(
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
-    if let Some(profile) = export(&session, &stats.phase_breakdown()) {
+    if let Some(profile) = export(out, &session, &stats.phase_breakdown()) {
         // Profiling contract, enforced in-binary so CI catches span
         // coverage regressions: the WordCount critical path must cover
         // ≥90% of wall-clock, and the blame table must partition it.
         let s = profile.critical_summary();
         if s.coverage < 0.90 {
-            die(&format!(
-                "WordCount critical path covers only {:.1}% of wall (need >= 90%): \
-                 span coverage regressed",
+            return gate(format!(
+                "profile FAIL: WordCount critical path covers only {:.1}% of wall \
+                 (need >= 90%): span coverage regressed",
                 s.coverage * 100.0
             ));
         }
         let blamed: u64 = profile.critical.blame.iter().map(|(_, us)| *us).sum();
         let drift = blamed.abs_diff(profile.critical.path_us);
         if drift * 100 > profile.critical.path_us {
-            die(&format!(
-                "WordCount blame table sums to {blamed} us but the critical path is {} us",
+            return gate(format!(
+                "profile FAIL: WordCount blame table sums to {blamed} us but the critical \
+                 path is {} us",
                 profile.critical.path_us
             ));
         }
@@ -651,7 +733,7 @@ fn trace_exports(
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
-    export(&session, &stats.phase_breakdown());
+    export(out, &session, &stats.phase_breakdown());
 
     // Graph analytics: PageRank and Connected Components.
     let nodes = (((4_000_f64) * f) as u32).max(256);
@@ -662,12 +744,12 @@ fn trace_exports(
     let session = TraceSession::enabled("PageRank");
     let (_, iters) = pagerank_instrumented(&graph, PageRankConfig::default(), &session.recorder);
     session.metrics.counter("graph.pagerank_iterations").add(u64::from(iters));
-    export(&session, &format!("{} nodes | {iters} iterations", graph.nodes()));
+    export(out, &session, &format!("{} nodes | {iters} iterations", graph.nodes()));
 
     let session = TraceSession::enabled("ConnectedComponents");
     let (_, iters) = label_propagation_instrumented(&graph, &session.recorder);
     session.metrics.counter("graph.cc_iterations").add(u64::from(iters));
-    export(&session, &format!("{} nodes | {iters} rounds", graph.nodes()));
+    export(out, &session, &format!("{} nodes | {iters} rounds", graph.nodes()));
 
     // Machine learning: K-means over synthetic blobs.
     let points: Vec<Vec<f64>> = (0..((20_000.0 * f) as usize).max(1_000))
@@ -680,7 +762,7 @@ fn trace_exports(
     let session = TraceSession::enabled("KMeans");
     let model = KMeans::new(8).fit_instrumented(&points, 7, &session.recorder);
     session.metrics.counter("mlkit.kmeans_iterations").add(u64::from(model.iterations));
-    export(&session, &format!("{} points | {} iterations", points.len(), model.iterations));
+    export(out, &session, &format!("{} points | {} iterations", points.len(), model.iterations));
 
     // Online services: the Nutch-style search tier plus the Olio
     // social and RuBiS auction tiers, each closed loop with periodic
@@ -724,70 +806,60 @@ fn trace_exports(
         serving_runs.push((session, report, scrapes));
     }
     for (session, report, scrapes) in &serving_runs {
-        export(session, &format!("{requests} requests | {:.0} req/s", report.achieved_rps));
-        let prom_path = dir.join(format!("{}.prom.txt", session.name.to_lowercase()));
+        export(out, session, &format!("{requests} requests | {:.0} req/s", report.achieved_rps));
         let body: String =
             scrapes.iter().enumerate().map(|(i, s)| format!("# scrape {i}\n{s}\n")).collect();
-        match std::fs::write(&prom_path, body) {
-            Ok(()) => println!("  {:<20} -> {}", "", prom_path.display()),
-            Err(e) => eprintln!("  {}: prometheus export failed: {e}", session.name),
-        }
+        out.push(Artifact::new(
+            dir.join(format!("{}.prom.txt", session.name.to_lowercase())),
+            body,
+        ));
     }
 
-    // Cloud OLTP: LSM store write + read mix with flushes/compactions.
+    // Cloud OLTP: LSM store write + read mix with flushes/compactions,
+    // in scratch space under the pass's own directory.
     let session = TraceSession::enabled("CloudOLTP");
-    let kv_dir = std::env::temp_dir().join(format!("bdb-trace-kv-{}", std::process::id()));
+    let kv_dir = dir.join("oltp-scratch");
     let _ = std::fs::remove_dir_all(&kv_dir);
     let config =
         StoreConfig { memtable_flush_bytes: 64 << 10, max_tables: 4, ..Default::default() };
-    match Store::open_with(&kv_dir, config) {
-        Ok(mut store) => {
-            store.set_telemetry(session.recorder.clone());
-            store.set_metrics(&session.metrics);
-            let ops = ((20_000.0 * f) as u32).max(2_000);
-            let mut failed = false;
-            {
-                // Top-level phase spans so the profiler attributes the
-                // run to load vs read instead of leaving idle gaps.
-                let _load = session.recorder.span("kvstore", "oltp-load");
-                for i in 0..ops {
-                    let key = format!("row{i:08}").into_bytes();
-                    if store.put(key, vec![b'v'; 100]).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            {
-                let _read = session.recorder.span("kvstore", "oltp-read");
-                for i in 0..ops {
-                    // Half present, half absent — exercises the bloom filters.
-                    let probe_key = format!("row{:08}", u64::from(i) * 2).into_bytes();
-                    if store.get(&probe_key).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                eprintln!("  CloudOLTP: store I/O failed; exporting partial trace");
-            }
-            let s = store.stats();
-            export(
-                &session,
-                &format!(
-                    "{ops} puts + {ops} gets | {} flushes, {} compactions, {} bloom skips",
-                    s.flushes, s.compactions, s.bloom_skips
-                ),
-            );
+    let mut store = Store::open_with(&kv_dir, config)
+        .map_err(io_err(format!("opening the CloudOLTP store in {}", kv_dir.display())))?;
+    store.set_telemetry(session.recorder.clone());
+    store.set_metrics(&session.metrics);
+    let ops = ((20_000.0 * f) as u32).max(2_000);
+    {
+        // Top-level phase spans so the profiler attributes the run to
+        // load vs read instead of leaving idle gaps.
+        let _load = session.recorder.span("kvstore", "oltp-load");
+        for i in 0..ops {
+            let key = format!("row{i:08}").into_bytes();
+            store.put(key, vec![b'v'; 100]).map_err(io_err("CloudOLTP put"))?;
         }
-        Err(e) => eprintln!("  CloudOLTP: store open failed: {e}"),
     }
+    {
+        let _read = session.recorder.span("kvstore", "oltp-read");
+        for i in 0..ops {
+            // Half present, half absent — exercises the bloom filters.
+            let probe_key = format!("row{:08}", u64::from(i) * 2).into_bytes();
+            store.get(&probe_key).map_err(io_err("CloudOLTP get"))?;
+        }
+    }
+    let s = store.stats();
+    export(
+        out,
+        &session,
+        &format!(
+            "{ops} puts + {ops} gets | {} flushes, {} compactions, {} bloom skips",
+            s.flushes, s.compactions, s.bloom_skips
+        ),
+    );
+    drop(store);
     let _ = std::fs::remove_dir_all(&kv_dir);
 
     // Relational query: select + hash join over e-commerce tables.
     let session = TraceSession::enabled("JoinQuery");
     let orders_n = ((8_000.0 * f) as u64).max(500);
+    let suite = Suite::with_fraction(args.fraction());
     let (orders, items) = bigdatabench::workloads::query::build_tables(&suite.scale(1), orders_n);
     let orders_c = ColumnarTable::from_table(&orders);
     let items_c = ColumnarTable::from_table(&items);
@@ -805,35 +877,34 @@ fn trace_exports(
         (Ok(sel), Ok(joined)) => {
             session.metrics.counter("sql.select_rows").add(sel.len() as u64);
             session.metrics.counter("sql.joined_rows").add(joined.len() as u64);
-            export(&session, &format!("{} orders | {} joined rows", orders.len(), joined.len()));
+            let detail = format!("{} orders | {} joined rows", orders.len(), joined.len());
+            export(out, &session, &detail);
+            Ok(())
         }
-        _ => eprintln!("  JoinQuery: query failed; trace not exported"),
+        (Err(e), _) | (_, Err(e)) => gate(format!("trace FAIL: JoinQuery failed: {e}")),
     }
 }
 
-fn main() {
-    let args = parse_args();
-    let suite = Suite::with_fraction(args.fraction);
+/// The paper's tables, figures and shape checks: those given, or all of
+/// them under `--all` or when no section is given.
+fn paper_sections(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
+    let all =
+        args.has("--all") || !PASSES[0].flags.iter().any(|(usage, _)| args.has(flag_name(usage)));
+    let on = |section: &str| all || args.has(section);
+    let suite = Suite::with_fraction(args.fraction());
     let machine = MachineConfig::xeon_e5645();
-    eprintln!(
-        "reproduce: fraction {} on simulated {} (paper testbed: 14 nodes)",
-        args.fraction, machine.name
-    );
+    let json_dir = args.path("--json");
 
-    if args.table2 {
-        table2();
-    }
-    if args.table3 {
-        table3();
-    }
-    if args.table4 {
-        table4();
-    }
-    if args.table5 {
-        table5();
-    }
-    if args.table6 {
-        table6();
+    for (section, print) in [
+        ("--table2", table2 as fn()),
+        ("--table3", table3),
+        ("--table4", table4),
+        ("--table5", table5),
+        ("--table6", table6),
+    ] {
+        if on(section) {
+            print();
+        }
     }
 
     let mut fig2_rows = Vec::new();
@@ -842,7 +913,7 @@ fn main() {
     let mut fig5_rows = Vec::new();
     let mut fig6_rows = Vec::new();
 
-    let need_baseline = args.fig4 || args.fig6;
+    let need_baseline = on("--fig4") || on("--fig6");
     let baseline = if need_baseline {
         eprintln!("characterizing all 19 workloads at baseline on {}...", machine.name);
         characterize::baseline_reports(&suite, &machine)
@@ -850,7 +921,7 @@ fn main() {
         Vec::new()
     };
 
-    if args.fig2 {
+    if on("--fig2") {
         eprintln!("figure 2: native sweeps + small/large characterization...");
         fig2_rows = characterize::figure2(&suite, &machine);
         section("Figure 2 — L3 MPKI: small vs large input");
@@ -864,7 +935,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig2", &fig2_rows, |o, r| {
+        save_json(out, json_dir, "fig2", &fig2_rows, |o, r| {
             o.field_str("workload", &r.workload);
             field_num(o, "small_l3_mpki", r.small_l3_mpki);
             field_num(o, "large_l3_mpki", r.large_l3_mpki);
@@ -872,11 +943,11 @@ fn main() {
         });
     }
 
-    if args.fig3 {
+    if on("--fig3") {
         eprintln!("figure 3: native + traced sweeps over 5 multipliers x 19 workloads...");
         fig3_rows = characterize::figure3(&suite, &machine);
         print_fig3(&fig3_rows);
-        save_json(&args.json_dir, "fig3", &fig3_rows, |o, r| {
+        save_json(out, json_dir, "fig3", &fig3_rows, |o, r| {
             o.field_str("workload", &r.workload).field_u64("multiplier", r.multiplier.into());
             field_num(o, "mips", r.mips);
             field_num(o, "speedup", r.speedup);
@@ -884,7 +955,7 @@ fn main() {
         });
     }
 
-    if args.fig4 {
+    if on("--fig4") {
         fig4_rows = characterize::figure4(&baseline, &machine);
         section("Figure 4 — instruction breakdown");
         let mut t = TextTable::new(&["name", "load", "store", "branch", "int", "fp", "int:fp"]);
@@ -900,7 +971,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig4", &fig4_rows, |o, r| {
+        save_json(out, json_dir, "fig4", &fig4_rows, |o, r| {
             o.field_str("name", &r.name);
             field_num(o, "load", r.load);
             field_num(o, "store", r.store);
@@ -911,7 +982,7 @@ fn main() {
         });
     }
 
-    if args.fig5 {
+    if on("--fig5") {
         eprintln!("figure 5: characterizing on both E5645 and E5310...");
         fig5_rows = characterize::figure5(&suite);
         section("Figure 5 — operation intensity (ops per DRAM byte)");
@@ -926,7 +997,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig5", &fig5_rows, |o, r| {
+        save_json(out, json_dir, "fig5", &fig5_rows, |o, r| {
             o.field_str("name", &r.name);
             field_num(o, "fp_e5310", r.fp_e5310);
             field_num(o, "fp_e5645", r.fp_e5645);
@@ -935,7 +1006,7 @@ fn main() {
         });
     }
 
-    if args.fig6 {
+    if on("--fig6") {
         fig6_rows = characterize::figure6(&baseline, &machine);
         section("Figure 6 — memory hierarchy MPKI");
         let mut t = TextTable::new(&["name", "L1I", "L2", "L3", "ITLB", "DTLB"]);
@@ -950,7 +1021,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        save_json(&args.json_dir, "fig6", &fig6_rows, |o, r| {
+        save_json(out, json_dir, "fig6", &fig6_rows, |o, r| {
             o.field_str("name", &r.name);
             field_num(o, "l1i_mpki", r.l1i_mpki);
             field_num(o, "l2_mpki", r.l2_mpki);
@@ -960,7 +1031,7 @@ fn main() {
         });
     }
 
-    if args.checks {
+    if on("--checks") {
         let checks =
             paper::shape_checks(&fig2_rows, &fig3_rows, &fig4_rows, &fig5_rows, &fig6_rows);
         section("Shape checks vs the paper's headline claims");
@@ -975,52 +1046,21 @@ fn main() {
         println!("{}", t.render());
         println!("{pass}/{} shape checks passed", checks.len());
     }
-
-    if args.trace_dir.is_some() || args.profile_dir.is_some() {
-        trace_exports(
-            &suite,
-            args.fraction,
-            args.trace_dir.as_deref(),
-            args.profile_dir.as_deref(),
-        );
-    }
-
-    if args.bench_json.is_some() || args.bench_baseline.is_some() {
-        bench_results(&args);
-    }
-
-    if args.charmap_dir.is_some() || args.charmap_baseline.is_some() {
-        charmap_pass(&args);
-    }
-
-    if let Some(seed) = args.faults_seed {
-        faults_smoke(seed);
-    }
-
-    if args.slo_dir.is_some() {
-        slo_pass(&args);
-    }
-
-    if args.chaos_seed.is_some() {
-        chaos_pass(&args);
-    }
-
-    if args.tsdb_dir.is_some() {
-        tsdb_pass(&args);
-    }
+    Ok(())
 }
 
 /// Fault-injection smoke pass: the Hadoop recovery story end to end.
 /// WordCount with an injected spill-write error, a map-task panic and
 /// an artificial straggler must finish with output byte-identical to
-/// the fault-free run, recovering via retries and speculation. Exits 1
-/// if any recovery mechanism failed to engage.
-fn faults_smoke(seed: u64) {
+/// the fault-free run, recovering via retries and speculation. Fails if
+/// any recovery mechanism did not engage.
+fn faults_smoke(args: &Args, _out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_faults::FaultPlan;
     use bdb_mapreduce::{sites, Engine};
     use bdb_telemetry::MetricsRegistry;
     use std::time::Duration;
 
+    let seed = args.seed("--faults").expect("the faults row runs only with a seed");
     section(&format!("Fault-injection smoke — seed {seed}"));
     let mut text = bdb_datagen::text::TextGenerator::wikipedia(seed);
     let input: Vec<String> = text.corpus(96 << 10).lines().map(str::to_owned).collect();
@@ -1032,7 +1072,7 @@ fn faults_smoke(seed: u64) {
     };
     let (clean, clean_stats) = build(FaultPlan::disabled()).run(&TraceWordCount, &input);
     if clean_stats.spills == 0 {
-        die("faults smoke: fault-free run never spilled; the spill site would not fire");
+        return gate("faults smoke FAIL: the fault-free run never spilled");
     }
 
     let metrics = MetricsRegistry::new();
@@ -1083,9 +1123,10 @@ fn faults_smoke(seed: u64) {
         );
     }
     if failed {
-        die("faults smoke: a recovery mechanism failed to engage (see FAIL rows above)");
+        return gate("faults smoke FAIL: a recovery mechanism did not engage (see FAIL rows)");
     }
     println!("\nfaults smoke PASS: all injected faults recovered, output unchanged");
+    Ok(())
 }
 
 /// Online observability pass over the serving tier. Every selected
@@ -1098,7 +1139,7 @@ fn faults_smoke(seed: u64) {
 /// plus window counter tracks (`<w>.slo.trace.json`), and one
 /// machine-readable `slo_report.json` for the whole run.
 ///
-/// The pass gates itself (exit 1 on violation): the steady phase must
+/// The pass gates itself: the steady phase must
 /// stay alert-free with rolling tails agreeing with the whole-run
 /// histogram within one log bucket; the shaped overload must fire
 /// exactly one page burn-rate alert, inside the overload phase; every
@@ -1109,13 +1150,12 @@ fn faults_smoke(seed: u64) {
 /// and hosts. With `--bench-subset`, only the serving workloads in the
 /// committed representative subset run (falling back to Nutch when the
 /// subset holds none) — the fast per-PR tier.
-fn slo_pass(args: &Args) {
-    use bdb_obs::{dash, report, ObsConfig, ObsPipeline, Severity};
-    use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
+fn slo_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
+    use bdb_obs::{dash, report, ObsConfig, ObsPipeline, Severity, SteadyThenOverload};
+    use bdb_serving::ServiceTimeModel;
     use std::time::Duration;
 
     const SLO_SEED: u64 = 42;
-    const WORKERS: u32 = 4;
     const THRESHOLD: Duration = Duration::from_millis(50);
     // Steady horizon = rolling span (8 × 2 s windows) so the
     // rolling-vs-whole-run gate compares the same stationary stretch.
@@ -1123,28 +1163,27 @@ fn slo_pass(args: &Args) {
     const OVERLOAD: Duration = Duration::from_secs(8);
 
     section("SLO — online observability over the serving tier");
-    let dir = args.slo_dir.as_ref().expect("slo_pass called without --slo");
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
+    let dir = args.path("--slo").expect("the slo row runs only with a directory");
 
     let serving = [WorkloadId::NutchServer, WorkloadId::OlioServer, WorkloadId::RubisServer];
-    let selected: Vec<WorkloadId> = match args.bench_subset.as_deref().map(load_subset) {
-        Some((_, ids)) => {
-            let mut in_subset: Vec<WorkloadId> =
-                serving.iter().copied().filter(|id| ids.contains(id)).collect();
-            if in_subset.is_empty() {
-                // The committed representative subset may hold no
-                // serving workload; the fast tier still needs one.
-                in_subset.push(WorkloadId::NutchServer);
+    let selected: Vec<WorkloadId> =
+        match args.path("--bench-subset").map(load_subset).transpose()? {
+            Some((_, ids)) => {
+                let mut in_subset: Vec<WorkloadId> =
+                    serving.iter().copied().filter(|id| ids.contains(id)).collect();
+                if in_subset.is_empty() {
+                    // The committed representative subset may hold no
+                    // serving workload; the fast tier still needs one.
+                    in_subset.push(WorkloadId::NutchServer);
+                }
+                eprintln!(
+                    "subset tier: observing {}",
+                    in_subset.iter().map(|id| id.name()).collect::<Vec<_>>().join(", ")
+                );
+                in_subset
             }
-            eprintln!(
-                "subset tier: observing {}",
-                in_subset.iter().map(|id| id.name()).collect::<Vec<_>>().join(", ")
-            );
-            in_subset
-        }
-        None => serving.to_vec(),
-    };
+            None => serving.to_vec(),
+        };
 
     // The modeled service-time distributions come from the real server
     // implementations so the observability pass tracks their shapes.
@@ -1159,7 +1198,7 @@ fn slo_pass(args: &Args) {
             WorkloadId::RubisServer => {
                 bdb_serving::auction::AuctionServer::build(200, 10, 100, SLO_SEED).service_model()
             }
-            other => die(&format!("{} is not a serving workload", other.name())),
+            other => unreachable!("{} is not a serving workload", other.name()),
         }
     };
 
@@ -1180,31 +1219,26 @@ fn slo_pass(args: &Args) {
         let svc_seed = SLO_SEED ^ bdb_obs::phase_salt(name);
         let times = model.sample_times(2048, svc_seed);
 
-        let steady = QueueSim::new(WORKERS).run(400.0, STEADY, &times, svc_seed);
-        let policy =
-            QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-        let overload = QueueSim::new(WORKERS).with_policy(policy).run(
-            3200.0,
-            OVERLOAD,
-            &times,
-            svc_seed ^ 0xBEEF,
-        );
+        let load = SteadyThenOverload::run(&times, (400.0, STEADY), (3200.0, OVERLOAD), svc_seed);
 
         // Gate: the steady phase alone stays quiet and its rolling
         // tails agree with the whole-run histogram.
         let mut quiet = ObsPipeline::new(name, ObsConfig::default_for(THRESHOLD, svc_seed));
-        quiet.ingest_phase("steady", 0, &steady.records, &model);
+        quiet.ingest_phase("steady", 0, &load.steady.records, &model);
         let quiet = quiet.finish();
         if !quiet.alerts.is_empty() {
-            die(&format!("{name}: steady phase fired {} alert(s)", quiet.alerts.len()));
+            return gate(format!(
+                "slo FAIL: {name}: steady phase fired {} alert(s)",
+                quiet.alerts.len()
+            ));
         }
         for q in [0.99, 0.999] {
             let roll = quiet.rolling.percentile(q).as_micros() as u64;
             let whole = quiet.whole.percentile(q).as_micros() as u64;
             let (ri, wi) = (bdb_telemetry::bucket_index(roll), bdb_telemetry::bucket_index(whole));
             if ri.abs_diff(wi) > 1 {
-                die(&format!(
-                    "{name}: steady-state rolling q{q} ({roll}us) disagrees with the \
+                return gate(format!(
+                    "slo FAIL: {name}: steady-state rolling q{q} ({roll}us) disagrees with the \
                      whole-run histogram ({whole}us) by more than one bucket"
                 ));
             }
@@ -1212,24 +1246,29 @@ fn slo_pass(args: &Args) {
 
         // The artifact run: steady then shaped overload on one timeline.
         let mut pipe = ObsPipeline::new(name, ObsConfig::default_for(THRESHOLD, svc_seed));
-        pipe.ingest_phase("steady", 0, &steady.records, &model);
-        pipe.ingest_phase("overload", STEADY.as_nanos() as u64, &overload.records, &model);
+        load.ingest(&mut pipe, &model);
         let obs = pipe.finish();
 
         // Gate: the shaped overload fires exactly one page alert, and
         // it lands inside the overload phase.
         let pages: Vec<_> = obs.alerts.iter().filter(|a| a.severity == Severity::Page).collect();
         if pages.len() != 1 {
-            die(&format!("{name}: expected exactly one page alert, got {:?}", obs.alerts));
+            return gate(format!(
+                "slo FAIL: {name}: expected exactly one page alert, got {:?}",
+                obs.alerts
+            ));
         }
-        if obs.alerts.iter().any(|a| a.at_ns <= STEADY.as_nanos() as u64) {
-            die(&format!("{name}: an alert fired before the overload phase: {:?}", obs.alerts));
+        if obs.alerts.iter().any(|a| a.at_ns <= load.overload_at_ns) {
+            return gate(format!(
+                "slo FAIL: {name}: an alert fired before the overload phase: {:?}",
+                obs.alerts
+            ));
         }
         // Gate: every sampled request reconstructs to a complete,
         // correctly linked chain from the flat span stream alone.
         if obs.chains_total == 0 || obs.chains_total != obs.chains_complete {
-            die(&format!(
-                "{name}: only {}/{} sampled chains reconstruct completely",
+            return gate(format!(
+                "slo FAIL: {name}: only {}/{} sampled chains reconstruct completely",
                 obs.chains_complete, obs.chains_total
             ));
         }
@@ -1237,20 +1276,12 @@ fn slo_pass(args: &Args) {
         bdb_telemetry::assert_prometheus_grammar(&obs.prometheus);
 
         let stem = bdb_telemetry::file_stem(name);
-        let writes = [
-            (format!("{stem}.dash.txt"), dash::render(&obs)),
-            (format!("{stem}.slo.prom.txt"), obs.prometheus.clone()),
-            (
-                format!("{stem}.slo.trace.json"),
-                bdb_telemetry::chrome_trace_json_with_tracks(name, &obs.spans, None, &obs.tracks),
-            ),
-        ];
-        for (file, text) in writes {
-            let path = dir.join(&file);
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-            eprintln!("wrote {}", path.display());
-        }
+        out.push(Artifact::new(dir.join(format!("{stem}.dash.txt")), dash::render(&obs)));
+        out.push(Artifact::new(dir.join(format!("{stem}.slo.prom.txt")), obs.prometheus.clone()));
+        out.push(Artifact::new(
+            dir.join(format!("{stem}.slo.trace.json")),
+            bdb_telemetry::chrome_trace_json_with_tracks(name, &obs.spans, None, &obs.tracks),
+        ));
 
         t.row(&[
             name.to_owned(),
@@ -1267,9 +1298,9 @@ fn slo_pass(args: &Args) {
     println!("{}", t.render());
 
     let path = dir.join("slo_report.json");
-    std::fs::write(&path, report::render_report(SLO_SEED, &observations))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-    println!("slo pass PASS: wrote {} ({} services observed)", path.display(), observations.len());
+    println!("slo pass PASS: {} ({} services observed)", path.display(), observations.len());
+    out.push(Artifact::new(path, report::render_report(SLO_SEED, &observations)));
+    Ok(())
 }
 
 /// Deterministic chaos-campaign pass: three workload tiers under
@@ -1291,21 +1322,18 @@ fn slo_pass(args: &Args) {
 ///   consistent.
 ///
 /// Writes `DIR/chaos_report.json` (byte-identical across runs for a
-/// given seed — CI diffs two runs directly) and one Chrome trace of
-/// lifecycle instants per campaign. Exits 1 if any checker fails or
-/// the Cloud-OLTP campaign did not force at least one failover and one
-/// read-repair. With `--bench-subset`, runs shortened campaigns (the
-/// fast per-PR tier).
-fn chaos_pass(args: &Args) {
+/// given seed) and one Chrome trace of lifecycle instants per campaign.
+/// Fails if any checker fails or the Cloud-OLTP campaign did not force
+/// at least one failover and one read-repair. With `--bench-subset`,
+/// runs shortened campaigns (the fast per-PR tier).
+fn chaos_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_chaos::{oltp_campaign, serving_campaign, wordcount_campaign, OltpCampaignConfig};
 
-    let seed = args.chaos_seed.expect("chaos_pass called without --chaos");
-    let dir = args.chaos_dir.as_ref().expect("--chaos always parses its directory");
+    let seed = args.seed("--chaos").expect("the chaos row runs only with a seed");
+    let dir = args.path("--chaos").expect("the chaos row runs only with a directory");
     section(&format!("Chaos campaigns — seed {seed}"));
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
 
-    let short = args.bench_subset.is_some();
+    let short = args.has("--bench-subset");
     let (oltp_config, rounds) = if short {
         eprintln!("subset tier: shortened campaigns");
         (OltpCampaignConfig::short(), 2)
@@ -1313,29 +1341,12 @@ fn chaos_pass(args: &Args) {
         (OltpCampaignConfig::default(), 3)
     };
 
-    // Injected task panics are the campaign's business (the engine
-    // catches and retries them); keep their backtraces off the console.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if !msg.starts_with("injected fault:") {
-            default_hook(info);
-        }
-    }));
-
     let scratch = dir.join("cluster-scratch");
     let _ = std::fs::remove_dir_all(&scratch);
-    let oltp = oltp_campaign(seed, &scratch, oltp_config)
-        .unwrap_or_else(|e| die(&format!("cloud-oltp campaign: {e}")));
+    let oltp = oltp_campaign(seed, &scratch, oltp_config).map_err(io_err("cloud-oltp campaign"))?;
     std::fs::remove_dir_all(&scratch).ok();
     let wordcount = wordcount_campaign(seed, rounds);
     let serving = serving_campaign(seed, rounds);
-    let _ = std::panic::take_hook();
     let reports = [&oltp, &wordcount, &serving];
 
     let mut t = TextTable::new(&["campaign", "checker", "verdict", "details"]);
@@ -1352,17 +1363,17 @@ fn chaos_pass(args: &Args) {
 
     for r in reports {
         let stem = bdb_telemetry::file_stem(r.campaign);
-        let path = dir.join(format!("{stem}.chaos.trace.json"));
-        std::fs::write(&path, bdb_telemetry::chrome_trace_json(r.campaign, &r.spans, None))
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
+        out.push(Artifact::new(
+            dir.join(format!("{stem}.chaos.trace.json")),
+            bdb_telemetry::chrome_trace_json(r.campaign, &r.spans, None),
+        ));
     }
 
     // The combined machine-readable report: byte-deterministic, so two
     // runs of the same seed diff clean.
-    let mut out = String::new();
+    let mut report = String::new();
     {
-        let mut o = ObjectWriter::new(&mut out);
+        let mut o = ObjectWriter::new(&mut report);
         o.field_str("schema", "bdb-chaos-run-v1").field_u64("seed", seed);
         o.field_u64("campaigns_run", reports.len() as u64);
         let buf = o.field_raw("campaigns");
@@ -1376,31 +1387,29 @@ fn chaos_pass(args: &Args) {
         buf.push(']');
         o.finish();
     }
-    out.push('\n');
+    report.push('\n');
     let path = dir.join("chaos_report.json");
-    std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-    eprintln!("wrote {}", path.display());
+    out.push(Artifact::new(path.clone(), report));
 
     // In-binary acceptance: the Cloud-OLTP campaign must actually have
     // exercised the recovery machinery, not merely avoided breaking.
     if oltp.stat("failovers").unwrap_or(0) < 1 || oltp.stat("read_repairs").unwrap_or(0) < 1 {
-        eprintln!(
+        return gate(format!(
             "chaos FAIL: cloud-oltp forced {} failover(s) and {} read-repair(s); need >= 1 of each",
             oltp.stat("failovers").unwrap_or(0),
             oltp.stat("read_repairs").unwrap_or(0)
-        );
-        std::process::exit(1);
+        ));
     }
     if failed {
-        eprintln!("chaos FAIL: an invariant checker failed (see FAIL rows above)");
-        std::process::exit(1);
+        return gate("chaos FAIL: an invariant checker failed (see FAIL rows above)");
     }
     println!(
         "chaos PASS: {} campaigns, {} checkers, report {}",
         reports.len(),
         reports.iter().map(|r| r.checkers.len()).sum::<usize>(),
-        dir.join("chaos_report.json").display()
+        path.display()
     );
+    Ok(())
 }
 
 /// Embedded time-series pass: the cluster and the serving tier run
@@ -1427,12 +1436,11 @@ fn chaos_pass(args: &Args) {
 /// Writes `DIR/tsdb_snapshot.bin` (byte-deterministic for a seed —
 /// the snapshot of a reloaded snapshot is gated to be identical),
 /// `node-<n>.dash.txt` + `serving.dash.txt` sparkline dashboards, and
-/// `timeline.txt`. Exits 1 on any gate. With `--bench-subset`, the
+/// `timeline.txt`. Fails on any gate. With `--bench-subset`, the
 /// scrape is shortened (the fast per-PR tier).
-fn tsdb_pass(args: &Args) {
-    use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline};
+fn tsdb_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
+    use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline, SteadyThenOverload};
     use bdb_serving::queue::RequestOutcome;
-    use bdb_serving::{QueuePolicy, QueueSim};
     use bdb_telemetry::MetricsRegistry;
     use bdb_tsdb::{
         histogram_quantile, reconstruct_writes, render_node_dashboard, render_timeline,
@@ -1447,11 +1455,9 @@ fn tsdb_pass(args: &Args) {
     const DASH_WIDTH: usize = 40;
 
     section("TSDB — time-series store + cluster-wide tracing");
-    let dir = args.tsdb_dir.as_ref().expect("tsdb_pass called without --tsdb");
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
+    let dir = args.path("--tsdb").expect("the tsdb row runs only with a directory");
 
-    let short = args.bench_subset.is_some();
+    let short = args.has("--bench-subset");
     let (writes, steady, overload) = if short {
         eprintln!("subset tier: shortened scrape");
         (24u64, Duration::from_secs(8), Duration::from_secs(4))
@@ -1470,7 +1476,7 @@ fn tsdb_pass(args: &Args) {
         .build();
     let mut cluster =
         bdb_cluster::Cluster::open(&scratch, bdb_cluster::ClusterConfig::default(), plan)
-            .unwrap_or_else(|e| die(&format!("opening cluster: {e}")));
+            .map_err(io_err("opening cluster"))?;
     let mut scraper = Scraper::new();
     let node_names: Vec<String> = (0..NODES).map(|n| n.to_string()).collect();
     for (n, name) in node_names.iter().enumerate() {
@@ -1490,29 +1496,32 @@ fn tsdb_pass(args: &Args) {
         if i == 2 * writes / 3 {
             for n in 0..NODES {
                 if !cluster.alive(n) {
-                    cluster
-                        .rejoin_node(n)
-                        .unwrap_or_else(|e| die(&format!("rejoining node {n}: {e}")));
+                    cluster.rejoin_node(n).map_err(io_err(format!("rejoining node {n}")))?;
                 }
             }
         }
         let value = format!("v{i}-t{t_us}").into_bytes();
         cluster
             .put_traced(&key, &value, derive_trace_id(TSDB_SEED, salt, i))
-            .unwrap_or_else(|e| die(&format!("traced write {i}: {e}")));
+            .map_err(io_err(format!("traced write {i}")))?;
         scraper.scrape_at(&mut db, t_us);
     }
-    cluster.reconcile_all().unwrap_or_else(|e| die(&format!("final repair: {e}")));
+    cluster.reconcile_all().map_err(io_err("final repair"))?;
     scraper.scrape_at(&mut db, t_us + STEP_US);
 
     let spans = cluster.take_trace_spans();
     let chains = reconstruct_writes(&spans);
     if chains.len() != writes as usize {
-        die(&format!("tsdb: {} of {writes} traced writes left a span chain", chains.len()));
+        return gate(format!(
+            "tsdb FAIL: {} of {writes} traced writes left a span chain",
+            chains.len()
+        ));
     }
     let incomplete = chains.iter().filter(|c| !c.complete).count();
     if incomplete > 0 {
-        die(&format!("tsdb: {incomplete} of {writes} span chains are causally incomplete"));
+        return gate(format!(
+            "tsdb FAIL: {incomplete} of {writes} span chains are causally incomplete"
+        ));
     }
     let events: Vec<TimelineEvent> = cluster
         .take_events()
@@ -1525,7 +1534,7 @@ fn tsdb_pass(args: &Args) {
         })
         .collect();
     if !events.iter().any(|e| e.kind == "failover") {
-        die("tsdb: the cluster run forced no failover; the timeline would be empty of interest");
+        return gate("tsdb FAIL: the cluster run forced no failover");
     }
     std::fs::remove_dir_all(&scratch).ok();
 
@@ -1534,7 +1543,7 @@ fn tsdb_pass(args: &Args) {
     // histogram (as expanded _bucket/_count/_sum series).
     for required in ["cluster.replication_lag_bytes", "cluster.quorum_ack_us_count"] {
         if select(&db, required, &[], 0, u64::MAX).is_empty() {
-            die(&format!("tsdb: required series {required} was never scraped"));
+            return gate(format!("tsdb FAIL: required series {required} was never scraped"));
         }
     }
 
@@ -1542,18 +1551,13 @@ fn tsdb_pass(args: &Args) {
     let svc_seed = TSDB_SEED ^ phase_salt("NutchServer");
     let model = bdb_serving::search::SearchServer::build(200, TSDB_SEED).service_model();
     let times = model.sample_times(2048, svc_seed);
-    let steady_run = QueueSim::new(4).run(400.0, steady, &times, svc_seed);
-    let policy =
-        QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-    let overload_run =
-        QueueSim::new(4).with_policy(policy).run(3200.0, overload, &times, svc_seed ^ 0xBEEF);
+    let load = SteadyThenOverload::run(&times, (400.0, steady), (3200.0, overload), svc_seed);
 
     let obs_config = ObsConfig::default_for(THRESHOLD, svc_seed);
     let (spec, rules, window_us) =
         (obs_config.spec.clone(), obs_config.rules.clone(), obs_config.window.as_micros() as u64);
     let mut pipe = ObsPipeline::new("NutchServer", obs_config);
-    pipe.ingest_phase("steady", 0, &steady_run.records, &model);
-    pipe.ingest_phase("overload", steady.as_nanos() as u64, &overload_run.records, &model);
+    load.ingest(&mut pipe, &model);
     let obs = pipe.finish();
 
     // Replay the same terminal events into a registry, scraping on
@@ -1565,7 +1569,7 @@ fn tsdb_pass(args: &Args) {
     // (t_ns, bad, completed latency µs) per terminal event.
     let mut terminal: Vec<(u64, bool, Option<u64>)> = Vec::new();
     for (offset_ns, records) in
-        [(0u64, &steady_run.records), (steady.as_nanos() as u64, &overload_run.records)]
+        [(0, &load.steady.records), (load.overload_at_ns, &load.overload.records)]
     {
         for r in records {
             let (t, bad, latency_us) = match r.outcome {
@@ -1616,12 +1620,12 @@ fn tsdb_pass(args: &Args) {
     // within one log bucket.
     let matchers = [("workload", "NutchServer")];
     let stored_p99 = histogram_quantile(&db, "serving.request_us", &matchers, 0.99, horizon_us)
-        .unwrap_or_else(|| die("tsdb: stored serving histogram is empty"));
+        .ok_or_else(|| Failure::Gate("tsdb FAIL: stored serving histogram is empty".into()))?;
     let live_p99 = obs.whole.percentile(0.99).as_micros() as u64;
     let (si, li) = (bdb_telemetry::bucket_index(stored_p99), bdb_telemetry::bucket_index(live_p99));
     if si.abs_diff(li) > 1 {
-        die(&format!(
-            "tsdb: stored p99 ({stored_p99}us) disagrees with the live window ring \
+        return gate(format!(
+            "tsdb FAIL: stored p99 ({stored_p99}us) disagrees with the live window ring \
              ({live_p99}us) by more than one histogram bucket"
         ));
     }
@@ -1645,8 +1649,8 @@ fn tsdb_pass(args: &Args) {
             r.rule != l.rule || r.window_index != l.window_index || r.at_ns != l.at_ns
         })
     {
-        die(&format!(
-            "tsdb: recording-rule replay fired {:?}, the live engine fired {:?}",
+        return gate(format!(
+            "tsdb FAIL: recording-rule replay fired {:?}, the live engine fired {:?}",
             replayed.iter().map(|a| (&a.rule, a.window_index)).collect::<Vec<_>>(),
             obs.alerts.iter().map(|a| (&a.rule, a.window_index)).collect::<Vec<_>>(),
         ));
@@ -1656,19 +1660,12 @@ fn tsdb_pass(args: &Args) {
     // and snapshotting again must reproduce the bytes exactly.
     let bytes = db.snapshot_bytes();
     let reloaded = Tsdb::from_snapshot_bytes(&bytes, TsdbConfig::default())
-        .unwrap_or_else(|e| die(&format!("tsdb: snapshot does not reload: {e}")));
+        .map_err(|e| Failure::Gate(format!("tsdb FAIL: snapshot does not reload: {e}")))?;
     if reloaded.snapshot_bytes() != bytes {
-        die("tsdb: snapshot round-trip is not byte-identical");
+        return gate("tsdb FAIL: snapshot round-trip is not byte-identical");
     }
-    let snap_path = dir.join("tsdb_snapshot.bin");
-    std::fs::write(&snap_path, &bytes)
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", snap_path.display())));
-    eprintln!(
-        "wrote {} ({} series, {} bytes)",
-        snap_path.display(),
-        db.series_count(),
-        bytes.len()
-    );
+    let bytes_len = bytes.len();
+    out.push(Artifact::new(dir.join("tsdb_snapshot.bin"), bytes));
 
     for node in node_names.iter().map(String::as_str).chain(["serving"]) {
         let path = dir.join(if node == "serving" {
@@ -1676,56 +1673,51 @@ fn tsdb_pass(args: &Args) {
         } else {
             format!("node-{node}.dash.txt")
         });
-        std::fs::write(&path, render_node_dashboard(&db, node, DASH_WIDTH))
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
+        out.push(Artifact::new(path, render_node_dashboard(&db, node, DASH_WIDTH)));
     }
-    let timeline_path = dir.join("timeline.txt");
-    std::fs::write(&timeline_path, render_timeline(&events, &chains))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", timeline_path.display())));
-    eprintln!("wrote {}", timeline_path.display());
+    out.push(Artifact::new(dir.join("timeline.txt"), render_timeline(&events, &chains)));
 
     let acked = chains.iter().filter(|c| c.acked).count();
     let scrapes = series_of("serving.requests_total").len();
     println!(
-        "tsdb pass PASS: {} series, {scrapes} serving scrapes, {}/{writes} chains acked, \
-         stored p99 {stored_p99}us vs live {live_p99}us, {} alert(s) replayed exactly",
+        "tsdb pass PASS: {} series in {bytes_len} bytes, {scrapes} serving scrapes, \
+         {acked}/{writes} chains acked, stored p99 {stored_p99}us vs live {live_p99}us, \
+         {} alert(s) replayed exactly",
         db.series_count(),
-        acked,
         replayed.len(),
     );
+    Ok(())
 }
 
 /// Resolves the representative subset committed in a `charmap.json`
 /// into workload ids, preserving the artifact's (sorted) order.
-fn load_subset(path: &std::path::Path) -> (Vec<String>, Vec<WorkloadId>) {
+fn load_subset(path: &Path) -> Result<(Vec<String>, Vec<WorkloadId>), Failure> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("reading subset {}: {e}", path.display())));
-    let baseline = bdb_charmap::report::Baseline::parse(&text)
-        .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        .map_err(io_err(format!("reading subset {}", path.display())))?;
+    let baseline = bdb_charmap::report::Baseline::parse(&text).map_err(io_err(path.display()))?;
     let ids = baseline
         .subset
         .iter()
         .map(|name| {
-            WorkloadId::ALL
-                .iter()
-                .copied()
-                .find(|id| id.name() == name)
-                .unwrap_or_else(|| die(&format!("subset names unknown workload {name:?}")))
+            WorkloadId::ALL.iter().copied().find(|id| id.name() == name).ok_or_else(|| {
+                Failure::Io(format!("{}: subset names unknown workload {name:?}", path.display()))
+            })
         })
-        .collect();
-    (baseline.subset, ids)
+        .collect::<Result<_, _>>()?;
+    Ok((baseline.subset, ids))
 }
 
 /// Collects the BENCH_RESULTS.json artifact and, when a baseline is
-/// given, gates the run on it (exit 1 on drift beyond tolerance).
+/// given, gates the run on it (drift beyond [`TOLERANCE_PCT`] fails).
 /// With `--bench-subset`, only the representative workloads from the
 /// committed charmap are run and gated — the fast per-PR tier.
-fn bench_results(args: &Args) {
-    use bdb_bench::results::{collect, compare_json, compare_json_subset, DEFAULT_WORKLOADS};
+fn bench_results(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
+    use bdb_bench::results::{
+        collect, compare_json, compare_json_subset, DEFAULT_WORKLOADS, TOLERANCE_PCT,
+    };
 
     section("BENCH_RESULTS — simulated performance artifact");
-    let subset = args.bench_subset.as_deref().map(load_subset);
+    let subset = args.path("--bench-subset").map(load_subset).transpose()?;
     let ids: Vec<WorkloadId> = match &subset {
         Some((names, ids)) => {
             eprintln!("representative subset: {}", names.join(", "));
@@ -1733,8 +1725,8 @@ fn bench_results(args: &Args) {
         }
         None => DEFAULT_WORKLOADS.to_vec(),
     };
-    eprintln!("collecting {} workloads at fraction {}...", ids.len(), args.fraction);
-    let results = collect(args.fraction, &ids);
+    eprintln!("collecting {} workloads at fraction {}...", ids.len(), args.fraction());
+    let results = collect(args.fraction(), &ids);
     let current = results.to_json();
     let mut t = TextTable::new(&["workload", "metric", "MIPS", "L1I", "L2", "L3 MPKI", "phases"]);
     for w in &results.workloads {
@@ -1750,45 +1742,32 @@ fn bench_results(args: &Args) {
     }
     println!("{}", t.render());
 
-    if let Some(path) = &args.bench_json {
-        match results.write(path) {
-            Ok(()) => eprintln!("  wrote {}", path.display()),
-            Err(e) => die(&format!("writing {}: {e}", path.display())),
-        }
+    if let Some(path) = args.path("--bench-json") {
+        out.push(Artifact::new(path.to_owned(), current.clone()));
     }
-    if let Some(path) = &args.bench_baseline {
+    if let Some(path) = args.path("--bench-baseline") {
         let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("reading baseline {}: {e}", path.display())));
-        let compared = match &subset {
-            Some((names, _)) => {
-                compare_json_subset(&baseline, &current, args.bench_tolerance, names)
-            }
-            None => compare_json(&baseline, &current, args.bench_tolerance),
-        };
-        match compared {
-            Ok(drifts) if drifts.is_empty() => {
-                println!(
-                    "bench-check PASS: all gated metrics within {}% of {}{}",
-                    args.bench_tolerance,
-                    path.display(),
-                    if subset.is_some() { " (representative subset)" } else { "" }
-                );
-            }
-            Ok(drifts) => {
-                eprintln!(
-                    "bench-check FAIL: {} metric(s) drifted beyond {}% of {}:",
-                    drifts.len(),
-                    args.bench_tolerance,
-                    path.display()
-                );
-                for d in &drifts {
-                    eprintln!("  {d}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => die(&format!("bench-check: {e}")),
+            .map_err(io_err(format!("reading baseline {}", path.display())))?;
+        let drifts = match &subset {
+            Some((names, _)) => compare_json_subset(&baseline, &current, TOLERANCE_PCT, names),
+            None => compare_json(&baseline, &current, TOLERANCE_PCT),
         }
+        .map_err(io_err("bench-check"))?;
+        if !drifts.is_empty() {
+            let listed: String = drifts.iter().map(|d| format!("\n  {d}")).collect();
+            return gate(format!(
+                "bench-check FAIL: {} metric(s) drifted beyond {TOLERANCE_PCT}% of {}:{listed}",
+                drifts.len(),
+                path.display()
+            ));
+        }
+        println!(
+            "bench-check PASS: all gated metrics within {TOLERANCE_PCT}% of {}{}",
+            path.display(),
+            if subset.is_some() { " (representative subset)" } else { "" }
+        );
     }
+    Ok(())
 }
 
 /// Workload characterization pass: metric vectors over the default
@@ -1800,26 +1779,30 @@ fn bench_results(args: &Args) {
 /// * the retained components must cover the variance target;
 /// * the subset must be non-empty and smaller than the full set;
 /// * with `--charmap-baseline`, the fresh map must satisfy the subset
-///   stability rule against the committed artifact (exit 1 otherwise).
-fn charmap_pass(args: &Args) {
+///   stability rule against the committed artifact.
+fn charmap_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_bench::results::DEFAULT_WORKLOADS;
     use bdb_charmap::{analyze, validate_baseline, DEFAULT_SEED, VARIANCE_TARGET};
 
     section("Workload characterization map — PCA + clustering + subset");
     // Read the committed baseline up front so an unreadable path fails
     // before the expensive characterization pass, not after.
-    let committed = args.charmap_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("reading charmap baseline {}: {e}", path.display())));
-        (path, text)
-    });
+    let committed = match args.path("--charmap-baseline") {
+        Some(path) => Some((
+            path,
+            std::fs::read_to_string(path)
+                .map_err(io_err(format!("reading charmap baseline {}", path.display())))?,
+        )),
+        None => None,
+    };
     eprintln!(
         "characterizing {} workloads at fraction {} (seed {DEFAULT_SEED})...",
         DEFAULT_WORKLOADS.len(),
-        args.fraction
+        args.fraction()
     );
-    let input = bdb_bench::charmap::analysis_input(args.fraction, &DEFAULT_WORKLOADS);
-    let map = analyze(&input, DEFAULT_SEED).unwrap_or_else(|e| die(&format!("charmap: {e}")));
+    let input = bdb_bench::charmap::analysis_input(args.fraction(), &DEFAULT_WORKLOADS);
+    let map =
+        analyze(&input, DEFAULT_SEED).map_err(|e| Failure::Gate(format!("charmap FAIL: {e}")))?;
 
     let mut t = TextTable::new(&["cluster", "members", "representative"]);
     for (i, c) in map.clusters.iter().enumerate() {
@@ -1838,45 +1821,34 @@ fn charmap_pass(args: &Args) {
     );
 
     if map.variance_retained < VARIANCE_TARGET {
-        die(&format!(
-            "charmap retains only {:.2}% variance (target {:.0}%)",
+        return gate(format!(
+            "charmap FAIL: retains only {:.2}% variance (target {:.0}%)",
             map.variance_retained * 100.0,
             VARIANCE_TARGET * 100.0
         ));
     }
     if map.subset.is_empty() || map.subset.len() >= map.workloads.len() {
-        die(&format!(
-            "charmap subset degenerate: {} representatives for {} workloads",
+        return gate(format!(
+            "charmap FAIL: subset degenerate: {} representatives for {} workloads",
             map.subset.len(),
             map.workloads.len()
         ));
     }
 
-    if let Some(dir) = &args.charmap_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("creating {}: {e}", dir.display()));
-        }
-        for (name, body) in [("charmap.txt", map.to_text()), ("charmap.json", map.to_json())] {
-            let path = dir.join(name);
-            match std::fs::write(&path, body) {
-                Ok(()) => eprintln!("  wrote {}", path.display()),
-                Err(e) => die(&format!("writing {}: {e}", path.display())),
-            }
-        }
+    if let Some(dir) = args.path("--charmap") {
+        out.push(Artifact::new(dir.join("charmap.txt"), map.to_text()));
+        out.push(Artifact::new(dir.join("charmap.json"), map.to_json()));
     }
 
     if let Some((path, committed)) = &committed {
-        match validate_baseline(&map, committed) {
-            Ok(()) => println!(
-                "charmap-check PASS: subset stable against {} (k = {}, subset: {})",
-                path.display(),
-                map.k,
-                map.subset.join(", ")
-            ),
-            Err(e) => {
-                eprintln!("charmap-check FAIL: {e}");
-                std::process::exit(1);
-            }
-        }
+        validate_baseline(&map, committed)
+            .map_err(|e| Failure::Gate(format!("charmap-check FAIL: {e}")))?;
+        println!(
+            "charmap-check PASS: subset stable against {} (k = {}, subset: {})",
+            path.display(),
+            map.k,
+            map.subset.join(", ")
+        );
     }
+    Ok(())
 }

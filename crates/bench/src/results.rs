@@ -14,7 +14,6 @@
 
 use bdb_telemetry::json::{self, Json, ObjectWriter};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
-use std::path::Path;
 use std::time::Instant;
 
 /// Bumped whenever the JSON layout changes incompatibly; the
@@ -193,20 +192,6 @@ impl BenchResults {
         out.push('\n');
         out
     }
-
-    /// Writes [`BenchResults::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
 }
 
 fn write_workload(out: &mut String, w: &WorkloadResult) {
@@ -308,6 +293,10 @@ fn require_f64(v: &Json, workload: &str, path: &str) -> Result<f64, String> {
     }
     node.as_f64().ok_or_else(|| format!("workload {workload}: field {path} is not a number"))
 }
+
+/// The drift `reproduce --bench-baseline` allows per gated metric, in
+/// percent.
+pub const TOLERANCE_PCT: f64 = 2.0;
 
 /// Diffs two artifacts, returning every gated metric whose relative
 /// change exceeds `tolerance_pct` in either direction.

@@ -1,7 +1,9 @@
 //! CLI contract tests for the `reproduce` binary: unknown arguments
-//! and missing values must print usage and exit 2; `--help` must
-//! document every flag, including the bench-artifact ones.
+//! and missing values must print usage and exit 2, a failed gate exits
+//! 1; `--help` must document every flag, including the bench-artifact
+//! ones.
 
+use std::path::Path;
 use std::process::Command;
 
 fn reproduce() -> Command {
@@ -49,8 +51,6 @@ fn flag_missing_its_value_is_a_usage_error() {
 #[test]
 fn bad_numeric_values_are_usage_errors() {
     let out = reproduce().args(["--fraction", "nope"]).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = reproduce().args(["--bench-tolerance", "-3"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
 }
 
@@ -102,7 +102,6 @@ fn help_documents_the_bench_flags() {
     for flag in [
         "--bench-json",
         "--bench-baseline",
-        "--bench-tolerance",
         "--bench-subset",
         "--charmap",
         "--charmap-baseline",
@@ -227,4 +226,34 @@ fn tsdb_pass_is_byte_deterministic_and_writes_all_artifacts() {
     // The snapshot header is part of the contract.
     assert_eq!(&sa[..8], b"BDBTSDB1");
     let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn bench_drift_beyond_tolerance_is_a_gate_failure_exit_1() {
+    // A copy of the committed baseline with one representative
+    // workload's MIPS scaled by 1.5: the subset gate must reject it.
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RESULTS.json"))
+            .expect("committed baseline");
+    let row = committed.find("{\"name\":\"Join Query\"").expect("Join Query is in the subset");
+    let start = row + committed[row..].find("\"mips\":").expect("mips field") + "\"mips\":".len();
+    let end = start + committed[start..].find(',').expect("more fields follow");
+    let mips: f64 = committed[start..end].parse().expect("mips is a number");
+    let drifted = format!("{}{}{}", &committed[..start], mips * 1.5, &committed[end..]);
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("drifted-bench-results-{}.json", std::process::id()));
+    std::fs::write(&path, drifted).expect("scratch baseline written");
+
+    let out = reproduce()
+        .args(["--fraction", "0.02", "--bench-subset"])
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/../../charmap.json"))
+        .arg("--bench-baseline")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bench-check FAIL"), "{stderr}");
+    assert!(stderr.contains("Join Query"), "the drifted workload is named: {stderr}");
 }

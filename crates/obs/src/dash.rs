@@ -92,8 +92,8 @@ pub fn render(obs: &ServiceObservation) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ObsConfig, ObsPipeline};
-    use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
+    use crate::{ObsConfig, ObsPipeline, SteadyThenOverload};
+    use bdb_serving::ServiceTimeModel;
     use std::time::Duration;
 
     #[test]
@@ -106,19 +106,15 @@ mod tests {
             store_share: (0.4, 0.6),
         };
         let times = m.sample_times(512, 4);
-        let steady = QueueSim::new(4).run(300.0, Duration::from_secs(8), &times, 4);
-        let policy =
-            QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-        let overload = QueueSim::new(4).with_policy(policy).run(
-            2600.0,
-            Duration::from_secs(8),
+        let load = SteadyThenOverload::run(
             &times,
-            4 ^ 0xBEEF,
+            (300.0, Duration::from_secs(8)),
+            (2600.0, Duration::from_secs(8)),
+            4,
         );
         let mut pipe =
             ObsPipeline::new("Nutch Server", ObsConfig::default_for(Duration::from_millis(50), 4));
-        pipe.ingest_phase("steady", 0, &steady.records, &m);
-        pipe.ingest_phase("overload", 8_000_000_000, &overload.records, &m);
+        load.ingest(&mut pipe, &m);
         let obs = pipe.finish();
         let text = super::render(&obs);
         assert!(text.contains("== Nutch Server · SLO dashboard =="));

@@ -66,8 +66,8 @@ pub use context::{derive_trace_id, phase_salt, SampleDecision, SamplingPolicy};
 pub use slo::{AlertEvent, BudgetStatus, BurnRateRule, Severity, SloEngine, SloSpec};
 pub use window::{ReqEvent, WindowRing, WindowStats};
 
-use bdb_serving::queue::{RequestOutcome, RequestRecord};
-use bdb_serving::ServiceTimeModel;
+use bdb_serving::queue::{QueueResult, RequestOutcome, RequestRecord};
+use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
 use bdb_telemetry::{ArgValue, CounterTrack, LatencyHistogram, SpanEvent};
 use std::time::Duration;
 
@@ -413,10 +413,55 @@ impl ObsPipeline {
     }
 }
 
+/// A steady phase followed by a shaped overload on one virtual
+/// timeline: the load under which the burn-rate alerts must first stay
+/// quiet and then fire. Both phases run on four workers; the overload
+/// runs behind a 64-deep queue with an 80 ms deadline and is seeded
+/// with `seed ^ 0xBEEF`, so its arrivals differ from the steady ones.
+#[derive(Debug, Clone)]
+pub struct SteadyThenOverload {
+    /// The steady phase, starting at time zero.
+    pub steady: QueueResult,
+    /// The overload phase, starting where the steady phase ends.
+    pub overload: QueueResult,
+    /// Virtual time at which the overload starts.
+    pub overload_at_ns: u64,
+}
+
+impl SteadyThenOverload {
+    /// Simulates `steady` then `overload`, each an offered rate in
+    /// requests per second and a horizon, drawing service times
+    /// round-robin from `times`.
+    pub fn run(
+        times: &[Duration],
+        steady: (f64, Duration),
+        overload: (f64, Duration),
+        seed: u64,
+    ) -> Self {
+        let policy =
+            QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
+        Self {
+            steady: QueueSim::new(4).run(steady.0, steady.1, times, seed),
+            overload: QueueSim::new(4).with_policy(policy).run(
+                overload.0,
+                overload.1,
+                times,
+                seed ^ 0xBEEF,
+            ),
+            overload_at_ns: steady.1.as_nanos() as u64,
+        }
+    }
+
+    /// Feeds both phases into `pipe` as `steady` and `overload`.
+    pub fn ingest(&self, pipe: &mut ObsPipeline, model: &ServiceTimeModel) {
+        pipe.ingest_phase("steady", 0, &self.steady.records, model);
+        pipe.ingest_phase("overload", self.overload_at_ns, &self.overload.records, model);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdb_serving::{QueuePolicy, QueueSim};
 
     fn model() -> ServiceTimeModel {
         ServiceTimeModel {
@@ -458,18 +503,14 @@ mod tests {
         let run = |seed: u64| {
             let m = model();
             let times = m.sample_times(1024, seed);
-            let steady = QueueSim::new(4).run(300.0, Duration::from_secs(10), &times, seed);
-            let policy =
-                QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-            let overload = QueueSim::new(4).with_policy(policy).run(
-                2600.0,
-                Duration::from_secs(8),
+            let load = SteadyThenOverload::run(
                 &times,
-                seed ^ 0xBEEF,
+                (300.0, Duration::from_secs(10)),
+                (2600.0, Duration::from_secs(8)),
+                seed,
             );
             let mut pipe = ObsPipeline::new("svc", config(seed));
-            pipe.ingest_phase("steady", 0, &steady.records, &m);
-            pipe.ingest_phase("overload", 10_000_000_000, &overload.records, &m);
+            load.ingest(&mut pipe, &m);
             pipe.finish()
         };
         let a = run(5);
