@@ -6,10 +6,12 @@
 #   ./ci.sh --subset       # fast perf tier: gate only the representative
 #                          # workload subset from charmap.json
 #
-# Every `reproduce` pass gate (faults smoke, profile, charmap, SLO,
+# Every `reproduce` pass gate (profile, charmap, SLO,
 # BENCH_RESULTS.json drift, chaos seeds, tsdb) is a row of
 # crates/bench/tests/passes.rs, so `cargo test --workspace` runs them
-# all, byte-diffing two runs of each seed-fixed pass.
+# all, byte-diffing two runs of each seed-fixed pass. Fault recovery
+# is crates/mapreduce/tests/faults.rs, in the same run and in the
+# concurrency loop below; wall-clock numbers come from wallbench.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the BigDataBench paper's
 //! evaluation section, and runs the suite's artifact passes: telemetry
 //! traces and profiles, the BENCH_RESULTS.json performance artifact, the
-//! workload characterization map, the fault-injection smoke, and the SLO,
-//! chaos and time-series passes.
+//! workload characterization map, and the SLO, chaos and time-series
+//! passes.
 //!
 //! Every flag is a row of [`PASSES`]; `reproduce --help` prints the usage
 //! generated from it. Exit status: 0 on success, 1 when a pass's gate
@@ -112,12 +112,6 @@ const PASSES: &[Pass] = &[
         artifacts: &["charmap.txt", "charmap.json"],
         seed_fixed: true,
         run: Some(charmap_pass),
-    },
-    Pass {
-        flags: &[("--faults SEED", "WordCount under injected faults must match a clean run")],
-        artifacts: &[],
-        seed_fixed: false,
-        run: Some(faults_smoke),
     },
     Pass {
         flags: &[(
@@ -377,8 +371,8 @@ fn run_selected() -> Result<(), Failure> {
 }
 
 /// Keeps injected-fault panics off the console: the engine catches and
-/// retries them, and the faults smoke and chaos campaigns inject them on
-/// purpose. Every other panic reaches the default hook.
+/// retries them, and the chaos campaigns inject them on purpose. Every
+/// other panic reaches the default hook.
 fn quiet_injected_panics() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -1046,86 +1040,6 @@ fn paper_sections(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         println!("{}", t.render());
         println!("{pass}/{} shape checks passed", checks.len());
     }
-    Ok(())
-}
-
-/// Fault-injection smoke pass: the Hadoop recovery story end to end.
-/// WordCount with an injected spill-write error, a map-task panic and
-/// an artificial straggler must finish with output byte-identical to
-/// the fault-free run, recovering via retries and speculation. Fails if
-/// any recovery mechanism did not engage.
-fn faults_smoke(args: &Args, _out: &mut Vec<Artifact>) -> Result<(), Failure> {
-    use bdb_faults::FaultPlan;
-    use bdb_mapreduce::{sites, Engine};
-    use bdb_telemetry::MetricsRegistry;
-    use std::time::Duration;
-
-    let seed = args.seed("--faults").expect("the faults row runs only with a seed");
-    section(&format!("Fault-injection smoke — seed {seed}"));
-    let mut text = bdb_datagen::text::TextGenerator::wikipedia(seed);
-    let input: Vec<String> = text.corpus(96 << 10).lines().map(str::to_owned).collect();
-
-    // Spill-heavy engine shape: four map tasks so the straggler can be
-    // speculated, a tiny sort buffer so the spill path runs.
-    let build = |faults: FaultPlan| {
-        Engine::builder().threads(4).reducers(3).map_buffer_bytes(1024).faults(faults).build()
-    };
-    let (clean, clean_stats) = build(FaultPlan::disabled()).run(&TraceWordCount, &input);
-    if clean_stats.spills == 0 {
-        return gate("faults smoke FAIL: the fault-free run never spilled");
-    }
-
-    let metrics = MetricsRegistry::new();
-    // The first straggle check always belongs to a first attempt; a
-    // retried attempt is never speculated.
-    let plan = FaultPlan::builder(seed)
-        .io_error_nth(sites::SPILL_WRITE, 0)
-        .panic_nth(sites::MAP_TASK, 1)
-        .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(400))
-        .metrics(metrics.clone())
-        .build();
-    let (faulty, stats) = build(plan.clone()).run(&TraceWordCount, &input);
-
-    let mut t = TextTable::new(&["check", "expectation", "measured", "verdict"]);
-    let mut failed = false;
-    let mut check = |name: &str, want: &str, got: String, pass: bool| {
-        failed |= !pass;
-        t.row(&[name, want, &got, if pass { "PASS" } else { "FAIL" }]);
-    };
-    check(
-        "output",
-        "byte-identical to fault-free run",
-        format!("{} keys", faulty.len()),
-        faulty == clean,
-    );
-    check("injected", ">= 3 (spill error, panic, straggler)", plan.injected().to_string(), {
-        plan.injected() >= 3
-    });
-    check("recovered", ">= 2", plan.recovered().to_string(), plan.recovered() >= 2);
-    check("map retries", ">= 2", stats.map_retries.to_string(), stats.map_retries >= 2);
-    check(
-        "speculative wins",
-        ">= 1",
-        format!("{} of {} launched", stats.speculative_wins, stats.speculative_tasks),
-        stats.speculative_wins >= 1,
-    );
-    check(
-        "retry backoff",
-        "> 0 (virtual time)",
-        format!("{:?}", stats.retry_backoff),
-        stats.retry_backoff > Duration::ZERO,
-    );
-    println!("{}", t.render());
-    for site in [sites::SPILL_WRITE, sites::MAP_TASK, sites::MAP_STRAGGLER] {
-        println!(
-            "  fault.injected.{site} = {}",
-            metrics.counter(&format!("fault.injected.{site}")).get()
-        );
-    }
-    if failed {
-        return gate("faults smoke FAIL: a recovery mechanism did not engage (see FAIL rows)");
-    }
-    println!("\nfaults smoke PASS: all injected faults recovered, output unchanged");
     Ok(())
 }
 

@@ -2,10 +2,10 @@
 //! benchmark harness.
 //!
 //! The `reproduce` binary (see `src/bin/reproduce.rs`) regenerates every
-//! table and figure of the paper's evaluation; the Criterion benches
-//! under `benches/` measure substrate performance. This library holds
-//! the text-table formatter and the paper's reference values used for
-//! side-by-side reporting.
+//! table and figure of the paper's evaluation; wall-clock performance
+//! of the native engines is measured by `wallbench/` at the repository
+//! root. This library holds the text-table formatter and the paper's
+//! reference values used for side-by-side reporting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,13 +42,6 @@ fn rows() -> Vec<Row> {
         check: |_| {},
     };
     vec![
-        Row {
-            args: &["--faults", "42"],
-            artifacts: Vec::new(),
-            seed_fixed: false,
-            pass_line: "faults smoke PASS",
-            check: |_| {},
-        },
         // The binary also gates WordCount's critical-path coverage (>= 90%).
         Row {
             args: &["--fraction", "0.1", "--profile", "DIR"],

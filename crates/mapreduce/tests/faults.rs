@@ -50,45 +50,48 @@ fn engine(faults: FaultPlan) -> Engine {
 
 #[test]
 fn wordcount_survives_spill_error_panic_and_straggler() {
-    let input = lines(400);
-    let (clean, clean_stats) = engine(FaultPlan::disabled()).run(&WordCount, &input);
-    assert!(clean_stats.spills > 0, "fixture must exercise the spill path");
-    assert_eq!(clean_stats.map_retries, 0);
+    // A synthetic fixture and real generated text.
+    let wikipedia = bdb_datagen::text::TextGenerator::wikipedia(42).corpus(96 << 10);
+    for input in [lines(400), wikipedia.lines().map(str::to_owned).collect()] {
+        let (clean, clean_stats) = engine(FaultPlan::disabled()).run(&WordCount, &input);
+        assert!(clean_stats.spills > 0, "fixture must exercise the spill path");
+        assert_eq!(clean_stats.map_retries, 0);
 
-    let fault_metrics = MetricsRegistry::new();
-    // The straggler is the first straggle check: that always belongs to
-    // a first attempt. A later check can land on a retried attempt, which
-    // the engine never speculates, when a fast failure retries before the
-    // last task starts.
-    let plan = FaultPlan::builder(42)
-        .io_error_nth(sites::SPILL_WRITE, 0)
-        .panic_nth(sites::MAP_TASK, 1)
-        .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(500))
-        .metrics(fault_metrics.clone())
-        .build();
-    let engine_metrics = MetricsRegistry::new();
-    let faulty_engine = Engine::builder()
-        .threads(4)
-        .reducers(3)
-        .map_buffer_bytes(1024)
-        .faults(plan.clone())
-        .metrics(engine_metrics.clone())
-        .build();
-    let (faulty, stats) = faulty_engine.run(&WordCount, &input);
+        let fault_metrics = MetricsRegistry::new();
+        // The straggler is the first straggle check: that always belongs
+        // to a first attempt. A later check can land on a retried
+        // attempt, which the engine never speculates, when a fast
+        // failure retries before the last task starts.
+        let plan = FaultPlan::builder(42)
+            .io_error_nth(sites::SPILL_WRITE, 0)
+            .panic_nth(sites::MAP_TASK, 1)
+            .straggle_nth(sites::MAP_STRAGGLER, 0, Duration::from_millis(500))
+            .metrics(fault_metrics.clone())
+            .build();
+        let engine_metrics = MetricsRegistry::new();
+        let faulty_engine = Engine::builder()
+            .threads(4)
+            .reducers(3)
+            .map_buffer_bytes(1024)
+            .faults(plan.clone())
+            .metrics(engine_metrics.clone())
+            .build();
+        let (faulty, stats) = faulty_engine.run(&WordCount, &input);
 
-    assert_eq!(faulty, clean, "recovered run must be byte-identical to the fault-free run");
-    assert!(stats.map_retries >= 2, "io error + panic each force a retry: {stats:?}");
-    assert!(stats.speculative_tasks >= 1, "the straggler must be speculated: {stats:?}");
-    assert!(stats.speculative_wins >= 1, "the fast copy must win: {stats:?}");
-    assert!(stats.retry_backoff > Duration::ZERO, "virtual backoff accrued");
-    assert!(plan.injected() >= 3, "all three rules fired: {}", plan.injected());
-    assert!(plan.recovered() >= 2, "retries and the speculative win recovered");
-    assert!(
-        fault_metrics.counter(&format!("fault.injected.{}", sites::SPILL_WRITE)).get() >= 1,
-        "injections counted per site"
-    );
-    assert!(engine_metrics.counter("mapreduce.map_retries").get() >= 2);
-    assert!(engine_metrics.counter("mapreduce.speculative_tasks").get() >= 1);
+        assert_eq!(faulty, clean, "recovered run must be byte-identical to the fault-free run");
+        assert!(stats.map_retries >= 2, "io error + panic each force a retry: {stats:?}");
+        assert!(stats.speculative_tasks >= 1, "the straggler must be speculated: {stats:?}");
+        assert!(stats.speculative_wins >= 1, "the fast copy must win: {stats:?}");
+        assert!(stats.retry_backoff > Duration::ZERO, "virtual backoff accrued");
+        assert!(plan.injected() >= 3, "all three rules fired: {}", plan.injected());
+        assert!(plan.recovered() >= 2, "retries and the speculative win recovered");
+        for site in [sites::SPILL_WRITE, sites::MAP_TASK, sites::MAP_STRAGGLER] {
+            let injected = fault_metrics.counter(&format!("fault.injected.{site}")).get();
+            assert!(injected >= 1, "injections counted per site: {site}");
+        }
+        assert!(engine_metrics.counter("mapreduce.map_retries").get() >= 2);
+        assert!(engine_metrics.counter("mapreduce.speculative_tasks").get() >= 1);
+    }
 }
 
 #[test]

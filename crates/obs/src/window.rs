@@ -8,7 +8,9 @@
 //! exports itself two ways: Prometheus text with exemplar trace ids on
 //! hot buckets, and [`CounterTrack`]s for the Chrome trace timeline.
 
-use bdb_telemetry::{CounterTrack, LatencyHistogram, TraceId};
+use bdb_telemetry::{
+    write_family, write_histogram, CounterTrack, LatencyHistogram, Sample, TraceId,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
@@ -264,64 +266,39 @@ impl WindowRing {
     /// buckets, and rolling-tail gauges. Validates against
     /// [`bdb_telemetry::assert_prometheus_grammar`].
     pub fn prometheus_text(&self, service: &str, rolling: usize) -> String {
-        let svc = escape_label(service);
+        let svc = [("service", service)];
         let mut out = String::new();
         let sum = |f: fn(&WindowStats) -> u64| self.closed.iter().map(f).sum::<u64>();
-        out.push_str("# TYPE obs_requests_total counter\n");
-        for (outcome, v) in [
+        let outcomes = [
             ("offered", sum(|w| w.offered)),
             ("completed", sum(|w| w.completed)),
             ("shed", sum(|w| w.shed)),
             ("timed_out", sum(|w| w.timed_out)),
-        ] {
-            out.push_str(&format!(
-                "obs_requests_total{{service=\"{svc}\",outcome=\"{outcome}\"}} {v}"
-            ));
+        ];
+        let totals = outcomes.map(|(outcome, v)| Sample {
             // Failure counters carry an exemplar: the most recent kept
             // trace of that outcome (exemplar value 1 = one request).
-            if let Some(trace) = self.failure_exemplars.get(outcome) {
-                out.push_str(&format!(" # {{trace_id=\"{}\"}} 1", trace.hex()));
-            }
-            out.push('\n');
-        }
+            exemplar: self.failure_exemplars.get(outcome).map(|&trace| (trace, 1)),
+            ..Sample::new(&[("service", service), ("outcome", outcome)], v)
+        });
+        write_family(&mut out, "obs_requests_total", "counter", None, totals);
         // `_created`-style window-start timestamp (seconds): when the
         // oldest retained window opened. Scraped alongside the
         // counters, it lets a tsdb align this ring's windows with its
         // own sample times. The grammar treats `_created` as its own
         // family, so it carries its own TYPE comment.
-        let start_s = |index: u64| (index * self.width_ns) as f64 / 1e9;
+        let start_s = |index: u64| format!("{:.3}", (index * self.width_ns) as f64 / 1e9);
         let retained_start = start_s(self.closed.front().map_or(self.current.index, |w| w.index));
-        out.push_str("# TYPE obs_requests_created gauge\n");
-        for outcome in ["offered", "completed", "shed", "timed_out"] {
-            out.push_str(&format!(
-                "obs_requests_created{{service=\"{svc}\",outcome=\"{outcome}\"}} {retained_start:.3}\n"
-            ));
-        }
+        let created = outcomes.map(|(outcome, _)| {
+            Sample::new(&[("service", service), ("outcome", outcome)], retained_start.clone())
+        });
+        write_family(&mut out, "obs_requests_created", "gauge", None, created);
         let hist = self.rolling_hist(rolling);
-        out.push_str("# TYPE obs_rolling_request_us histogram\n");
-        for (bound, cumulative) in hist.cumulative_buckets() {
-            out.push_str(&format!(
-                "obs_rolling_request_us_bucket{{service=\"{svc}\",le=\"{bound}\"}} {cumulative}"
-            ));
-            // Exemplar: the slowest sampled trace whose latency falls
-            // in this bucket, when we kept one.
-            if let Some((trace, latency_us)) = self.exemplars.get(&bound) {
-                out.push_str(&format!(" # {{trace_id=\"{}\"}} {latency_us}", trace.hex()));
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "obs_rolling_request_us_bucket{{service=\"{svc}\",le=\"+Inf\"}} {}\n",
-            hist.count()
-        ));
-        out.push_str(&format!(
-            "obs_rolling_request_us_sum{{service=\"{svc}\"}} {}\n",
-            hist.sum_micros()
-        ));
-        out.push_str(&format!(
-            "obs_rolling_request_us_count{{service=\"{svc}\"}} {}\n",
-            hist.count()
-        ));
+        // Exemplar: the slowest sampled trace whose latency falls in a
+        // bucket, when we kept one.
+        write_histogram(&mut out, "obs_rolling_request_us", None, &svc, &hist, |bound| {
+            self.exemplars.get(&bound).copied()
+        });
         // Start of the oldest window merged into the rolling histogram.
         let rolling_start = start_s(
             self.closed
@@ -331,36 +308,15 @@ impl WindowRing {
                 .next_back()
                 .map_or(self.current.index, |w| w.index),
         );
-        out.push_str("# TYPE obs_rolling_request_us_created gauge\n");
-        out.push_str(&format!(
-            "obs_rolling_request_us_created{{service=\"{svc}\"}} {rolling_start:.3}\n"
-        ));
-        out.push_str("# TYPE obs_rolling_p99_us gauge\n");
-        out.push_str(&format!(
-            "obs_rolling_p99_us{{service=\"{svc}\"}} {}\n",
-            hist.p99().as_micros()
-        ));
-        out.push_str("# TYPE obs_rolling_p999_us gauge\n");
-        out.push_str(&format!(
-            "obs_rolling_p999_us{{service=\"{svc}\"}} {}\n",
-            hist.p999().as_micros()
-        ));
+        for (name, v) in [
+            ("obs_rolling_request_us_created", rolling_start),
+            ("obs_rolling_p99_us", hist.p99().as_micros().to_string()),
+            ("obs_rolling_p999_us", hist.p999().as_micros().to_string()),
+        ] {
+            write_family(&mut out, name, "gauge", None, [Sample::new(&svc, v)]);
+        }
         out
     }
-}
-
-/// Escapes a string for use inside a Prometheus label value.
-pub fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -483,6 +439,49 @@ mod tests {
         let text = empty.prometheus_text("svc", 2);
         assert_prometheus_grammar(&text);
         assert!(text.contains("obs_requests_created{service=\"svc\",outcome=\"offered\"} 0.000"));
+    }
+
+    #[test]
+    fn prometheus_text_golden() {
+        // Five 1 s windows through a 3-deep ring: windows 0 and 1 are
+        // evicted, so neither their counts nor their exemplars show.
+        let mut ring = WindowRing::new(Duration::from_secs(1), 3, Duration::from_millis(50));
+        let s = 1_000_000_000u64;
+        for w in 0..5u64 {
+            ring.observe(w * s, ReqEvent::Offered);
+            ring.observe(w * s + 1, completed(100 + 400 * w, w, w % 2 == 0));
+            ring.observe(w * s + 2, completed(100 + 400 * w + 7, 10 + w, true));
+        }
+        ring.observe(4 * s + 3, shed(77, true));
+        ring.observe(4 * s + 4, ReqEvent::TimedOut { trace: TraceId(78), sampled: true });
+        ring.observe(4 * s + 5, shed(79, false));
+        ring.flush();
+        assert_eq!(ring.evicted(), 2);
+        let golden = r#"# TYPE obs_requests_total counter
+obs_requests_total{service="evil \"svc\"\\name\n",outcome="offered"} 3
+obs_requests_total{service="evil \"svc\"\\name\n",outcome="completed"} 6
+obs_requests_total{service="evil \"svc\"\\name\n",outcome="shed"} 2 # {trace_id="000000000000004d"} 1
+obs_requests_total{service="evil \"svc\"\\name\n",outcome="timed_out"} 1 # {trace_id="000000000000004e"} 1
+# TYPE obs_requests_created gauge
+obs_requests_created{service="evil \"svc\"\\name\n",outcome="offered"} 2.000
+obs_requests_created{service="evil \"svc\"\\name\n",outcome="completed"} 2.000
+obs_requests_created{service="evil \"svc\"\\name\n",outcome="shed"} 2.000
+obs_requests_created{service="evil \"svc\"\\name\n",outcome="timed_out"} 2.000
+# TYPE obs_rolling_request_us histogram
+obs_rolling_request_us_bucket{service="evil \"svc\"\\name\n",le="1303"} 1
+obs_rolling_request_us_bucket{service="evil \"svc\"\\name\n",le="1368"} 2 # {trace_id="000000000000000d"} 1307
+obs_rolling_request_us_bucket{service="evil \"svc\"\\name\n",le="1746"} 4 # {trace_id="000000000000000e"} 1707
+obs_rolling_request_us_bucket{service="evil \"svc\"\\name\n",le="+Inf"} 4
+obs_rolling_request_us_sum{service="evil \"svc\"\\name\n"} 6014
+obs_rolling_request_us_count{service="evil \"svc\"\\name\n"} 4
+# TYPE obs_rolling_request_us_created gauge
+obs_rolling_request_us_created{service="evil \"svc\"\\name\n"} 3.000
+# TYPE obs_rolling_p99_us gauge
+obs_rolling_p99_us{service="evil \"svc\"\\name\n"} 1707
+# TYPE obs_rolling_p999_us gauge
+obs_rolling_p999_us{service="evil \"svc\"\\name\n"} 1707
+"#;
+        assert_eq!(ring.prometheus_text("evil \"svc\"\\name\n", 2), golden);
     }
 
     #[test]

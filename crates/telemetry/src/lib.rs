@@ -55,8 +55,8 @@ pub use chrome_trace::{
     chrome_trace_json, chrome_trace_json_with_tracks, file_stem, CounterTrack, TraceSession,
 };
 pub use metrics::{
-    assert_prometheus_grammar, bucket_bound, bucket_index, prometheus_name, Counter, Gauge,
-    HistogramHandle, LatencyHistogram, MetricsRegistry,
+    assert_prometheus_grammar, bucket_bound, bucket_index, prometheus_name, write_family,
+    write_histogram, Counter, Gauge, HistogramHandle, LatencyHistogram, MetricsRegistry, Sample,
 };
 pub use span::{current_thread_id, ArgValue, SpanEvent, SpanGuard, SpanRecorder};
 pub use trace::{SpanContext, TraceId};

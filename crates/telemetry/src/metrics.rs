@@ -6,7 +6,9 @@
 //! `bdb-serving`, which re-exports it) so every engine can share one
 //! histogram implementation.
 
+use crate::trace::TraceId;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -350,44 +352,117 @@ impl MetricsRegistry {
     /// (version 0.0.4, the `text/plain` scrape format).
     ///
     /// Metric names are sanitized to `[a-zA-Z0-9_:]`. Counters and
-    /// gauges render as single samples; histograms render as the
-    /// canonical `_bucket`/`_sum`/`_count` triplet in microseconds,
-    /// with cumulative bucket counts over the non-empty buckets plus
-    /// the mandatory `le="+Inf"` bucket.
+    /// gauges render as single samples; histograms render through
+    /// [`write_histogram`] in microseconds.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         for (name, v) in self.counter_values() {
-            let n = prometheus_name(&name);
-            out.push_str(&format!("# HELP {n} Monotonic counter.\n"));
-            out.push_str(&format!("# TYPE {n} counter\n"));
-            out.push_str(&format!("{n} {v}\n"));
+            let (n, help) = (prometheus_name(&name), Some("Monotonic counter."));
+            write_family(&mut out, &n, "counter", help, [Sample::new(&[], v)]);
         }
         for (name, v) in self.gauge_values() {
-            let n = prometheus_name(&name);
-            out.push_str(&format!("# HELP {n} Gauge.\n"));
-            out.push_str(&format!("# TYPE {n} gauge\n"));
-            out.push_str(&format!("{n} {v}\n"));
+            let (n, help) = (prometheus_name(&name), Some("Gauge."));
+            write_family(&mut out, &n, "gauge", help, [Sample::new(&[], v)]);
         }
         for (name, h) in self.histogram_snapshots() {
-            let n = prometheus_name(&name);
-            out.push_str(&format!("# HELP {n} Latency histogram (microseconds).\n"));
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            for (bound, cumulative) in h.cumulative_buckets() {
-                out.push_str(&format!("{n}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{n}_sum {}\n", h.sum_micros()));
-            out.push_str(&format!("{n}_count {}\n", h.count()));
+            let (n, help) = (prometheus_name(&name), Some("Latency histogram (microseconds)."));
+            write_histogram(&mut out, &n, help, &[], &h, |_| None);
         }
         out
     }
 }
 
+/// One sample line of a Prometheus family.
+#[derive(Debug, Clone)]
+pub struct Sample<'a, V> {
+    /// Label pairs in output order; values are escaped when written.
+    pub labels: Vec<(&'a str, &'a str)>,
+    /// The sample value.
+    pub value: V,
+    /// An OpenMetrics-style exemplar: a kept trace and its value.
+    pub exemplar: Option<(TraceId, u64)>,
+}
+
+impl<'a, V> Sample<'a, V> {
+    /// A sample without an exemplar.
+    pub fn new(labels: &[(&'a str, &'a str)], value: V) -> Self {
+        Self { labels: labels.to_vec(), value, exemplar: None }
+    }
+}
+
+/// Appends one family to `out` in the text exposition format: its
+/// optional `# HELP` line, its `# TYPE` line and one line per sample.
+pub fn write_family<'a, V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: Option<&str>,
+    samples: impl IntoIterator<Item = Sample<'a, V>>,
+) {
+    write_header(out, name, kind, help);
+    for s in samples {
+        write_sample(out, name, &s.labels, s.value, s.exemplar);
+    }
+}
+
+/// Appends `hist` to `out` as a histogram family: cumulative
+/// `_bucket` samples over the non-empty buckets, the mandatory
+/// `le="+Inf"` bucket, `_sum` and `_count`. Every sample carries
+/// `labels`; `exemplar` maps a bucket's upper bound to the exemplar
+/// that bucket line carries, if any.
+pub fn write_histogram(
+    out: &mut String,
+    name: &str,
+    help: Option<&str>,
+    labels: &[(&str, &str)],
+    hist: &LatencyHistogram,
+    exemplar: impl Fn(u64) -> Option<(TraceId, u64)>,
+) {
+    write_header(out, name, "histogram", help);
+    let bucket = format!("{name}_bucket");
+    let bounds =
+        hist.cumulative_buckets().into_iter().map(|(b, n)| (b.to_string(), n, exemplar(b)));
+    for (le, n, ex) in bounds.chain([("+Inf".to_owned(), hist.count(), None)]) {
+        let mut l = labels.to_vec();
+        l.push(("le", &le));
+        write_sample(out, &bucket, &l, n, ex);
+    }
+    write_sample(out, &format!("{name}_sum"), labels, hist.sum_micros(), None);
+    write_sample(out, &format!("{name}_count"), labels, hist.count(), None);
+}
+
+fn write_header(out: &mut String, name: &str, kind: &str, help: Option<&str>) {
+    if let Some(help) = help {
+        let _ = writeln!(out, "# HELP {name} {help}");
+    }
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+fn write_sample(
+    out: &mut String,
+    name: &str,
+    labels: &[(&str, &str)],
+    value: impl Display,
+    exemplar: Option<(TraceId, u64)>,
+) {
+    out.push_str(name);
+    for (i, (k, v)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
+    let _ = write!(out, " {value}");
+    if let Some((trace, v)) = exemplar {
+        let _ = write!(out, " # {{trace_id=\"{}\"}} {v}", trace.hex());
+    }
+    out.push('\n');
+}
+
 /// Maps a registry metric name onto the Prometheus name charset
 /// `[a-zA-Z0-9_:]`, e.g. `serving.request_us` → `serving_request_us`.
-/// A leading digit is prefixed with `_`. Public so sibling exporters
-/// (e.g. the observability layer's exemplar-bearing exposition) name
-/// their series through the same mapping.
+/// A leading digit is prefixed with `_`.
 pub fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for c in name.chars() {
@@ -399,6 +474,20 @@ pub fn prometheus_name(name: &str) -> String {
     }
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');
+    }
+    out
+}
+
+/// Escapes a string for use inside a Prometheus label value.
+fn escape_label(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            _ => out.push(c),
+        }
     }
     out
 }
@@ -740,6 +829,43 @@ mod tests {
         assert!(text.contains(&format!("serving_request_us_count {}\n", snapshot.count())));
         assert!(text.contains(&format!("serving_request_us_sum {}\n", snapshot.sum_micros())));
         assert!(MetricsRegistry::new().prometheus_text().is_empty());
+    }
+
+    #[test]
+    fn prometheus_text_golden() {
+        let reg = MetricsRegistry::new();
+        reg.counter("serving.requests").add(7);
+        reg.counter("2-fast 2.furious").inc();
+        reg.gauge("queue.depth").set(-2);
+        let h = reg.histogram("serving.request_us");
+        for us in [3u64, 3, 90, 1500] {
+            h.record_micros(us);
+        }
+        reg.histogram("idle.latency_us");
+        let golden = r#"# HELP _2_fast_2_furious Monotonic counter.
+# TYPE _2_fast_2_furious counter
+_2_fast_2_furious 1
+# HELP serving_requests Monotonic counter.
+# TYPE serving_requests counter
+serving_requests 7
+# HELP queue_depth Gauge.
+# TYPE queue_depth gauge
+queue_depth -2
+# HELP idle_latency_us Latency histogram (microseconds).
+# TYPE idle_latency_us histogram
+idle_latency_us_bucket{le="+Inf"} 0
+idle_latency_us_sum 0
+idle_latency_us_count 0
+# HELP serving_request_us Latency histogram (microseconds).
+# TYPE serving_request_us histogram
+serving_request_us_bucket{le="4"} 2
+serving_request_us_bucket{le="94"} 3
+serving_request_us_bucket{le="1508"} 4
+serving_request_us_bucket{le="+Inf"} 4
+serving_request_us_sum 1596
+serving_request_us_count 4
+"#;
+        assert_eq!(reg.prometheus_text(), golden);
     }
 
     #[test]
