@@ -320,14 +320,68 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// 64-bit FNV-1a over `bytes` — the workspace's one stable byte-string
-/// hash (MapReduce partitioning, store and SQL key hashes, trace salts).
-/// Its value is part of committed artifacts: never change it.
+/// FNV-1a's 64-bit offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// 64-bit FNV-1a over `bytes` — the workspace's stable byte-string hash
+/// for store and SQL key hashes and trace salts. Its value is part of
+/// committed artifacts: never change it.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+    bytes.iter().fold(FNV_BASIS, |h, &b| fnv1a_step(h, b))
+}
+
+#[inline]
+fn fnv1a_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
+/// Odd multiplier of [`fnv1a_words`]' word step (SplitMix64's first).
+const WORD_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+
+/// A byte-string hash that reads 8 bytes at a time — MapReduce's
+/// partitioning hash. From FNV-1a's offset basis, each full
+/// little-endian word `w` folds in as `h = (h ^ w) * K; h ^= h >> 32`,
+/// and the `len % 8` tail bytes fold in with FNV-1a's byte step. There
+/// is no finalizer, so an input shorter than 8 bytes hashes exactly as
+/// [`fnv1a`]. Partitions, and so output order, depend on its value:
+/// never change it.
+#[inline]
+pub fn fnv1a_words(bytes: &[u8]) -> u64 {
+    fold_words(FNV_BASIS, bytes)
+}
+
+/// [`fnv1a_words`] of `prefix` followed by `bytes`, without joining
+/// them: a length-prefixed encoding hashed from the bytes it frames.
+#[inline]
+pub fn fnv1a_words_prefixed(prefix: [u8; 4], bytes: &[u8]) -> u64 {
+    match bytes.split_first_chunk::<4>() {
+        Some((head, rest)) => {
+            let w =
+                u64::from(u32::from_le_bytes(prefix)) | u64::from(u32::from_le_bytes(*head)) << 32;
+            fold_words(word_step(FNV_BASIS, w), rest)
+        }
+        // Under one word in all: FNV-1a's byte steps only.
+        None => prefix.iter().chain(bytes).fold(FNV_BASIS, |h, &b| fnv1a_step(h, b)),
+    }
+}
+
+#[inline]
+fn word_step(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(WORD_MUL);
+    h ^ h >> 32
+}
+
+/// Folds `bytes` into `h`: whole words, then the tail bytes.
+#[inline]
+fn fold_words(h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let h = words
+        .by_ref()
+        .fold(h, |h, w| word_step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk"))));
+    words.remainder().iter().fold(h, |h, &b| fnv1a_step(h, b))
 }
 
 #[cfg(test)]
@@ -428,5 +482,28 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a_words_reference_vectors() {
+        // Under one word it is FNV-1a exactly.
+        for s in [&b""[..], b"a", b"foobar", b"1234567"] {
+            assert_eq!(fnv1a_words(s), fnv1a(s), "{s:?}");
+        }
+        // One word, one word plus a tail, two words plus a tail.
+        assert_eq!(fnv1a_words(b"12345678"), 0x8b89_829c_6de5_b9e8);
+        assert_eq!(fnv1a_words(b"123456789"), 0x0062_c0ce_bd5a_be23);
+        assert_eq!(fnv1a_words(b"BigDataBench: a suite"), 0xe7aa_c6e0_a5a6_eea3);
+        // Prefixed hashing equals hashing the joined bytes, on every
+        // split of the data into head word, whole words and tail.
+        let data = b"the data behind a 4-byte prefix";
+        for n in 0..=data.len() {
+            let joined = [&[7, 0, 0, 0][..], &data[..n]].concat();
+            assert_eq!(fnv1a_words_prefixed([7, 0, 0, 0], &data[..n]), fnv1a_words(&joined));
+        }
+        // Each word step is a bijection, so one-word inputs never collide.
+        let a = fnv1a_words(&1u64.to_le_bytes());
+        let b = fnv1a_words(&2u64.to_le_bytes());
+        assert_ne!(a, b);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Hadoop's `Writable` interface makes every key/value type responsible
 //! for its own wire format; [`Datum`] is the Rust analogue. The engine
-//! uses it to serialize intermediate pairs into spill files and to
-//! account for shuffle bytes.
+//! uses it to serialize intermediate pairs into spill files, to
+//! account for shuffle bytes and to partition keys.
+
+use bdb_archsim::layout::{fnv1a_words, fnv1a_words_prefixed};
 
 /// A value that can serialize itself into a byte buffer and back.
 ///
@@ -36,6 +38,22 @@ pub trait Datum: Sized + Clone + Send + Sync {
         self.encode(&mut buf);
         buf.len()
     }
+
+    /// The [`fnv1a_words`] hash of this value's encoding — the engine's
+    /// partitioning hash, as Hadoop partitions by the key's own
+    /// `hashCode`. The default encodes into the reused `scratch`; a type
+    /// whose encoding frames bytes it already holds hashes them in
+    /// place, which skips the copy and hashing bytes just written.
+    fn encoded_hash(&self, scratch: &mut Vec<u8>) -> u64 {
+        scratch.clear();
+        self.encode(scratch);
+        fnv1a_words(scratch)
+    }
+}
+
+/// The 4-byte length prefix of a variable-length encoding.
+fn len_prefix(len: usize) -> [u8; 4] {
+    (len as u32).to_le_bytes()
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
@@ -92,7 +110,7 @@ impl Datum for f64 {
 
 impl Datum for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
+        buf.extend_from_slice(&len_prefix(self.len()));
         buf.extend_from_slice(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -103,11 +121,14 @@ impl Datum for String {
     fn size_hint(&self) -> usize {
         4 + self.len()
     }
+    fn encoded_hash(&self, _scratch: &mut Vec<u8>) -> u64 {
+        fnv1a_words_prefixed(len_prefix(self.len()), self.as_bytes())
+    }
 }
 
 impl Datum for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
+        buf.extend_from_slice(&len_prefix(self.len()));
         buf.extend_from_slice(self);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -116,6 +137,9 @@ impl Datum for Vec<u8> {
     }
     fn size_hint(&self) -> usize {
         4 + self.len()
+    }
+    fn encoded_hash(&self, _scratch: &mut Vec<u8>) -> u64 {
+        fnv1a_words_prefixed(len_prefix(self.len()), self)
     }
 }
 
@@ -204,6 +228,7 @@ mod tests {
         let mut buf = Vec::new();
         x.encode(&mut buf);
         assert_eq!(buf.len(), x.size_hint());
+        assert_eq!(x.encoded_hash(&mut Vec::new()), fnv1a_words(&buf), "hash of the encoding");
         let mut slice = buf.as_slice();
         assert_eq!(T::decode(&mut slice), Some(x));
         assert!(slice.is_empty(), "decode must consume exactly its bytes");
@@ -228,6 +253,15 @@ mod tests {
         roundtrip(Vec::<u8>::new());
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(vec![1.5f64, -2.5]);
+    }
+
+    #[test]
+    fn in_place_hashes_match_the_encoding_at_every_length() {
+        let text = "héllo wörld, a big data benchmark from internet services";
+        for end in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            roundtrip(text[..end].to_owned());
+            roundtrip(text.as_bytes()[..end].to_vec());
+        }
     }
 
     #[test]

@@ -11,9 +11,8 @@
 use crate::codec::Datum;
 use crate::error::JobError;
 use crate::job::{Emitter, Job};
-use crate::spill::{merge_run_slices, SpillFile};
+use crate::spill::{GroupMerge, SpillFile};
 use crate::trace::FrameworkModel;
-use bdb_archsim::layout::fnv1a;
 use bdb_archsim::{CounterSnapshot, NullProbe, Probe};
 use bdb_faults::FaultPlan;
 use bdb_profile::{critical_path, CriticalPathSummary, SpanForest};
@@ -34,7 +33,9 @@ pub struct JobStats {
     pub map_output_pairs: u64,
     /// Intermediate pairs after map-side combine.
     pub combined_pairs: u64,
-    /// Bytes of intermediate data moved through the shuffle.
+    /// Bytes of intermediate data moved through the shuffle, each pair
+    /// counted once: a spilled pair as its file bytes, an in-memory pair
+    /// at its encoded size.
     pub shuffle_bytes: u64,
     /// Number of spill files written.
     pub spills: u64,
@@ -54,7 +55,8 @@ pub struct JobStats {
     /// Spill-file write time, summed across tasks (within `map_time`).
     pub spill_time: Duration,
     /// Shuffle-merge time, summed across partitions (within
-    /// `reduce_time`).
+    /// `reduce_time`): opening and reading spills, decoding them and
+    /// running the merge, excluding `Job::reduce`.
     pub merge_time: Duration,
     /// Largest per-reducer key-group count (skew indicator).
     pub max_reduce_groups: u64,
@@ -160,6 +162,8 @@ const SPECULATION_FLOOR: Duration = Duration::from_millis(25);
 const SPECULATION_FACTOR: u32 = 4;
 /// Speculation needs a population to judge stragglers against.
 const SPECULATION_MIN_TASKS: usize = 4;
+/// Key groups a reduce task merges between runs of `Job::reduce`.
+const MERGE_BATCH: usize = 32;
 
 /// Which phase the scheduler is executing; controls speculation and the
 /// recovery-metric site.
@@ -751,8 +755,6 @@ impl Engine {
         stats.min_reduce_groups = u64::MAX;
         for (p, run) in task.memory_runs.into_iter().enumerate() {
             let runs = if run.is_empty() { Vec::new() } else { vec![run] };
-            let spills = task.spill_runs.get(p).map_or(0, Vec::len);
-            let _ = spills;
             let before = probe.counters();
             let mut part_span =
                 span!(self.telemetry, "mapreduce", "reduce-partition", partition = p);
@@ -843,7 +845,7 @@ impl Engine {
                     fw.on_emit(probe, k.size_hint() + v.size_hint());
                 }
                 result.output_pairs += 1;
-                let hash = key_hash(&k, &mut scratch);
+                let hash = k.encoded_hash(&mut scratch);
                 buffers[partition(hash, self.reducers)].push(hash, k, v);
             }
             if buffered_bytes > self.map_buffer_bytes {
@@ -908,9 +910,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Shuffle-merge and reduce one partition. Inputs are borrowed so a
-    /// retried attempt can re-merge the same runs; the merge clones per
-    /// element either way.
+    /// Shuffle-merge and reduce one partition, streaming: the merge
+    /// hands `Job::reduce` one key group at a time. Inputs are borrowed
+    /// so a retried attempt can merge the same runs again.
     fn reduce_partition<J: Job, P: Probe + ?Sized>(
         &self,
         job: &J,
@@ -920,44 +922,49 @@ impl Engine {
         probe: &mut P,
         fw: &mut Option<FrameworkModel>,
     ) -> std::io::Result<ReduceOutcome<J::Output>> {
-        let mut shuffle_bytes = 0u64;
-        let merge_start = Instant::now();
+        let open_start = Instant::now();
         probe.phase("shuffle");
-        let merged = {
+        let mut merge = {
             let before = probe.counters();
             let mut merge_span =
                 span!(self.telemetry, "mapreduce", "shuffle-merge", runs = runs.len());
             merge_span.arg("spills", spills.len());
-            let mut spilled: Vec<Vec<(J::Key, J::Value)>> = Vec::with_capacity(spills.len());
-            for spill in spills {
-                shuffle_bytes += spill.bytes;
-                spilled.push(spill.read_with(faults)?);
-            }
-            let slices: Vec<&[(J::Key, J::Value)]> =
-                runs.iter().chain(spilled.iter()).map(Vec::as_slice).collect();
-            for run in &slices {
-                shuffle_bytes +=
-                    run.iter().map(|(k, v)| (k.size_hint() + v.size_hint()) as u64).sum::<u64>();
-            }
-            let merged = merge_run_slices(&slices);
+            let merge = GroupMerge::new(runs.iter().map(Vec::as_slice), spills, faults)?;
             attach_counter_delta(&mut merge_span, before.as_ref(), probe);
-            merged
+            merge
         };
-        let merge_time = merge_start.elapsed();
+        let mut merge_time = open_start.elapsed();
+        // Each pair crosses the shuffle once: a spilled pair as its file
+        // bytes, an in-memory one at its encoded size.
+        let shuffle_bytes = spills.iter().map(|s| s.bytes).sum::<u64>()
+            + runs
+                .iter()
+                .flatten()
+                .map(|(k, v)| (k.size_hint() + v.size_hint()) as u64)
+                .sum::<u64>();
         probe.phase("reduce");
         let mut out = Vec::new();
         let mut groups = 0u64;
-        let mut iter = merged.into_iter().peekable();
-        while let Some((key, value)) = iter.next() {
-            let mut values = vec![value];
-            while iter.peek().is_some_and(|(k, _)| *k == key) {
-                values.push(iter.next().expect("peeked").1);
+        // Groups are merged a batch at a time, so timing the merge apart
+        // from `Job::reduce` reads the clock twice per batch, not per
+        // group.
+        let mut batch = Vec::with_capacity(MERGE_BATCH);
+        loop {
+            let merge_start = Instant::now();
+            for group in merge.by_ref().take(MERGE_BATCH) {
+                batch.push(group?);
             }
-            groups += 1;
-            if let Some(fw) = fw.as_mut() {
-                fw.on_reduce_group(probe, values.len());
+            merge_time += merge_start.elapsed();
+            if batch.is_empty() {
+                break;
             }
-            job.reduce(key, values, &mut out, probe);
+            for (key, values) in batch.drain(..) {
+                groups += 1;
+                if let Some(fw) = fw.as_mut() {
+                    fw.on_reduce_group(probe, values.len());
+                }
+                job.reduce(key, values, &mut out, probe);
+            }
         }
         Ok(ReduceOutcome { outputs: out, groups, shuffle_bytes, merge_time })
     }
@@ -980,21 +987,13 @@ fn attach_counter_delta<P: Probe + ?Sized>(
     }
 }
 
-/// A key's partitioning hash: FNV-1a over its encoding, written into
-/// the caller's reused `scratch` buffer.
-fn key_hash<K: Datum>(key: &K, scratch: &mut Vec<u8>) -> u64 {
-    scratch.clear();
-    key.encode(scratch);
-    fnv1a(scratch)
-}
-
 /// The reduce partition of a key with hash `hash`.
 fn partition(hash: u64, reducers: usize) -> usize {
     (hash % reducers as u64) as usize
 }
 
-/// A key with its [`key_hash`], so the sort buffer's table reuses the
-/// hash the partitioner already computed.
+/// A key with its [`Datum::encoded_hash`], so the sort buffer's table
+/// reuses the hash the partitioner already computed.
 struct Hashed<K> {
     hash: u64,
     key: K,
@@ -1052,7 +1051,7 @@ impl<K, V> Default for SortBuffer<K, V> {
 }
 
 impl<K: Datum + Ord, V: Datum> SortBuffer<K, V> {
-    /// Buffers one pair; `hash` is the key's [`key_hash`].
+    /// Buffers one pair; `hash` is the key's [`Datum::encoded_hash`].
     fn push(&mut self, hash: u64, key: K, value: V) {
         self.pairs += 1;
         self.groups.entry(Hashed { hash, key }).or_default().push(value);
@@ -1356,44 +1355,82 @@ mod tests {
     fn partitioner_is_deterministic_and_bounded() {
         let mut scratch = Vec::new();
         for k in 0u64..1000 {
-            let p = partition(key_hash(&k, &mut scratch), 7);
+            let p = partition(k.encoded_hash(&mut scratch), 7);
             assert!(p < 7);
-            assert_eq!(p, partition(key_hash(&k, &mut scratch), 7));
+            assert_eq!(p, partition(k.encoded_hash(&mut scratch), 7));
         }
     }
 
     /// The partition of a key decides which reducer and output position
-    /// it lands in, so outputs, traces and committed artifacts depend on
-    /// these exact FNV-1a values.
+    /// it lands in, so outputs and wall-clock artifacts depend on these
+    /// exact `fnv1a_words` values. Keys under 8 encoded bytes hash as
+    /// FNV-1a did, so their partitions never moved.
     #[test]
     fn partitioner_golden_values() {
         let mut scratch = Vec::new();
         let strings = [
+            // Under one word (4-byte length prefix + up to 3 bytes).
             ("", (1, 5)),
             ("a", (1, 2)),
             ("ab", (0, 3)),
             ("the", (1, 3)),
             ("dog", (0, 0)),
             ("fox", (1, 0)),
-            ("brown", (0, 6)),
-            ("BigDataBench", (1, 2)),
-            ("héllo wörld", (1, 6)),
+            // One word and a tail; two words (16 bytes); two words and
+            // a tail; three words (24 bytes).
+            ("brown", (0, 0)),
+            ("BigDataBench", (1, 0)),
+            ("héllo wörld", (0, 2)),
+            ("internet services", (1, 2)),
+            ("a big data benchmark", (0, 3)),
         ];
         for (key, expect) in strings {
-            let h = key_hash(&key.to_owned(), &mut scratch);
+            let h = key.to_owned().encoded_hash(&mut scratch);
             assert_eq!((partition(h, 2), partition(h, 7)), expect, "{key:?}");
         }
         let ints = [
-            (0u64, (1, 5)),
-            (1, (0, 1)),
-            (42, (1, 0)),
-            (1 << 32, (0, 6)),
-            (0xdead_beef, (1, 5)),
-            (u64::MAX, (1, 6)),
+            (0u64, (1, 3)),
+            (1, (1, 5)),
+            (42, (0, 4)),
+            (1 << 32, (0, 2)),
+            (0xdead_beef, (0, 3)),
+            (u64::MAX, (0, 5)),
         ];
         for (key, expect) in ints {
-            let h = key_hash(&key, &mut scratch);
+            let h = key.encoded_hash(&mut scratch);
             assert_eq!((partition(h, 2), partition(h, 7)), expect, "{key}");
+        }
+    }
+
+    /// Partitions of sequential integers and of a Zipf text vocabulary
+    /// each stay within four binomial standard deviations of the mean.
+    #[test]
+    fn partitions_are_balanced() {
+        let mut scratch = Vec::new();
+        let ints: Vec<u64> = (0..10_000u64).map(|k| k.encoded_hash(&mut scratch)).collect();
+        let text = bdb_datagen::text::TextGenerator::wikipedia(1);
+        let vocab = text.vocabulary();
+        let mut words: Vec<String> = (0..vocab.len()).map(|r| vocab.word(r).to_owned()).collect();
+        words.sort_unstable();
+        words.dedup();
+        let words: Vec<u64> = words.iter().map(|w| w.encoded_hash(&mut scratch)).collect();
+        for (what, hashes) in [("u64", ints), ("words", words)] {
+            let n = hashes.len() as f64;
+            for reducers in [2, 3, 7] {
+                let mut counts = vec![0usize; reducers];
+                for &h in &hashes {
+                    counts[partition(h, reducers)] += 1;
+                }
+                let p = 1.0 / reducers as f64;
+                let bound = 4.0 * (n * p * (1.0 - p)).sqrt();
+                for (part, &c) in counts.iter().enumerate() {
+                    let dev = (c as f64 - n * p).abs();
+                    assert!(
+                        dev <= bound,
+                        "{what}, {reducers} reducers: partition {part} {counts:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -8,8 +8,9 @@
 //!
 //! * **map** — user function over input records, emitting `(key, value)`
 //!   pairs into per-partition sort buffers. A pair's partition is the
-//!   FNV-1a hash of its encoded key modulo the reducer count; the buffer
-//!   groups values under their key as they arrive, reusing that hash;
+//!   [`bdb_archsim::layout::fnv1a_words`] hash of its encoded key modulo
+//!   the reducer count; the buffer groups values under their key as they
+//!   arrive, reusing that hash;
 //! * **combine** — optional map-side pre-aggregation, applied when a
 //!   buffer is flushed (at each spill and at task end): the buffer sorts
 //!   its distinct keys and combines each key's values in emission order,
@@ -17,9 +18,12 @@
 //! * **spill** — when a map task's buffer exceeds its memory budget the
 //!   sorted run is serialized to a temporary file, exactly the mechanism
 //!   that makes Sort degrade once inputs exceed memory (paper Figure 3-2);
-//! * **shuffle / merge-sort** — spilled runs and in-memory runs are
-//!   merged per partition;
-//! * **reduce** — user function over each key group.
+//! * **shuffle / merge-sort** — each partition's in-memory runs and
+//!   spilled runs are k-way merged as a stream ([`spill::GroupMerge`]):
+//!   spills are read in chunks and decoded pair by pair, and groups come
+//!   out one key at a time;
+//! * **reduce** — user function over each key group, as the merge
+//!   yields it.
 //!
 //! Kernels are written once, generically over [`bdb_archsim::Probe`]:
 //! [`Engine::run`] executes in parallel with [`bdb_archsim::NullProbe`]

@@ -7,6 +7,8 @@ use bdb_faults::FaultPlan;
 use bdb_mapreduce::{sites, Emitter, Engine, Job, JobError};
 use bdb_telemetry::MetricsRegistry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 struct WordCount;
@@ -107,6 +109,130 @@ fn reduce_retries_on_spill_read_error_and_panic() {
     assert_eq!(faulty, clean);
     assert!(stats.reduce_retries >= 2, "read error + panic each force a retry: {stats:?}");
     assert_eq!(plan.recovered(), plan.injected(), "every injection was recovered from");
+}
+
+/// WordCount that counts its reduce calls and, on [`DAMAGE_MARKER`],
+/// damages every spill file its map task has written so far: disk
+/// corruption between map and reduce.
+struct Damaging {
+    spill_dir: PathBuf,
+    damage: Damage,
+    reduces: AtomicU64,
+}
+
+const DAMAGE_MARKER: &str = "<damage the spills>";
+
+/// Rewrites a spill file's bytes.
+type Damage = fn(&mut Vec<u8>);
+
+impl Job for Damaging {
+    type Input = String;
+    type Key = String;
+    type Value = u64;
+    type Output = (String, u64);
+    fn map<P: bdb_archsim::Probe + ?Sized>(
+        &self,
+        line: &String,
+        emit: &mut Emitter<String, u64>,
+        p: &mut P,
+    ) {
+        if line == DAMAGE_MARKER {
+            for entry in std::fs::read_dir(&self.spill_dir).expect("spill dir") {
+                let path = entry.expect("dir entry").path();
+                let mut bytes = std::fs::read(&path).expect("spill file");
+                (self.damage)(&mut bytes);
+                std::fs::write(&path, bytes).expect("damaged spill file");
+            }
+            return;
+        }
+        WordCount.map(line, emit, p);
+    }
+    fn combine(&self, k: &String, values: Vec<u64>) -> Vec<u64> {
+        WordCount.combine(k, values)
+    }
+    fn reduce<P: bdb_archsim::Probe + ?Sized>(
+        &self,
+        key: String,
+        values: Vec<u64>,
+        out: &mut Vec<(String, u64)>,
+        p: &mut P,
+    ) {
+        self.reduces.fetch_add(1, Ordering::Relaxed);
+        WordCount.reduce(key, values, out, p);
+    }
+}
+
+impl Damaging {
+    /// A job with a private spill directory, created empty.
+    fn new(name: &str, damage: Damage) -> Self {
+        let spill_dir =
+            std::env::temp_dir().join(format!("bdb-faults-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spill_dir);
+        std::fs::create_dir_all(&spill_dir).expect("spill dir");
+        Self { spill_dir, damage, reduces: AtomicU64::new(0) }
+    }
+
+    /// One map task and one reducer, so every spill feeds one merge and
+    /// the order of spill reads is fixed.
+    fn engine(&self, faults: FaultPlan, attempts: u32) -> Engine {
+        Engine::builder()
+            .threads(1)
+            .reducers(1)
+            .map_buffer_bytes(1024)
+            .spill_dir(self.spill_dir.clone())
+            .max_task_attempts(attempts)
+            .faults(faults)
+            .build()
+    }
+}
+
+impl Drop for Damaging {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.spill_dir);
+    }
+}
+
+#[test]
+fn damaged_spill_fails_every_reduce_attempt_with_invalid_data() {
+    let damages: [(&str, Damage); 2] =
+        [("truncated", |b| b.truncate(b.len() / 2)), ("corrupt", |b| b.fill(0xFF))];
+    for (name, damage) in damages {
+        let job = Damaging::new(name, damage);
+        let mut input = lines(300);
+        input.push(DAMAGE_MARKER.to_owned());
+        let err = job.engine(FaultPlan::disabled(), 3).try_run(&job, &input).unwrap_err();
+        match err {
+            JobError::TaskIo { task_id: 0, attempt: 2, ref source } => {
+                assert_eq!(source.kind(), std::io::ErrorKind::InvalidData, "{name}: {source}");
+            }
+            ref other => panic!("{name}: expected TaskIo on the third attempt, got {other}"),
+        }
+    }
+}
+
+#[test]
+fn spill_read_error_partway_through_the_merge_is_retried() {
+    let job = Damaging::new("partway", |_| unreachable!("no marker in the input"));
+    // Hundreds of distinct words: the merge reduces groups in batches,
+    // so the failure must come after the first batches.
+    let input: Vec<String> =
+        (0..300).map(|i| format!("w{i} w{} w{}", i * 7 % 300, i % 13)).collect();
+    let (clean, clean_stats) = job.engine(FaultPlan::disabled(), 4).run(&job, &input);
+    assert!(clean_stats.spills > 1, "fixture must spill: {clean_stats:?}");
+    job.reduces.store(0, Ordering::Relaxed);
+
+    // Starting the merge reads each (small) spill once; the next read
+    // finds the end of a spill, after some groups were reduced.
+    let plan = FaultPlan::builder(3).io_error_nth(sites::SPILL_READ, clean_stats.spills).build();
+    let (faulty, stats) = job.engine(plan.clone(), 4).run(&job, &input);
+    assert_eq!(faulty, clean);
+    assert_eq!(stats.reduce_retries, 1, "{stats:?}");
+    assert_eq!(plan.injected(), 1);
+    let reduces = job.reduces.load(Ordering::Relaxed);
+    assert!(
+        reduces > clean_stats.reduce_groups,
+        "the failed attempt reduced groups before the read failed: {reduces} calls"
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Property-based tests: the engine against naive reference
-//! implementations, the codec against round-tripping, and the merge
-//! against plain sorting.
+//! implementations, the codec against round-tripping, and the group
+//! merge against a stable sort.
 
-use bdb_archsim::layout::fnv1a;
+use bdb_archsim::layout::fnv1a_words;
 use bdb_archsim::Probe;
-use bdb_mapreduce::spill::merge_runs;
+use bdb_faults::FaultPlan;
+use bdb_mapreduce::spill::{GroupMerge, SpillFile};
 use bdb_mapreduce::{Datum, Emitter, Engine, Job};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -80,7 +81,7 @@ impl Job for OrderJob {
 }
 
 /// Reference model of [`OrderJob`] on the engine: the same task split,
-/// FNV-1a partitioning and spill rule, but every buffer kept as emitted
+/// `fnv1a_words` partitioning and spill rule, but every buffer kept as emitted
 /// pairs that are stable-sorted and grouped. Each partition's runs are
 /// ordered as the engine merges them (every task's in-memory run, then
 /// every task's spills in spill order); a stable sort of their
@@ -101,7 +102,7 @@ fn order_job_model(
             for (pos, w) in words.iter().enumerate() {
                 let mut encoded = Vec::new();
                 w.encode(&mut encoded);
-                let p = (fnv1a(&encoded) % reducers as u64) as usize;
+                let p = (fnv1a_words(&encoded) % reducers as u64) as usize;
                 buffered += w.size_hint() + 8;
                 parts[p].push((w.clone(), id * 1000 + pos as u64));
             }
@@ -116,15 +117,22 @@ fn order_job_model(
             memory[p].append(part);
         }
     }
-    let mut out: Vec<(String, Vec<u64>)> = Vec::new();
+    let mut out = Vec::new();
     for (mut pairs, spills) in memory.into_iter().zip(spilled) {
         pairs.extend(spills);
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (k, v) in pairs {
-            match out.last_mut() {
-                Some((last, values)) if *last == k => values.push(v),
-                _ => out.push((k, vec![v])),
-            }
+        out.extend(stable_groups(pairs));
+    }
+    out
+}
+
+/// Groups `pairs` by key after a stable sort, values in input order.
+fn stable_groups<K: Ord, V>(mut pairs: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out: Vec<(K, Vec<V>)> = Vec::new();
+    for (k, v) in pairs {
+        match out.last_mut() {
+            Some((last, values)) if *last == k => values.push(v),
+            _ => out.push((k, vec![v])),
         }
     }
     out
@@ -163,11 +171,13 @@ proptest! {
     }
 
     /// Grouping, key order and per-key value order equal the stable
-    /// sort-then-group model, with and without spills.
+    /// sort-then-group model, with and without spills. Keys of 1–12
+    /// chars encode to 5–16 bytes, so the partitioner's tail and word
+    /// paths both run.
     #[test]
     fn grouping_matches_stable_sort_model(
         inputs in proptest::collection::vec(
-            proptest::collection::vec("[a-d]{1,2}", 0..16), 0..60),
+            proptest::collection::vec("[a-d]{1,12}", 0..16), 0..60),
         threads in 1usize..5,
         reducers in 1usize..6,
         spill in any::<bool>(),
@@ -212,12 +222,17 @@ proptest! {
         b.sort_unstable();
         prop_assert_eq!(a, b);
         prop_assert!(sa.spills >= sb.spills);
+        prop_assert_eq!(sa.shuffle_bytes, sb.shuffle_bytes, "each pair is shuffled once");
     }
 
-    /// merge_runs over pre-sorted runs equals sorting the concatenation.
+    /// The group merge over pre-sorted runs, the first `in_memory` of
+    /// them borrowed and the rest spilled, equals grouping a stable
+    /// sort of the runs' concatenation.
     #[test]
-    fn merge_equals_sort(runs in proptest::collection::vec(
-        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..50), 0..6)
+    fn merge_equals_sort(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((0u32..40, any::<u32>()), 0..50), 0..6),
+        in_memory in 0usize..7,
     ) {
         let runs: Vec<Vec<(u32, u32)>> = runs
             .into_iter()
@@ -226,12 +241,16 @@ proptest! {
                 r
             })
             .collect();
-        let mut expect: Vec<(u32, u32)> = runs.iter().flatten().copied().collect();
-        let merged = merge_runs(runs);
-        expect.sort_by_key(|p| p.0);
-        let merged_keys: Vec<u32> = merged.iter().map(|p| p.0).collect();
-        let expect_keys: Vec<u32> = expect.iter().map(|p| p.0).collect();
-        prop_assert_eq!(merged_keys, expect_keys);
+        let (memory, spilled) = runs.split_at(in_memory.min(runs.len()));
+        let dir = std::env::temp_dir();
+        let spills: Vec<SpillFile> =
+            spilled.iter().map(|r| SpillFile::write(&dir, r).unwrap()).collect();
+        let memory = memory.iter().map(Vec::as_slice);
+        let merged: Vec<(u32, Vec<u32>)> = GroupMerge::new(memory, &spills, &FaultPlan::disabled())
+            .unwrap()
+            .collect::<std::io::Result<_>>()
+            .unwrap();
+        prop_assert_eq!(merged, stable_groups(runs.concat()));
     }
 
     /// Codec: tuples of common types round-trip through encode/decode.
