@@ -42,9 +42,12 @@ fn lines(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("alpha beta-{} gamma delta epsilon", i % 23)).collect()
 }
 
-/// Four spill-heavy map tasks, three reducers.
-fn engine(faults: FaultPlan) -> Engine {
-    Engine::builder().threads(4).reducers(3).map_buffer_bytes(1024).faults(faults).build()
+/// The campaign's reducer count.
+const REDUCERS: usize = 3;
+
+/// Four spill-heavy map tasks.
+fn engine(reducers: usize, faults: FaultPlan) -> Engine {
+    Engine::builder().threads(4).reducers(reducers).map_buffer_bytes(1024).faults(faults).build()
 }
 
 /// One round's fault mix, rotating map-side, reduce-side, and
@@ -68,13 +71,34 @@ fn round_plan(seed: u64, round: u32) -> FaultPlan {
     }
 }
 
+/// One round's instant on the campaign timeline, one virtual second per
+/// round. Its args are fixed by the seed, like the report's: the
+/// recovery count is left out, since it counts recovered tasks, and two
+/// faults that hit one task recover once.
+fn round_span(round: u32, identical: bool, plan: &FaultPlan) -> SpanEvent {
+    const ROUND_US: u64 = 1_000_000;
+    SpanEvent {
+        name: "wordcount-round",
+        cat: "chaos",
+        start_us: u64::from(round) * ROUND_US,
+        dur_us: None,
+        tid: 0,
+        ctx: None,
+        args: vec![
+            ("round", ArgValue::Int(i64::from(round))),
+            ("identical", ArgValue::Int(i64::from(identical))),
+            ("injected", ArgValue::Int(plan.injected() as i64)),
+        ],
+    }
+}
+
 /// Runs the WordCount chaos campaign: a clean baseline, then `rounds`
 /// faulty re-runs, each of which must recover (bounded retries plus
 /// speculative execution) to the byte-identical output.
 #[must_use]
 pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     let input = lines(400);
-    let (baseline, base_stats) = engine(FaultPlan::disabled()).run(&WordCount, &input);
+    let (baseline, base_stats) = engine(REDUCERS, FaultPlan::disabled()).run(&WordCount, &input);
 
     let mut identical_rounds = 0u64;
     let mut injected_total = 0u64;
@@ -85,11 +109,9 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     let mut injected: std::collections::BTreeMap<String, u64> = Default::default();
     let mut spans = Vec::new();
 
-    // One virtual second per round on the campaign timeline.
-    const ROUND_US: u64 = 1_000_000;
     for round in 0..rounds {
         let plan = round_plan(seed, round);
-        let (out, stats) = engine(plan.clone()).run(&WordCount, &input);
+        let (out, stats) = engine(REDUCERS, plan.clone()).run(&WordCount, &input);
         let identical = out == baseline;
         if identical {
             identical_rounds += 1;
@@ -109,20 +131,7 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
         for (site, n) in plan.injected_by_site() {
             *injected.entry(site).or_insert(0) += n;
         }
-        spans.push(SpanEvent {
-            name: "wordcount-round",
-            cat: "chaos",
-            start_us: u64::from(round) * ROUND_US,
-            dur_us: None,
-            tid: 0,
-            ctx: None,
-            args: vec![
-                ("round", ArgValue::Int(i64::from(round))),
-                ("identical", ArgValue::Int(i64::from(identical))),
-                ("injected", ArgValue::Int(plan.injected() as i64)),
-                ("recovered", ArgValue::Int(plan.recovered() as i64)),
-            ],
-        });
+        spans.push(round_span(round, identical, &plan));
     }
 
     let identity =
@@ -155,5 +164,29 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
             ("output_pairs".into(), baseline.len() as u64),
         ],
         spans,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Round 1 injects a spill-read error and a reduce-task panic. With
+    /// one reducer both always hit the same task, which recovers once;
+    /// with the campaign's three they usually hit two tasks. The round's
+    /// span must not tell the two apart.
+    #[test]
+    fn round_span_is_the_same_whichever_tasks_the_faults_hit() {
+        let input = lines(400);
+        let run = |reducers: usize| {
+            let plan = round_plan(7, 1);
+            engine(reducers, plan.clone()).run(&WordCount, &input);
+            (plan.injected(), plan.recovered(), round_span(1, true, &plan).args)
+        };
+        let (one_injected, one_recovered, one_task) = run(1);
+        let (injected, _, spread) = run(REDUCERS);
+        assert_eq!((one_injected, one_recovered), (2, 1), "both faults hit the one reduce task");
+        assert_eq!(injected, 2);
+        assert_eq!(one_task, spread);
     }
 }

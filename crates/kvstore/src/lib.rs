@@ -8,11 +8,19 @@
 //! * an in-memory sorted **memtable** ([`memtable`]),
 //! * immutable sorted **SSTables** on disk with sparse block indexes and
 //!   **bloom filters** ([`sstable`], [`bloom`]),
-//! * background-style **size-tiered compaction** ([`store`]).
+//! * **full compaction** ([`store`]): the put whose flush pushes the
+//!   table count past [`StoreConfig::max_tables`] merges every table into
+//!   one, inline, dropping shadowed versions and tombstones.
 //!
-//! Reads consult the memtable, then newest-to-oldest SSTables, skipping
-//! tables whose bloom filter rejects the key. Scans merge the memtable
-//! and every table. All operations have `*_with` variants threading a
+//! Each SSTable keeps its file open and reads it positionally. Point
+//! reads consult the memtable, then newest-to-oldest SSTables, skipping
+//! tables whose bloom filter rejects the key, and decode the one block
+//! in place. Scans and compaction are one k-way merge over the memtable
+//! range and a cursor per table; a cursor reads runs of consecutive
+//! blocks, up to 64 KiB a read, into a buffer the store keeps between
+//! calls, and only each key's newest live version is copied out. A
+//! block whose entry runs past its end is an `InvalidData` error, not a
+//! short read. All operations have `*_with` variants threading a
 //! [`bdb_archsim::Probe`], which reports the loads a real LSM read path
 //! performs (memtable search, bloom probes, index binary search, block
 //! fetch) so Cloud OLTP workloads can be micro-architecturally

@@ -13,12 +13,18 @@
 use crate::bloom::BloomFilter;
 use crate::memtable::Entry;
 use bdb_faults::FaultPlan;
+use std::cmp::Ordering;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const MAGIC: u64 = 0x0042_4442_5353_5442; // "BDB SSTB"
 const BLOCK_TARGET: usize = 4096;
+/// Bytes a [`Cursor`] asks the file for at most per read, unless one
+/// block alone is larger.
+const READ_CHUNK: usize = 64 << 10;
 
 /// One index entry: the first key of a block plus its file extent.
 #[derive(Debug, Clone)]
@@ -28,10 +34,12 @@ struct IndexEntry {
     len: u32,
 }
 
-/// A read handle to one SSTable file.
+/// A read handle to one SSTable file. The file stays open for the
+/// handle's lifetime and every data read is positional.
 #[derive(Debug)]
 pub struct SsTable {
     path: PathBuf,
+    file: File,
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     entries: u64,
@@ -59,7 +67,8 @@ impl SsTable {
     /// atomically renamed into place only once every byte (including
     /// the footer) is on disk — HBase's tmp-then-move commit for store
     /// files. A failed build removes the partial tmp file, so a reader
-    /// never observes a half-written table.
+    /// never observes a half-written table. The handle that wrote the
+    /// file is the one the table then reads through.
     ///
     /// # Errors
     ///
@@ -77,15 +86,18 @@ impl SsTable {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries must be sorted");
         let tmp = tmp_path(path);
         let written = (|| {
-            let mut w = faults.wrap_write(site, File::create(&tmp)?);
+            let file =
+                File::options().read(true).write(true).create(true).truncate(true).open(&tmp)?;
+            let mut w = faults.wrap_write(site, &file);
             let sections = write_table(&mut w, entries)?;
             w.flush()?;
             std::fs::rename(&tmp, path)?;
-            Ok(sections)
+            Ok((file, sections))
         })();
         match written {
-            Ok((index, bloom, file_bytes)) => Ok(Self {
+            Ok((file, (index, bloom, file_bytes))) => Ok(Self {
                 path: path.to_owned(),
+                file,
                 index,
                 bloom,
                 entries: entries.len() as u64,
@@ -104,14 +116,13 @@ impl SsTable {
     ///
     /// Returns `InvalidData` if the footer magic or sections are corrupt.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let file_bytes = file.metadata()?.len();
         if file_bytes < 48 {
             return Err(invalid("file too small"));
         }
-        file.seek(SeekFrom::End(-48))?;
         let mut footer = [0u8; 48];
-        file.read_exact(&mut footer)?;
+        file.read_exact_at(&mut footer, file_bytes - 48)?;
         let u64_at = |i: usize| u64::from_le_bytes(footer[i..i + 8].try_into().expect("8 bytes"));
         if u64_at(40) != MAGIC {
             return Err(invalid("bad magic"));
@@ -119,18 +130,28 @@ impl SsTable {
         let (index_off, index_len) = (u64_at(0), u64_at(8));
         let (bloom_off, bloom_len) = (u64_at(16), u64_at(24));
         let entries = u64_at(32);
+        let section = |off: u64, len: u64| {
+            off.checked_add(len)
+                .filter(|&end| end <= file_bytes - 48)
+                .and_then(|_| usize::try_from(len).ok())
+                .ok_or_else(|| invalid("section past the footer"))
+        };
 
-        file.seek(SeekFrom::Start(index_off))?;
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact(&mut index_bytes)?;
-        let index = parse_index(&index_bytes).ok_or_else(|| invalid("bad index"))?;
+        let mut index_bytes = vec![0u8; section(index_off, index_len)?];
+        file.read_exact_at(&mut index_bytes, index_off)?;
+        let index = parse_index(&index_bytes)
+            .filter(|index| {
+                index.iter().all(|e| {
+                    e.offset.checked_add(u64::from(e.len)).is_some_and(|end| end <= index_off)
+                })
+            })
+            .ok_or_else(|| invalid("bad index"))?;
 
-        file.seek(SeekFrom::Start(bloom_off))?;
-        let mut bloom_bytes = vec![0u8; bloom_len as usize];
-        file.read_exact(&mut bloom_bytes)?;
+        let mut bloom_bytes = vec![0u8; section(bloom_off, bloom_len)?];
+        file.read_exact_at(&mut bloom_bytes, bloom_off)?;
         let bloom = BloomFilter::from_bytes(&bloom_bytes).ok_or_else(|| invalid("bad bloom"))?;
 
-        Ok(Self { path: path.to_owned(), index, bloom, entries, file_bytes })
+        Ok(Self { path: path.to_owned(), file, index, bloom, entries, file_bytes })
     }
 
     /// Number of entries (including tombstones).
@@ -181,7 +202,8 @@ impl SsTable {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors reading the data block.
+    /// Propagates I/O errors reading the data block, and returns
+    /// `InvalidData` if an entry before the key runs past its block.
     pub fn get(&self, key: &[u8]) -> std::io::Result<Option<Entry>> {
         if !self.may_contain(key) {
             return Ok(None);
@@ -189,74 +211,168 @@ impl SsTable {
         let Some(block_idx) = self.block_for(key) else {
             return Ok(None);
         };
-        let block = self.read_block(block_idx)?;
-        Ok(scan_block(&block, |k| k == key).into_iter().next().map(|(_, e)| e))
-    }
-
-    /// Reads data block `idx` fully.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn read_block(&self, idx: usize) -> std::io::Result<Vec<u8>> {
-        let e = &self.index[idx];
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(e.offset))?;
-        let mut buf = vec![0u8; e.len as usize];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Iterates every entry in key order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn iter_all(&self) -> std::io::Result<Vec<(Vec<u8>, Entry)>> {
-        let mut out = Vec::with_capacity(self.entries as usize);
-        for i in 0..self.index.len() {
-            let block = self.read_block(i)?;
-            out.extend(scan_block(&block, |_| true));
-        }
-        Ok(out)
-    }
-
-    /// Range scan over `[start, end)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn scan(&self, start: &[u8], end: &[u8]) -> std::io::Result<Vec<(Vec<u8>, Entry)>> {
-        let first_block = self.block_for(start).unwrap_or(0);
-        let mut out = Vec::new();
-        for i in first_block..self.index.len() {
-            if self.index[i].first_key.as_slice() >= end {
-                break;
-            }
-            let block = self.read_block(i)?;
-            for (k, e) in scan_block(&block, |_| true) {
-                if k.as_slice() >= end {
-                    return Ok(out);
+        let e = &self.index[block_idx];
+        let mut block = vec![0u8; e.len as usize];
+        self.file.read_exact_at(&mut block, e.offset)?;
+        let mut s = block.as_slice();
+        while !s.is_empty() {
+            let row = decode_entry(s)?;
+            match s[row.key.clone()].cmp(key) {
+                Ordering::Less => s = &s[row.len..],
+                Ordering::Equal => {
+                    return Ok(Some(
+                        row.value.map_or(Entry::Tombstone, |v| Entry::Value(s[v].to_vec())),
+                    ))
                 }
-                if k.as_slice() >= start {
-                    out.push((k, e));
-                }
+                Ordering::Greater => break,
             }
         }
-        Ok(out)
+        Ok(None)
     }
 
-    /// Deletes the backing file (after compaction supersedes the table).
+    /// Deletes the backing file (after compaction supersedes the table)
+    /// and closes the handle.
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
     pub fn remove_file(self) -> std::io::Result<()> {
         std::fs::remove_file(&self.path)
+    }
+}
+
+/// A forward cursor over one table's rows with keys in `[start, end)`
+/// (`end` `None`: to the last row). It reads runs of consecutive blocks
+/// with one positional read each, at most [`READ_CHUNK`] bytes unless a
+/// single block is larger, into a buffer the caller lends it, so the
+/// buffer outlives the cursor and is reused by the next one. Each row
+/// is lent out borrowed from that buffer.
+pub(crate) struct Cursor<'a> {
+    table: &'a SsTable,
+    buf: &'a mut Vec<u8>,
+    start: &'a [u8],
+    end: Option<&'a [u8]>,
+    /// The next block to decode, and the end of the blocks to visit.
+    next_block: usize,
+    end_block: usize,
+    /// Blocks before `loaded` are in `buf`, consecutive from offset 0.
+    loaded: usize,
+    /// Decoding position and the end of its block, as `buf` offsets.
+    pos: usize,
+    block_end: usize,
+    /// The current row: its key and, unless a tombstone, its value.
+    row: Option<(Range<usize>, Option<Range<usize>>)>,
+    rows: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor before the first row of `table` in `[start, end)`; call
+    /// [`Cursor::advance`] to reach it. Blocks that start at or past
+    /// `end` are never read.
+    pub(crate) fn new(
+        table: &'a SsTable,
+        buf: &'a mut Vec<u8>,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+    ) -> Self {
+        let first = table.block_for(start).unwrap_or(0);
+        let end_block = end.map_or(table.index.len(), |end| {
+            table.index.partition_point(|e| e.first_key.as_slice() < end).max(first)
+        });
+        Self {
+            table,
+            buf,
+            start,
+            end,
+            next_block: first,
+            end_block,
+            loaded: first,
+            pos: 0,
+            block_end: 0,
+            row: None,
+            rows: 0,
+        }
+    }
+
+    /// Moves to the next row in range; `Ok(false)` once there is none.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors, and returns `InvalidData` for an entry
+    /// that runs past its block.
+    pub(crate) fn advance(&mut self) -> std::io::Result<bool> {
+        loop {
+            if self.pos == self.block_end {
+                if self.next_block == self.end_block {
+                    self.row = None;
+                    return Ok(false);
+                }
+                self.step_block()?;
+                continue;
+            }
+            let at = self.pos;
+            let row = decode_entry(&self.buf[at..self.block_end])?;
+            self.pos += row.len;
+            let key = &self.buf[at + row.key.start..at + row.key.end];
+            if key < self.start {
+                continue;
+            }
+            if self.end.is_some_and(|end| key >= end) {
+                // Sorted: nothing later is in range either.
+                self.end_block = self.next_block;
+                self.block_end = self.pos;
+                self.row = None;
+                return Ok(false);
+            }
+            let shift = |r: Range<usize>| at + r.start..at + r.end;
+            self.row = Some((shift(row.key), row.value.map(shift)));
+            self.rows += 1;
+            return Ok(true);
+        }
+    }
+
+    /// The current row's key; `None` before the first row and once the
+    /// cursor is exhausted.
+    pub(crate) fn key(&self) -> Option<&[u8]> {
+        self.row.as_ref().map(|(k, _)| &self.buf[k.clone()])
+    }
+
+    /// The current row's value; `None` for a tombstone.
+    pub(crate) fn value(&self) -> Option<&[u8]> {
+        self.row.as_ref().and_then(|(_, v)| v.clone()).map(|v| &self.buf[v])
+    }
+
+    /// Rows in range passed so far, tombstones included.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Enters block `next_block`, reading it and the blocks that follow
+    /// it on disk, up to [`READ_CHUNK`] bytes, unless it is buffered.
+    fn step_block(&mut self) -> std::io::Result<()> {
+        let index = &self.table.index;
+        let first = &index[self.next_block];
+        if self.next_block == self.loaded {
+            let mut len = first.len as usize;
+            let mut run_end = self.next_block + 1;
+            while let Some(e) = index[..self.end_block].get(run_end) {
+                if e.offset != first.offset + len as u64 || len + e.len as usize > READ_CHUNK {
+                    break;
+                }
+                len += e.len as usize;
+                run_end += 1;
+            }
+            if self.buf.len() < len {
+                self.buf.resize(len, 0);
+            }
+            self.table.file.read_exact_at(&mut self.buf[..len], first.offset)?;
+            self.loaded = run_end;
+            self.pos = 0;
+            self.block_end = 0;
+        }
+        self.block_end += first.len as usize;
+        self.next_block += 1;
+        Ok(())
     }
 }
 
@@ -389,32 +505,38 @@ fn read_u64(s: &mut &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(head.try_into().ok()?))
 }
 
-/// Decodes entries of a data block, keeping those whose key satisfies
-/// `pred`.
-fn scan_block(block: &[u8], pred: impl Fn(&[u8]) -> bool) -> Vec<(Vec<u8>, Entry)> {
-    let mut out = Vec::new();
+/// Where one encoded entry's parts sit in the slice it was decoded
+/// from, and how long the entry is.
+struct Decoded {
+    key: Range<usize>,
+    /// `None` for a tombstone.
+    value: Option<Range<usize>>,
+    len: usize,
+}
+
+/// Decodes the entry at the start of `block`, the rest of one data
+/// block.
+///
+/// # Errors
+///
+/// Returns `InvalidData` if the entry runs past the block.
+fn decode_entry(block: &[u8]) -> std::io::Result<Decoded> {
+    let damaged = || invalid("entry runs past its block");
     let mut s = block;
-    while !s.is_empty() {
-        let Some(klen) = read_u32(&mut s) else { break };
-        if s.len() < klen as usize + 5 {
-            break;
-        }
-        let (key, rest) = s.split_at(klen as usize);
-        s = rest;
-        let tomb = s[0] == 1;
-        s = &s[1..];
-        let Some(vlen) = read_u32(&mut s) else { break };
-        if s.len() < vlen as usize {
-            break;
-        }
-        let (val, rest) = s.split_at(vlen as usize);
-        s = rest;
-        if pred(key) {
-            let entry = if tomb { Entry::Tombstone } else { Entry::Value(val.to_vec()) };
-            out.push((key.to_vec(), entry));
-        }
+    let klen = read_u32(&mut s).ok_or_else(damaged)? as usize;
+    if s.len() < klen.saturating_add(5) {
+        return Err(damaged());
     }
-    out
+    let key = 4..4 + klen;
+    let tomb = s[klen] == 1;
+    s = &s[klen + 1..];
+    let vlen = read_u32(&mut s).ok_or_else(damaged)? as usize;
+    if s.len() < vlen {
+        return Err(damaged());
+    }
+    let value = key.end + 5..key.end + 5 + vlen;
+    let len = value.end;
+    Ok(Decoded { key, value: (!tomb).then_some(value), len })
 }
 
 #[cfg(test)]
@@ -468,36 +590,75 @@ mod tests {
     fn open_rejects_corrupt_footer() {
         let path = tmp("corrupt");
         SsTable::build(&path, &sample_entries(10)).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
+        let good = std::fs::read(&path).unwrap();
+        let n = good.len();
+        let mut bytes = good.clone();
         bytes[n - 1] ^= 0xFF; // clobber magic
         std::fs::write(&path, &bytes).unwrap();
         assert!(SsTable::open(&path).is_err());
+        // An index length reaching past the footer is refused before
+        // anything is allocated for it.
+        let mut bytes = good;
+        bytes[n - 40..n - 32].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = SsTable::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every row a cursor over `[start, end)` passes, owned.
+    fn rows(table: &SsTable, start: &[u8], end: Option<&[u8]>) -> Vec<(Vec<u8>, Entry)> {
+        let mut buf = Vec::new();
+        let mut cursor = Cursor::new(table, &mut buf, start, end);
+        let mut out = Vec::new();
+        while cursor.advance().unwrap() {
+            let entry = cursor.value().map_or(Entry::Tombstone, |v| Entry::Value(v.to_vec()));
+            out.push((cursor.key().unwrap().to_vec(), entry));
+        }
+        assert_eq!(cursor.rows(), out.len());
+        out
+    }
+
     #[test]
-    fn iter_all_is_ordered_and_complete() {
+    fn cursor_reads_every_entry_in_order() {
         let path = tmp("iter");
         let entries = sample_entries(300);
         let table = SsTable::build(&path, &entries).unwrap();
-        let all = table.iter_all().unwrap();
-        assert_eq!(all, entries);
+        assert_eq!(rows(&table, b"", None), entries);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn scan_respects_bounds() {
+    fn cursor_respects_bounds() {
         let path = tmp("scan");
         let entries = sample_entries(200);
         let table = SsTable::build(&path, &entries).unwrap();
-        let out = table.scan(b"key00000050", b"key00000060").unwrap();
-        assert_eq!(out.len(), 10);
-        assert_eq!(out[0].0, b"key00000050".to_vec());
-        assert_eq!(out[9].0, b"key00000059".to_vec());
-        // Scan before all keys and after all keys.
-        assert!(table.scan(b"a", b"b").unwrap().is_empty());
-        assert!(table.scan(b"z", b"zz").unwrap().is_empty());
+        let out = rows(&table, b"key00000050", Some(b"key00000060"));
+        assert_eq!(out, entries[50..60]);
+        // Before all keys, after all keys, and an empty range.
+        assert!(rows(&table, b"a", Some(b"b")).is_empty());
+        assert!(rows(&table, b"z", Some(b"zz")).is_empty());
+        assert!(rows(&table, b"key00000050", Some(b"key00000050")).is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cursor_crosses_read_chunks_and_oversized_blocks() {
+        let path = tmp("chunks");
+        // 1..=40 KiB values: many blocks hold one entry, some alone
+        // exceed a read chunk, and runs of small ones share a read.
+        let entries: Vec<(Vec<u8>, Entry)> = (0..120u32)
+            .map(|i| {
+                let key = format!("key{i:08}").into_bytes();
+                let len = if i % 7 == 0 { 70 << 10 } else { (i as usize * 337) % (40 << 10) + 1 };
+                let entry =
+                    if i % 11 == 5 { Entry::Tombstone } else { Entry::Value(vec![i as u8; len]) };
+                (key, entry)
+            })
+            .collect();
+        let table = SsTable::build(&path, &entries).unwrap();
+        assert_eq!(rows(&table, b"", None), entries);
+        assert_eq!(rows(&table, b"key00000013", Some(b"key00000101")), entries[13..101]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -507,7 +668,7 @@ mod tests {
         let table = SsTable::build(&path, &[]).unwrap();
         assert!(table.is_empty());
         assert_eq!(table.get(b"x").unwrap(), None);
-        assert!(table.iter_all().unwrap().is_empty());
+        assert!(rows(&table, b"", None).is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,14 +1,13 @@
 //! The full store: WAL + memtable + SSTables + compaction.
 
 use crate::memtable::{Entry, Memtable};
-use crate::sstable::SsTable;
+use crate::sstable::{Cursor, SsTable};
 use crate::trace::StoreTraceModel;
 use crate::wal::{WalOp, WriteAheadLog};
 use bdb_archsim::layout::{fnv1a, splitmix64};
 use bdb_archsim::{NullProbe, Probe};
 use bdb_faults::FaultPlan;
 use bdb_telemetry::{span, Counter, MetricsRegistry, SpanRecorder};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Tuning knobs for [`Store`].
@@ -71,6 +70,9 @@ pub struct Store {
     memtable: Memtable,
     /// Newest first.
     tables: Vec<SsTable>,
+    /// One read buffer per table cursor, kept from one scan or
+    /// compaction to the next.
+    read_bufs: Vec<Vec<u8>>,
     next_table_id: u64,
     stats: StoreStats,
     trace: Option<StoreTraceModel>,
@@ -150,6 +152,7 @@ impl Store {
             wal,
             memtable,
             tables,
+            read_bufs: Vec::new(),
             next_table_id,
             stats: StoreStats::default(),
             trace: None,
@@ -367,7 +370,10 @@ impl Store {
                 if let (Some(t), Some(b)) = (self.trace.as_mut(), table.block_for(key)) {
                     t.block_read(probe, table_id, b, 4096);
                 }
-                return Ok(entry.value().map(<[u8]>::to_vec));
+                return Ok(match entry {
+                    Entry::Value(v) => Some(v),
+                    Entry::Tombstone => None,
+                });
             }
         }
         Ok(None)
@@ -398,26 +404,23 @@ impl Store {
         if let Some(t) = self.trace.as_mut() {
             t.on_op(probe);
         }
-        // Oldest-to-newest overlay: later inserts win.
-        let mut merged: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
-        for (i, table) in self.tables.iter().enumerate().rev() {
-            let table_id = self.next_table_id.wrapping_sub(i as u64);
-            let rows = table.scan(start, end)?;
-            if let Some(t) = self.trace.as_mut() {
+        let mut rows = Vec::new();
+        let mut cursors = cursors(&self.tables, &mut self.read_bufs, start, Some(end));
+        merge_live(self.memtable.range(start, end), &mut cursors, |k, v| {
+            rows.push((k.to_vec(), v.to_vec()));
+        })?;
+        if let Some(t) = self.trace.as_mut() {
+            // Oldest table first, then the memtable's rows.
+            for (i, (table, cursor)) in self.tables.iter().zip(&cursors).enumerate().rev() {
+                let table_id = self.next_table_id.wrapping_sub(i as u64);
                 t.index_search(probe, table_id, table.block_count());
-                t.block_read(probe, table_id, fnv1a(start) as usize, rows.len() * 64);
+                t.block_read(probe, table_id, fnv1a(start) as usize, cursor.rows() * 64);
             }
-            for (k, e) in rows {
-                merged.insert(k, e);
-            }
-        }
-        for (k, e) in self.memtable.range(start, end) {
-            if self.trace.is_some() {
+            for (k, _) in self.memtable.range(start, end) {
                 probe.load(splitmix64(fnv1a(k)) | 1 << 45, 64);
             }
-            merged.insert(k.to_vec(), e.clone());
         }
-        Ok(merged.into_iter().filter_map(|(k, e)| e.value().map(|v| (k, v.to_vec()))).collect())
+        Ok(rows)
     }
 
     /// Forces a memtable flush (used by tests and shutdown paths).
@@ -497,15 +500,12 @@ impl Store {
             return Ok(());
         }
         let _compact = span!(self.telemetry, "kvstore", "compaction", tables = self.tables.len());
-        // Oldest-to-newest overlay merge.
-        let mut merged: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
-        for table in self.tables.iter().rev() {
-            for (k, e) in table.iter_all()? {
-                merged.insert(k, e);
-            }
-        }
-        let entries: Vec<(Vec<u8>, Entry)> =
-            merged.into_iter().filter(|(_, e)| matches!(e, Entry::Value(_))).collect();
+        let mut entries = Vec::new();
+        let mut cursors = cursors(&self.tables, &mut self.read_bufs, &[], None);
+        merge_live(std::iter::empty(), &mut cursors, |k, v| {
+            entries.push((k.to_vec(), Entry::Value(v.to_vec())));
+        })?;
+        drop(cursors);
         let id = self.next_table_id;
         let new_table = match SsTable::build_with(
             &table_path(&self.dir, id),
@@ -534,6 +534,77 @@ impl Store {
             c.compactions.inc();
         }
         Ok(())
+    }
+}
+
+/// A cursor per table over `[start, end)`, newest first, each reading
+/// into its own buffer of `bufs`, which grows to one per table.
+fn cursors<'a>(
+    tables: &'a [SsTable],
+    bufs: &'a mut Vec<Vec<u8>>,
+    start: &'a [u8],
+    end: Option<&'a [u8]>,
+) -> Vec<Cursor<'a>> {
+    if bufs.len() < tables.len() {
+        bufs.resize_with(tables.len(), Vec::new);
+    }
+    tables.iter().zip(bufs.iter_mut()).map(|(t, buf)| Cursor::new(t, buf, start, end)).collect()
+}
+
+/// K-way merge of the memtable rows `mem` over the table cursors
+/// `tables` (newest first): `emit` sees each key once, in order, with
+/// its newest version, and keys whose newest version is a tombstone not
+/// at all. Shadowed versions are skipped where they lie, uncopied.
+fn merge_live<'m>(
+    mut mem: impl Iterator<Item = (&'m [u8], &'m Entry)>,
+    tables: &mut [Cursor<'_>],
+    mut emit: impl FnMut(&[u8], &[u8]),
+) -> std::io::Result<()> {
+    let mut mem_head = mem.next();
+    for cursor in tables.iter_mut() {
+        cursor.advance()?;
+    }
+    loop {
+        // The smallest key; on a tie the memtable wins, then the newer
+        // table, so only strictly smaller keys replace the leader.
+        let mut min = mem_head.map(|(k, _)| k);
+        let mut leader = None;
+        for (i, cursor) in tables.iter().enumerate() {
+            if let Some(k) = cursor.key() {
+                if min.is_none_or(|m| k < m) {
+                    min = Some(k);
+                    leader = Some(i);
+                }
+            }
+        }
+        match (leader, mem_head) {
+            (None, None) => return Ok(()),
+            (None, Some((key, entry))) => {
+                if let Entry::Value(v) = entry {
+                    emit(key, v);
+                }
+                for cursor in tables.iter_mut() {
+                    if cursor.key() == Some(key) {
+                        cursor.advance()?;
+                    }
+                }
+                mem_head = mem.next();
+            }
+            (Some(i), _) => {
+                // Newer sources hold larger keys; older ones may shadow.
+                let (newer, older) = tables.split_at_mut(i + 1);
+                let leader = &mut newer[i];
+                if let (Some(k), Some(v)) = (leader.key(), leader.value()) {
+                    emit(k, v);
+                }
+                for cursor in older {
+                    if cursor.key() == leader.key() {
+                        cursor.advance()?;
+                    }
+                }
+                leader.advance()?;
+            }
+        }
     }
 }
 
@@ -734,6 +805,41 @@ mod tests {
         assert_eq!(metrics.counter("kvstore.compactions").get(), s.stats().compactions);
         assert_eq!(metrics.counter("kvstore.bloom_misses").get(), s.stats().bloom_skips);
         assert!(metrics.counter("kvstore.bloom_misses").get() > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// This process's open descriptors whose target lies in `dir`.
+    fn open_fds_in(dir: &Path) -> Vec<String> {
+        std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .map(|target| target.to_string_lossy().into_owned())
+            .collect()
+    }
+
+    #[test]
+    fn open_handles_follow_the_live_tables() {
+        let dir = tmpdir("fds");
+        let mut s = Store::open_with(
+            &dir,
+            StoreConfig { memtable_flush_bytes: 1 << 30, max_tables: 3, ..Default::default() },
+        )
+        .unwrap();
+        let dir = dir.canonicalize().unwrap();
+        for round in 0..100 {
+            for i in 0..40 {
+                s.put(key(round * 13 + i), vec![round as u8; 200]).unwrap();
+            }
+            s.delete(&key(round)).unwrap();
+            s.flush().unwrap();
+            assert_eq!(s.get(&key(round * 13 + 39)).unwrap(), Some(vec![round as u8; 200]));
+            assert!(!s.scan(&key(0), &key(2000)).unwrap().is_empty());
+            let fds = open_fds_in(&dir);
+            assert_eq!(fds.len(), s.table_count() + 1, "the tables and the WAL: {fds:?}");
+            assert!(fds.iter().all(|fd| !fd.ends_with("(deleted)")), "{fds:?}");
+        }
+        assert!(s.stats().compactions >= 30, "compactions: {}", s.stats().compactions);
         std::fs::remove_dir_all(&dir).ok();
     }
 

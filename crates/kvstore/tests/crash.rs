@@ -151,6 +151,51 @@ fn crash_mid_compaction_keeps_every_input_table() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Overwrites the value-length field of the first entry in block 0 of
+/// the table file at `path` with `u32::MAX`, keeping the file's length,
+/// index, bloom and footer.
+fn damage_first_entry(path: &Path) {
+    use std::os::unix::fs::FileExt;
+    let file = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+    let mut klen = [0u8; 4];
+    file.read_exact_at(&mut klen, 0).unwrap();
+    // klen u32, key, tomb u8, then vlen u32.
+    let vlen_at = 4 + u64::from(u32::from_le_bytes(klen)) + 1;
+    file.write_all_at(&u32::MAX.to_le_bytes(), vlen_at).unwrap();
+}
+
+#[test]
+fn damaged_block_is_an_error_not_a_short_read() {
+    let dir = tmpdir("damaged-block");
+    {
+        let mut s = Store::open_with(&dir, manual_config()).unwrap();
+        for round in 0..2u32 {
+            for i in 0..600 {
+                s.put(key(i), format!("r{round}-{i}").into_bytes()).unwrap();
+            }
+            s.flush().unwrap();
+        }
+    }
+    let tables = table_files(&dir);
+    assert_eq!(tables.len(), 2);
+    // The newest table, which answers every read of its keys.
+    damage_first_entry(&dir.join(&tables[1]));
+
+    let mut s = Store::open_with(&dir, manual_config()).expect("open reads no data block");
+    let invalid = |e: std::io::Error| assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+    invalid(s.get(&key(0)).expect_err("get in the damaged block"));
+    invalid(s.get(&key(2)).expect_err("get behind the damaged entry"));
+    invalid(s.scan(&key(0), &key(10)).expect_err("scan over the damaged block"));
+    invalid(s.compact().expect_err("compaction reads the damaged block"));
+    assert_eq!(s.table_count(), 2, "both inputs stay live");
+    assert_eq!(table_files(&dir), tables, "the compaction published nothing");
+    // Rows outside the damaged block still read.
+    assert_eq!(s.get(&key(599)).unwrap(), Some(b"r1-599".to_vec()));
+    let tail = s.scan(&key(590), &key(600)).unwrap();
+    assert_eq!(tail.len(), 10);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn reopen_removes_stray_tmp_tables() {
     let dir = tmpdir("stray-tmp");

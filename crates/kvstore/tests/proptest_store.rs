@@ -15,13 +15,22 @@ enum Op {
     Compact,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Mostly short values, one in ten 2–20 KiB: enough of those in one
+/// table make a scan read it in more than one 64 KiB chunk.
+fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        4 => (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..24))
-            .prop_map(|(k, v)| Op::Put(k, v)),
-        1 => any::<u16>().prop_map(Op::Delete),
-        3 => any::<u16>().prop_map(Op::Get),
-        1 => (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
+        9 => proptest::collection::vec(any::<u8>(), 0..24),
+        1 => proptest::collection::vec(any::<u8>(), 2048..20480),
+    ]
+}
+
+/// Operations on keys `0..=max_key`.
+fn op_strategy(max_key: u16) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (0..=max_key, value_strategy()).prop_map(|(k, v)| Op::Put(k, v)),
+        1 => (0..=max_key).prop_map(Op::Delete),
+        3 => (0..=max_key).prop_map(Op::Get),
+        1 => (0..=max_key, 0..=max_key).prop_map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
         1 => Just(Op::Flush),
         1 => Just(Op::Compact),
     ]
@@ -37,51 +46,21 @@ proptest! {
     /// The store agrees with a BTreeMap model on every read, across any
     /// interleaving of mutations, flushes and compactions.
     #[test]
-    fn store_matches_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let dir = std::env::temp_dir().join(format!(
-            "bdb-prop-{}-{:x}",
-            std::process::id(),
-            rand_tag(&ops)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = Store::open_with(
-            &dir,
-            StoreConfig { memtable_flush_bytes: 512, max_tables: 3, ..Default::default() },
-        )
-        .expect("open");
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    store.put(key_bytes(*k), v.clone()).expect("put");
-                    model.insert(key_bytes(*k), v.clone());
-                }
-                Op::Delete(k) => {
-                    store.delete(&key_bytes(*k)).expect("delete");
-                    model.remove(&key_bytes(*k));
-                }
-                Op::Get(k) => {
-                    let got = store.get(&key_bytes(*k)).expect("get");
-                    prop_assert_eq!(got.as_ref(), model.get(&key_bytes(*k)));
-                }
-                Op::Scan(a, b) => {
-                    let got = store.scan(&key_bytes(*a), &key_bytes(*b)).expect("scan");
-                    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(key_bytes(*a)..key_bytes(*b))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    prop_assert_eq!(got, expect);
-                }
-                Op::Flush => store.flush().expect("flush"),
-                Op::Compact => store.compact().expect("compact"),
-            }
-        }
-        // Final sweep: every model key agrees.
-        for (k, v) in &model {
-            let got = store.get(k).expect("get");
-            prop_assert_eq!(got.as_ref(), Some(v));
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    fn store_matches_model(ops in proptest::collection::vec(op_strategy(u16::MAX), 1..120)) {
+        let config = StoreConfig { memtable_flush_bytes: 512, max_tables: 3, ..Default::default() };
+        check_model("bdb-prop", &ops, config)?;
+    }
+
+    /// The same over 64 hot keys and 64 KiB memtables: tables hold many
+    /// large rows, so scans cross read chunks with overwritten and
+    /// deleted keys on both sides of each chunk boundary.
+    #[test]
+    fn large_rows_across_read_chunks_match_model(
+        ops in proptest::collection::vec(op_strategy(63), 1..400),
+    ) {
+        let config =
+            StoreConfig { memtable_flush_bytes: 64 << 10, max_tables: 3, ..Default::default() };
+        check_model("bdb-prop-large", &ops, config)?;
     }
 
     /// Recovery: reopening after arbitrary mutations preserves content.
@@ -129,6 +108,52 @@ proptest! {
             prop_assert!(bf.contains(k));
         }
     }
+}
+
+/// Runs `ops` against a store opened with `config` in a fresh directory
+/// and a BTreeMap model, comparing every read, then every model key and
+/// a full scan.
+fn check_model(prefix: &str, ops: &[Op], config: StoreConfig) -> Result<(), TestCaseError> {
+    let dir =
+        std::env::temp_dir().join(format!("{prefix}-{}-{:x}", std::process::id(), rand_tag(ops)));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = Store::open_with(&dir, config).expect("open");
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for op in ops {
+        match op {
+            Op::Put(k, v) => {
+                store.put(key_bytes(*k), v.clone()).expect("put");
+                model.insert(key_bytes(*k), v.clone());
+            }
+            Op::Delete(k) => {
+                store.delete(&key_bytes(*k)).expect("delete");
+                model.remove(&key_bytes(*k));
+            }
+            Op::Get(k) => {
+                let got = store.get(&key_bytes(*k)).expect("get");
+                prop_assert_eq!(got.as_ref(), model.get(&key_bytes(*k)));
+            }
+            Op::Scan(a, b) => {
+                let got = store.scan(&key_bytes(*a), &key_bytes(*b)).expect("scan");
+                let expect: Vec<(Vec<u8>, Vec<u8>)> = model
+                    .range(key_bytes(*a)..key_bytes(*b))
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                prop_assert_eq!(got, expect);
+            }
+            Op::Flush => store.flush().expect("flush"),
+            Op::Compact => store.compact().expect("compact"),
+        }
+    }
+    // Final sweep: every model key agrees, and a full scan is the model.
+    for (k, v) in &model {
+        let got = store.get(k).expect("get");
+        prop_assert_eq!(got.as_ref(), Some(v));
+    }
+    let all = store.scan(b"", b"l").expect("full scan");
+    prop_assert_eq!(all, model.into_iter().collect::<Vec<_>>());
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
 }
 
 /// Cheap deterministic tag so parallel proptest cases use distinct dirs.
