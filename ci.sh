@@ -87,14 +87,19 @@ if [ "$fast" -eq 0 ]; then
     # Concurrency guard: these suites run jobs in parallel test threads
     # that share the temp directory, so a name collision or scheduling
     # race shows up only some of the time. The kvstore suites keep
-    # SSTable handles open across flush and compaction. Ten rounds; the
-    # first failure stops the gate.
+    # SSTable handles open across flush and compaction. The query
+    # kernels merge worker results by morsel index, so an ordering bug
+    # that depends on which worker ran which morsel shows up only in
+    # some runs of the SQL differential suites. Ten rounds; the first
+    # failure stops the gate.
     for round in $(seq 1 10); do
         echo "== concurrency suites, round $round/10 =="
         cargo test -q -p bdb-mapreduce \
             --test concurrent_spill --test faults --test proptest_engine
-        cargo test -q -p bdb-integration --test telemetry_trace --test bench_results
+        cargo test -q -p bdb-integration --test telemetry_trace --test bench_results \
+            --test columnar_differential
         cargo test -q -p bdb-kvstore --test crash --test proptest_store
+        cargo test -q -p bdb-sql --test proptest_sql
     done
 fi
 

@@ -3,19 +3,19 @@
 //! The parallel path is hash-partitioned so float accumulation stays
 //! bit-identical to the row oracle: rows are split by group hash into
 //! [`PARTITIONS`] disjoint partitions (a group lives wholly in one
-//! partition), partition lists are stitched in morsel order so each
-//! partition sees its rows in global row order, and partitions then
-//! aggregate independently — every group's values are added in exactly
-//! the order the single-threaded row engine adds them, regardless of
-//! worker count.
+//! partition), each morsel keeping one row list per partition. A
+//! partition then aggregates its rows by reading those lists in morsel
+//! order, which is global row order — every group's values are added in
+//! exactly the order the single-threaded row engine adds them,
+//! regardless of worker count.
 
-use super::{for_each_index, for_each_morsel};
-use crate::column::ColumnarTable;
+use super::{for_each_index, for_each_morsel, U64Map};
+use crate::column::{ColumnVec, ColumnarTable};
 use crate::exec::{Acc, Aggregation};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use bdb_archsim::layout::splitmix64;
 use bdb_telemetry::{span, SpanRecorder};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Number of hash partitions in the parallel paths (power of two).
 pub(crate) const PARTITIONS: usize = 16;
@@ -26,11 +26,62 @@ pub(crate) fn partition_of(h: u64) -> usize {
     (splitmix64(h) & (PARTITIONS as u64 - 1)) as usize
 }
 
-/// Group state: key plus one accumulator per aggregation, keyed by the
-/// group hash exactly like the row engine's `aggregate`.
+/// One morsel's `(row, hash)` pairs grouped by partition, each
+/// partition's pairs in row order.
+#[derive(Debug)]
+pub(crate) struct MorselPartitions {
+    pairs: Vec<(u32, u64)>,
+    /// Partition `p` holds `pairs[starts[p]..starts[p + 1]]`.
+    starts: [u32; PARTITIONS + 1],
+}
+
+impl MorselPartitions {
+    /// Pass 1 of the parallel aggregate and join: hashes `col` over
+    /// `rows` and groups the rows by partition with a counting sort.
+    /// With `skip_null`, NULL keys are left out (they never join).
+    pub(crate) fn new(col: &ColumnVec, rows: Range<usize>, skip_null: bool) -> Self {
+        let mut hashed = Vec::with_capacity(rows.len());
+        let mut starts = [0u32; PARTITIONS + 1];
+        for row in rows {
+            let key = col.value_ref(row);
+            if skip_null && key.is_null() {
+                continue;
+            }
+            let h = key.hash64();
+            let p = partition_of(h);
+            starts[p + 1] += 1;
+            hashed.push((row as u32, h, p as u8));
+        }
+        for p in 0..PARTITIONS {
+            starts[p + 1] += starts[p];
+        }
+        let mut fill = starts;
+        let mut pairs = vec![(0, 0); hashed.len()];
+        for (row, h, p) in hashed {
+            pairs[fill[p as usize] as usize] = (row, h);
+            fill[p as usize] += 1;
+        }
+        Self { pairs, starts }
+    }
+
+    /// Partition `p`'s pairs, in row order.
+    pub(crate) fn part(&self, p: usize) -> &[(u32, u64)] {
+        &self.pairs[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+}
+
+/// Group state, keyed by the group hash exactly like the row engine's
+/// `aggregate`: each new hash gets the next dense group id, the row that
+/// created it (whose key cell is the group key) and one accumulator per
+/// aggregation in a flat, group-major vector.
 #[derive(Debug, Default)]
 pub(crate) struct GroupTable {
-    groups: HashMap<u64, (Value, Vec<Acc>)>,
+    /// Group hash → group id.
+    ids: U64Map<u32>,
+    /// Group id → its first row.
+    first_rows: Vec<u32>,
+    /// Group id `g` owns `accs[g * aggs.len()..(g + 1) * aggs.len()]`.
+    accs: Vec<Acc>,
 }
 
 impl GroupTable {
@@ -38,38 +89,74 @@ impl GroupTable {
     pub(crate) fn update(
         &mut self,
         t: &ColumnarTable,
-        gcol: usize,
         acols: &[usize],
         aggs: &[Aggregation],
         row: usize,
         h: u64,
     ) {
-        let entry = self.groups.entry(h).or_insert_with(|| {
-            (
-                t.column(gcol).value_ref(row).to_value(),
-                aggs.iter().map(|a| Acc::new(a.func)).collect(),
-            )
-        });
-        for (acc, &c) in entry.1.iter_mut().zip(acols) {
+        let next = self.first_rows.len() as u32;
+        let g = *self.ids.entry(h).or_insert(next) as usize;
+        if g == self.first_rows.len() {
+            self.first_rows.push(row as u32);
+            self.accs.extend(aggs.iter().map(|a| Acc::new(a.func)));
+        }
+        let width = aggs.len();
+        for (acc, &c) in self.accs[g * width..(g + 1) * width].iter_mut().zip(acols) {
             acc.update(t.column(c).value_ref(row));
         }
     }
+
+    /// Finalizes every group into its output row (the key, then one
+    /// value per aggregation), in group-id order, and returns the rows
+    /// with the first-row list [`sort_groups`] reads the keys from.
+    pub(crate) fn into_rows(
+        self,
+        t: &ColumnarTable,
+        gcol: usize,
+        width: usize,
+    ) -> (Vec<u32>, Vec<Vec<Value>>) {
+        let col = t.column(gcol);
+        let mut accs = self.accs.into_iter();
+        let rows = self
+            .first_rows
+            .iter()
+            .map(|&row| {
+                let mut out = Vec::with_capacity(1 + width);
+                out.push(col.value_ref(row as usize).to_value());
+                out.extend(accs.by_ref().take(width).map(Acc::finish));
+                out
+            })
+            .collect();
+        (self.first_rows, rows)
+    }
 }
 
-/// Finalizes accumulated groups into output rows ordered by group key
-/// (same ordering as the row engine).
-pub(crate) fn finish_rows(tables: impl IntoIterator<Item = GroupTable>) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = tables
-        .into_iter()
-        .flat_map(|t| t.groups.into_values())
-        .map(|(key, accs)| {
-            let mut row = vec![key];
-            row.extend(accs.into_iter().map(Acc::finish));
-            row
+/// Orders finished groups (one [`GroupTable::into_rows`] result per
+/// table) by group key, the row engine's output order. Each key is read
+/// once from its group's first row; the sort moves `(key, table, group)`
+/// triples and each row then moves once into place.
+pub(crate) fn sort_groups(
+    t: &ColumnarTable,
+    gcol: usize,
+    mut tables: Vec<(Vec<u32>, Vec<Vec<Value>>)>,
+) -> Vec<Vec<Value>> {
+    let col = t.column(gcol);
+    let mut order: Vec<(ValueRef<'_>, u32, u32)> = tables
+        .iter()
+        .enumerate()
+        .flat_map(|(p, (first_rows, _))| {
+            first_rows
+                .iter()
+                .enumerate()
+                .map(move |(g, &row)| (col.value_ref(row as usize), p as u32, g as u32))
         })
         .collect();
-    rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    rows
+    // Distinct groups have distinct keys, so the order is total.
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    order
+        .into_iter()
+        .map(|(_, p, g)| std::mem::take(&mut tables[p as usize].1[g as usize]))
+        .collect()
 }
 
 /// Morsel-parallel partitioned hash aggregation.
@@ -82,34 +169,30 @@ pub(crate) fn aggregate_parallel(
 ) -> Vec<Vec<Value>> {
     // Pass 1: hash the group column morsel-by-morsel and split row ids
     // into partitions.
-    let per_morsel: Vec<[Vec<(u32, u64)>; PARTITIONS]> = for_each_morsel(t.len(), |m, rows| {
+    let per_morsel = for_each_morsel(t.len(), |m, rows| {
         let mut span = span!(telemetry, "sql", "agg-morsel", morsel = m, rows = rows.len());
-        let mut parts: [Vec<(u32, u64)>; PARTITIONS] = std::array::from_fn(|_| Vec::new());
-        let col = t.column(gcol);
-        for row in rows {
-            let h = col.value_ref(row).hash64();
-            parts[partition_of(h)].push((row as u32, h));
-        }
-        span.arg("partitions_touched", parts.iter().filter(|p| !p.is_empty()).count());
+        let parts = MorselPartitions::new(t.column(gcol), rows, false);
+        span.arg(
+            "partitions_touched",
+            (0..PARTITIONS).filter(|&p| !parts.part(p).is_empty()).count(),
+        );
         parts
     });
-    // Stitch per-partition lists in morsel order: global row order within
-    // each partition, the invariant float exactness rests on.
-    let mut parts: Vec<Vec<(u32, u64)>> = (0..PARTITIONS).map(|_| Vec::new()).collect();
-    for morsel in per_morsel {
-        for (p, rows) in morsel.into_iter().enumerate() {
-            parts[p].extend(rows);
-        }
-    }
-    // Pass 2: aggregate partitions independently.
+    // Pass 2: aggregate partitions independently, each reading its
+    // lists in morsel order: global row order within the partition, the
+    // invariant float exactness rests on.
     let tables = for_each_index(PARTITIONS, |p| {
         let mut span = span!(telemetry, "sql", "agg-partition", partition = p);
         let mut gt = GroupTable::default();
-        for &(row, h) in &parts[p] {
-            gt.update(t, gcol, acols, aggs, row as usize, h);
+        let mut rows = 0;
+        for parts in &per_morsel {
+            for &(row, h) in parts.part(p) {
+                gt.update(t, acols, aggs, row as usize, h);
+            }
+            rows += parts.part(p).len();
         }
-        span.arg("rows", parts[p].len());
-        gt
+        span.arg("rows", rows);
+        gt.into_rows(t, gcol, aggs.len())
     });
-    finish_rows(tables)
+    sort_groups(t, gcol, tables)
 }

@@ -15,6 +15,15 @@
 //!   hashed into per-partition tables, probed morsel-parallel, with
 //!   late materialization of matched rows only.
 //!
+//! Both hash operators split rows into per-morsel partition lists, and
+//! each partition reads its lists straight from the morsels in morsel
+//! order (global row order) — nothing copies them into one list first.
+//! Their tables are flat: one `U64Map` entry per distinct key hash
+//! (a dense group id, or the two ends of a build chain) over plain
+//! vectors of accumulators or `(row, next)` chain links, with no
+//! per-group or per-key allocation. Per-morsel outputs are moved into
+//! one vector allocated at their summed length.
+//!
 //! The plain and `_instrumented` forms schedule morsels across worker
 //! threads (claimed from an atomic counter, results merged in morsel
 //! index order, so results are identical for any worker count — the
@@ -42,6 +51,7 @@ use crate::SqlError;
 use bdb_telemetry::{span, SpanRecorder};
 use filter::CompiledFilter;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -85,6 +95,45 @@ where
         .into_iter()
         .map(|s| s.into_inner().expect("result slot").expect("every index ran"))
         .collect()
+}
+
+/// Concatenates per-morsel outputs in morsel order into one vector
+/// allocated once at the summed length.
+fn concat<T>(per_morsel: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(per_morsel.iter().map(Vec::len).sum());
+    for mut part in per_morsel {
+        out.append(&mut part);
+    }
+    out
+}
+
+/// A hash map keyed by a `hash64` the kernels have already computed.
+/// Hashing the key again with SipHash would be wasted work; instead
+/// [`PreHashed`] folds it through one multiply, so the buckets and the
+/// control bytes the map takes from the top and bottom of the result
+/// depend on every key bit.
+pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<PreHashed>>;
+
+/// The [`U64Map`] hasher: a fixed 128-bit multiply-fold of the `u64`
+/// key. Deliberately not `splitmix64`, whose low bits pick the
+/// partition (`agg::partition_of`): reusing it would give every key of
+/// a partition the same low bucket bits.
+#[derive(Default)]
+pub(crate) struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("U64Map keys are u64 hashes");
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        let p = u128::from(h) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
 }
 
 /// Morsel-parallel driver: workers claim morsels from a shared counter;
@@ -166,7 +215,7 @@ pub fn select_instrumented(
         span.arg("output_rows", out.len());
         out
     });
-    Ok(per_morsel.into_iter().flatten().collect())
+    Ok(concat(per_morsel))
 }
 
 /// [`select`] under an architectural probe: single-threaded morsel loop
@@ -305,10 +354,10 @@ pub fn aggregate_traced<P: Probe + ?Sized>(
                     probe.fp_ops(fp_per_row);
                 }
             }
-            gt.update(table, gcol, &acols, aggs, row, h);
+            gt.update(table, &acols, aggs, row, h);
         }
     }
-    Ok(agg::finish_rows([gt]))
+    Ok(agg::sort_groups(table, gcol, vec![gt.into_rows(table, gcol, aggs.len())]))
 }
 
 // ---------------------------------------------------------------------
@@ -370,7 +419,7 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
     }
     let buckets = left.len().max(64);
     // Build over the left table.
-    let mut build: HashMap<u64, Vec<u32>> = HashMap::with_capacity(left.len());
+    let mut build = join::BuildTable::with_capacity(left.len());
     for (_m, rows) in morsel_ranges(left.len()) {
         if let Some(t) = trace.as_mut() {
             probe.phase("build");
@@ -386,7 +435,7 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
             if let Some(t) = trace.as_mut() {
                 t.hash_access_compact(probe, h, buckets, true);
             }
-            build.entry(h).or_default().push(row as u32);
+            build.insert(h, row as u32);
         }
     }
     // Probe over the right table.
@@ -408,24 +457,20 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
             if let Some(t) = trace.as_mut() {
                 t.hash_access_compact(probe, h, buckets, false);
             }
-            if let Some(matches) = build.get(&h) {
-                for &lrow in matches {
-                    if left.column(li).value_ref(lrow as usize).total_cmp(&key)
-                        == std::cmp::Ordering::Equal
-                    {
-                        if let Some(t) = trace.as_mut() {
-                            for &c in &lcols {
-                                t.gather(probe, left, c, lrow as usize);
-                            }
-                            for &c in &rcols {
-                                t.gather(probe, right, c, row);
-                            }
+            for lrow in build.matches(h) {
+                if left.column(li).value_ref(lrow).total_cmp(&key) == std::cmp::Ordering::Equal {
+                    if let Some(t) = trace.as_mut() {
+                        for &c in &lcols {
+                            t.gather(probe, left, c, lrow);
                         }
-                        let mut joined = Vec::with_capacity(lcols.len() + rcols.len());
-                        project::gather_row(left, &lcols, lrow as usize, &mut joined);
-                        project::gather_row(right, &rcols, row, &mut joined);
-                        out.push(joined);
+                        for &c in &rcols {
+                            t.gather(probe, right, c, row);
+                        }
                     }
+                    let mut joined = Vec::with_capacity(lcols.len() + rcols.len());
+                    project::gather_row(left, &lcols, lrow, &mut joined);
+                    project::gather_row(right, &rcols, row, &mut joined);
+                    out.push(joined);
                 }
             }
         }
@@ -529,6 +574,84 @@ mod tests {
         assert!(probe.mix().other > 0, "engine stack recorded");
     }
 
+    /// A build table of three morsels (keys repeat across morsels, every
+    /// 50th key NULL) and a probe table of three morsels.
+    fn morsel_tables() -> (Table, Table) {
+        let mut build = Table::new(
+            "build",
+            Schema::new(&[
+                ("id", ColumnType::Int),
+                ("key", ColumnType::Int),
+                ("tag", ColumnType::Str),
+            ]),
+        );
+        for i in 0..(2 * MORSEL + 300) as i64 {
+            let key = if i % 50 == 7 { Value::Null } else { Value::Int(i % 211) };
+            build.push_row(vec![Value::Int(i), key, format!("t{}", i % 13).into()]).unwrap();
+        }
+        let mut probe = Table::new(
+            "probe",
+            Schema::new(&[("key", ColumnType::Int), ("amount", ColumnType::Float)]),
+        );
+        for i in 0..(3 * MORSEL - 7) as i64 {
+            let key = if i % 61 == 5 { Value::Null } else { Value::Int((i * 7) % 257) };
+            probe.push_row(vec![key, Value::Float(i as f64 * 0.5)]).unwrap();
+        }
+        (build, probe)
+    }
+
+    /// The simulated side is what `BENCH_RESULTS.json` and
+    /// `charmap.json` are made of: each traced kernel must return the
+    /// parallel kernel's rows and drive the probe with exactly these
+    /// counts over a three-morsel input.
+    #[test]
+    fn traced_kernels_pin_the_simulated_counts() {
+        use bdb_archsim::{CountingProbe, InstructionMix};
+        let (build, probe_t) = morsel_tables();
+        let cb = ColumnarTable::from_table(&build);
+        let cp = ColumnarTable::from_table(&probe_t);
+        let traced = || {
+            let mut trace = Some(SqlTraceModel::new());
+            trace.as_mut().unwrap().register_columnar(&cb);
+            trace.as_mut().unwrap().register_columnar(&cp);
+            (CountingProbe::default(), trace)
+        };
+        let counts = |[loads, stores, branches, int_ops, fp_ops, other]: [u64; 6]| InstructionMix {
+            loads,
+            stores,
+            branches,
+            int_ops,
+            fp_ops,
+            other,
+        };
+
+        let (mut probe, mut trace) = traced();
+        let pred = col("amount").lt(lit(900.0));
+        assert_eq!(
+            select_traced(&cp, &pred, &["amount", "key"], &mut probe, &mut trace).unwrap(),
+            select(&cp, &pred, &["amount", "key"]).unwrap()
+        );
+        assert_eq!(probe.mix(), counts([4659, 241, 513, 7088, 6, 1642]));
+        assert_eq!(probe.requested_bytes(), 46304);
+
+        let (mut probe, mut trace) = traced();
+        let aggs = [Aggregation::count(), Aggregation::sum("amount"), Aggregation::max("amount")];
+        assert_eq!(
+            aggregate_traced(&cp, "key", &aggs, &mut probe, &mut trace).unwrap(),
+            aggregate(&cp, "key", &aggs).unwrap()
+        );
+        assert_eq!(probe.mix(), counts([4900, 3306, 6640, 26092, 3071, 1642]));
+        assert_eq!(probe.requested_bytes(), 172448);
+
+        let (mut probe, mut trace) = traced();
+        assert_eq!(
+            hash_join_traced(&cb, "key", &cp, "key", &mut probe, &mut trace).unwrap(),
+            hash_join(&cb, "key", &cp, "key").unwrap()
+        );
+        assert_eq!(probe.mix(), counts([139618, 2743, 6251, 157001, 12, 3008]));
+        assert_eq!(probe.requested_bytes(), 755240);
+    }
+
     #[test]
     fn instrumented_kernels_emit_morsel_spans() {
         let (orders, items) = tables();
@@ -542,6 +665,24 @@ mod tests {
         for name in ["scan-morsel", "agg-morsel", "agg-partition", "build-morsel", "probe-morsel"] {
             assert!(events.iter().any(|e| e.name == name), "span {name} present");
         }
+
+        // On a multi-morsel input the per-partition span args add up to
+        // the whole table: every row aggregated once, every distinct
+        // non-NULL build key built once.
+        let (build, probe_t) = morsel_tables();
+        let cb = ColumnarTable::from_table(&build);
+        let cp = ColumnarTable::from_table(&probe_t);
+        let telemetry = SpanRecorder::enabled();
+        aggregate_instrumented(&cp, "key", &[Aggregation::count()], &telemetry).unwrap();
+        hash_join_instrumented(&cb, "key", &cp, "key", &telemetry).unwrap();
+        let events = telemetry.events();
+        let sum = |name: &str, arg: &str| -> i64 {
+            events.iter().filter(|e| e.name == name).map(|e| e.int_arg(arg).unwrap()).sum()
+        };
+        assert_eq!(sum("agg-partition", "rows"), cp.len() as i64);
+        let keys: std::collections::HashSet<i64> =
+            (0..build.len()).filter_map(|r| build.value(r, 1).as_int()).collect();
+        assert_eq!(sum("build-partition", "keys"), keys.len() as i64);
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! emits probe order with build chains in row order — so every property
 //! here asserts *exact* equality (values, row order, and float bits)
 //! against the row engine over randomly generated tables with nullable
-//! ints, floats, dictionary-encoded strings and dates.
+//! ints, floats, dictionary-encoded strings and dates. The small-table
+//! properties fit in one morsel; `kernels_match_row_oracle_across_morsels`
+//! runs tables of two to four morsels, so partition lists, build chains
+//! and output concatenation all cross morsel boundaries.
 
 use bdb_sql::exec;
 use bdb_sql::expr::{col, lit, Expr};
 use bdb_sql::kernel;
 use bdb_sql::{Aggregation, ColumnType, ColumnarTable, Schema, Table, Value};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::mem::discriminant;
 
 /// One generated row: null mask plus raw cell material.
 type RawRow = (u8, i64, f64, u8, u32);
@@ -139,6 +144,115 @@ proptest! {
             for colidx in 0..4 {
                 prop_assert_eq!(back.value(row, colidx), t.value(row, colidx));
             }
+        }
+    }
+}
+
+/// One row of a multi-morsel table: a null selector plus an index into
+/// [`KEY_VALUES`] distinct values for each of `k`, `x`, `s` and `d`.
+type KeyRow = (u8, u16, u16, u16, u16);
+
+/// Distinct values per key column, so groups and join chains hold
+/// several rows each and span many morsels.
+const KEY_VALUES: u16 = 300;
+
+/// Float keys. The first four are the cells where bit hashing and total
+/// ordering must agree with the oracle: `-0.0` and `0.0` are distinct
+/// keys, and each NaN equals only itself.
+fn float_key(i: u16) -> f64 {
+    match i {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::NAN,
+        3 => -f64::NAN,
+        _ => f64::from(i) * 0.75 - 100.0,
+    }
+}
+
+fn key_table(name: &str, rows: &[KeyRow]) -> Table {
+    let mut t = Table::new(
+        name,
+        Schema::new(&[
+            ("k", ColumnType::Int),
+            ("x", ColumnType::Float),
+            ("s", ColumnType::Str),
+            ("d", ColumnType::Date),
+        ]),
+    );
+    for &(null, k, x, s, d) in rows {
+        // At most one NULL per row, each column about one row in eleven.
+        let null = null % 11;
+        t.push_row(vec![
+            if null == 0 { Value::Null } else { Value::Int(i64::from(k) - 150) },
+            if null == 1 { Value::Null } else { Value::Float(float_key(x)) },
+            if null == 2 { Value::Null } else { Value::Str(format!("s{s}")) },
+            if null == 3 { Value::Null } else { Value::Date(u32::from(d) * 7) },
+        ])
+        .expect("schema");
+    }
+    t
+}
+
+fn key_rows_strategy() -> impl Strategy<Value = Vec<KeyRow>> {
+    proptest::collection::vec(
+        (any::<u8>(), 0..KEY_VALUES, 0..KEY_VALUES, 0..KEY_VALUES, 0..KEY_VALUES),
+        2100..4200,
+    )
+}
+
+/// Exact equality of two results: same rows in the same order, the same
+/// variant in every cell, and `total_cmp`-equal values. `total_cmp` is
+/// bit-exact for floats, so a NaN cell equals itself, where `Value`'s
+/// derived `==` would fail even when both engines agree.
+fn check_identical(
+    what: &str,
+    got: &[Vec<Value>],
+    want: &[Vec<Value>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}: {} rows, oracle {}", what, got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.len() == w.len()
+            && g.iter().zip(w).all(|(a, b)| {
+                discriminant(a) == discriminant(b) && a.total_cmp(b) == Ordering::Equal
+            });
+        prop_assert!(same, "{}: row {} is {:?}, oracle {:?}", what, i, g, w);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Aggregate and join over tables of two to four morsels, keyed on
+    /// each column type: per-morsel partition lists must reach each
+    /// partition in global row order (float sums are order-sensitive),
+    /// build chains that cross morsels must keep build-row order, and
+    /// per-morsel probe output must concatenate in morsel order.
+    #[test]
+    fn kernels_match_row_oracle_across_morsels(
+        left in key_rows_strategy(),
+        right in key_rows_strategy(),
+    ) {
+        let lt = key_table("l", &left);
+        let rt = key_table("r", &right);
+        let lc = ColumnarTable::from_table(&lt);
+        let rc = ColumnarTable::from_table(&rt);
+        let aggs = [
+            Aggregation::count(),
+            Aggregation::sum("x"),
+            Aggregation::avg("x"),
+            Aggregation::min("x"),
+            Aggregation::max("k"),
+            Aggregation::min("s"),
+            Aggregation::max("d"),
+        ];
+        for key in ["k", "s", "d", "x"] {
+            let want = exec::aggregate(&lt, key, &aggs).expect("oracle");
+            let got = kernel::aggregate(&lc, key, &aggs).expect("kernel");
+            check_identical(&format!("aggregate by {key}"), &got, &want)?;
+            let want = exec::hash_join(&lt, key, &rt, key).expect("oracle");
+            let got = kernel::hash_join(&lc, key, &rc, key).expect("kernel");
+            check_identical(&format!("join on {key}"), &got, &want)?;
         }
     }
 }
