@@ -101,8 +101,6 @@ impl CodeRegion {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
-    heap_base: u64,
-    code_base: u64,
     next_heap: u64,
     next_code: u64,
     allocations: Vec<(u64, u64, String)>,
@@ -124,13 +122,7 @@ impl AddressSpace {
     /// pair from [`regions`] so substrate allocations never alias
     /// workload data in a shared machine simulation.
     pub fn with_bases(heap_base: u64, code_base: u64) -> Self {
-        Self {
-            heap_base,
-            code_base,
-            next_heap: heap_base,
-            next_code: code_base,
-            allocations: Vec::new(),
-        }
+        Self { next_heap: heap_base, next_code: code_base, allocations: Vec::new() }
     }
 
     /// Allocates `bytes` of synthetic heap, aligned to 64 bytes, returning
@@ -149,16 +141,6 @@ impl AddressSpace {
         let base = self.next_code;
         self.next_code += ((bytes as u64).max(1) + 63) & !63;
         CodeRegion::sized(base, bytes)
-    }
-
-    /// Total synthetic heap bytes allocated so far.
-    pub fn heap_used(&self) -> u64 {
-        self.next_heap - self.heap_base
-    }
-
-    /// Total synthetic code bytes allocated so far.
-    pub fn code_used(&self) -> u64 {
-        self.next_code - self.code_base
     }
 
     /// The allocation log: `(base, requested_bytes, label)` tuples.

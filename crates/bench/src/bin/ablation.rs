@@ -16,46 +16,35 @@
 //! | `--cache-size` | what-if architecture study: L1I and L3 sizes vs a Hadoop workload (the paper's "cache area efficiency" lesson) |
 //! | `--iter-cache` | what does `cache()` buy an iterative job on the in-memory engine? |
 
-use bdb_archsim::{CacheConfig, MachineConfig, Probe, SimProbe};
+use bdb_archsim::{CacheConfig, MachineConfig, Probe};
 use bdb_bench::table::{fnum, TextTable};
 use bdb_dataflow::Dataset;
 use bdb_kvstore::{Store, StoreConfig};
-use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
-use bigdatabench::{Suite, WorkloadId};
+use bdb_mapreduce::jobs::{Sort, WordCount};
+use bdb_mapreduce::{Emitter, Engine, Job};
+use bigdatabench::{characterize, Suite, WorkloadId};
 use std::time::Instant;
 
-struct WordCountJob {
-    combiner: bool,
-}
+/// A1's "combiner off" arm: [`WordCount`] with the trait's identity
+/// `combine`, so every emitted pair reaches the shuffle.
+struct NoCombiner;
 
-impl Job for WordCountJob {
+impl Job for NoCombiner {
     type Input = String;
     type Key = String;
     type Value = u64;
     type Output = (String, u64);
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, _p: &mut P) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        if self.combiner {
-            vec![values.into_iter().sum()]
-        } else {
-            values
-        }
+    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, p: &mut P) {
+        WordCount.map(line, emit, p);
     }
     fn reduce<P: Probe + ?Sized>(
         &self,
         key: String,
         values: Vec<u64>,
         out: &mut Vec<(String, u64)>,
-        _p: &mut P,
+        p: &mut P,
     ) {
-        out.push((key, values.into_iter().sum()));
+        WordCount.reduce(key, values, out, p);
     }
 }
 
@@ -75,17 +64,19 @@ fn ablate_combiner() {
     section("A1 — map-side combiner (WordCount, 4 MiB text)");
     let lines = corpus(4 << 20);
     let mut t = TextTable::new(&["combiner", "shuffle bytes", "combined pairs", "seconds"]);
-    for combiner in [false, true] {
+    fn row<J: Job<Input = String>>(t: &mut TextTable, combiner: &str, job: &J, lines: &[String]) {
         let engine = Engine::builder().build();
         let start = Instant::now();
-        let (_, stats) = engine.run(&WordCountJob { combiner }, &lines);
+        let (_, stats) = engine.run(job, lines);
         t.row(&[
-            combiner.to_string(),
+            combiner.to_owned(),
             stats.shuffle_bytes.to_string(),
             stats.combined_pairs.to_string(),
             format!("{:.3}", start.elapsed().as_secs_f64()),
         ]);
     }
+    row(&mut t, "false", &NoCombiner, &lines);
+    row(&mut t, "true", &WordCount, &lines);
     println!("{}", t.render());
 }
 
@@ -129,33 +120,11 @@ fn ablate_bloom() {
 fn ablate_sortbuf() {
     section("A3 — sort-buffer budget vs spills (Sort, 16 MiB input)");
     let lines = corpus(16 << 20);
-    struct SortJob;
-    impl Job for SortJob {
-        type Input = String;
-        type Key = String;
-        type Value = ();
-        type Output = String;
-        fn input_size(&self, line: &String) -> usize {
-            line.len()
-        }
-        fn map<P: Probe + ?Sized>(&self, l: &String, e: &mut Emitter<String, ()>, _p: &mut P) {
-            e.emit(l.clone(), ());
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            k: String,
-            v: Vec<()>,
-            out: &mut Vec<String>,
-            _p: &mut P,
-        ) {
-            out.extend(std::iter::repeat_n(k, v.len()));
-        }
-    }
     let mut t = TextTable::new(&["buffer MiB", "spills", "spill MiB", "seconds"]);
     for buf_mib in [1usize, 4, 16, 64] {
         let engine = Engine::builder().map_buffer_bytes(buf_mib << 20).build();
         let start = Instant::now();
-        let (_, stats) = engine.run(&SortJob, &lines);
+        let (_, stats) = engine.run(&Sort, &lines);
         t.row(&[
             buf_mib.to_string(),
             stats.spills.to_string(),
@@ -169,37 +138,11 @@ fn ablate_sortbuf() {
 fn ablate_stack() {
     section("A4 — software stack swap: WordCount on MapReduce vs in-memory dataflow");
     println!("(the paper's §6.3.2 planned experiment: do the L1I misses follow the stack?)\n");
-    let lines = corpus(1 << 20);
-    let machine = MachineConfig::xeon_e5645();
-
-    // MapReduce stack, warm protocol as in the suite.
-    let mut probe = SimProbe::new(machine.clone());
-    let engine = Engine::builder().build();
-    let mut fw = FrameworkModel::new();
-    fw.warm(&mut probe);
-    let warm = lines.len() / 5 + 1;
-    engine.run_traced_with(&WordCountJob { combiner: true }, &lines[..warm], &mut probe, &mut fw);
-    probe.reset_stats();
-    engine.run_traced_with(&WordCountJob { combiner: true }, &lines, &mut probe, &mut fw);
-    let hadoop = probe.finish();
-
-    // In-memory dataflow stack, same workload and input.
-    let mut probe = SimProbe::new(machine);
-    let wordcount = |ds: &Dataset<String>| {
-        ds.flat_map(|l| l.split_whitespace().map(str::to_owned).collect())
-            .key_by(|w| w.clone())
-            .map_values(|_| 1u64)
-            .reduce_by_key(|a, b| a + b)
-    };
-    let warm_ds = Dataset::from_vec(lines[..warm].to_vec());
-    wordcount(&warm_ds).collect_traced(&mut probe);
-    probe.reset_stats();
-    let ds = Dataset::from_vec(lines.clone());
-    let (counts, _) = wordcount(&ds).collect_traced(&mut probe);
-    let dataflow = probe.finish();
-
+    let swap = characterize::stack_swap(&corpus(1 << 20), &MachineConfig::xeon_e5645());
     let mut t = TextTable::new(&["stack", "L1I MPKI", "L2 MPKI", "L3 MPKI", "ITLB MPKI", "IPC"]);
-    for (name, r) in [("MapReduce (Hadoop-like)", &hadoop), ("in-memory dataflow", &dataflow)] {
+    for (name, r) in
+        [("MapReduce (Hadoop-like)", &swap.mapreduce), ("in-memory dataflow", &swap.dataflow)]
+    {
         t.row(&[
             name.to_owned(),
             fnum(r.l1i_mpki()),
@@ -212,8 +155,8 @@ fn ablate_stack() {
     println!("{}", t.render());
     println!(
         "({} distinct words; L1I MPKI ratio {:.1}x — the deep stack carries the misses)",
-        counts.len(),
-        hadoop.l1i_mpki() / dataflow.l1i_mpki().max(1e-9)
+        swap.distinct_words,
+        swap.mapreduce.l1i_mpki() / swap.dataflow.l1i_mpki().max(1e-9)
     );
 }
 

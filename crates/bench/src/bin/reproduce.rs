@@ -8,10 +8,8 @@
 //! generated from it. Exit status: 0 on success, 1 when a pass's gate
 //! rejects the run, 2 on a usage or I/O error.
 
-use bdb_archsim::Probe;
 use bdb_bench::paper;
 use bdb_bench::table::{fnum, TextTable};
-use bdb_mapreduce::{Emitter, Job};
 use bdb_telemetry::json::ObjectWriter;
 use bdb_telemetry::TraceSession;
 use bigdatabench::characterize::{self, Fig3Row};
@@ -101,7 +99,7 @@ const PASSES: &[Pass] = &[
             ),
         ],
         artifacts: &["BENCH_RESULTS.json"],
-        seed_fixed: false,
+        seed_fixed: true,
         run: Some(bench_results),
     },
     Pass {
@@ -560,61 +558,6 @@ fn print_fig3(rows: &[Fig3Row]) {
     println!("{}", t.render());
 }
 
-/// WordCount job for the instrumented `--trace` pass.
-struct TraceWordCount;
-impl Job for TraceWordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, _p: &mut P) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
-
-/// TeraSort-style sort job for the instrumented `--trace` pass.
-struct TraceSort;
-impl Job for TraceSort {
-    type Input = String;
-    type Key = String;
-    type Value = ();
-    type Output = String;
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, ()>, _p: &mut P) {
-        emit.emit(line.clone(), ());
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<()>,
-        out: &mut Vec<String>,
-        _p: &mut P,
-    ) {
-        for _ in values {
-            out.push(key.clone());
-        }
-    }
-}
-
 /// Pushes one traced workload's artifacts: its Chrome trace and metrics
 /// summary into `dir`, and with `profile_dir` its profile (`.folded`,
 /// `.critpath.txt`, `.util.txt`) plus a busy-workers counter track in
@@ -658,6 +601,7 @@ fn trace_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_archsim::SimProbe;
     use bdb_graph::{label_propagation_instrumented, pagerank_instrumented, PageRankConfig};
     use bdb_kvstore::{Store, StoreConfig};
+    use bdb_mapreduce::jobs::{Sort, WordCount};
     use bdb_mapreduce::Engine;
     use bdb_mlkit::KMeans;
     use bdb_serving::loadgen::{run_closed_loop_sampled, PrometheusSampler};
@@ -689,7 +633,7 @@ fn trace_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         .metrics(session.metrics.clone())
         .build();
     let mut probe = SimProbe::new(machine.clone());
-    let (_, stats) = engine.run_traced(&TraceWordCount, &lines, &mut probe);
+    let (_, stats) = engine.run_traced(&WordCount, &lines, &mut probe);
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
@@ -723,7 +667,7 @@ fn trace_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         .metrics(session.metrics.clone())
         .build();
     let mut probe = SimProbe::new(machine);
-    let (_, stats) = engine.run_traced(&TraceSort, &lines, &mut probe);
+    let (_, stats) = engine.run_traced(&Sort, &lines, &mut probe);
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
@@ -1477,8 +1421,6 @@ fn tsdb_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     // Replay the same terminal events into a registry, scraping on
     // every window boundary (plus a finer cadence between them), so
     // the stored cumulative counters can answer for the live run.
-    // Terminal times mirror `ObsPipeline::ingest_phase`: shed at
-    // arrival, timed-out at abandonment, completed at finish.
     let threshold_us = THRESHOLD.as_micros() as u64;
     // (t_ns, bad, completed latency µs) per terminal event.
     let mut terminal: Vec<(u64, bool, Option<u64>)> = Vec::new();
@@ -1486,18 +1428,16 @@ fn tsdb_pass(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         [(0, &load.steady.records), (load.overload_at_ns, &load.overload.records)]
     {
         for r in records {
-            let (t, bad, latency_us) = match r.outcome {
-                RequestOutcome::Shed => (Some(r.arrival_ns), true, None),
-                RequestOutcome::TimedOut => (r.start_ns, true, None),
+            let Some(t) = r.terminal_ns() else { continue };
+            let (bad, latency_us) = match r.outcome {
                 RequestOutcome::Completed => {
                     let us = r.latency_ns() / 1_000;
-                    (r.finish_ns, us >= threshold_us, Some(us))
+                    (us >= threshold_us, Some(us))
                 }
-                RequestOutcome::Unfinished => (None, false, None),
+                // Shed or timed out.
+                _ => (true, None),
             };
-            if let Some(t) = t {
-                terminal.push((offset_ns + t, bad, latency_us));
-            }
+            terminal.push((offset_ns + t, bad, latency_us));
         }
     }
     terminal.sort_unstable();
@@ -1642,11 +1582,10 @@ fn bench_results(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     eprintln!("collecting {} workloads at fraction {}...", ids.len(), args.fraction());
     let results = collect(args.fraction(), &ids);
     let current = results.to_json();
-    let mut t = TextTable::new(&["workload", "metric", "MIPS", "L1I", "L2", "L3 MPKI", "phases"]);
+    let mut t = TextTable::new(&["workload", "MIPS", "L1I", "L2", "L3 MPKI", "phases"]);
     for w in &results.workloads {
         t.row(&[
             w.name.clone(),
-            format!("{} {}", fnum(w.metric_value), w.metric_unit),
             fnum(w.mips),
             fnum(w.mpki[0]),
             fnum(w.mpki[2]),

@@ -1,20 +1,19 @@
 //! The versioned `BENCH_RESULTS.json` regression artifact.
 //!
-//! [`collect`] runs a fixed set of workloads natively (for the
-//! user-perceivable metric and wall time) and under the architecture
+//! [`collect`] runs a fixed set of workloads under the architecture
 //! simulator (for MIPS, MPKI, instruction mix, operation intensity and
 //! the per-phase counter breakdown), then renders everything as one
-//! stable JSON document. [`compare_json`] diffs two such documents and
-//! reports every simulated metric that drifted beyond a tolerance —
-//! the `ci.sh --bench-check` gate. Wall-clock numbers are recorded for
-//! context but never gated: only deterministic simulator outputs are.
+//! stable JSON document, byte-identical for the same fraction.
+//! [`compare_json`] diffs two such documents and reports every
+//! simulated metric that drifted beyond a tolerance — the
+//! `reproduce --bench-baseline` gate. Wall-clock numbers come from
+//! `wallbench`, not from this artifact.
 //!
 //! The JSON is written and read back through [`bdb_telemetry::json`],
 //! the workspace's one JSON codec.
 
 use bdb_telemetry::json::{self, Json, ObjectWriter};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
-use std::time::Instant;
 
 /// Bumped whenever the JSON layout changes incompatibly; the
 /// comparator refuses to diff documents of different versions.
@@ -23,7 +22,9 @@ use std::time::Instant;
 /// v3: workloads gained a gated top-level `dram_bytes` counter and the
 /// set grew to 10 — all three relational query workloads are tracked so
 /// the vectorized engine's instruction/DRAM wins stay pinned.
-pub const SCHEMA_VERSION: u64 = 3;
+/// v4: the single-shot native `wall_ms`, `metric_unit` and
+/// `metric_value` are gone, so the whole document is fixed by the seed.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Workloads captured in the artifact: every traced workload, covering
 /// each paper scenario family (micro MapReduce ×2, graph analytics ×2,
@@ -59,17 +60,11 @@ pub struct PhaseResult {
     pub dram_bytes: u64,
 }
 
-/// One workload's native measurement plus simulated characterization.
+/// One workload's simulated characterization.
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
     /// Workload name, Table 6 spelling.
     pub name: String,
-    /// Native wall time of the run (context only — never gated).
-    pub wall_ms: f64,
-    /// Unit of the user-perceivable metric (`B/s`, `ops/s`, `req/s`).
-    pub metric_unit: &'static str,
-    /// The user-perceivable rate (records/bytes/requests per second).
-    pub metric_value: f64,
     /// Timing-model MIPS.
     pub mips: f64,
     /// Instructions per cycle from the timing model.
@@ -111,9 +106,6 @@ pub fn collect(fraction: f64, ids: &[WorkloadId]) -> BenchResults {
     let workloads = ids
         .iter()
         .map(|&id| {
-            let wall_start = Instant::now();
-            let native = suite.run_native(id, 1);
-            let wall_ms = wall_start.elapsed().as_secs_f64() * 1_000.0;
             let report = suite.run_traced(id, 1, machine.clone());
             let total = report.mix.total();
             let phases = report
@@ -131,9 +123,6 @@ pub fn collect(fraction: f64, ids: &[WorkloadId]) -> BenchResults {
             use bdb_archsim::metrics::InstClass;
             WorkloadResult {
                 name: id.name().to_owned(),
-                wall_ms,
-                metric_unit: native.metric.unit(),
-                metric_value: native.metric.value(),
                 mips: report.mips(),
                 ipc: report.ipc(),
                 instructions: total,
@@ -197,9 +186,6 @@ impl BenchResults {
 fn write_workload(out: &mut String, w: &WorkloadResult) {
     let mut o = ObjectWriter::new(out);
     o.field_str("name", &w.name)
-        .field_f64("wall_ms", w.wall_ms)
-        .field_str("metric_unit", w.metric_unit)
-        .field_f64("metric_value", w.metric_value)
         .field_f64("mips", w.mips)
         .field_f64("ipc", w.ipc)
         .field_u64("instructions", w.instructions)
@@ -517,7 +503,7 @@ mod tests {
         assert_eq!(a.workloads[0].instructions, b.workloads[0].instructions);
         assert_eq!(a.workloads[0].cycles, b.workloads[0].cycles);
         assert_eq!(a.workloads[0].mpki, b.workloads[0].mpki);
-        // Only wall_ms (and possibly the native rate) may differ.
+        assert_eq!(a.to_json(), b.to_json(), "the artifact is fixed by the seed");
         let drifts = compare_json(&a.to_json(), &b.to_json(), 0.0).expect("comparable");
         assert!(drifts.is_empty(), "sim metrics must be bit-stable: {drifts:?}");
     }

@@ -6,7 +6,7 @@
 //! must be byte-identical.
 
 use std::collections::BTreeMap;
-use std::ffi::{OsStr, OsString};
+use std::ffi::OsString;
 use std::path::Path;
 use std::process::Command;
 
@@ -14,7 +14,8 @@ const CHARMAP: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../charmap.json")
 const BENCH_RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RESULTS.json");
 
 struct Row {
-    /// Arguments; `DIR` stands for the row's output directory.
+    /// Arguments; `DIR` stands for the row's output directory, and a
+    /// `DIR/` prefix for a file in it.
     args: &'static [&'static str],
     /// Files the run must leave non-empty in `DIR`.
     artifacts: Vec<String>,
@@ -90,9 +91,16 @@ fn rows() -> Vec<Row> {
             },
         },
         Row {
-            args: &["--fraction", "0.02", "--bench-baseline", BENCH_RESULTS],
-            artifacts: Vec::new(),
-            seed_fixed: false,
+            args: &[
+                "--fraction",
+                "0.02",
+                "--bench-json",
+                "DIR/BENCH_RESULTS.json",
+                "--bench-baseline",
+                BENCH_RESULTS,
+            ],
+            artifacts: vec!["BENCH_RESULTS.json".into()],
+            seed_fixed: true,
             pass_line: "bench-check PASS",
             check: |_| {},
         },
@@ -121,7 +129,14 @@ fn rows() -> Vec<Row> {
 /// Runs `row` with its output in `dir` and checks what it wrote.
 fn run(row: &Row, dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
-    let args = row.args.iter().map(|a| if *a == "DIR" { dir.as_os_str() } else { OsStr::new(a) });
+    let args = row.args.iter().map(|a| match a.strip_prefix("DIR") {
+        Some(file) => {
+            let mut path = dir.as_os_str().to_owned();
+            path.push(file);
+            path
+        }
+        None => OsString::from(a),
+    });
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce")).args(args).output().expect("runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(

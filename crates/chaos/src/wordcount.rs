@@ -4,39 +4,10 @@
 
 use crate::report::{CampaignReport, CheckerVerdict};
 use bdb_faults::FaultPlan;
-use bdb_mapreduce::{sites, Emitter, Engine, Job};
+use bdb_mapreduce::jobs::WordCount;
+use bdb_mapreduce::{sites, Engine};
 use bdb_telemetry::{ArgValue, SpanEvent};
 use std::time::Duration;
-
-struct WordCount;
-impl Job for WordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn map<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<String, u64>,
-        _p: &mut P,
-    ) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
 
 fn lines(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("alpha beta-{} gamma delta epsilon", i % 23)).collect()

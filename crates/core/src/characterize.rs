@@ -9,7 +9,11 @@ use crate::report::WorkloadReport;
 use crate::scale::RunScale;
 use crate::suite::Suite;
 use crate::workload::WorkloadId;
-use bdb_archsim::{CharacterizationReport, MachineConfig};
+use crate::workloads::{traced_job, warm_len};
+use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
+use bdb_dataflow::Dataset;
+use bdb_mapreduce::jobs::{words, WordCount};
+use bdb_mapreduce::Engine;
 use bdb_refbench::{characterize_suite, RefSuite};
 
 /// Refbench kernel scale used for suite averages — large enough that
@@ -339,6 +343,50 @@ pub fn phase_rows(workload: &str, report: &CharacterizationReport) -> Vec<PhaseR
 /// Computes the per-phase breakdown for every workload in `reports`.
 pub fn phase_breakdown(reports: &[(WorkloadId, CharacterizationReport)]) -> Vec<PhaseRow> {
     reports.iter().flat_map(|(id, r)| phase_rows(id.name(), r)).collect()
+}
+
+/// The paper's planned stack swap (§6.3.2): one WordCount on two
+/// software stacks, characterized on the same machine.
+#[derive(Debug, Clone)]
+pub struct StackSwap {
+    /// [`WordCount`] on the MapReduce (Hadoop-like) engine.
+    pub mapreduce: CharacterizationReport,
+    /// The same count on the in-memory (Spark-like) dataflow engine.
+    pub dataflow: CharacterizationReport,
+    /// Distinct words both stacks counted.
+    pub distinct_words: usize,
+}
+
+/// Runs the stack swap over `lines`: [`WordCount`] on the MapReduce
+/// stack and a [`words`] count on `bdb-dataflow`, each traced with the
+/// suite's warm-up protocol (the first fifth of the input, then one
+/// measured run over all of it).
+///
+/// # Panics
+///
+/// Panics if the two stacks count different words: the comparison is
+/// only meaningful when they compute the same answer.
+pub fn stack_swap(lines: &[String], machine: &MachineConfig) -> StackSwap {
+    let engine = Engine::builder().build();
+    let (mapreduce, mut hadoop_out) = traced_job(&engine, &WordCount, lines, machine.clone());
+
+    let wordcount = |lines: &[String]| {
+        Dataset::from_vec(lines.to_vec())
+            .flat_map(|l| words(l).map(str::to_owned).collect())
+            .key_by(|w| w.clone())
+            .map_values(|_| 1u64)
+            .reduce_by_key(|a, b| a + b)
+    };
+    let mut probe = SimProbe::new(machine.clone());
+    wordcount(&lines[..warm_len(lines.len())]).collect_traced(&mut probe);
+    probe.reset_stats();
+    let (mut flow_out, _) = wordcount(lines).collect_traced(&mut probe);
+    let dataflow = probe.finish();
+
+    hadoop_out.sort();
+    flow_out.sort();
+    assert_eq!(hadoop_out, flow_out, "both stacks compute the same answer");
+    StackSwap { mapreduce, dataflow, distinct_words: flow_out.len() }
 }
 
 /// Convenience: the multipliers of [`RunScale::MULTIPLIERS`] as labels.

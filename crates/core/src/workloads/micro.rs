@@ -1,14 +1,16 @@
 //! Micro benchmarks: Sort, Grep, WordCount (MapReduce over Wikipedia-
 //! style text) and BFS (MPI-style over an R-MAT graph).
 
+use super::traced_job;
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
 use crate::workload::{Workload, WorkloadId};
-use bdb_archsim::{CharacterizationReport, MachineConfig, Probe, SimProbe};
+use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
 use bdb_datagen::text::TextGenerator;
 use bdb_datagen::{GraphGenerator, RmatParams};
 use bdb_graph::{bfs, CsrGraph, GraphTraceModel};
-use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
+use bdb_mapreduce::jobs::{Grep, Sort, WordCount};
+use bdb_mapreduce::Engine;
 use std::time::Instant;
 
 /// Library-scale baseline for the "32 GB" text workloads.
@@ -35,33 +37,6 @@ fn engine_for(buffer: usize) -> Engine {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SortWorkload;
 
-struct SortJob;
-impl Job for SortJob {
-    type Input = String;
-    type Key = String;
-    type Value = ();
-    type Output = String;
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, ()>, probe: &mut P) {
-        probe.int_ops(line.len() as u64 / 8);
-        emit.emit(line.clone(), ());
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<()>,
-        out: &mut Vec<String>,
-        probe: &mut P,
-    ) {
-        probe.int_ops(values.len() as u64);
-        for _ in values {
-            out.push(key.clone());
-        }
-    }
-}
-
 impl Workload for SortWorkload {
     fn id(&self) -> WorkloadId {
         WorkloadId::Sort
@@ -72,7 +47,7 @@ impl Workload for SortWorkload {
         let lines = corpus(scale, bytes);
         let engine = engine_for(SORT_BUFFER_BYTES);
         let start = Instant::now();
-        let (out, stats) = engine.run(&SortJob, &lines);
+        let (out, stats) = engine.run(&Sort, &lines);
         let seconds = start.elapsed().as_secs_f64();
         WorkloadReport::new(
             self.id(),
@@ -87,57 +62,13 @@ impl Workload for SortWorkload {
         let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
         let lines = corpus(scale, bytes);
         let engine = engine_for(SORT_BUFFER_BYTES);
-        let mut probe = SimProbe::new(machine);
-        let mut fw = FrameworkModel::new();
-        fw.warm(&mut probe); // class-loading warm-up
-        let warm = lines.len().div_ceil(5).max(1);
-        engine.run_traced_with(&SortJob, &lines[..warm], &mut probe, &mut fw);
-        probe.reset_stats();
-        engine.run_traced_with(&SortJob, &lines, &mut probe, &mut fw);
-        probe.finish()
+        traced_job(&engine, &Sort, &lines, machine).0
     }
 }
 
 /// Pattern matching over text lines (`grep` for frequent terms).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GrepWorkload;
-
-struct GrepJob {
-    pattern: &'static str,
-}
-
-impl Job for GrepJob {
-    type Input = String;
-    type Key = u64;
-    type Value = String;
-    type Output = String;
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<u64, String>,
-        probe: &mut P,
-    ) {
-        // Byte scan: the real work of grep.
-        probe.int_ops(line.len() as u64);
-        probe.branch(line.len().is_multiple_of(2));
-        if line.contains(self.pattern) {
-            emit.emit(1, line.clone());
-        }
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        _key: u64,
-        values: Vec<String>,
-        out: &mut Vec<String>,
-        probe: &mut P,
-    ) {
-        probe.int_ops(values.len() as u64);
-        out.extend(values);
-    }
-}
 
 impl Workload for GrepWorkload {
     fn id(&self) -> WorkloadId {
@@ -149,7 +80,7 @@ impl Workload for GrepWorkload {
         let lines = corpus(scale, bytes);
         let engine = engine_for(64 << 20);
         let start = Instant::now();
-        let (hits, _) = engine.run(&GrepJob { pattern: "time" }, &lines);
+        let (hits, _) = engine.run(&Grep { pattern: "time" }, &lines);
         let seconds = start.elapsed().as_secs_f64();
         WorkloadReport::new(
             self.id(),
@@ -164,55 +95,13 @@ impl Workload for GrepWorkload {
         let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
         let lines = corpus(scale, bytes);
         let engine = engine_for(64 << 20);
-        let mut probe = SimProbe::new(machine);
-        let mut fw = FrameworkModel::new();
-        fw.warm(&mut probe); // class-loading warm-up
-        let warm = lines.len().div_ceil(5).max(1);
-        engine.run_traced_with(&GrepJob { pattern: "time" }, &lines[..warm], &mut probe, &mut fw);
-        probe.reset_stats();
-        engine.run_traced_with(&GrepJob { pattern: "time" }, &lines, &mut probe, &mut fw);
-        probe.finish()
+        traced_job(&engine, &Grep { pattern: "time" }, &lines, machine).0
     }
 }
 
 /// Word frequency counting with a combiner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WordCountWorkload;
-
-struct WordCountJob;
-impl Job for WordCountJob {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<String, u64>,
-        probe: &mut P,
-    ) {
-        for w in line.split_whitespace() {
-            probe.int_ops(w.len() as u64);
-            emit.emit(w.trim_matches('.').to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        probe: &mut P,
-    ) {
-        probe.int_ops(values.len() as u64);
-        out.push((key, values.into_iter().sum()));
-    }
-}
 
 impl Workload for WordCountWorkload {
     fn id(&self) -> WorkloadId {
@@ -224,7 +113,7 @@ impl Workload for WordCountWorkload {
         let lines = corpus(scale, bytes);
         let engine = engine_for(64 << 20);
         let start = Instant::now();
-        let (counts, _) = engine.run(&WordCountJob, &lines);
+        let (counts, _) = engine.run(&WordCount, &lines);
         let seconds = start.elapsed().as_secs_f64();
         WorkloadReport::new(
             self.id(),
@@ -239,14 +128,7 @@ impl Workload for WordCountWorkload {
         let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
         let lines = corpus(scale, bytes);
         let engine = engine_for(64 << 20);
-        let mut probe = SimProbe::new(machine);
-        let mut fw = FrameworkModel::new();
-        fw.warm(&mut probe); // class-loading warm-up
-        let warm = lines.len().div_ceil(5).max(1);
-        engine.run_traced_with(&WordCountJob, &lines[..warm], &mut probe, &mut fw);
-        probe.reset_stats();
-        engine.run_traced_with(&WordCountJob, &lines, &mut probe, &mut fw);
-        probe.finish()
+        traced_job(&engine, &WordCount, &lines, machine).0
     }
 }
 

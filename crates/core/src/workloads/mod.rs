@@ -20,6 +20,33 @@ pub mod service;
 pub mod social;
 
 use crate::workload::{Workload, WorkloadId};
+use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
+use bdb_mapreduce::{Engine, FrameworkModel, Job};
+
+/// Records of a traced run's warm-up pass: the first fifth of the
+/// input, at least one record.
+pub(crate) fn warm_len(records: usize) -> usize {
+    records.div_ceil(5).max(1)
+}
+
+/// The traced protocol of the MapReduce workloads: warm the framework's
+/// code (class loading), run `job` over the first [`warm_len`] inputs,
+/// reset the counters, then measure one run over all of `inputs` on the
+/// same framework model. Returns the measured run's report and output.
+pub(crate) fn traced_job<J: Job>(
+    engine: &Engine,
+    job: &J,
+    inputs: &[J::Input],
+    machine: MachineConfig,
+) -> (CharacterizationReport, Vec<J::Output>) {
+    let mut probe = SimProbe::new(machine);
+    let mut fw = FrameworkModel::new();
+    fw.warm(&mut probe);
+    engine.run_traced_with(job, &inputs[..warm_len(inputs.len())], &mut probe, &mut fw);
+    probe.reset_stats();
+    let (out, _) = engine.run_traced_with(job, inputs, &mut probe, &mut fw);
+    (probe.finish(), out)
+}
 
 /// Builds the workload implementation for `id`.
 pub fn build(id: WorkloadId) -> Box<dyn Workload> {

@@ -1,6 +1,7 @@
 //! Search-engine offline analytics: PageRank over the web graph and
 //! inverted-index construction (paper Table 4, "Search Engine" rows).
 
+use super::traced_job;
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
 use crate::workload::{Workload, WorkloadId};
@@ -159,14 +160,7 @@ impl Workload for IndexWorkload {
         let pages = scale.traced_units(PAGES_BASELINE);
         let docs = documents(scale, pages);
         let engine = Engine::builder().build();
-        let mut probe = SimProbe::new(machine);
-        let mut fw = FrameworkModel::new();
-        fw.warm(&mut probe); // class-loading warm-up
-        let warm = docs.len().div_ceil(5).max(1);
-        engine.run_traced_with(&IndexJob, &docs[..warm], &mut probe, &mut fw);
-        probe.reset_stats();
-        engine.run_traced_with(&IndexJob, &docs, &mut probe, &mut fw);
-        probe.finish()
+        traced_job(&engine, &IndexJob, &docs, machine).0
     }
 }
 

@@ -239,11 +239,6 @@ impl Store {
         self.tables.len()
     }
 
-    /// Entries currently buffered in the memtable.
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
     /// Inserts or overwrites a row.
     ///
     /// # Errors

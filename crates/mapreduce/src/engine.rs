@@ -454,15 +454,6 @@ impl Engine {
                 Ok(r)
             })?
         };
-        for r in &task_results {
-            stats.map_records += r.records;
-            stats.map_output_pairs += r.output_pairs;
-            stats.combined_pairs += r.combined_pairs;
-            stats.spills += r.spills;
-            stats.spill_bytes += r.spill_bytes;
-            stats.sort_time += r.sort_time;
-            stats.spill_time += r.spill_time;
-        }
         stats.map_retries = map_sched.retries;
         stats.speculative_tasks = map_sched.speculative_tasks;
         stats.speculative_wins = map_sched.speculative_wins;
@@ -471,19 +462,7 @@ impl Engine {
 
         let reduce_start = Instant::now();
         let reduce_span = span!(self.telemetry, "mapreduce", "reduce-phase");
-        // Regroup runs by partition.
-        let mut partitions: PartitionInputs<J::Key, J::Value> =
-            (0..self.reducers).map(|_| (Vec::new(), Vec::new())).collect();
-        for task in task_results {
-            for (p, run) in task.memory_runs.into_iter().enumerate() {
-                if !run.is_empty() {
-                    partitions[p].0.push(run);
-                }
-            }
-            for (p, spills) in task.spill_runs.into_iter().enumerate() {
-                partitions[p].1.extend(spills);
-            }
-        }
+        let partitions = self.fold_map(&mut stats, task_results);
         let (reduced, reduce_sched) =
             self.run_tasks(partitions.len(), TaskPhase::Reduce, |p, attempt| {
                 let (runs, spills) = &partitions[p];
@@ -504,20 +483,7 @@ impl Engine {
             })?;
         stats.reduce_retries = reduce_sched.retries;
         stats.retry_backoff += reduce_sched.backoff;
-        let mut outputs = Vec::new();
-        stats.min_reduce_groups = u64::MAX;
-        for r in reduced {
-            stats.reduce_groups += r.groups;
-            stats.shuffle_bytes += r.shuffle_bytes;
-            stats.merge_time += r.merge_time;
-            stats.max_reduce_groups = stats.max_reduce_groups.max(r.groups);
-            stats.min_reduce_groups = stats.min_reduce_groups.min(r.groups);
-            stats.output_records += r.outputs.len() as u64;
-            outputs.extend(r.outputs);
-        }
-        if stats.min_reduce_groups == u64::MAX {
-            stats.min_reduce_groups = 0;
-        }
+        let outputs = fold_reduce(&mut stats, reduced);
         stats.reduce_time = reduce_start.elapsed();
         // Close the phase spans before profiling so the critical path
         // sees the whole run.
@@ -741,66 +707,59 @@ impl Engine {
             attach_counter_delta(&mut map_span, before.as_ref(), probe);
             task
         };
-        stats.map_records = task.records;
-        stats.map_output_pairs = task.output_pairs;
-        stats.combined_pairs = task.combined_pairs;
-        stats.spills = task.spills;
-        stats.spill_bytes = task.spill_bytes;
-        stats.sort_time = task.sort_time;
-        stats.spill_time = task.spill_time;
         stats.map_time = map_start.elapsed();
 
+        // Each partition's in-memory run and spills merge in one call,
+        // as on the parallel path, so a key in both is one group.
         let reduce_start = Instant::now();
-        let mut outputs = Vec::new();
-        stats.min_reduce_groups = u64::MAX;
-        for (p, run) in task.memory_runs.into_iter().enumerate() {
-            let runs = if run.is_empty() { Vec::new() } else { vec![run] };
+        let partitions = self.fold_map(&mut stats, vec![task]);
+        let mut reduced = Vec::with_capacity(partitions.len());
+        for (p, (runs, spills)) in partitions.iter().enumerate() {
             let before = probe.counters();
             let mut part_span =
                 span!(self.telemetry, "mapreduce", "reduce-partition", partition = p);
             let r = self
-                .reduce_partition(
-                    job,
-                    &runs,
-                    &[], // spills already merged below
-                    &no_faults,
-                    probe,
-                    &mut fw,
-                )
+                .reduce_partition(job, runs, spills, &no_faults, probe, &mut fw)
                 .expect("spill read failed (traced runs are fault-free)");
             attach_counter_delta(&mut part_span, before.as_ref(), probe);
-            drop(part_span);
-            stats.reduce_groups += r.groups;
-            stats.shuffle_bytes += r.shuffle_bytes;
-            stats.merge_time += r.merge_time;
-            stats.max_reduce_groups = stats.max_reduce_groups.max(r.groups);
-            stats.min_reduce_groups = stats.min_reduce_groups.min(r.groups);
-            outputs.extend(r.outputs);
+            reduced.push(r);
         }
-        // Traced runs use a buffer large enough not to spill in practice;
-        // if they did spill, fold those runs in too.
-        for spills in task.spill_runs {
-            if spills.is_empty() {
-                continue;
-            }
-            let r = self
-                .reduce_partition(job, &[], &spills, &no_faults, probe, &mut fw)
-                .expect("spill read failed (traced runs are fault-free)");
-            stats.reduce_groups += r.groups;
-            stats.shuffle_bytes += r.shuffle_bytes;
-            stats.merge_time += r.merge_time;
-            outputs.extend(r.outputs);
-        }
-        if stats.min_reduce_groups == u64::MAX {
-            stats.min_reduce_groups = 0;
-        }
-        stats.output_records = outputs.len() as u64;
+        let outputs = fold_reduce(&mut stats, reduced);
         stats.reduce_time = reduce_start.elapsed();
         drop(job_span);
         stats.critical_path = self.critical_summary(run_epoch);
         self.record_metrics(&stats);
         *caller_fw = fw.take().expect("framework model present throughout");
         (outputs, stats)
+    }
+
+    /// Adds the map tasks' counters to `stats` and regroups their runs
+    /// by partition: each partition's in-memory runs and spill files.
+    fn fold_map<K, V>(
+        &self,
+        stats: &mut JobStats,
+        tasks: Vec<MapTaskResult<K, V>>,
+    ) -> PartitionInputs<K, V> {
+        let mut partitions: PartitionInputs<K, V> =
+            (0..self.reducers).map(|_| (Vec::new(), Vec::new())).collect();
+        for task in tasks {
+            stats.map_records += task.records;
+            stats.map_output_pairs += task.output_pairs;
+            stats.combined_pairs += task.combined_pairs;
+            stats.spills += task.spills;
+            stats.spill_bytes += task.spill_bytes;
+            stats.sort_time += task.sort_time;
+            stats.spill_time += task.spill_time;
+            for (p, run) in task.memory_runs.into_iter().enumerate() {
+                if !run.is_empty() {
+                    partitions[p].0.push(run);
+                }
+            }
+            for (p, spills) in task.spill_runs.into_iter().enumerate() {
+                partitions[p].1.extend(spills);
+            }
+        }
+        partitions
     }
 
     /// One map task attempt over a slice of records. Spill I/O errors
@@ -970,6 +929,26 @@ impl Engine {
     }
 }
 
+/// Adds the partitions' reduce outcomes to `stats`, returning their
+/// outputs in partition order.
+fn fold_reduce<O>(stats: &mut JobStats, reduced: Vec<ReduceOutcome<O>>) -> Vec<O> {
+    let mut outputs = Vec::new();
+    stats.min_reduce_groups = u64::MAX;
+    for r in reduced {
+        stats.reduce_groups += r.groups;
+        stats.shuffle_bytes += r.shuffle_bytes;
+        stats.merge_time += r.merge_time;
+        stats.max_reduce_groups = stats.max_reduce_groups.max(r.groups);
+        stats.min_reduce_groups = stats.min_reduce_groups.min(r.groups);
+        stats.output_records += r.outputs.len() as u64;
+        outputs.extend(r.outputs);
+    }
+    if stats.min_reduce_groups == u64::MAX {
+        stats.min_reduce_groups = 0;
+    }
+    outputs
+}
+
 /// Copies the counter deltas accumulated since `before` onto `span` as
 /// `counter.*` args, when the probe exposes simulated counters. The
 /// Chrome exporter additionally renders such args as `"ph":"C"`
@@ -1080,38 +1059,8 @@ impl<K: Datum + Ord, V: Datum> SortBuffer<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::WordCount;
     use bdb_archsim::{CountingProbe, MachineConfig, SimProbe};
-
-    /// WordCount with a summing combiner.
-    struct WordCount;
-    impl Job for WordCount {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        type Output = (String, u64);
-        fn map<P: Probe + ?Sized>(
-            &self,
-            line: &String,
-            emit: &mut Emitter<String, u64>,
-            _p: &mut P,
-        ) {
-            for w in line.split_whitespace() {
-                emit.emit(w.to_owned(), 1);
-            }
-        }
-        fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-            vec![values.into_iter().sum()]
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            key: String,
-            values: Vec<u64>,
-            out: &mut Vec<(String, u64)>,
-            _p: &mut P,
-        ) {
-            out.push((key, values.into_iter().sum()));
-        }
-    }
 
     /// Identity sort job over u64 keys.
     struct SortJob;
@@ -1214,6 +1163,23 @@ mod tests {
         let report = probe.finish();
         assert!(report.mix.other > 0, "framework instructions recorded");
         assert!(report.l1i.stats.accesses > 0);
+    }
+
+    #[test]
+    fn traced_run_with_spills_matches_native_output() {
+        // A 2 KiB buffer spills every few records, so most words sit in
+        // both a partition's spills and its final in-memory run; each
+        // must still reduce as one group.
+        let engine = Engine::builder().reducers(2).map_buffer_bytes(2048).build();
+        let lines: Vec<String> =
+            (0..400).map(|i| format!("alpha beta gamma delta-{} epsilon", i % 17)).collect();
+        let (mut traced, stats) = engine.run_traced(&WordCount, &lines, &mut NullProbe);
+        assert!(stats.spills > 0, "the fixture must spill");
+        let (mut native, _) = engine.run(&WordCount, &lines);
+        traced.sort();
+        native.sort();
+        assert_eq!(traced, native);
+        assert_eq!(stats.reduce_groups, native.len() as u64);
     }
 
     #[test]

@@ -32,36 +32,16 @@
 //! framework's own instruction footprint (the "deep software stack" the
 //! paper blames for big-data workloads' high L1I miss rates).
 //!
+//! The paper's text micro benchmarks (Sort, Grep, WordCount) live in
+//! [`jobs`], written once for every caller.
+//!
 //! # Example
 //!
 //! ```
-//! use bdb_mapreduce::{Engine, Job, Emitter};
-//! use bdb_archsim::Probe;
-//!
-//! struct WordCount;
-//! impl Job for WordCount {
-//!     type Input = String;
-//!     type Key = String;
-//!     type Value = u64;
-//!     type Output = (String, u64);
-//!
-//!     fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, _p: &mut P) {
-//!         for w in line.split_whitespace() {
-//!             emit.emit(w.to_owned(), 1);
-//!         }
-//!     }
-//!
-//!     fn combine(&self, _key: &String, values: Vec<u64>) -> Vec<u64> {
-//!         vec![values.into_iter().sum()]
-//!     }
-//!
-//!     fn reduce<P: Probe + ?Sized>(&self, key: String, values: Vec<u64>, out: &mut Vec<(String, u64)>, _p: &mut P) {
-//!         out.push((key, values.into_iter().sum()));
-//!     }
-//! }
+//! use bdb_mapreduce::{jobs::WordCount, Engine};
 //!
 //! let engine = Engine::builder().threads(2).build();
-//! let input = vec!["a b a".to_owned(), "b a".to_owned()];
+//! let input = vec!["a b a.".to_owned(), "b a".to_owned()];
 //! let (mut out, stats) = engine.run(&WordCount, &input);
 //! out.sort();
 //! assert_eq!(out, vec![("a".to_owned(), 3), ("b".to_owned(), 2)]);
@@ -75,6 +55,7 @@ pub mod codec;
 pub mod engine;
 pub mod error;
 pub mod job;
+pub mod jobs;
 pub mod spill;
 pub mod trace;
 

@@ -5,35 +5,11 @@
 use bdb_archsim::layout::fnv1a_words;
 use bdb_archsim::Probe;
 use bdb_faults::FaultPlan;
+use bdb_mapreduce::jobs::WordCount;
 use bdb_mapreduce::spill::{GroupMerge, SpillFile};
 use bdb_mapreduce::{Datum, Emitter, Engine, Job};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-struct WordCount;
-impl Job for WordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, _p: &mut P) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
 
 struct SortJob;
 impl Job for SortJob {

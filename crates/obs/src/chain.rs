@@ -75,11 +75,7 @@ pub fn synthesize_chain(input: &ChainInput<'_>) -> Vec<SpanEvent> {
     ));
     // Queue span: admission decision through service start (or the
     // whole life for shed/timed-out requests).
-    let queue_end_ns = match r.outcome {
-        RequestOutcome::Shed => r.arrival_ns,
-        _ => r.start_ns.unwrap_or(r.arrival_ns),
-    };
-    spans.push(span("queue", 2, r.arrival_ns, (queue_end_ns - r.arrival_ns) / 1_000, Vec::new()));
+    spans.push(span("queue", 2, r.arrival_ns, r.wait_ns() / 1_000, Vec::new()));
     if matches!(r.outcome, RequestOutcome::Completed | RequestOutcome::Unfinished) {
         let start = r.start_ns.expect("admitted requests start");
         let service_us = r.service_ns / 1_000;

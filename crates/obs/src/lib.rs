@@ -273,15 +273,9 @@ impl ObsPipeline {
         let mut events: Vec<(u64, u8, u64, Kind)> = Vec::with_capacity(records.len() * 2);
         for r in records {
             events.push((r.arrival_ns, 0, r.seq, Kind::Arrive));
-            let terminal = match r.outcome {
-                RequestOutcome::Shed => Some(r.arrival_ns),
-                RequestOutcome::TimedOut => r.start_ns,
-                RequestOutcome::Completed => r.finish_ns,
-                // Unfinished requests have no terminal event inside
-                // the horizon; they count as offered only.
-                RequestOutcome::Unfinished => None,
-            };
-            if let Some(t) = terminal {
+            // Unfinished requests have no terminal event inside the
+            // horizon; they count as offered only.
+            if let Some(t) = r.terminal_ns() {
                 events.push((t, 1, r.seq, Kind::Terminal));
             }
         }

@@ -88,8 +88,7 @@ impl CriticalPathSummary {
 /// Maps a span onto the blame-table phase vocabulary: MapReduce span
 /// names collapse onto the classic `map`/`spill`/`shuffle`/`reduce`
 /// phases, iteration spans (any span carrying an `iter` arg) become
-/// `iter-N`, the SQL operators keep the planner's phase names, and
-/// anything else blames its own span name.
+/// `iter-N`, and anything else blames its own span name.
 pub fn phase_of(forest: &SpanForest, node: usize) -> String {
     let n = &forest.nodes[node];
     if let Some(iter) = n.iter {
@@ -101,9 +100,6 @@ pub fn phase_of(forest: &SpanForest, node: usize) -> String {
         "shuffle-merge" => "shuffle".to_owned(),
         "reduce-partition" | "reduce-phase" => "reduce".to_owned(),
         "job" => "framework".to_owned(),
-        "join-build" => "build".to_owned(),
-        "join-probe" => "probe".to_owned(),
-        "select-scan" => "scan".to_owned(),
         other => other.to_owned(),
     }
 }

@@ -101,6 +101,18 @@ impl RequestRecord {
     pub fn wait_ns(&self) -> u64 {
         self.start_ns.unwrap_or(self.arrival_ns).saturating_sub(self.arrival_ns)
     }
+
+    /// When the request left the system: at arrival if shed, when
+    /// abandoned if timed out, at finish if completed. `None` for
+    /// unfinished requests, which end past the horizon.
+    pub fn terminal_ns(&self) -> Option<u64> {
+        match self.outcome {
+            RequestOutcome::Shed => Some(self.arrival_ns),
+            RequestOutcome::TimedOut => self.start_ns,
+            RequestOutcome::Completed => self.finish_ns,
+            RequestOutcome::Unfinished => None,
+        }
+    }
 }
 
 /// Result of one queueing simulation.

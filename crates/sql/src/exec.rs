@@ -10,7 +10,6 @@ use crate::trace::SqlTraceModel;
 use crate::value::{Value, ValueRef};
 use crate::SqlError;
 use bdb_archsim::{NullProbe, Probe};
-use bdb_telemetry::{span, SpanRecorder};
 use std::collections::HashMap;
 
 /// Aggregate functions for [`aggregate`].
@@ -145,21 +144,6 @@ pub fn select(
     select_traced(table, predicate, projection, &mut NullProbe, &mut None)
 }
 
-/// [`select`] with per-operator execution spans on `telemetry`
-/// (one `select-scan` span covering the scan+filter).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn select_instrumented(
-    table: &Table,
-    predicate: &Expr,
-    projection: &[&str],
-    telemetry: &SpanRecorder,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    select_impl(table, predicate, projection, &mut NullProbe, &mut None, telemetry)
-}
-
 /// Instrumented [`select`] (architectural probe form).
 ///
 /// # Errors
@@ -172,7 +156,7 @@ pub fn select_traced<P: Probe + ?Sized>(
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    select_impl(table, predicate, projection, probe, trace, &SpanRecorder::disabled())
+    select_impl(table, predicate, projection, probe, trace)
 }
 
 fn select_impl<P: Probe + ?Sized>(
@@ -181,7 +165,6 @@ fn select_impl<P: Probe + ?Sized>(
     projection: &[&str],
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
-    telemetry: &SpanRecorder,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let bound = predicate.bind(table)?;
     let proj: Vec<usize> = projection
@@ -197,7 +180,6 @@ fn select_impl<P: Probe + ?Sized>(
         t.on_query(probe);
     }
     probe.phase("scan");
-    let mut scan_span = span!(telemetry, "sql", "select-scan", rows = table.len());
     let mut out = Vec::new();
     for row in 0..table.len() {
         if let Some(t) = trace.as_mut() {
@@ -219,7 +201,6 @@ fn select_impl<P: Probe + ?Sized>(
             out.push(proj.iter().map(|&c| table.value(row, c)).collect());
         }
     }
-    scan_span.arg("output_rows", out.len());
     Ok(out)
 }
 
@@ -238,21 +219,6 @@ pub fn aggregate(
     aggregate_traced(table, group_by, aggs, &mut NullProbe, &mut None)
 }
 
-/// [`aggregate`] with per-operator execution spans on `telemetry`
-/// (one `aggregate` span covering build + finalize).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn aggregate_instrumented(
-    table: &Table,
-    group_by: &str,
-    aggs: &[Aggregation],
-    telemetry: &SpanRecorder,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    aggregate_impl(table, group_by, aggs, &mut NullProbe, &mut None, telemetry)
-}
-
 /// Instrumented [`aggregate`] (architectural probe form).
 ///
 /// # Errors
@@ -265,7 +231,7 @@ pub fn aggregate_traced<P: Probe + ?Sized>(
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    aggregate_impl(table, group_by, aggs, probe, trace, &SpanRecorder::disabled())
+    aggregate_impl(table, group_by, aggs, probe, trace)
 }
 
 fn aggregate_impl<P: Probe + ?Sized>(
@@ -274,7 +240,6 @@ fn aggregate_impl<P: Probe + ?Sized>(
     aggs: &[Aggregation],
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
-    telemetry: &SpanRecorder,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let (gcol, _) = table.schema().resolve(group_by)?;
     let acols: Vec<usize> = aggs
@@ -291,7 +256,6 @@ fn aggregate_impl<P: Probe + ?Sized>(
         t.on_query(probe);
     }
     probe.phase("aggregate");
-    let mut agg_span = span!(telemetry, "sql", "aggregate", rows = table.len());
     let mut groups: HashMap<u64, (Value, Vec<Acc>)> = HashMap::new();
     let buckets = (table.len() / 4).max(64);
     for row in 0..table.len() {
@@ -325,7 +289,6 @@ fn aggregate_impl<P: Probe + ?Sized>(
         })
         .collect();
     rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    agg_span.arg("groups", rows.len());
     Ok(rows)
 }
 
@@ -345,22 +308,6 @@ pub fn hash_join(
     hash_join_traced(left, lcol, right, rcol, &mut NullProbe, &mut None)
 }
 
-/// [`hash_join`] with per-operator execution spans on `telemetry`
-/// (`join-build` over the left table, `join-probe` over the right).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn hash_join_instrumented(
-    left: &Table,
-    lcol: &str,
-    right: &Table,
-    rcol: &str,
-    telemetry: &SpanRecorder,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    hash_join_impl(left, lcol, right, rcol, &mut NullProbe, &mut None, telemetry)
-}
-
 /// Instrumented [`hash_join`] (architectural probe form).
 ///
 /// # Errors
@@ -374,10 +321,9 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    hash_join_impl(left, lcol, right, rcol, probe, trace, &SpanRecorder::disabled())
+    hash_join_impl(left, lcol, right, rcol, probe, trace)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn hash_join_impl<P: Probe + ?Sized>(
     left: &Table,
     lcol: &str,
@@ -385,7 +331,6 @@ fn hash_join_impl<P: Probe + ?Sized>(
     rcol: &str,
     probe: &mut P,
     trace: &mut Option<SqlTraceModel>,
-    telemetry: &SpanRecorder,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let (li, _) = left.schema().resolve(lcol)?;
     let (ri, _) = right.schema().resolve(rcol)?;
@@ -394,7 +339,6 @@ fn hash_join_impl<P: Probe + ?Sized>(
     }
     // Build phase over the left table.
     probe.phase("build");
-    let build_span = span!(telemetry, "sql", "join-build", rows = left.len());
     let buckets = left.len().max(64);
     let mut build: HashMap<u64, Vec<usize>> = HashMap::with_capacity(left.len());
     for row in 0..left.len() {
@@ -410,10 +354,8 @@ fn hash_join_impl<P: Probe + ?Sized>(
         }
         build.entry(h).or_default().push(row);
     }
-    drop(build_span);
     // Probe phase over the right table.
     probe.phase("probe");
-    let mut probe_span = span!(telemetry, "sql", "join-probe", rows = right.len());
     let mut out = Vec::new();
     for row in 0..right.len() {
         let key = right.value_ref(row, ri);
@@ -450,7 +392,6 @@ fn hash_join_impl<P: Probe + ?Sized>(
             }
         }
     }
-    probe_span.arg("output_rows", out.len());
     Ok(out)
 }
 
@@ -585,32 +526,6 @@ mod tests {
         hash_join_traced(&o, "order_id", &i, "order_id", &mut probe, &mut trace).unwrap();
         assert!(probe.mix().stores > 0, "hash builds recorded");
         assert!(probe.mix().loads > loads_after_agg, "probe loads recorded");
-    }
-
-    #[test]
-    fn instrumented_operators_emit_spans_and_match_plain_results() {
-        let o = orders();
-        let i = items();
-        let telemetry = SpanRecorder::enabled();
-        let sel = select_instrumented(&o, &col("buyer_id").eq(lit(10)), &["order_id"], &telemetry)
-            .unwrap();
-        assert_eq!(sel, select(&o, &col("buyer_id").eq(lit(10)), &["order_id"]).unwrap());
-        let agg =
-            aggregate_instrumented(&i, "order_id", &[Aggregation::count()], &telemetry).unwrap();
-        assert_eq!(agg, aggregate(&i, "order_id", &[Aggregation::count()]).unwrap());
-        let joined = hash_join_instrumented(&o, "order_id", &i, "order_id", &telemetry).unwrap();
-        assert_eq!(joined, hash_join(&o, "order_id", &i, "order_id").unwrap());
-
-        let events = telemetry.events();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-        assert_eq!(count("select-scan"), 1);
-        assert_eq!(count("aggregate"), 1);
-        assert_eq!(count("join-build"), 1);
-        assert_eq!(count("join-probe"), 1);
-        // Build completes before probe starts.
-        let build = events.iter().find(|e| e.name == "join-build").unwrap();
-        let probe = events.iter().find(|e| e.name == "join-probe").unwrap();
-        assert!(build.start_us <= probe.start_us);
     }
 
     #[test]

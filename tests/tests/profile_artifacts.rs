@@ -114,35 +114,8 @@ fn utilization_reports_per_worker_busy_and_concurrency() {
 
 #[test]
 fn instrumented_engine_run_profiles_end_to_end() {
-    use bdb_archsim::Probe;
-    use bdb_mapreduce::{Emitter, Engine, Job};
-
-    struct WordCount;
-    impl Job for WordCount {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        type Output = (String, u64);
-        fn map<P: Probe + ?Sized>(
-            &self,
-            line: &String,
-            emit: &mut Emitter<String, u64>,
-            _p: &mut P,
-        ) {
-            for w in line.split_whitespace() {
-                emit.emit(w.to_owned(), 1);
-            }
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            key: String,
-            values: Vec<u64>,
-            out: &mut Vec<(String, u64)>,
-            _p: &mut P,
-        ) {
-            out.push((key, values.into_iter().sum()));
-        }
-    }
+    use bdb_mapreduce::jobs::WordCount;
+    use bdb_mapreduce::Engine;
 
     let telemetry = bdb_telemetry::SpanRecorder::enabled();
     let engine = Engine::builder().threads(2).reducers(2).telemetry(telemetry.clone()).build();

@@ -5,7 +5,7 @@
 //! catches regressions in the models.
 
 use bdb_refbench::{characterize_suite, RefSuite};
-use bigdatabench::{MachineConfig, Suite, WorkloadId};
+use bigdatabench::{characterize, MachineConfig, Suite, WorkloadId};
 
 fn suite() -> Suite {
     Suite::with_fraction(1.0 / 8.0)
@@ -105,77 +105,18 @@ fn stack_swap_moves_the_l1i_misses() {
     // The paper's stated future work (§6.3.2): replace the MapReduce
     // stack and see whether the front-end stalls follow the stack.
     // They do: the same WordCount on the in-memory dataflow engine has
-    // a fraction of the Hadoop-style L1I misses.
-    use bdb_archsim::Probe;
-    use bdb_archsim::SimProbe;
-    use bdb_dataflow::Dataset;
-    use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
-
-    struct Wc;
-    impl Job for Wc {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        type Output = (String, u64);
-        fn input_size(&self, line: &String) -> usize {
-            line.len()
-        }
-        fn map<P: Probe + ?Sized>(&self, l: &String, e: &mut Emitter<String, u64>, _p: &mut P) {
-            for w in l.split_whitespace() {
-                e.emit(w.to_owned(), 1);
-            }
-        }
-        fn combine(&self, _k: &String, v: Vec<u64>) -> Vec<u64> {
-            vec![v.into_iter().sum()]
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            k: String,
-            v: Vec<u64>,
-            out: &mut Vec<(String, u64)>,
-            _p: &mut P,
-        ) {
-            out.push((k, v.into_iter().sum()));
-        }
-    }
-
+    // a fraction of the Hadoop-style L1I misses (`stack_swap` also
+    // checks both stacks count the same words).
     let lines: Vec<String> = bdb_datagen::text::TextGenerator::wikipedia(3)
         .corpus(128 << 10)
         .lines()
         .map(str::to_owned)
         .collect();
-    let machine = MachineConfig::xeon_e5645();
-
-    let mut probe = SimProbe::new(machine.clone());
-    let engine = Engine::builder().build();
-    let mut fw = FrameworkModel::new();
-    fw.warm(&mut probe);
-    engine.run_traced_with(&Wc, &lines[..lines.len() / 5], &mut probe, &mut fw);
-    probe.reset_stats();
-    let (mut hadoop_out, _) = engine.run_traced_with(&Wc, &lines, &mut probe, &mut fw);
-    let hadoop = probe.finish();
-
-    let mut probe = SimProbe::new(machine);
-    let wc = |ds: &Dataset<String>| {
-        ds.flat_map(|l| l.split_whitespace().map(str::to_owned).collect())
-            .key_by(|w| w.clone())
-            .map_values(|_| 1u64)
-            .reduce_by_key(|a, b| a + b)
-    };
-    wc(&Dataset::from_vec(lines[..lines.len() / 5].to_vec())).collect_traced(&mut probe);
-    probe.reset_stats();
-    let (mut flow_out, _) = wc(&Dataset::from_vec(lines)).collect_traced(&mut probe);
-    let dataflow = probe.finish();
-
-    // Same answer on both stacks...
-    hadoop_out.sort();
-    flow_out.sort();
-    assert_eq!(hadoop_out, flow_out);
-    // ...but the instruction-side misses belong to the deep stack.
+    let swap = characterize::stack_swap(&lines, &MachineConfig::xeon_e5645());
     assert!(
-        hadoop.l1i_mpki() > 10.0 * dataflow.l1i_mpki().max(0.01),
+        swap.mapreduce.l1i_mpki() > 10.0 * swap.dataflow.l1i_mpki().max(0.01),
         "hadoop {} vs dataflow {}",
-        hadoop.l1i_mpki(),
-        dataflow.l1i_mpki()
+        swap.mapreduce.l1i_mpki(),
+        swap.dataflow.l1i_mpki()
     );
 }

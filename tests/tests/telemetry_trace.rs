@@ -2,40 +2,11 @@
 //! layer must be a valid trace-event array — parseable by the JSON reader
 //! and structurally loadable by `chrome://tracing` / Perfetto.
 
-use bdb_mapreduce::{Emitter, Engine, Job};
+use bdb_mapreduce::jobs::WordCount;
+use bdb_mapreduce::Engine;
 use bdb_telemetry::json::{parse, Json};
 use bdb_telemetry::TraceSession;
 use std::collections::HashMap;
-
-struct WordCount;
-impl Job for WordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn map<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<String, u64>,
-        _p: &mut P,
-    ) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
 
 /// Produces a trace from a real multi-threaded engine run.
 fn traced_session() -> TraceSession {
@@ -144,6 +115,13 @@ fn traced_run_trace_has_counter_tracks_with_multiple_samples() {
     let mut probe = SimProbe::new(MachineConfig::xeon_e5645());
     let (out, _) = engine.run_traced(&WordCount, &lines, &mut probe);
     assert!(!out.is_empty());
+    // The spills and the final in-memory run of a partition merge into
+    // one group per key.
+    let mut keys: Vec<&str> = out.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    let distinct = keys.len();
+    keys.dedup();
+    assert_eq!(keys.len(), distinct, "traced output repeats a key");
 
     let json = session.trace_json();
     let parsed = parse(&json).expect("valid JSON");
