@@ -3,8 +3,6 @@
 #
 #   ./ci.sh                # full gate: fmt, clippy, release build, tests
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
-#   ./ci.sh --subset       # fast perf tier: gate only the representative
-#                          # workload subset from charmap.json
 #
 # Every `reproduce` pass gate (profile, charmap, SLO,
 # BENCH_RESULTS.json drift, chaos seeds, tsdb) is a row of
@@ -16,12 +14,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 fast=0
-subset=0
 for arg in "$@"; do
     case "$arg" in
         --fast) fast=1 ;;
-        --subset) subset=1 ;;
-        *) echo "usage: $0 [--fast] [--subset]" >&2; exit 2 ;;
+        *) echo "usage: $0 [--fast]" >&2; exit 2 ;;
     esac
 done
 
@@ -29,37 +25,6 @@ run() {
     echo "== $* =="
     "$@"
 }
-
-if [ "$subset" -eq 1 ]; then
-    # Representative-subset fast tier: run only the workloads the
-    # characterization map selected (one per cluster, committed in
-    # charmap.json) against the committed BENCH_RESULTS.json. This is
-    # the cheap per-PR perf gate; the full gate re-derives the map and
-    # enforces the subset stability rule.
-    # The SLO pass rides along for the representative serving workload
-    # only (the committed subset holds no serving workload, so the pass
-    # falls back to Nutch); the binary gates the burn-rate alert and
-    # chain reconstruction in-process.
-    # One shortened chaos campaign rides along (--bench-subset makes
-    # --chaos pick the short fault schedules); the binary gates every
-    # invariant checker plus forced failover/read-repair in-process.
-    # A shortened time-series scrape rides along too (--bench-subset
-    # makes --tsdb shrink the traced-write run and both serving
-    # phases); the binary gates chain completeness, stored-vs-live
-    # quantile agreement and the recording-rule replay in-process.
-    # The binary refuses to write an empty artifact, so exit 0 means
-    # every report was written.
-    slodir="$(mktemp -d)"
-    chaosdir="$(mktemp -d)"
-    tsdbdir="$(mktemp -d)"
-    trap 'rm -rf "$slodir" "$chaosdir" "$tsdbdir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.02 --bench-baseline BENCH_RESULTS.json \
-        --bench-subset charmap.json --slo "$slodir" --chaos 7 "$chaosdir" \
-        --tsdb "$tsdbdir"
-    echo "ci: subset tier passed"
-    exit 0
-fi
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings

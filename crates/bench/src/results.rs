@@ -297,34 +297,6 @@ pub fn compare_json(
     current: &str,
     tolerance_pct: f64,
 ) -> Result<Vec<Drift>, String> {
-    compare_json_filtered(baseline, current, tolerance_pct, None)
-}
-
-/// Like [`compare_json`], but gating only the workloads named in
-/// `subset` — the representative-subset fast tier (`ci.sh --subset`).
-/// The current run may legitimately contain only the subset workloads;
-/// baseline workloads outside the subset are skipped, not required.
-///
-/// # Errors
-///
-/// Everything [`compare_json`] rejects, plus a subset workload missing
-/// from the *baseline* (a stale subset names a workload the artifact
-/// no longer tracks).
-pub fn compare_json_subset(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
-    subset: &[String],
-) -> Result<Vec<Drift>, String> {
-    compare_json_filtered(baseline, current, tolerance_pct, Some(subset))
-}
-
-fn compare_json_filtered(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
-    subset: Option<&[String]>,
-) -> Result<Vec<Drift>, String> {
     let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
     let cur = json::parse(current).map_err(|e| format!("current: {e}"))?;
     for (doc, label) in [(&base, "baseline"), (&cur, "current")] {
@@ -349,24 +321,9 @@ fn compare_json_filtered(
     let empty: [Json; 0] = [];
     let base_workloads = base.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
     let cur_workloads = cur.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
-    if let Some(subset) = subset {
-        for name in subset {
-            if !base_workloads.iter().any(|w| w.get("name").and_then(Json::as_str) == Some(name)) {
-                return Err(format!(
-                    "subset workload {name} missing from the baseline; \
-                     regenerate BENCH_RESULTS.json or charmap.json"
-                ));
-            }
-        }
-    }
     let mut drifts = Vec::new();
     for bw in base_workloads {
         let name = bw.get("name").and_then(Json::as_str).unwrap_or("?").to_owned();
-        if let Some(subset) = subset {
-            if !subset.contains(&name) {
-                continue;
-            }
-        }
         let Some(cw) =
             cur_workloads.iter().find(|w| w.get("name").and_then(Json::as_str) == Some(&name))
         else {
@@ -458,32 +415,6 @@ mod tests {
         let renamed = json.replacen("\"name\":\"WordCount\"", "\"name\":\"Sort\"", 1);
         assert!(compare_json(&renamed, &json, 5.0).is_err(), "missing workload is an error");
         assert!(compare_json("not json", &json, 5.0).is_err());
-    }
-
-    #[test]
-    fn subset_compare_gates_only_named_workloads() {
-        let both = collect(1.0 / 64.0, &[WorkloadId::WordCount, WorkloadId::Sort]);
-        let mut moved = both.clone();
-        // Sort drifts wildly, WordCount stays put.
-        let sort = moved.workloads.iter_mut().find(|w| w.name == "Sort").unwrap();
-        sort.mips *= 2.0;
-        let subset = vec!["WordCount".to_owned()];
-        let drifts =
-            compare_json_subset(&both.to_json(), &moved.to_json(), 1.0, &subset).expect("compares");
-        assert!(drifts.is_empty(), "Sort is outside the subset: {drifts:?}");
-        // The full comparator still sees the drift.
-        let full = compare_json(&both.to_json(), &moved.to_json(), 1.0).expect("compares");
-        assert!(full.iter().any(|d| d.workload == "Sort" && d.metric == "mips"), "{full:?}");
-
-        // A current run holding only the subset workloads is fine...
-        let only_subset = collect(1.0 / 64.0, &[WorkloadId::WordCount]);
-        compare_json_subset(&both.to_json(), &only_subset.to_json(), 1.0, &subset)
-            .expect("subset-only current run is comparable");
-        // ...but a subset naming an untracked workload is an error.
-        let stale = vec!["PageRank".to_owned()];
-        let err =
-            compare_json_subset(&both.to_json(), &only_subset.to_json(), 1.0, &stale).unwrap_err();
-        assert!(err.contains("missing from the baseline"), "{err}");
     }
 
     #[test]

@@ -35,7 +35,6 @@ fn flag_missing_its_value_is_a_usage_error() {
         "--profile",
         "--bench-json",
         "--bench-baseline",
-        "--bench-subset",
         "--charmap",
         "--charmap-baseline",
         "--slo",
@@ -52,14 +51,6 @@ fn flag_missing_its_value_is_a_usage_error() {
 fn bad_numeric_values_are_usage_errors() {
     let out = reproduce().args(["--fraction", "nope"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn bench_subset_requires_a_bench_baseline() {
-    let out = reproduce().args(["--bench-subset", "charmap.json"]).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--bench-subset requires --bench-baseline"), "{stderr}");
 }
 
 #[test]
@@ -102,7 +93,6 @@ fn help_documents_the_bench_flags() {
     for flag in [
         "--bench-json",
         "--bench-baseline",
-        "--bench-subset",
         "--charmap",
         "--charmap-baseline",
         "--trace",
@@ -230,12 +220,12 @@ fn tsdb_pass_is_byte_deterministic_and_writes_all_artifacts() {
 
 #[test]
 fn bench_drift_beyond_tolerance_is_a_gate_failure_exit_1() {
-    // A copy of the committed baseline with one representative
-    // workload's MIPS scaled by 1.5: the subset gate must reject it.
+    // A copy of the committed baseline with one workload's MIPS scaled
+    // by 1.5: the full gate must reject it.
     let committed =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RESULTS.json"))
             .expect("committed baseline");
-    let row = committed.find("{\"name\":\"Join Query\"").expect("Join Query is in the subset");
+    let row = committed.find("{\"name\":\"Join Query\"").expect("Join Query is in the baseline");
     let start = row + committed[row..].find("\"mips\":").expect("mips field") + "\"mips\":".len();
     let end = start + committed[start..].find(',').expect("more fields follow");
     let mips: f64 = committed[start..end].parse().expect("mips is a number");
@@ -245,9 +235,7 @@ fn bench_drift_beyond_tolerance_is_a_gate_failure_exit_1() {
     std::fs::write(&path, drifted).expect("scratch baseline written");
 
     let out = reproduce()
-        .args(["--fraction", "0.02", "--bench-subset"])
-        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/../../charmap.json"))
-        .arg("--bench-baseline")
+        .args(["--fraction", "0.02", "--bench-baseline"])
         .arg(&path)
         .output()
         .expect("binary runs");

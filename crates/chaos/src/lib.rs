@@ -1,7 +1,7 @@
 //! Deterministic chaos campaigns for the BigDataBench-RS suite.
 //!
 //! The paper's workloads are judged on throughput and latency; this
-//! crate judges them on *survival*. A [`ChaosCampaign`] composes a
+//! crate judges them on *survival*. A campaign composes a
 //! seeded [`bdb_faults::FaultPlan`] schedule — node kills at virtual
 //! deadlines, torn WAL writes mid-ship, lost replication ships, task
 //! panics, stragglers — over multiple rounds of a workload, records
@@ -34,10 +34,13 @@ pub mod report;
 pub mod serving;
 pub mod wordcount;
 
-pub use oltp::{oltp_campaign, OltpCampaignConfig};
+pub use oltp::oltp_campaign;
 pub use report::{CampaignReport, CheckerVerdict};
 pub use serving::serving_campaign;
 pub use wordcount::wordcount_campaign;
+
+/// Fault rounds every campaign runs.
+const ROUNDS: u32 = 3;
 
 /// Fault-injection sites owned by the campaign driver itself (the
 /// workload-internal sites live in their own crates' `sites` modules).

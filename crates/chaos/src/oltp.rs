@@ -4,6 +4,7 @@
 //! fault coverage.
 
 use crate::report::{CampaignReport, CheckerVerdict};
+use crate::ROUNDS;
 use bdb_cluster::{check_history, sites, Cluster, ClusterConfig, History, Op};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::StoreConfig;
@@ -11,30 +12,11 @@ use bdb_telemetry::{ArgValue, SpanEvent};
 use std::path::Path;
 use std::time::Duration;
 
-/// Sizing of one Cloud-OLTP campaign.
-#[derive(Debug, Clone, Copy)]
-pub struct OltpCampaignConfig {
-    /// Fault rounds.
-    pub rounds: u32,
-    /// Distinct user keys.
-    pub keys: u32,
-    /// Writes per round (cycling over the key space).
-    pub writes_per_round: u32,
-}
+/// Distinct user keys.
+const KEYS: u32 = 24;
 
-impl Default for OltpCampaignConfig {
-    fn default() -> Self {
-        Self { rounds: 3, keys: 24, writes_per_round: 60 }
-    }
-}
-
-impl OltpCampaignConfig {
-    /// A shortened campaign for the subset CI tier.
-    #[must_use]
-    pub fn short() -> Self {
-        Self { rounds: 2, keys: 12, writes_per_round: 30 }
-    }
-}
+/// Writes per round, cycling over the key space.
+const WRITES_PER_ROUND: u32 = 60;
 
 /// Virtual microseconds per cluster operation.
 const STEP_US: u64 = 500;
@@ -66,12 +48,8 @@ fn val(i: u32, tick: u64) -> Vec<u8> {
 ///
 /// Propagates real (non-injected) I/O errors only; everything injected
 /// is absorbed into the report.
-pub fn oltp_campaign(
-    seed: u64,
-    root: &Path,
-    config: OltpCampaignConfig,
-) -> std::io::Result<CampaignReport> {
-    let ops_per_round = u64::from(config.writes_per_round + 2 * config.keys) + 8;
+pub fn oltp_campaign(seed: u64, root: &Path) -> std::io::Result<CampaignReport> {
+    let ops_per_round = u64::from(WRITES_PER_ROUND + 2 * KEYS) + 8;
     let round_us = ops_per_round * STEP_US;
     let mut builder = FaultPlan::builder(seed)
         // One guaranteed lost ship early: deterministic read-repair bait.
@@ -80,7 +58,7 @@ pub fn oltp_campaign(
         // Rare torn WAL appends anywhere in the cluster: the node that
         // tears crashes and rejoins with a prefix of its log.
         .torn_write_p(bdb_kvstore::sites::WAL_APPEND, 0.003);
-    for r in 0..config.rounds {
+    for r in 0..ROUNDS {
         // Mid-round, one primary dies at a virtual-time deadline.
         let at = Duration::from_micros(u64::from(r) * round_us + round_us / 3);
         builder = builder.node_kill_at(sites::NODE_KILL, at);
@@ -104,10 +82,10 @@ pub fn oltp_campaign(
         c.advance(Duration::from_micros(*t_us));
     };
 
-    for round in 0..config.rounds {
-        for i in 0..config.writes_per_round {
+    for round in 0..ROUNDS {
+        for i in 0..WRITES_PER_ROUND {
             tick(&mut c, &mut t_us);
-            let ki = i % config.keys;
+            let ki = i % KEYS;
             let k = key(ki);
             // The virtual-time kill rule fires here: take down the
             // primary of the shard we are about to write, so the write
@@ -135,7 +113,7 @@ pub fn oltp_campaign(
         // non-primary replicas, repairing any stale copy in place.
         for sweep in 0..2 {
             let _ = sweep;
-            for i in 0..config.keys {
+            for i in 0..KEYS {
                 tick(&mut c, &mut t_us);
                 let k = key(i);
                 match c.get(&k) {
@@ -176,7 +154,7 @@ pub fn oltp_campaign(
 
     // Final sweep: after repair, every read must observe the newest
     // acknowledged version.
-    for i in 0..config.keys {
+    for i in 0..KEYS {
         tick(&mut c, &mut t_us);
         let k = key(i);
         let got = c.get(&k)?;
@@ -257,7 +235,7 @@ pub fn oltp_campaign(
     Ok(CampaignReport {
         campaign: "cloud-oltp",
         seed,
-        rounds: config.rounds,
+        rounds: ROUNDS,
         checkers: vec![history_checker, convergence, coverage],
         injected: plan.injected_by_site(),
         recovered: plan.recovered_by_site(),

@@ -5,6 +5,7 @@
 
 use crate::report::{CampaignReport, CheckerVerdict};
 use crate::sites;
+use crate::ROUNDS;
 use bdb_faults::FaultPlan;
 use bdb_obs::{ObsConfig, ObsPipeline};
 use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
@@ -20,11 +21,11 @@ fn model() -> ServiceTimeModel {
     }
 }
 
-/// Runs the serving chaos campaign: `rounds` overload phases of rising
+/// Runs the serving chaos campaign: three overload phases of rising
 /// intensity, with injected stragglers stretching a slice of service
 /// times, fed through the full observability pipeline.
 #[must_use]
-pub fn serving_campaign(seed: u64, rounds: u32) -> CampaignReport {
+pub fn serving_campaign(seed: u64) -> CampaignReport {
     let m = model();
     let plan = FaultPlan::builder(seed)
         .straggle_p(sites::SERVING_STRAGGLE, 0.01, Duration::from_millis(40))
@@ -43,7 +44,7 @@ pub fn serving_campaign(seed: u64, rounds: u32) -> CampaignReport {
     let mut shed = 0u64;
     let mut timed_out = 0u64;
     let mut straggled = 0u64;
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         // Rising overload: 2 workers saturate near 1000 rps.
         let rate = 1500.0 + 500.0 * f64::from(round);
         let mut times = m.sample_times(2048, seed.wrapping_add(u64::from(round)));
@@ -129,7 +130,7 @@ pub fn serving_campaign(seed: u64, rounds: u32) -> CampaignReport {
     CampaignReport {
         campaign: "nutch-serving",
         seed,
-        rounds,
+        rounds: ROUNDS,
         checkers: vec![tail_sampling, exposition, slo],
         injected: plan.injected_by_site(),
         recovered: plan.recovered_by_site(),

@@ -3,6 +3,7 @@
 //! byte-identical to a fault-free baseline every round.
 
 use crate::report::{CampaignReport, CheckerVerdict};
+use crate::ROUNDS;
 use bdb_faults::FaultPlan;
 use bdb_mapreduce::jobs::WordCount;
 use bdb_mapreduce::{sites, Engine};
@@ -63,11 +64,11 @@ fn round_span(round: u32, identical: bool, plan: &FaultPlan) -> SpanEvent {
     }
 }
 
-/// Runs the WordCount chaos campaign: a clean baseline, then `rounds`
+/// Runs the WordCount chaos campaign: a clean baseline, then three
 /// faulty re-runs, each of which must recover (bounded retries plus
 /// speculative execution) to the byte-identical output.
 #[must_use]
-pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
+pub fn wordcount_campaign(seed: u64) -> CampaignReport {
     let input = lines(400);
     let (baseline, base_stats) = engine(REDUCERS, FaultPlan::disabled()).run(&WordCount, &input);
 
@@ -80,7 +81,7 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     let mut injected: std::collections::BTreeMap<String, u64> = Default::default();
     let mut spans = Vec::new();
 
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         let plan = round_plan(seed, round);
         let (out, stats) = engine(REDUCERS, plan.clone()).run(&WordCount, &input);
         let identical = out == baseline;
@@ -106,14 +107,14 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     }
 
     let identity =
-        CheckerVerdict::new("byte_identical_output", identical_rounds == u64::from(rounds))
-            .detail("rounds", rounds)
+        CheckerVerdict::new("byte_identical_output", identical_rounds == u64::from(ROUNDS))
+            .detail("rounds", ROUNDS)
             .detail("identical_rounds", identical_rounds)
             .detail("output_pairs", baseline.len());
 
     let recovery = CheckerVerdict::new(
         "retry_and_speculation",
-        injected_total >= u64::from(rounds)
+        injected_total >= u64::from(ROUNDS)
             && recovered_total >= 1
             && map_retries + reduce_retries >= 1
             && speculative_tasks >= 1
@@ -125,7 +126,7 @@ pub fn wordcount_campaign(seed: u64, rounds: u32) -> CampaignReport {
     CampaignReport {
         campaign: "wordcount",
         seed,
-        rounds,
+        rounds: ROUNDS,
         checkers: vec![identity, recovery],
         injected: injected.into_iter().collect(),
         recovered: Vec::new(),

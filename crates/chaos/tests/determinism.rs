@@ -2,7 +2,7 @@
 //! `chaos_report.json` on repeated runs (so CI can diff two runs
 //! directly), and the fixed CI seeds pass every invariant checker.
 
-use bdb_chaos::{oltp_campaign, serving_campaign, wordcount_campaign, OltpCampaignConfig};
+use bdb_chaos::{oltp_campaign, serving_campaign, wordcount_campaign};
 use std::path::PathBuf;
 
 fn tmproot(name: &str) -> PathBuf {
@@ -13,9 +13,9 @@ fn tmproot(name: &str) -> PathBuf {
 
 #[test]
 fn oltp_campaign_is_byte_deterministic_and_passes() {
-    let (ra, rb) = (tmproot("oltp-a"), tmproot("oltp-b"));
-    let a = oltp_campaign(7, &ra, OltpCampaignConfig::default()).unwrap();
-    let b = oltp_campaign(7, &rb, OltpCampaignConfig::default()).unwrap();
+    let (ra, rb, rc) = (tmproot("oltp-a"), tmproot("oltp-b"), tmproot("oltp-c"));
+    let a = oltp_campaign(7, &ra).unwrap();
+    let b = oltp_campaign(7, &rb).unwrap();
     let (ja, jb) = (a.render_json(), b.render_json());
     assert_eq!(ja, jb, "same seed, different directories: byte-identical report");
     assert!(a.passed(), "seed 7 must pass every checker:\n{ja}");
@@ -27,26 +27,17 @@ fn oltp_campaign_is_byte_deterministic_and_passes() {
     );
     // The report is root-path independent by construction.
     assert!(!ja.contains("tmp"), "no filesystem paths leak into the report");
-    let c = oltp_campaign(8, &tmproot("oltp-c"), OltpCampaignConfig::default()).unwrap();
+    let c = oltp_campaign(8, &rc).unwrap();
     assert_ne!(ja, c.render_json(), "a different seed is a different campaign");
-    for d in [ra, rb] {
+    for d in [ra, rb, rc] {
         std::fs::remove_dir_all(&d).ok();
     }
 }
 
 #[test]
-fn short_oltp_campaign_passes_for_subset_tier() {
-    let root = tmproot("oltp-short");
-    let r = oltp_campaign(21, &root, OltpCampaignConfig::short()).unwrap();
-    assert!(r.passed(), "short campaign, seed 21:\n{}", r.render_json());
-    assert!(r.stat("failovers").unwrap() >= 1);
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
 fn wordcount_campaign_is_byte_deterministic_and_passes() {
-    let a = wordcount_campaign(7, 3);
-    let b = wordcount_campaign(7, 3);
+    let a = wordcount_campaign(7);
+    let b = wordcount_campaign(7);
     assert_eq!(a.render_json(), b.render_json());
     assert!(a.passed(), "seed 7:\n{}", a.render_json());
     assert!(a.checker("byte_identical_output").unwrap().pass);
@@ -54,8 +45,8 @@ fn wordcount_campaign_is_byte_deterministic_and_passes() {
 
 #[test]
 fn serving_campaign_is_byte_deterministic_and_passes() {
-    let a = serving_campaign(7, 3);
-    let b = serving_campaign(7, 3);
+    let a = serving_campaign(7);
+    let b = serving_campaign(7);
     assert_eq!(a.render_json(), b.render_json());
     assert!(a.passed(), "seed 7:\n{}", a.render_json());
     assert!(a.stat("shed").unwrap() > 0 && a.stat("timed_out").unwrap() > 0);
@@ -68,7 +59,7 @@ fn serving_campaign_is_byte_deterministic_and_passes() {
 #[test]
 fn campaign_spans_use_virtual_time_only() {
     let root = tmproot("oltp-spans");
-    let r = oltp_campaign(7, &root, OltpCampaignConfig::short()).unwrap();
+    let r = oltp_campaign(7, &root).unwrap();
     assert!(!r.spans.is_empty(), "lifecycle events become trace instants");
     // Virtual timestamps are bounded by the campaign timeline — a
     // wall-clock timestamp would be astronomically larger.

@@ -17,8 +17,7 @@
 //!    BIC; both pick the knee of the same tradeoff) and single-linkage
 //!    hierarchical clustering as an agreement cross-check;
 //! 4. the workload **nearest each centroid** becomes that cluster's
-//!    representative; the representatives form the committed subset
-//!    that `ci.sh --subset` runs as the cheap per-PR regression gate.
+//!    representative; the representatives form the committed subset.
 //!
 //! The whole pipeline is deterministic and permutation-invariant for a
 //! fixed seed (see [`cluster`]), which is what makes the subset safe

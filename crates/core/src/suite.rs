@@ -80,11 +80,6 @@ impl Suite {
         workloads::build(id).run_traced(&self.scale(multiplier), machine)
     }
 
-    /// Runs every workload natively at `multiplier`.
-    pub fn run_all_native(&self, multiplier: u32) -> Vec<WorkloadReport> {
-        WorkloadId::ALL.iter().map(|&id| self.run_native(id, multiplier)).collect()
-    }
-
     /// Native sweep over the paper's multipliers for one workload.
     pub fn sweep_native(&self, id: WorkloadId) -> Vec<WorkloadReport> {
         RunScale::MULTIPLIERS.iter().map(|&m| self.run_native(id, m)).collect()

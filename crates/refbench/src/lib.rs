@@ -33,7 +33,6 @@
 pub mod hpcc;
 pub mod parsec;
 pub mod spec;
-pub mod sqlkern;
 
 use bdb_archsim::{CharacterizationReport, MachineConfig, Probe, SimProbe};
 

@@ -54,7 +54,7 @@ pub use bdb_archsim::layout::fnv1a;
 pub use latency::LatencyHistogram;
 pub use loadgen::{
     run_closed_loop, run_closed_loop_instrumented, run_closed_loop_sampled, run_offered_load,
-    run_offered_load_instrumented, run_offered_load_shaped, PrometheusSampler, ServiceReport,
+    run_offered_load_shaped, PrometheusSampler, ServiceReport,
 };
 pub use model::{splitmix64, ServiceTimeModel};
 pub use queue::{QueuePolicy, QueueSim, RequestOutcome, RequestRecord};

@@ -208,32 +208,6 @@ pub fn run_offered_load<S: Server>(
     samples: usize,
     seed: u64,
 ) -> ServiceReport {
-    run_offered_load_instrumented(
-        server,
-        offered_rps,
-        horizon,
-        workers,
-        samples,
-        seed,
-        &SpanRecorder::disabled(),
-        &MetricsRegistry::new(),
-    )
-}
-
-/// [`run_offered_load`] with telemetry: the native sampling phase and
-/// the queueing simulation each become spans, and measured service
-/// times feed the `serving.request_us` histogram in `metrics`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_offered_load_instrumented<S: Server>(
-    server: &mut S,
-    offered_rps: f64,
-    horizon: Duration,
-    workers: u32,
-    samples: usize,
-    seed: u64,
-    telemetry: &SpanRecorder,
-    metrics: &MetricsRegistry,
-) -> ServiceReport {
     run_offered_load_shaped(
         server,
         offered_rps,
@@ -242,12 +216,12 @@ pub fn run_offered_load_instrumented<S: Server>(
         samples,
         seed,
         QueuePolicy::default(),
-        telemetry,
-        metrics,
+        &SpanRecorder::disabled(),
+        &MetricsRegistry::new(),
     )
 }
 
-/// [`run_offered_load_instrumented`] with overload protection: the
+/// [`run_offered_load`] with telemetry and overload protection: the
 /// queueing simulation runs under `policy` (bounded queue, deadline),
 /// and drops are surfaced in the report and as the `serving.shed` /
 /// `serving.timed_out` counters in `metrics`.

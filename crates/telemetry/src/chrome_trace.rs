@@ -182,13 +182,9 @@ impl TraceSession {
         }
     }
 
-    /// The session's trace as Chrome trace-event JSON.
-    pub fn trace_json(&self) -> String {
-        self.trace_json_with_tracks(&[])
-    }
-
-    /// The session's trace, with extra derived counter tracks appended
-    /// (e.g. a profiler's busy-worker series).
+    /// The session's trace as Chrome trace-event JSON, with extra
+    /// derived counter tracks appended (e.g. a profiler's busy-worker
+    /// series).
     pub fn trace_json_with_tracks(&self, tracks: &[CounterTrack]) -> String {
         chrome_trace_json_with_tracks(
             &self.name,

@@ -107,8 +107,8 @@ fn committed_repo_artifacts_are_mutually_consistent() {
     assert_eq!(baseline.k, baseline.subset.len(), "one representative per cluster");
     for name in &baseline.subset {
         assert!(baseline.workloads.contains(name), "{name} is a tracked workload");
-        // Every representative must be gateable against the committed
-        // bench baseline: compare_json_subset requires it there.
+        // Both artifacts cover the same workloads, so every
+        // representative has a committed bench row.
         assert!(
             bench.contains(&format!("\"name\":\"{name}\"")),
             "{name} present in BENCH_RESULTS.json"

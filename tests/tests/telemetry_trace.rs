@@ -28,7 +28,7 @@ fn traced_session() -> TraceSession {
 #[test]
 fn emitted_json_is_a_valid_chrome_trace_event_array() {
     let session = traced_session();
-    let json = session.trace_json();
+    let json = session.trace_json_with_tracks(&[]);
     let parsed = parse(&json).expect("trace must be valid JSON");
     let events = parsed.as_array().expect("trace-event format is a JSON array");
     assert!(!events.is_empty(), "an instrumented run produces events");
@@ -81,7 +81,7 @@ fn emitted_json_is_a_valid_chrome_trace_event_array() {
 #[test]
 fn balanced_span_names_cover_all_engine_phases() {
     let session = traced_session();
-    let json = session.trace_json();
+    let json = session.trace_json_with_tracks(&[]);
     let parsed = parse(&json).expect("valid JSON");
     let names: Vec<String> = parsed
         .as_array()
@@ -123,7 +123,7 @@ fn traced_run_trace_has_counter_tracks_with_multiple_samples() {
     keys.dedup();
     assert_eq!(keys.len(), distinct, "traced output repeats a key");
 
-    let json = session.trace_json();
+    let json = session.trace_json_with_tracks(&[]);
     let parsed = parse(&json).expect("valid JSON");
     let mut samples: HashMap<String, usize> = HashMap::new();
     for e in parsed.as_array().expect("array") {
