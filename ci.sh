@@ -68,4 +68,7 @@ if [ "$fast" -eq 0 ]; then
     done
 fi
 
-echo "ci: all gates passed"
+# The size of the Rust tree, so each change's line count comes from
+# the gate rather than a hand-run command.
+rust_lines="$(find crates tests vendor -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "ci: all gates passed ($rust_lines lines of Rust)"

@@ -72,7 +72,7 @@ const PASSES: &[Pass] = &[
     },
     Pass {
         flags: &[
-            ("--trace DIR", "instrumented run of eight representative workloads"),
+            ("--trace DIR", "instrumented run of ten representative workloads"),
             (
                 "--profile DIR",
                 "profile that run: flamegraph stacks, critical path and worker utilization; \

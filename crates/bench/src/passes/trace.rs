@@ -1,4 +1,4 @@
-//! `--trace DIR` / `--profile DIR`: an instrumented run of eight
+//! `--trace DIR` / `--profile DIR`: an instrumented run of ten
 //! representative workloads, exported as Chrome traces, metrics
 //! summaries, Prometheus scrapes and profiles.
 
@@ -85,9 +85,6 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         .build();
     let mut probe = SimProbe::new(machine.clone());
     let (_, stats) = engine.run_traced(&WordCount, &lines, &mut probe);
-    if let Some(cp) = &stats.critical_path {
-        println!("  {:<20} job: {}", "", cp.render());
-    }
     if let Some(profile) = export(out, &session, &stats.phase_breakdown()) {
         // Profiling contract, enforced in-binary so CI catches span
         // coverage regressions: the WordCount critical path must cover
@@ -119,9 +116,6 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         .build();
     let mut probe = SimProbe::new(machine);
     let (_, stats) = engine.run_traced(&Sort, &lines, &mut probe);
-    if let Some(cp) = &stats.critical_path {
-        println!("  {:<20} job: {}", "", cp.render());
-    }
     export(out, &session, &stats.phase_breakdown());
 
     // Graph analytics: PageRank and Connected Components.

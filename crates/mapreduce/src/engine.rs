@@ -15,7 +15,6 @@ use crate::spill::{GroupMerge, SpillFile};
 use crate::trace::FrameworkModel;
 use bdb_archsim::{CounterSnapshot, NullProbe, Probe};
 use bdb_faults::FaultPlan;
-use bdb_profile::{critical_path, CriticalPathSummary, SpanForest};
 use bdb_telemetry::{span, MetricsRegistry, SpanGuard, SpanRecorder};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -73,10 +72,6 @@ pub struct JobStats {
     /// Exponential retry backoff accrued across all relaunches, in
     /// virtual time (recorded, never slept, so fault runs stay fast).
     pub retry_backoff: Duration,
-    /// Critical-path summary over this run's span stream — dominant
-    /// phase, longest task, and the fraction of wall-clock the path
-    /// covers. `None` when the engine has no telemetry attached.
-    pub critical_path: Option<CriticalPathSummary>,
 }
 
 impl JobStats {
@@ -425,7 +420,6 @@ impl Engine {
         inputs: &[J::Input],
     ) -> Result<(Vec<J::Output>, JobStats), JobError> {
         let mut stats = JobStats::default();
-        let run_epoch = self.telemetry.now_us();
         let job_span = span!(self.telemetry, "mapreduce", "job", inputs = inputs.len());
         let map_start = Instant::now();
         let chunk = inputs.len().div_ceil(self.threads).max(1);
@@ -485,25 +479,10 @@ impl Engine {
         stats.retry_backoff += reduce_sched.backoff;
         let outputs = fold_reduce(&mut stats, reduced);
         stats.reduce_time = reduce_start.elapsed();
-        // Close the phase spans before profiling so the critical path
-        // sees the whole run.
         drop(reduce_span);
         drop(job_span);
-        stats.critical_path = self.critical_summary(run_epoch);
         self.record_metrics(&stats);
         Ok((outputs, stats))
-    }
-
-    /// Summarizes the critical path of the spans this engine recorded
-    /// since `run_epoch` (µs); `None` without telemetry.
-    fn critical_summary(&self, run_epoch: u64) -> Option<CriticalPathSummary> {
-        if !self.telemetry.is_enabled() {
-            return None;
-        }
-        let events: Vec<_> =
-            self.telemetry.events().into_iter().filter(|e| e.start_us >= run_epoch).collect();
-        let forest = SpanForest::build(&events);
-        Some(critical_path(&forest).summary(&forest))
     }
 
     /// Executes `ntasks` independent tasks on the worker pool with
@@ -689,7 +668,6 @@ impl Engine {
         fw: &mut FrameworkModel,
     ) -> (Vec<J::Output>, JobStats) {
         let mut stats = JobStats::default();
-        let run_epoch = self.telemetry.now_us();
         let job_span = span!(self.telemetry, "mapreduce", "job", inputs = inputs.len());
         let caller_fw = fw;
         let mut fw = Some(std::mem::take(caller_fw));
@@ -727,7 +705,6 @@ impl Engine {
         let outputs = fold_reduce(&mut stats, reduced);
         stats.reduce_time = reduce_start.elapsed();
         drop(job_span);
-        stats.critical_path = self.critical_summary(run_epoch);
         self.record_metrics(&stats);
         *caller_fw = fw.take().expect("framework model present throughout");
         (outputs, stats)
@@ -1288,33 +1265,8 @@ mod tests {
         let engine = Engine::builder().threads(2).reducers(2).build();
         let (_, stats) = engine.run(&SortJob, &(0..100u64).collect::<Vec<_>>());
         assert_eq!(stats.map_records, 100);
-        assert_eq!(stats.critical_path, None, "no telemetry, no profile");
         // Disabled recorder: skew fields still populated from outcomes.
         assert!(stats.max_reduce_groups >= stats.min_reduce_groups);
-    }
-
-    #[test]
-    fn instrumented_runs_carry_a_critical_path_summary() {
-        let telemetry = SpanRecorder::enabled();
-        let engine = Engine::builder().threads(2).reducers(2).telemetry(telemetry.clone()).build();
-        let inputs: Vec<u64> = (0..2000).rev().collect();
-        let (_, stats) = engine.run(&SortJob, &inputs);
-        let cp = stats.critical_path.expect("telemetry attached → summary present");
-        assert!(cp.wall_us > 0);
-        assert!(cp.path_us <= cp.wall_us);
-        assert!(
-            cp.coverage > 0.9,
-            "the job span covers the run, so the path covers the wall: {cp:?}"
-        );
-        assert!(!cp.dominant_phase.is_empty());
-        assert!(cp.longest_segment_us > 0, "{cp:?}");
-
-        // Traced (single-threaded) runs produce one too, scoped to
-        // their own spans even on a recorder with prior events.
-        let mut probe = NullProbe;
-        let (_, traced) = engine.run_traced(&SortJob, &inputs, &mut probe);
-        let cp = traced.critical_path.expect("summary on traced runs");
-        assert!(cp.coverage > 0.9, "job span encloses the traced run: {cp:?}");
     }
 
     #[test]

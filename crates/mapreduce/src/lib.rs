@@ -59,7 +59,6 @@ pub mod jobs;
 pub mod spill;
 pub mod trace;
 
-pub use bdb_profile::CriticalPathSummary;
 pub use codec::Datum;
 pub use engine::{Engine, EngineBuilder, JobStats};
 pub use error::JobError;

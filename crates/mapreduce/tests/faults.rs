@@ -289,10 +289,8 @@ fn unrecoverable_spill_error_reports_task_io() {
 fn panicking_tasks_leave_well_formed_spans() {
     // A map task that panics unwinds through its SpanGuard, which must
     // still record a closed span (with a duration) rather than leaving
-    // the stream ill-formed, and the profiler must tolerate whatever
-    // instants the stream contains without unwrapping `dur_us`.
+    // the stream ill-formed. `profile_artifacts` profiles the same run.
     let telemetry = bdb_telemetry::SpanRecorder::enabled();
-    telemetry.instant("test", "job-submitted"); // instant: dur_us = None
     let plan = FaultPlan::builder(11).panic_nth(sites::MAP_TASK, 0).build();
     let e =
         Engine::builder().threads(2).reducers(2).faults(plan).telemetry(telemetry.clone()).build();
@@ -307,13 +305,6 @@ fn panicking_tasks_leave_well_formed_spans() {
     for ev in &map_tasks {
         assert!(ev.dur_us.is_some(), "panicked attempts still close their span: {ev:?}");
     }
-
-    // The analyzer skips the instant instead of unwrapping it, and the
-    // run still profiles end to end.
-    let profile = bdb_profile::Profile::from_events(&events);
-    assert_eq!(profile.forest.skipped, 1, "the instant is skipped, not fatal");
-    let cp = stats.critical_path.expect("telemetry attached");
-    assert!(cp.coverage > 0.9, "{cp:?}");
 }
 
 #[test]

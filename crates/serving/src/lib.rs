@@ -19,11 +19,10 @@
 //! * [`loadgen`] — closed-loop native measurement plus an event-driven
 //!   queueing simulator ([`queue`]) that converts measured service times
 //!   into achieved-RPS/latency curves under the paper's offered loads
-//!   (100×(1..32) requests/s, Table 6);
-//! * [`latency`] — latency histograms with percentile queries
-//!   (re-exported from [`bdb_telemetry`], the suite-wide telemetry
-//!   substrate; the `*_instrumented` load-generator variants also emit
-//!   per-request spans through a [`bdb_telemetry::SpanRecorder`]).
+//!   (100×(1..32) requests/s, Table 6). Latencies go into the
+//!   suite-wide [`bdb_telemetry::LatencyHistogram`], and the
+//!   `*_instrumented` load-generator variants also emit per-request
+//!   spans through a [`bdb_telemetry::SpanRecorder`].
 //!
 //! # Example
 //!
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod auction;
-pub mod latency;
 pub mod loadgen;
 pub mod model;
 pub mod queue;
@@ -51,7 +49,6 @@ pub mod social;
 pub mod trace;
 
 pub use bdb_archsim::layout::fnv1a;
-pub use latency::LatencyHistogram;
 pub use loadgen::{
     run_closed_loop, run_closed_loop_instrumented, run_closed_loop_sampled, run_offered_load,
     run_offered_load_shaped, PrometheusSampler, ServiceReport,

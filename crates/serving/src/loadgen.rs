@@ -1,11 +1,10 @@
 //! Load generation: closed-loop native measurement and offered-load
 //! simulation.
 
-use crate::latency::LatencyHistogram;
 use crate::queue::{QueuePolicy, QueueSim, RequestOutcome, RequestRecord};
 use crate::server::Server;
 use bdb_archsim::NullProbe;
-use bdb_telemetry::{span, MetricsRegistry, SpanRecorder};
+use bdb_telemetry::{span, LatencyHistogram, MetricsRegistry, SpanRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};

@@ -10,7 +10,7 @@
 //! knee, and achieved-vs-offered throughput all fall out of the
 //! simulation.
 
-use crate::latency::LatencyHistogram;
+use bdb_telemetry::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, VecDeque};

@@ -1,7 +1,8 @@
 //! Property-based invariants of the queueing simulator and latency
 //! histogram.
 
-use bdb_serving::{LatencyHistogram, QueueSim};
+use bdb_serving::QueueSim;
+use bdb_telemetry::LatencyHistogram;
 use proptest::prelude::*;
 use std::time::Duration;
 

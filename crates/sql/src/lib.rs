@@ -10,27 +10,20 @@
 //! * [`Table`] — fixed-schema columnar storage ([`schema`], [`value`]);
 //! * [`exec`] — `select`, `aggregate`, `hash_join` operators, each with
 //!   an instrumented variant that reports genuine column-scan and
-//!   hash-probe access patterns to a [`bdb_archsim::Probe`];
-//! * [`Database`] — a named-table catalog with a small typed query API.
+//!   hash-probe access patterns to a [`bdb_archsim::Probe`].
 //!
 //! # Example
 //!
 //! ```
-//! use bdb_sql::{Database, Schema, ColumnType, Value, exec};
+//! use bdb_sql::{Schema, ColumnType, Table, Value, exec};
 //! use bdb_sql::expr::{col, lit};
 //!
-//! let mut db = Database::new();
 //! let schema = Schema::new(&[("id", ColumnType::Int), ("price", ColumnType::Float)]);
-//! let mut t = bdb_sql::Table::new("goods", schema);
+//! let mut t = Table::new("goods", schema);
 //! t.push_row(vec![Value::Int(1), Value::Float(9.5)]).unwrap();
 //! t.push_row(vec![Value::Int(2), Value::Float(3.0)]).unwrap();
-//! db.register(t);
 //!
-//! let rows = exec::select(
-//!     db.table("goods").unwrap(),
-//!     &col("price").gt(lit(5.0)),
-//!     &["id"],
-//! ).unwrap();
+//! let rows = exec::select(&t, &col("price").gt(lit(5.0)), &["id"]).unwrap();
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(rows[0][0], Value::Int(1));
 //! ```
@@ -42,7 +35,6 @@ pub mod column;
 pub mod exec;
 pub mod expr;
 pub mod kernel;
-pub mod parser;
 pub mod schema;
 pub mod table;
 pub mod trace;
@@ -51,7 +43,7 @@ pub mod value;
 pub use column::{ColumnVec, ColumnarTable};
 pub use exec::{AggregateFn, Aggregation};
 pub use schema::{ColumnType, Schema};
-pub use table::{Database, Table};
+pub use table::Table;
 pub use trace::SqlTraceModel;
 pub use value::{Value, ValueRef};
 
@@ -72,8 +64,6 @@ pub enum SqlError {
         /// Number of values supplied.
         got: usize,
     },
-    /// A referenced table does not exist in the database.
-    UnknownTable(String),
 }
 
 impl std::fmt::Display for SqlError {
@@ -84,7 +74,6 @@ impl std::fmt::Display for SqlError {
             SqlError::ArityMismatch { expected, got } => {
                 write!(f, "row has {got} values, schema expects {expected}")
             }
-            SqlError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Columnar tables and the database catalog.
+//! Columnar tables.
 
 use crate::schema::{ColumnType, Schema};
 use crate::value::{Value, ValueRef};
 use crate::SqlError;
-use std::collections::HashMap;
 
 /// Column storage, one vector per column (with a null bitmap folded into
 /// `Option`-free representation: nulls are sentinel slots in `nulls`).
@@ -169,38 +168,6 @@ impl Table {
     }
 }
 
-/// A catalog of named tables.
-#[derive(Debug, Clone, Default)]
-pub struct Database {
-    tables: HashMap<String, Table>,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or replaces) a table under its own name.
-    pub fn register(&mut self, table: Table) {
-        self.tables.insert(table.name().to_owned(), table);
-    }
-
-    /// Looks up a table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SqlError::UnknownTable`] when absent.
-    pub fn table(&self, name: &str) -> Result<&Table, SqlError> {
-        self.tables.get(name).ok_or_else(|| SqlError::UnknownTable(name.to_owned()))
-    }
-
-    /// Names of all registered tables (unordered).
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,15 +214,6 @@ mod tests {
     fn byte_size_grows() {
         let t = table();
         assert_eq!(t.byte_size(), 2 * (8 + 8 + 24));
-    }
-
-    #[test]
-    fn database_lookup() {
-        let mut db = Database::new();
-        db.register(table());
-        assert!(db.table("t").is_ok());
-        assert!(matches!(db.table("x"), Err(SqlError::UnknownTable(_))));
-        assert_eq!(db.table_names().count(), 1);
     }
 
     #[test]

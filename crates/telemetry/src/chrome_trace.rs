@@ -12,8 +12,6 @@ use crate::metrics::MetricsRegistry;
 use crate::span::{ArgValue, SpanEvent, SpanRecorder};
 use crate::trace::SpanContext;
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 
 /// Process id used for all exported events (the suite is one process).
 const PID: u64 = 1;
@@ -160,8 +158,8 @@ pub fn chrome_trace_json_with_tracks(
     out
 }
 
-/// A bundle of recorder + registry for one workload run, with one-call
-/// export of `<name>.trace.json` and `<name>.metrics.txt`.
+/// A bundle of recorder + registry for one workload run, rendering the
+/// bodies of `<name>.trace.json` and `<name>.metrics.txt`.
 #[derive(Debug, Clone)]
 pub struct TraceSession {
     /// Workload name; becomes the process name and the file stem.
@@ -197,37 +195,6 @@ impl TraceSession {
     /// The session's metrics as plain text.
     pub fn metrics_summary(&self) -> String {
         format!("== metrics: {} ==\n{}", self.name, self.metrics.summary())
-    }
-
-    /// Writes `<name>.trace.json` and `<name>.metrics.txt` into `dir`
-    /// (created if missing); returns the two paths.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write(&self, dir: &Path) -> std::io::Result<(PathBuf, PathBuf)> {
-        self.write_with_tracks(dir, &[])
-    }
-
-    /// [`TraceSession::write`] with extra counter tracks baked into the
-    /// trace JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_with_tracks(
-        &self,
-        dir: &Path,
-        tracks: &[CounterTrack],
-    ) -> std::io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let stem = file_stem(&self.name);
-        let trace_path = dir.join(format!("{stem}.trace.json"));
-        let metrics_path = dir.join(format!("{stem}.metrics.txt"));
-        std::fs::File::create(&trace_path)?
-            .write_all(self.trace_json_with_tracks(tracks).as_bytes())?;
-        std::fs::File::create(&metrics_path)?.write_all(self.metrics_summary().as_bytes())?;
-        Ok((trace_path, metrics_path))
     }
 }
 
@@ -333,17 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn session_with_hostile_name_writes_sanitized_files() {
-        let session = TraceSession::enabled("OLTP: read/write 50%");
-        session.metrics.counter("done").inc();
-        let dir = std::env::temp_dir().join(format!("bdb-telemetry-stem-{}", std::process::id()));
-        let (trace, metrics) = session.write(&dir).unwrap();
-        assert!(trace.ends_with("oltp-read-write-50.trace.json"), "{trace:?}");
-        assert!(metrics.ends_with("oltp-read-write-50.metrics.txt"), "{metrics:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn counter_tracks_render_as_c_samples() {
         let track = CounterTrack {
             name: "busy workers".to_owned(),
@@ -425,13 +381,7 @@ mod tests {
             let _s = session.recorder.span("test", "work");
         }
         session.metrics.counter("done").inc();
-        let dir = std::env::temp_dir().join(format!("bdb-telemetry-{}", std::process::id()));
-        let (trace, metrics) = session.write(&dir).unwrap();
-        assert!(trace.ends_with("unit-test.trace.json"));
-        let body = std::fs::read_to_string(&trace).unwrap();
-        assert!(body.contains("\"work\""));
-        let summary = std::fs::read_to_string(&metrics).unwrap();
-        assert!(summary.contains("done"));
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(session.trace_json_with_tracks(&[]).contains("\"work\""));
+        assert!(session.metrics_summary().contains("done"));
     }
 }

@@ -212,11 +212,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Microseconds since the recorder's epoch (0 when disabled).
-    pub fn now_us(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Snapshot of the events recorded so far, sorted by start time.
     pub fn events(&self) -> Vec<SpanEvent> {
         match &self.inner {
