@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Run before every merge.
 #
-#   ./ci.sh                # full gate: fmt, clippy, release build, tests
+#   ./ci.sh                # full gate: fmt, clippy, rustdoc, release build, tests
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
 #
 # Every `reproduce` pass gate (profile, charmap, SLO,
@@ -28,6 +28,9 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: a stale intra-doc link (often left behind when code is
+# deleted) fails here rather than only in a rendered doc page.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 if [ "$fast" -eq 0 ]; then
     run cargo build --workspace --release
 fi

@@ -3,7 +3,7 @@
 //! [`MachineConfig`] captures the two processors from the paper's Tables
 //! 5 and 7; [`MachineSim`] routes data accesses and instruction fetches
 //! through the hierarchy and produces a
-//! [`CharacterizationReport`](crate::CharacterizationReport).
+//! [`CharacterizationReport`].
 
 use crate::cache::{Cache, CacheConfig};
 use crate::layout::CodeRegion;

@@ -249,7 +249,9 @@ fn parse(mut raw: impl Iterator<Item = String>) -> Result<Args, Failure> {
 fn check_value(flag: &str, placeholder: &str, raw: &str) -> Result<(), Failure> {
     let want = match placeholder {
         "SEED" if raw.parse::<u64>().is_err() => "an integer seed",
-        "F" if !raw.parse::<f64>().is_ok_and(|f| f > 0.0) => "a positive number",
+        "F" if !raw.parse::<f64>().is_ok_and(|f| f.is_finite() && f > 0.0) => {
+            "a finite positive number"
+        }
         _ => return Ok(()),
     };
     Err(Failure::Usage(format!("{flag} needs {want}")))

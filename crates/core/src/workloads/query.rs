@@ -80,7 +80,7 @@ fn run_query(
     kind: &QueryKind,
     orders: &ColumnarTable,
     items: &ColumnarTable,
-    probe: Option<(&mut SimProbe, &mut Option<SqlTraceModel>)>,
+    probe: Option<(&mut SimProbe, &mut SqlTraceModel)>,
 ) -> usize {
     match (kind, probe) {
         (QueryKind::Select, None) => {
@@ -163,10 +163,10 @@ macro_rules! query_workload {
                 let orders = ColumnarTable::from_table(&orders);
                 let items = ColumnarTable::from_table(&items);
                 let mut probe = SimProbe::new(machine);
-                let mut trace = Some(SqlTraceModel::new());
-                trace.as_mut().expect("set").register_columnar(&orders);
-                trace.as_mut().expect("set").register_columnar(&items);
-                trace.as_mut().expect("set").warm(&mut probe);
+                let mut trace = SqlTraceModel::new();
+                trace.register_columnar(&orders);
+                trace.register_columnar(&items);
+                trace.warm(&mut probe);
                 run_query(&$kind, &orders, &items, Some((&mut probe, &mut trace)));
                 probe.reset_stats();
                 run_query(&$kind, &orders, &items, Some((&mut probe, &mut trace)));
@@ -228,6 +228,34 @@ mod tests {
         );
         assert_eq!(
             kernel::hash_join(&co, "ORDER_ID", &ci, "ORDER_ID").unwrap(),
+            bdb_sql::exec::hash_join(&orders, "ORDER_ID", &items, "ORDER_ID").unwrap()
+        );
+    }
+
+    #[test]
+    fn traced_kernels_match_the_row_oracle_at_traced_scale() {
+        let scale = RunScale::quick();
+        let (orders, items) = build_tables(&scale, scale.traced_units(ORDERS_BASELINE).max(50));
+        let co = ColumnarTable::from_table(&orders);
+        let ci = ColumnarTable::from_table(&items);
+        let mut probe = SimProbe::new(MachineConfig::xeon_e5645());
+        let mut trace = SqlTraceModel::new();
+        trace.register_columnar(&co);
+        trace.register_columnar(&ci);
+        let pred = col("GOODS_PRICE").gt(lit(50.0));
+        let proj = ["ITEM_ID", "GOODS_AMOUNT"];
+        assert_eq!(
+            kernel::select_traced(&ci, &pred, &proj, &mut probe, &mut trace).unwrap(),
+            bdb_sql::exec::select(&items, &pred, &proj).unwrap()
+        );
+        let aggs = [Aggregation::count(), Aggregation::sum("GOODS_AMOUNT")];
+        assert_eq!(
+            kernel::aggregate_traced(&ci, "GOODS_ID", &aggs, &mut probe, &mut trace).unwrap(),
+            bdb_sql::exec::aggregate(&items, "GOODS_ID", &aggs).unwrap()
+        );
+        assert_eq!(
+            kernel::hash_join_traced(&co, "ORDER_ID", &ci, "ORDER_ID", &mut probe, &mut trace)
+                .unwrap(),
             bdb_sql::exec::hash_join(&orders, "ORDER_ID", &items, "ORDER_ID").unwrap()
         );
     }

@@ -3,9 +3,11 @@
 //!
 //! The paper collects six seeds spanning three data types (structured,
 //! semi-structured, unstructured) and three sources (text, graph, table).
-//! We embed their published sizes plus the statistics our model fitting
-//! targets; [`SeedDataset::check`] lets tests verify a generator actually
-//! reproduces its seed's shape.
+//! We embed their published sizes plus the fitted parameters the
+//! generators target ([`SeedDataset::zipf_exponent`], and the graph seeds'
+//! average degrees); [`crate::stats`] measures the same statistics on a
+//! generated sample, so tests can check a generator reproduces its
+//! seed's shape.
 
 use std::fmt;
 

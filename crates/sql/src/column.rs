@@ -5,7 +5,7 @@
 //! Integer columns narrow to `i32` when every value fits (BigDataBench's
 //! e-commerce IDs always do), dates stay 4 bytes, and strings are
 //! dictionary-encoded to 4-byte codes — so scans touch roughly half the
-//! cache lines the row engine's 8/24-byte cells do. Nulls live in a
+//! cache lines a [`Table`]'s 8/24-byte cells do. Nulls live in a
 //! separate bitmap, keeping the data vectors branch-free to index.
 //! Conversion from [`Table`] is lossless: [`ColumnarTable::to_table`]
 //! round-trips every value, including NULLs and NaNs.

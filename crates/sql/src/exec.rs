@@ -1,15 +1,14 @@
-//! Query operators: select (scan+filter), aggregate (hash group-by) and
-//! hash join.
+//! The row-at-a-time oracle: select (scan+filter), aggregate (hash
+//! group-by) and hash join as straight loops over a row [`Table`].
 //!
-//! Each operator comes in a plain form and a `*_traced` form that
-//! reports its access pattern through a [`Probe`] and [`SqlTraceModel`].
+//! The engine the workloads run is [`crate::kernel`]; these operators
+//! are the reference it is tested against: every kernel returns exactly
+//! the rows, values and row order they return.
 
 use crate::expr::Expr;
 use crate::table::Table;
-use crate::trace::SqlTraceModel;
 use crate::value::{Value, ValueRef};
 use crate::SqlError;
-use bdb_archsim::{NullProbe, Probe};
 use std::collections::HashMap;
 
 /// Aggregate functions for [`aggregate`].
@@ -141,67 +140,15 @@ pub fn select(
     predicate: &Expr,
     projection: &[&str],
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    select_traced(table, predicate, projection, &mut NullProbe, &mut None)
-}
-
-/// Instrumented [`select`] (architectural probe form).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn select_traced<P: Probe + ?Sized>(
-    table: &Table,
-    predicate: &Expr,
-    projection: &[&str],
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    select_impl(table, predicate, projection, probe, trace)
-}
-
-fn select_impl<P: Probe + ?Sized>(
-    table: &Table,
-    predicate: &Expr,
-    projection: &[&str],
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
     let bound = predicate.bind(table)?;
     let proj: Vec<usize> = projection
         .iter()
         .map(|c| table.schema().resolve(c).map(|(i, _)| i))
         .collect::<Result<_, _>>()?;
-    let pred_cols: Vec<usize> = predicate
-        .columns()
-        .into_iter()
-        .map(|c| table.schema().resolve(c).map(|(i, _)| i))
-        .collect::<Result<_, _>>()?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
-    probe.phase("scan");
-    let mut out = Vec::new();
-    for row in 0..table.len() {
-        if let Some(t) = trace.as_mut() {
-            t.on_row(probe);
-            for &c in &pred_cols {
-                t.column_read(probe, table, row, c);
-            }
-            probe.branch(row % 7 == 0);
-            if row % 1024 == 0 {
-                t.on_batch(probe);
-            }
-        }
-        if bound.matches(table, row) {
-            if let Some(t) = trace.as_mut() {
-                for &c in &proj {
-                    t.column_read(probe, table, row, c);
-                }
-            }
-            out.push(proj.iter().map(|&c| table.value(row, c)).collect());
-        }
-    }
-    Ok(out)
+    Ok((0..table.len())
+        .filter(|&row| bound.matches(table, row))
+        .map(|row| proj.iter().map(|&c| table.value(row, c)).collect())
+        .collect())
 }
 
 /// `SELECT group_col, aggs... FROM table GROUP BY group_col` — hash
@@ -216,31 +163,6 @@ pub fn aggregate(
     group_by: &str,
     aggs: &[Aggregation],
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    aggregate_traced(table, group_by, aggs, &mut NullProbe, &mut None)
-}
-
-/// Instrumented [`aggregate`] (architectural probe form).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn aggregate_traced<P: Probe + ?Sized>(
-    table: &Table,
-    group_by: &str,
-    aggs: &[Aggregation],
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    aggregate_impl(table, group_by, aggs, probe, trace)
-}
-
-fn aggregate_impl<P: Probe + ?Sized>(
-    table: &Table,
-    group_by: &str,
-    aggs: &[Aggregation],
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
     let (gcol, _) = table.schema().resolve(group_by)?;
     let acols: Vec<usize> = aggs
         .iter()
@@ -252,29 +174,11 @@ fn aggregate_impl<P: Probe + ?Sized>(
             }
         })
         .collect::<Result<_, _>>()?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
-    probe.phase("aggregate");
     let mut groups: HashMap<u64, (Value, Vec<Acc>)> = HashMap::new();
-    let buckets = (table.len() / 4).max(64);
     for row in 0..table.len() {
         let key = table.value_ref(row, gcol);
-        let h = key.hash64();
-        if let Some(t) = trace.as_mut() {
-            t.on_row(probe);
-            t.column_read(probe, table, row, gcol);
-            t.hash_access(probe, h, buckets, false);
-            for &c in &acols {
-                t.column_read(probe, table, row, c);
-            }
-            t.hash_access(probe, h, buckets, true);
-            if row % 1024 == 0 {
-                t.on_batch(probe);
-            }
-        }
         let entry = groups
-            .entry(h)
+            .entry(key.hash64())
             .or_insert_with(|| (key.to_value(), aggs.iter().map(|a| Acc::new(a.func)).collect()));
         for (acc, &c) in entry.1.iter_mut().zip(&acols) {
             acc.update(table.value_ref(row, c));
@@ -305,90 +209,32 @@ pub fn hash_join(
     right: &Table,
     rcol: &str,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    hash_join_traced(left, lcol, right, rcol, &mut NullProbe, &mut None)
-}
-
-/// Instrumented [`hash_join`] (architectural probe form).
-///
-/// # Errors
-///
-/// Returns [`SqlError`] for unknown columns.
-pub fn hash_join_traced<P: Probe + ?Sized>(
-    left: &Table,
-    lcol: &str,
-    right: &Table,
-    rcol: &str,
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    hash_join_impl(left, lcol, right, rcol, probe, trace)
-}
-
-fn hash_join_impl<P: Probe + ?Sized>(
-    left: &Table,
-    lcol: &str,
-    right: &Table,
-    rcol: &str,
-    probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
-) -> Result<Vec<Vec<Value>>, SqlError> {
     let (li, _) = left.schema().resolve(lcol)?;
     let (ri, _) = right.schema().resolve(rcol)?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
     // Build phase over the left table.
-    probe.phase("build");
-    let buckets = left.len().max(64);
     let mut build: HashMap<u64, Vec<usize>> = HashMap::with_capacity(left.len());
     for row in 0..left.len() {
         let key = left.value_ref(row, li);
         if key.is_null() {
             continue; // NULL never joins
         }
-        let h = key.hash64();
-        if let Some(t) = trace.as_mut() {
-            t.on_row(probe);
-            t.column_read(probe, left, row, li);
-            t.hash_access(probe, h, buckets, true);
-        }
-        build.entry(h).or_default().push(row);
+        build.entry(key.hash64()).or_default().push(row);
     }
     // Probe phase over the right table.
-    probe.phase("probe");
     let mut out = Vec::new();
     for row in 0..right.len() {
         let key = right.value_ref(row, ri);
         if key.is_null() {
             continue;
         }
-        let h = key.hash64();
-        if let Some(t) = trace.as_mut() {
-            t.on_row(probe);
-            t.column_read(probe, right, row, ri);
-            t.hash_access(probe, h, buckets, false);
-            if row % 1024 == 0 {
-                t.on_batch(probe);
-            }
-        }
-        if let Some(matches) = build.get(&h) {
-            for &lrow in matches {
-                // Re-check equality (hash collisions).
-                if left.value_ref(lrow, li).total_cmp(&key) == std::cmp::Ordering::Equal {
-                    if let Some(t) = trace.as_mut() {
-                        for c in 0..left.schema().arity() {
-                            t.column_read(probe, left, lrow, c);
-                        }
-                        for c in 0..right.schema().arity() {
-                            t.column_read(probe, right, row, c);
-                        }
-                    }
-                    let mut joined =
-                        Vec::with_capacity(left.schema().arity() + right.schema().arity());
-                    left.append_row_to(lrow, &mut joined);
-                    right.append_row_to(row, &mut joined);
-                    out.push(joined);
-                }
+        let Some(matches) = build.get(&key.hash64()) else { continue };
+        for &lrow in matches {
+            // Re-check equality (hash collisions).
+            if left.value_ref(lrow, li).total_cmp(&key) == std::cmp::Ordering::Equal {
+                let mut joined = Vec::with_capacity(left.schema().arity() + right.schema().arity());
+                left.append_row_to(lrow, &mut joined);
+                right.append_row_to(row, &mut joined);
+                out.push(joined);
             }
         }
     }
@@ -494,38 +340,6 @@ mod tests {
         r.push_row(vec![Value::Int(1)]).unwrap();
         let joined = hash_join(&l, "k", &r, "k").unwrap();
         assert_eq!(joined.len(), 1, "NULL keys never join");
-    }
-
-    #[test]
-    fn traced_operators_match_plain_results() {
-        use bdb_archsim::CountingProbe;
-        let t = orders();
-        let mut trace = Some(SqlTraceModel::new());
-        trace.as_mut().unwrap().register_table(&t);
-        let mut probe = CountingProbe::default();
-        let traced =
-            select_traced(&t, &col("buyer_id").eq(lit(10)), &["order_id"], &mut probe, &mut trace)
-                .unwrap();
-        let plain = select(&t, &col("buyer_id").eq(lit(10)), &["order_id"]).unwrap();
-        assert_eq!(traced, plain);
-        assert!(probe.mix().loads > 0, "column reads recorded");
-        assert!(probe.mix().other > 0, "engine stack recorded");
-    }
-
-    #[test]
-    fn traced_aggregate_and_join_record_hash_traffic() {
-        use bdb_archsim::CountingProbe;
-        let o = orders();
-        let i = items();
-        let mut trace = Some(SqlTraceModel::new());
-        trace.as_mut().unwrap().register_table(&o);
-        trace.as_mut().unwrap().register_table(&i);
-        let mut probe = CountingProbe::default();
-        aggregate_traced(&i, "order_id", &[Aggregation::count()], &mut probe, &mut trace).unwrap();
-        let loads_after_agg = probe.mix().loads;
-        hash_join_traced(&o, "order_id", &i, "order_id", &mut probe, &mut trace).unwrap();
-        assert!(probe.mix().stores > 0, "hash builds recorded");
-        assert!(probe.mix().loads > loads_after_agg, "probe loads recorded");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! partition), each morsel keeping one row list per partition. A
 //! partition then aggregates its rows by reading those lists in morsel
 //! order, which is global row order — every group's values are added in
-//! exactly the order the single-threaded row engine adds them,
+//! exactly the order the single-threaded row oracle adds them,
 //! regardless of worker count.
 
 use super::{for_each_index, for_each_morsel, U64Map};
@@ -70,7 +70,7 @@ impl MorselPartitions {
     }
 }
 
-/// Group state, keyed by the group hash exactly like the row engine's
+/// Group state, keyed by the group hash exactly like the row oracle's
 /// `aggregate`: each new hash gets the next dense group id, the row that
 /// created it (whose key cell is the group key) and one accumulator per
 /// aggregation in a flat, group-major vector.
@@ -132,7 +132,7 @@ impl GroupTable {
 }
 
 /// Orders finished groups (one [`GroupTable::into_rows`] result per
-/// table) by group key, the row engine's output order. Each key is read
+/// table) by group key, the row oracle's output order. Each key is read
 /// once from its group's first row; the sort moves `(key, table, group)`
 /// triples and each row then moves once into place.
 pub(crate) fn sort_groups(

@@ -6,7 +6,7 @@
 //! vector using Kleene three-valued logic encoded as `u8`:
 //! `FALSE = 0`, `UNKNOWN = 1` (SQL NULL), `TRUE = 2`. Under this
 //! encoding `AND = min`, `OR = max`, `NOT = 2 − x`, which is exactly the
-//! row engine's `truthy_and`/`truthy_or`/`Not` semantics — so the
+//! row oracle's `truthy_and`/`truthy_or`/`Not` semantics — so the
 //! columnar filter accepts precisely the rows the oracle accepts
 //! (a row passes iff its tri-state is `TRUE`).
 

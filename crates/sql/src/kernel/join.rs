@@ -7,7 +7,7 @@
 //! then look up their partition's table independently. Matches
 //! materialize late — only matched rows gather their payload columns —
 //! and per-morsel outputs concatenate in morsel order, so the result
-//! row order is exactly the row engine's probe order.
+//! row order is exactly the row oracle's probe order.
 
 use super::agg::{partition_of, MorselPartitions, PARTITIONS};
 use super::project::gather_row;

@@ -10,7 +10,7 @@
 //! * **hash aggregation** ([`aggregate`]) — group hashes are computed
 //!   per morsel and rows are hash-partitioned so partitions aggregate
 //!   in parallel while keeping float accumulation bit-identical to the
-//!   row engine;
+//!   row oracle;
 //! * **partitioned hash join** ([`hash_join`]) — typed key columns are
 //!   hashed into per-partition tables, probed morsel-parallel, with
 //!   late materialization of matched rows only.
@@ -155,7 +155,7 @@ fn resolve_all(schema: &Schema, names: &[&str]) -> Result<Vec<usize>, SqlError> 
     names.iter().map(|n| resolve(schema, n)).collect()
 }
 
-/// Aggregation input columns, mirroring the row engine: `COUNT(*)`
+/// Aggregation input columns, mirroring the row oracle: `COUNT(*)`
 /// counts via the group column.
 fn resolve_agg_cols(
     schema: &Schema,
@@ -230,39 +230,33 @@ pub fn select_traced<P: Probe + ?Sized>(
     predicate: &Expr,
     projection: &[&str],
     probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
+    trace: &mut SqlTraceModel,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let compiled = CompiledFilter::compile(predicate, table)?;
     let proj = resolve_all(table.schema(), projection)?;
     let pred_cols = resolve_all(table.schema(), &predicate.columns())?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
+    trace.on_query(probe);
     let mut out = Vec::new();
     let mut tri = Vec::new();
     let mut sel = Vec::new();
     for (_m, rows) in morsel_ranges(table.len()) {
-        if let Some(t) = trace.as_mut() {
-            probe.phase("scan");
-            t.on_morsel(probe);
-            for &c in &pred_cols {
-                t.column_scan(probe, table, c, rows.clone());
-            }
+        probe.phase("scan");
+        trace.on_morsel(probe);
+        for &c in &pred_cols {
+            trace.column_scan(probe, table, c, rows.clone());
         }
         compiled.eval_morsel(table, rows.clone(), &mut tri);
         sel.clear();
         CompiledFilter::select_rows(&tri, rows.start, &mut sel);
-        if let Some(t) = trace.as_mut() {
-            probe.phase("filter");
-            // One comparison per row per predicate column, one
-            // selectivity branch per morsel — the vectorized loop is
-            // branch-free inside.
-            probe.int_ops((rows.len() * pred_cols.len().max(1)) as u64);
-            probe.branch(sel.len() * 2 >= rows.len());
-            for &row in &sel {
-                for &c in &proj {
-                    t.gather(probe, table, c, row as usize);
-                }
+        probe.phase("filter");
+        // One comparison per row per predicate column, one
+        // selectivity branch per morsel — the vectorized loop is
+        // branch-free inside.
+        probe.int_ops((rows.len() * pred_cols.len().max(1)) as u64);
+        probe.branch(sel.len() * 2 >= rows.len());
+        for &row in &sel {
+            for &c in &proj {
+                trace.gather(probe, table, c, row as usize);
             }
         }
         out.extend(project::gather_rows(table, &proj, &sel));
@@ -317,13 +311,11 @@ pub fn aggregate_traced<P: Probe + ?Sized>(
     group_by: &str,
     aggs: &[Aggregation],
     probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
+    trace: &mut SqlTraceModel,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let gcol = resolve(table.schema(), group_by)?;
     let acols = resolve_agg_cols(table.schema(), gcol, aggs)?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
+    trace.on_query(probe);
     // Float-accumulating aggregations pay one FP add per row.
     let fp_per_row = acols
         .iter()
@@ -336,23 +328,19 @@ pub fn aggregate_traced<P: Probe + ?Sized>(
     let buckets = (table.len() / 4).max(64);
     let mut gt = agg::GroupTable::default();
     for (_m, rows) in morsel_ranges(table.len()) {
-        if let Some(t) = trace.as_mut() {
-            probe.phase("scan");
-            t.on_morsel(probe);
-            t.column_scan(probe, table, gcol, rows.clone());
-            for &c in &acols {
-                t.column_scan(probe, table, c, rows.clone());
-            }
-            probe.phase("agg");
+        probe.phase("scan");
+        trace.on_morsel(probe);
+        trace.column_scan(probe, table, gcol, rows.clone());
+        for &c in &acols {
+            trace.column_scan(probe, table, c, rows.clone());
         }
+        probe.phase("agg");
         for row in rows {
             let h = table.column(gcol).value_ref(row).hash64();
-            if let Some(t) = trace.as_mut() {
-                t.hash_access_compact(probe, h, buckets, false);
-                t.hash_access_compact(probe, h, buckets, true);
-                if fp_per_row > 0 {
-                    probe.fp_ops(fp_per_row);
-                }
+            trace.hash_access(probe, h, buckets, false);
+            trace.hash_access(probe, h, buckets, true);
+            if fp_per_row > 0 {
+                probe.fp_ops(fp_per_row);
             }
             gt.update(table, &acols, aggs, row, h);
         }
@@ -410,31 +398,25 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
     right: &ColumnarTable,
     rcol: &str,
     probe: &mut P,
-    trace: &mut Option<SqlTraceModel>,
+    trace: &mut SqlTraceModel,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
     let li = resolve(left.schema(), lcol)?;
     let ri = resolve(right.schema(), rcol)?;
-    if let Some(t) = trace.as_mut() {
-        t.on_query(probe);
-    }
+    trace.on_query(probe);
     let buckets = left.len().max(64);
     // Build over the left table.
     let mut build = join::BuildTable::with_capacity(left.len());
     for (_m, rows) in morsel_ranges(left.len()) {
-        if let Some(t) = trace.as_mut() {
-            probe.phase("build");
-            t.on_morsel(probe);
-            t.column_scan(probe, left, li, rows.clone());
-        }
+        probe.phase("build");
+        trace.on_morsel(probe);
+        trace.column_scan(probe, left, li, rows.clone());
         for row in rows {
             let key = left.column(li).value_ref(row);
             if key.is_null() {
                 continue;
             }
             let h = key.hash64();
-            if let Some(t) = trace.as_mut() {
-                t.hash_access_compact(probe, h, buckets, true);
-            }
+            trace.hash_access(probe, h, buckets, true);
             build.insert(h, row as u32);
         }
     }
@@ -443,29 +425,23 @@ pub fn hash_join_traced<P: Probe + ?Sized>(
     let rcols: Vec<usize> = (0..right.schema().arity()).collect();
     let mut out = Vec::new();
     for (_m, rows) in morsel_ranges(right.len()) {
-        if let Some(t) = trace.as_mut() {
-            probe.phase("probe");
-            t.on_morsel(probe);
-            t.column_scan(probe, right, ri, rows.clone());
-        }
+        probe.phase("probe");
+        trace.on_morsel(probe);
+        trace.column_scan(probe, right, ri, rows.clone());
         for row in rows {
             let key = right.column(ri).value_ref(row);
             if key.is_null() {
                 continue;
             }
             let h = key.hash64();
-            if let Some(t) = trace.as_mut() {
-                t.hash_access_compact(probe, h, buckets, false);
-            }
+            trace.hash_access(probe, h, buckets, false);
             for lrow in build.matches(h) {
                 if left.column(li).value_ref(lrow).total_cmp(&key) == std::cmp::Ordering::Equal {
-                    if let Some(t) = trace.as_mut() {
-                        for &c in &lcols {
-                            t.gather(probe, left, c, lrow);
-                        }
-                        for &c in &rcols {
-                            t.gather(probe, right, c, row);
-                        }
+                    for &c in &lcols {
+                        trace.gather(probe, left, c, lrow);
+                    }
+                    for &c in &rcols {
+                        trace.gather(probe, right, c, row);
                     }
                     let mut joined = Vec::with_capacity(lcols.len() + rcols.len());
                     project::gather_row(left, &lcols, lrow, &mut joined);
@@ -551,9 +527,9 @@ mod tests {
         let (orders, items) = tables();
         let co = ColumnarTable::from_table(&orders);
         let ci = ColumnarTable::from_table(&items);
-        let mut trace = Some(SqlTraceModel::new());
-        trace.as_mut().unwrap().register_columnar(&co);
-        trace.as_mut().unwrap().register_columnar(&ci);
+        let mut trace = SqlTraceModel::new();
+        trace.register_columnar(&co);
+        trace.register_columnar(&ci);
         let mut probe = CountingProbe::default();
         let pred = col("buyer_id").eq(lit(10));
         assert_eq!(
@@ -611,9 +587,9 @@ mod tests {
         let cb = ColumnarTable::from_table(&build);
         let cp = ColumnarTable::from_table(&probe_t);
         let traced = || {
-            let mut trace = Some(SqlTraceModel::new());
-            trace.as_mut().unwrap().register_columnar(&cb);
-            trace.as_mut().unwrap().register_columnar(&cp);
+            let mut trace = SqlTraceModel::new();
+            trace.register_columnar(&cb);
+            trace.register_columnar(&cp);
             (CountingProbe::default(), trace)
         };
         let counts = |[loads, stores, branches, int_ops, fp_ops, other]: [u64; 6]| InstructionMix {

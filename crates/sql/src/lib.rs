@@ -7,10 +7,18 @@
 //! equi-join of ORDER with ORDER_ITEM). Those are exactly the operators
 //! this crate implements, over columnar in-memory tables:
 //!
-//! * [`Table`] — fixed-schema columnar storage ([`schema`], [`value`]);
-//! * [`exec`] — `select`, `aggregate`, `hash_join` operators, each with
-//!   an instrumented variant that reports genuine column-scan and
-//!   hash-probe access patterns to a [`bdb_archsim::Probe`].
+//! * [`Table`] — fixed-schema columnar storage ([`schema`], [`value`]),
+//!   converted once to an encoded [`ColumnarTable`] ([`mod@column`]) for
+//!   execution;
+//! * [`kernel`] — the engine: vectorized `select`, `aggregate` and
+//!   `hash_join` in three forms — plain (morsel-parallel),
+//!   `_instrumented` (one telemetry span per morsel) and `_traced`
+//!   (single-threaded under a [`bdb_archsim::Probe`], reporting
+//!   column-scan and hash-probe access patterns through a
+//!   [`SqlTraceModel`]);
+//! * [`exec`] — the row-at-a-time oracle: the same three operators as
+//!   plain loops over a [`Table`], which every kernel must match row
+//!   for row.
 //!
 //! # Example
 //!

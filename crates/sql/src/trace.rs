@@ -2,15 +2,14 @@
 //!
 //! Columnar scans stream sequentially over column arrays; hash
 //! aggregation and hash joins probe scattered hash-table slots. The
-//! model registers each table's columns at synthetic addresses so traced
-//! operators emit the *real* access pattern of each operator — the
+//! model registers each columnar table's columns at synthetic addresses
+//! so the `_traced` kernels in [`crate::kernel`] emit the *real* access
+//! pattern of each operator — the
 //! sequential/scattered mix that gives the paper's realtime-analytics
 //! workloads their cache profile — plus a query-engine code stack
 //! (parser/planner/operator layers, Impala-style).
 
 use crate::column::ColumnarTable;
-use crate::schema::Schema;
-use crate::table::Table;
 use bdb_archsim::layout::{regions, splitmix64};
 use bdb_archsim::{AddressSpace, Probe, SoftwareStack};
 use std::collections::HashMap;
@@ -20,9 +19,6 @@ use std::collections::HashMap;
 pub struct SqlTraceModel {
     stack: SoftwareStack,
     asp: AddressSpace,
-    /// table name -> per-column (base, span) pairs; four epochs of span
-    /// are allocated per column so repeated scans read fresh addresses.
-    columns: HashMap<String, Vec<(u64, u64)>>,
     /// table name -> per-column (base, span, encoded width) for columnar
     /// tables — spans reflect the *encoded* widths (narrowed ints, dict
     /// codes), which is where the vectorized engine's bandwidth win
@@ -51,7 +47,6 @@ impl SqlTraceModel {
         Self {
             stack,
             asp,
-            columns: HashMap::new(),
             columnar: HashMap::new(),
             hash_area_base,
             hash_area_span,
@@ -65,13 +60,6 @@ impl SqlTraceModel {
         self.stack.footprint_bytes()
     }
 
-    /// Registers a table's columns at synthetic addresses sized by the
-    /// real row count and column widths.
-    pub fn register_table(&mut self, table: &Table) {
-        let bases = column_bases(&mut self.asp, table.name(), table.schema(), table.len());
-        self.columns.insert(table.name().to_owned(), bases);
-    }
-
     /// One query entering the engine (parse + plan). Starts a fresh scan
     /// epoch: the next pass over any table reads cold addresses.
     pub fn on_query<P: Probe + ?Sized>(&mut self, probe: &mut P) {
@@ -79,57 +67,6 @@ impl SqlTraceModel {
         self.scan_epoch = self.scan_epoch.wrapping_add(1);
         self.stack.invoke(probe, self.event);
         probe.int_ops(40);
-    }
-
-    /// A sequential read of `(row, col)` of a registered table.
-    pub fn column_read<P: Probe + ?Sized>(
-        &mut self,
-        probe: &mut P,
-        table: &Table,
-        row: usize,
-        col: usize,
-    ) {
-        let width = table.schema().column_type(col).width() as u64;
-        if let Some(bases) = self.columns.get(table.name()) {
-            let (base, span) = bases[col];
-            let epoch_off = (self.scan_epoch % 4) * span;
-            probe.load(base + epoch_off + row as u64 * width, width as u32);
-        }
-        probe.int_ops(2);
-    }
-
-    /// A hash-table probe or insert keyed by `hash` over a table of
-    /// `buckets` buckets.
-    pub fn hash_access<P: Probe + ?Sized>(
-        &mut self,
-        probe: &mut P,
-        hash: u64,
-        buckets: usize,
-        write: bool,
-    ) {
-        let slot = splitmix64(hash) % (buckets.max(1) as u64);
-        let addr = self.hash_area_base + (slot * 48) % self.hash_area_span;
-        if write {
-            probe.store(addr & !7, 48);
-        } else {
-            probe.load(addr & !7, 48);
-        }
-        probe.int_ops(6);
-        probe.branch(hash.is_multiple_of(3));
-    }
-
-    /// Periodic operator-boundary overhead (row batches crossing
-    /// operators).
-    pub fn on_batch<P: Probe + ?Sized>(&mut self, probe: &mut P) {
-        self.event = self.event.wrapping_add(1);
-        self.stack.invoke(probe, self.event.wrapping_mul(5));
-    }
-
-    /// Per-row operator overhead: Hive executes these queries as
-    /// MapReduce jobs, so each row pays a (mostly hot) framework pass.
-    pub fn on_row<P: Probe + ?Sized>(&mut self, probe: &mut P) {
-        self.event = self.event.wrapping_add(1);
-        self.stack.invoke(probe, self.event);
     }
 
     /// Registers a columnar table's columns at synthetic addresses sized
@@ -192,10 +129,10 @@ impl SqlTraceModel {
         probe.int_ops(1);
     }
 
-    /// A compact hash-table access: the vectorized engine stores 16-byte
-    /// (hash, payload-index) slots instead of the row engine's 48-byte
-    /// boxed entries.
-    pub fn hash_access_compact<P: Probe + ?Sized>(
+    /// A hash-table probe or insert keyed by `hash` over a table of
+    /// `buckets` buckets: the vectorized engine stores 16-byte (hash,
+    /// payload-index) slots.
+    pub fn hash_access<P: Probe + ?Sized>(
         &mut self,
         probe: &mut P,
         hash: u64,
@@ -232,25 +169,11 @@ impl Default for SqlTraceModel {
     }
 }
 
-fn column_bases(
-    asp: &mut AddressSpace,
-    name: &str,
-    schema: &Schema,
-    rows: usize,
-) -> Vec<(u64, u64)> {
-    (0..schema.arity())
-        .map(|c| {
-            let bytes = (rows.max(1) * schema.column_type(c).width()) as u64;
-            // Four epochs' worth so successive scans are cold.
-            (asp.alloc(bytes * 4, &format!("{name}.{}", schema.column_name(c))), bytes)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnType;
+    use crate::schema::{ColumnType, Schema};
+    use crate::table::Table;
     use crate::value::Value;
     use bdb_archsim::CountingProbe;
 
@@ -261,37 +184,6 @@ mod tests {
             t.push_row(vec![Value::Int(i as i64), Value::Float(i as f64)]).unwrap();
         }
         t
-    }
-
-    #[test]
-    fn register_and_read() {
-        let mut m = SqlTraceModel::new();
-        let t = table(100);
-        m.register_table(&t);
-        let mut p = CountingProbe::default();
-        m.column_read(&mut p, &t, 5, 0);
-        m.column_read(&mut p, &t, 6, 0);
-        assert_eq!(p.mix().loads, 2);
-    }
-
-    #[test]
-    fn unregistered_table_reads_are_computation_only() {
-        let mut m = SqlTraceModel::new();
-        let t = table(10);
-        let mut p = CountingProbe::default();
-        m.column_read(&mut p, &t, 0, 0);
-        assert_eq!(p.mix().loads, 0);
-        assert!(p.mix().int_ops > 0);
-    }
-
-    #[test]
-    fn hash_access_read_write() {
-        let mut m = SqlTraceModel::new();
-        let mut p = CountingProbe::default();
-        m.hash_access(&mut p, 42, 1024, false);
-        m.hash_access(&mut p, 42, 1024, true);
-        assert_eq!(p.mix().loads, 1);
-        assert_eq!(p.mix().stores, 1);
     }
 
     #[test]
@@ -339,12 +231,23 @@ mod tests {
     }
 
     #[test]
+    fn hash_access_read_write() {
+        let mut m = SqlTraceModel::new();
+        let mut p = CountingProbe::default();
+        m.hash_access(&mut p, 42, 1024, false);
+        m.hash_access(&mut p, 42, 1024, true);
+        assert_eq!(p.mix().loads, 1);
+        assert_eq!(p.mix().stores, 1);
+    }
+
+    #[test]
     fn compact_hash_slots_are_smaller_than_row_slots() {
         let mut m = SqlTraceModel::new();
         let mut p = CountingProbe::default();
-        m.hash_access_compact(&mut p, 42, 1024, false);
-        m.hash_access_compact(&mut p, 42, 1024, true);
-        assert_eq!(p.mix().loads, 1);
-        assert_eq!(p.mix().stores, 1);
+        m.hash_access(&mut p, 42, 1024, false);
+        m.hash_access(&mut p, 42, 1024, true);
+        // 16-byte (hash, payload-index) slots, not 48-byte boxed row entries.
+        assert_eq!(p.requested_bytes(), 32, "two 16-byte slots");
+        assert!(p.requested_bytes() < 2 * 48);
     }
 }
