@@ -101,6 +101,53 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "200 keys cover all 8 shards");
     }
 
+    /// Placement of fixed keys and the replica set of every shard. A
+    /// key that moves shard changes every replicated campaign's
+    /// history, so these values must never change.
+    #[test]
+    fn placement_golden() {
+        let map = ShardMap::new(8, 4, 3);
+        let golden: [(&[u8], usize); 20] = [
+            (&b""[..], 5),
+            (&b"a"[..], 4),
+            (&b"foobar"[..], 0),
+            (&b"user000000"[..], 2),
+            (&b"user000001"[..], 5),
+            (&b"user000002"[..], 4),
+            (&b"user000003"[..], 7),
+            (&b"user000017"[..], 2),
+            (&b"user000042"[..], 0),
+            (&b"user000099"[..], 0),
+            (&b"user000199"[..], 7),
+            (&b"row000000"[..], 3),
+            (&b"row000001"[..], 0),
+            (&b"row000007"[..], 2),
+            (&b"row000015"[..], 1),
+            (&b"profile-3-t9"[..], 2),
+            (&b"BigDataBench"[..], 5),
+            (&b"\x00"[..], 7),
+            (&b"\xff\xff"[..], 3),
+            (&b"k"[..], 2),
+        ];
+        for (key, shard) in golden {
+            assert_eq!(map.shard_of(key), shard, "{key:?}");
+        }
+        let replicas: Vec<Vec<usize>> = (0..8).map(|s| map.replicas(s)).collect();
+        assert_eq!(
+            replicas,
+            [
+                [0, 1, 2],
+                [1, 2, 3],
+                [2, 3, 0],
+                [3, 0, 1],
+                [0, 1, 2],
+                [1, 2, 3],
+                [2, 3, 0],
+                [3, 0, 1]
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "replication factor exceeds node count")]
     fn overwide_replication_panics() {
