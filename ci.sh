@@ -26,15 +26,18 @@ run() {
     "$@"
 }
 
+# `--locked` on every root-workspace cargo call: a manifest edit that
+# was not carried into Cargo.lock fails the gate instead of silently
+# rewriting the lockfile.
 run cargo fmt --all -- --check
-run cargo clippy --workspace --all-targets -- -D warnings
+run cargo clippy --locked --workspace --all-targets -- -D warnings
 # Rustdoc gate: a stale intra-doc link (often left behind when code is
 # deleted) fails here rather than only in a rendered doc page.
-run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+run env RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 if [ "$fast" -eq 0 ]; then
-    run cargo build --workspace --release
+    run cargo build --locked --workspace --release
 fi
-run cargo test --workspace -q
+run cargo test --locked --workspace -q
 
 if [ "$fast" -eq 0 ]; then
     # Benchmark build guard: wallbench is its own package outside the
@@ -62,12 +65,12 @@ if [ "$fast" -eq 0 ]; then
     # failure stops the gate.
     for round in $(seq 1 10); do
         echo "== concurrency suites, round $round/10 =="
-        cargo test -q -p bdb-mapreduce \
+        cargo test --locked -q -p bdb-mapreduce \
             --test concurrent_spill --test faults --test proptest_engine
-        cargo test -q -p bdb-integration --test telemetry_trace --test bench_results \
+        cargo test --locked -q -p bdb-integration --test telemetry_trace --test bench_results \
             --test columnar_differential
-        cargo test -q -p bdb-kvstore --test crash --test proptest_store
-        cargo test -q -p bdb-sql --test proptest_sql
+        cargo test --locked -q -p bdb-kvstore --test crash --test proptest_store
+        cargo test --locked -q -p bdb-sql --test proptest_sql
     done
 fi
 

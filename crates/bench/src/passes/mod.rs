@@ -62,7 +62,7 @@ const PASSES: &[Pass] = &[
     },
     Pass {
         flags: &[
-            ("--fraction F", "scale library inputs by F (default 0.25)"),
+            ("--fraction F", "scale library inputs by F (default 0.25, at most 100)"),
             ("--json DIR", "write the paper figures as JSON into DIR"),
             ("--help", "this text (also -h)"),
         ],
@@ -244,13 +244,18 @@ fn parse(mut raw: impl Iterator<Item = String>) -> Result<Args, Failure> {
     Ok(args)
 }
 
+/// The largest `--fraction`. Workload baselines stay far below 2^32
+/// units, so `baseline × MAX_FRACTION × 32` (the largest multiplier)
+/// stays inside `u64`.
+pub const MAX_FRACTION: f64 = 100.0;
+
 /// Rejects a malformed value: a `SEED` is an integer, an `F` a positive
-/// number.
+/// number no larger than [`MAX_FRACTION`].
 fn check_value(flag: &str, placeholder: &str, raw: &str) -> Result<(), Failure> {
     let want = match placeholder {
-        "SEED" if raw.parse::<u64>().is_err() => "an integer seed",
-        "F" if !raw.parse::<f64>().is_ok_and(|f| f.is_finite() && f > 0.0) => {
-            "a finite positive number"
+        "SEED" if raw.parse::<u64>().is_err() => "an integer seed".to_owned(),
+        "F" if !raw.parse::<f64>().is_ok_and(|f| f.is_finite() && f > 0.0 && f <= MAX_FRACTION) => {
+            format!("a finite positive number no larger than {MAX_FRACTION}")
         }
         _ => return Ok(()),
     };

@@ -35,15 +35,9 @@ impl ServingLoad {
     /// change).
     pub(super) fn new(id: WorkloadId, salt: &str) -> Self {
         let model = match id {
-            WorkloadId::NutchServer => {
-                bdb_serving::search::SearchServer::build(200, SEED).service_model()
-            }
-            WorkloadId::OlioServer => {
-                bdb_serving::social::SocialServer::build(200, 8, SEED).service_model()
-            }
-            WorkloadId::RubisServer => {
-                bdb_serving::auction::AuctionServer::build(200, 10, 100, SEED).service_model()
-            }
+            WorkloadId::NutchServer => bdb_serving::search::SearchServer::SERVICE_MODEL,
+            WorkloadId::OlioServer => bdb_serving::social::SocialServer::SERVICE_MODEL,
+            WorkloadId::RubisServer => bdb_serving::auction::AuctionServer::SERVICE_MODEL,
             other => unreachable!("{} is not a serving workload", other.name()),
         };
         let seed = SEED ^ phase_salt(salt);

@@ -48,7 +48,7 @@ fn export_session(
 /// `--trace` was not given.
 pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     use bdb_archsim::SimProbe;
-    use bdb_graph::{label_propagation_instrumented, pagerank_instrumented, PageRankConfig};
+    use bdb_graph::{label_propagation_instrumented, pagerank_instrumented};
     use bdb_kvstore::{Store, StoreConfig};
     use bdb_mapreduce::jobs::{Sort, WordCount};
     use bdb_mapreduce::Engine;
@@ -125,7 +125,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     let graph = bdb_graph::CsrGraph::from_edges(g.nodes, &g.edges);
 
     let session = TraceSession::enabled("PageRank");
-    let (_, iters) = pagerank_instrumented(&graph, PageRankConfig::default(), &session.recorder);
+    let (_, iters) = pagerank_instrumented(&graph, 100, &session.recorder);
     session.metrics.counter("graph.pagerank_iterations").add(u64::from(iters));
     export(out, &session, &format!("{} nodes | {iters} iterations", graph.nodes()));
 

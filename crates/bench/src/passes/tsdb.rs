@@ -3,12 +3,13 @@
 
 use super::slo::{ServingLoad, THRESHOLD};
 use super::{gate, io_err, section, Args, Artifact, Failure};
+use bdb_cluster::{Cluster, NODES};
 use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline};
 use bdb_serving::queue::RequestOutcome;
 use bdb_telemetry::MetricsRegistry;
 use bdb_tsdb::{
     histogram_quantile, reconstruct_writes, render_node_dashboard, render_timeline,
-    replay_burn_rules, select, Scraper, TimelineEvent, Tsdb, TsdbConfig,
+    replay_burn_rules, select, Scraper, TimelineEvent, Tsdb,
 };
 use bigdatabench::WorkloadId;
 use std::time::Duration;
@@ -17,8 +18,6 @@ use std::time::Duration;
 const TSDB_SEED: u64 = 42;
 /// Traced client writes in the cluster half.
 const WRITES: u64 = 48;
-/// Nodes of the cluster half's default cluster.
-const NODES: usize = 4;
 const STEP_US: u64 = 500;
 const SCRAPE_US: u64 = 500_000;
 const DASH_WIDTH: usize = 40;
@@ -52,7 +51,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     section("TSDB — time-series store + cluster-wide tracing");
     let dir = args.path("--tsdb").expect("the tsdb row runs only with a directory");
 
-    let mut db = Tsdb::new(TsdbConfig::default());
+    let mut db = Tsdb::new();
 
     // --- Cluster half: traced writes under faults, scraped per tick.
     let scratch = dir.join("cluster-scratch");
@@ -60,9 +59,8 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     let plan = bdb_faults::FaultPlan::builder(TSDB_SEED)
         .io_error_nth(bdb_cluster::sites::SHIP_WRITE, 2)
         .build();
-    let mut cluster =
-        bdb_cluster::Cluster::open(&scratch, bdb_cluster::ClusterConfig::default(), plan)
-            .map_err(io_err("opening cluster"))?;
+    let mut cluster = Cluster::open(&scratch, bdb_kvstore::StoreConfig::default(), plan)
+        .map_err(io_err("opening cluster"))?;
     let mut scraper = Scraper::new();
     let node_names: Vec<String> = (0..NODES).map(|n| n.to_string()).collect();
     for (n, name) in node_names.iter().enumerate() {
@@ -237,7 +235,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     // Gate + artifact: the snapshot is self-describing — reloading it
     // and snapshotting again must reproduce the bytes exactly.
     let bytes = db.snapshot_bytes();
-    let reloaded = Tsdb::from_snapshot_bytes(&bytes, TsdbConfig::default())
+    let reloaded = Tsdb::from_snapshot_bytes(&bytes)
         .map_err(|e| Failure::Gate(format!("tsdb FAIL: snapshot does not reload: {e}")))?;
     if reloaded.snapshot_bytes() != bytes {
         return gate("tsdb FAIL: snapshot round-trip is not byte-identical");

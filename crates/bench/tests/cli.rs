@@ -51,10 +51,10 @@ fn flag_missing_its_value_is_a_usage_error() {
 fn bad_numeric_values_are_usage_errors() {
     let out = reproduce().args(["--fraction", "nope"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-    // A non-finite fraction would saturate the scaled input sizes; it
-    // is rejected while the command line is read, before `--help` (or
-    // any pass) runs.
-    for value in ["inf", "1e999"] {
+    // A non-finite or overlarge fraction would saturate the scaled
+    // input sizes; it is rejected while the command line is read,
+    // before `--help` (or any pass) runs.
+    for value in ["inf", "1e999", "1e300"] {
         let out = reproduce().args(["--fraction", value, "--help"]).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "--fraction {value}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -5,7 +5,7 @@
 
 use crate::report::{CampaignReport, CheckerVerdict};
 use crate::ROUNDS;
-use bdb_cluster::{check_history, sites, Cluster, ClusterConfig, History, Op};
+use bdb_cluster::{check_history, sites, Cluster, History, Op, NODES, SHARDS};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::StoreConfig;
 use bdb_telemetry::{ArgValue, SpanEvent};
@@ -20,10 +20,6 @@ const WRITES_PER_ROUND: u32 = 60;
 
 /// Virtual microseconds per cluster operation.
 const STEP_US: u64 = 500;
-
-/// The campaign runs the default cluster shape.
-const NODES: usize = 4;
-const SHARDS: usize = 8;
 
 fn key(i: u32) -> Vec<u8> {
     format!("user{i:06}").into_bytes()
@@ -67,8 +63,7 @@ pub fn oltp_campaign(seed: u64, root: &Path) -> std::io::Result<CampaignReport> 
 
     let store =
         StoreConfig { memtable_flush_bytes: 1 << 30, max_tables: 100, ..Default::default() };
-    let cluster_config = ClusterConfig { store, ..Default::default() };
-    let mut c = Cluster::open(root, cluster_config, plan.clone())?;
+    let mut c = Cluster::open(root, store, plan.clone())?;
 
     let mut h = History::new();
     let mut t_us = 0u64;

@@ -1,8 +1,8 @@
 //! The cluster coordinator: replicated writes, quorum reads,
 //! failover, read-repair and anti-entropy over per-node stores.
 
-use crate::shard::ShardMap;
-use crate::{decode_value, encode_value, sites};
+use crate::shard::{replicas, shard_of};
+use crate::{decode_value, encode_value, sites, NODES, READ_QUORUM, SHARDS, WRITE_QUORUM};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::{Store, StoreConfig};
 use bdb_telemetry::{ArgValue, MetricsRegistry, SpanContext, SpanEvent, TraceId};
@@ -19,36 +19,6 @@ pub type Version = (u64, Vec<u8>);
 
 /// One node's view of one shard: key → version.
 pub type ShardState = BTreeMap<Vec<u8>, Version>;
-
-/// Sizing and quorum parameters for a [`Cluster`].
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Simulated nodes (each an independent `Store` directory).
-    pub nodes: usize,
-    /// Hash shards.
-    pub shards: usize,
-    /// Replicas per shard.
-    pub replication: usize,
-    /// Nodes that must apply a write before it is acknowledged.
-    pub write_quorum: usize,
-    /// Replicas consulted by a read.
-    pub read_quorum: usize,
-    /// Per-node store configuration.
-    pub store: StoreConfig,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 4,
-            shards: 8,
-            replication: 3,
-            write_quorum: 2,
-            read_quorum: 2,
-            store: StoreConfig::default(),
-        }
-    }
-}
 
 /// Outcome of a replicated put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,14 +85,14 @@ impl Node {
     }
 }
 
-/// A deterministic simulated cluster: N nodes, each an independent
-/// [`Store`], coordinated by this in-process "master" (which models
-/// HBase's meta/ZooKeeper control plane and therefore survives node
-/// kills).
+/// A deterministic simulated cluster: [`NODES`] nodes, each an
+/// independent [`Store`], coordinated by this in-process "master"
+/// (which models HBase's meta/ZooKeeper control plane and therefore
+/// survives node kills).
 #[derive(Debug)]
 pub struct Cluster {
-    config: ClusterConfig,
-    map: ShardMap,
+    /// Per-node store configuration.
+    store: StoreConfig,
     nodes: Vec<Node>,
     /// Per shard: current primary node id.
     primaries: Vec<usize>,
@@ -149,49 +119,34 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Opens (or creates) a cluster rooted at `root`: node `i` lives in
-    /// `root/node-<i>/`.
+    /// Opens (or creates) a cluster of [`NODES`] nodes rooted at
+    /// `root`: node `i` lives in `root/node-<i>/` and runs a store
+    /// configured by `store`.
     ///
     /// # Errors
     ///
     /// Propagates store recovery errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configurations (zero sizes, `replication >
-    /// nodes`, quorums wider than the replica set).
-    pub fn open(root: &Path, config: ClusterConfig, faults: FaultPlan) -> std::io::Result<Self> {
-        assert!(
-            config.write_quorum >= 1 && config.write_quorum <= config.replication,
-            "write quorum must fit the replica set"
-        );
-        assert!(
-            config.read_quorum >= 1 && config.read_quorum <= config.replication,
-            "read quorum must fit the replica set"
-        );
-        let map = ShardMap::new(config.shards, config.nodes, config.replication);
-        let mut nodes = Vec::with_capacity(config.nodes);
-        for i in 0..config.nodes {
+    pub fn open(root: &Path, store: StoreConfig, faults: FaultPlan) -> std::io::Result<Self> {
+        let mut nodes = Vec::with_capacity(NODES);
+        for i in 0..NODES {
             let dir = root.join(format!("node-{i}"));
-            let store = Store::open_with_faults(&dir, config.store.clone(), faults.clone())?;
-            nodes.push(Node { dir, store: Some(store), base_offset: 0 });
+            let node_store = Store::open_with_faults(&dir, store.clone(), faults.clone())?;
+            nodes.push(Node { dir, store: Some(node_store), base_offset: 0 });
         }
-        let primaries = (0..config.shards).map(|s| map.replicas(s)[0]).collect();
-        let applied = (0..config.shards)
-            .map(|s| map.replicas(s).into_iter().map(|n| (n, 0)).collect())
-            .collect();
-        let metrics = (0..config.nodes).map(|_| MetricsRegistry::new()).collect();
+        let primaries = (0..SHARDS).map(|s| replicas(s)[0]).collect();
+        let applied =
+            (0..SHARDS).map(|s| replicas(s).into_iter().map(|n| (n, 0)).collect()).collect();
+        let metrics = (0..NODES).map(|_| MetricsRegistry::new()).collect();
         Ok(Self {
             primaries,
-            next_seq: vec![0; config.shards],
-            acked_seq: vec![0; config.shards],
+            next_seq: vec![0; SHARDS],
+            acked_seq: vec![0; SHARDS],
             applied,
             dirty: BTreeSet::new(),
             stats: ClusterStats::default(),
             events: Vec::new(),
-            map,
             nodes,
-            config,
+            store,
             faults,
             now: Duration::ZERO,
             read_rotation: 0,
@@ -241,7 +196,7 @@ impl Cluster {
     /// The shard owning `key`.
     #[must_use]
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        self.map.shard_of(key)
+        shard_of(key)
     }
 
     /// The current primary of `shard` (without triggering failover).
@@ -273,8 +228,8 @@ impl Cluster {
         self.nodes[id].store = None;
         self.stats.node_kills += 1;
         self.event("node_down", id, usize::MAX);
-        for shard in 0..self.config.shards {
-            if self.map.replicas(shard).contains(&id) {
+        for shard in 0..SHARDS {
+            if replicas(shard).contains(&id) {
                 self.dirty.insert((shard, id));
             }
         }
@@ -293,16 +248,13 @@ impl Cluster {
             return Ok(());
         }
         Store::remove_stray_tmp(&self.nodes[id].dir)?;
-        let store = Store::open_with_faults(
-            &self.nodes[id].dir,
-            self.config.store.clone(),
-            self.faults.clone(),
-        )?;
+        let store =
+            Store::open_with_faults(&self.nodes[id].dir, self.store.clone(), self.faults.clone())?;
         self.nodes[id].store = Some(store);
         self.stats.rejoins += 1;
         self.event("rejoin", id, usize::MAX);
-        for shard in 0..self.config.shards {
-            if self.map.replicas(shard).contains(&id) {
+        for shard in 0..SHARDS {
+            if replicas(shard).contains(&id) {
                 self.ensure_primary(shard)?;
                 if self.primaries[shard] != id {
                     self.anti_entropy(shard, id)?;
@@ -340,9 +292,9 @@ impl Cluster {
     /// Returns an error when a shard has no live replica; propagates
     /// real I/O errors.
     pub fn reconcile_all(&mut self) -> std::io::Result<()> {
-        for shard in 0..self.config.shards {
+        for shard in 0..SHARDS {
             let primary = self.ensure_primary(shard)?;
-            for node in self.map.replicas(shard) {
+            for node in replicas(shard) {
                 if node != primary && self.nodes[node].store.is_some() {
                     self.anti_entropy(shard, node)?;
                 }
@@ -352,9 +304,9 @@ impl Cluster {
     }
 
     /// Replicated put: applies on the shard primary, ships to in-sync
-    /// replicas, acknowledges at `W` applies. An injected failure on
-    /// the primary kills that node, fails the shard over and retries
-    /// once on the new primary.
+    /// replicas, acknowledges at [`WRITE_QUORUM`] applies. An injected
+    /// failure on the primary kills that node, fails the shard over and
+    /// retries once on the new primary.
     ///
     /// # Errors
     ///
@@ -398,7 +350,7 @@ impl Cluster {
         value: &[u8],
         trace: Option<TraceId>,
     ) -> std::io::Result<PutOutcome> {
-        let shard = self.map.shard_of(key);
+        let shard = shard_of(key);
         self.next_seq[shard] += 1;
         let seq = self.next_seq[shard];
         let enc = encode_value(seq, value);
@@ -440,7 +392,7 @@ impl Cluster {
                 Ok(()) => {
                     *self.applied[shard].entry(primary).or_insert(0) += rec_len;
                     acks = 1;
-                    if acks >= self.config.write_quorum {
+                    if acks >= WRITE_QUORUM {
                         ack_at = Some(Self::ROUTE_US + Self::APPEND_US);
                     }
                     spans.extend(span(
@@ -467,7 +419,7 @@ impl Cluster {
             }
             // Ship to the other in-sync, alive replicas.
             let mut ship_slot = 0u64;
-            for replica in self.map.replicas(shard) {
+            for replica in replicas(shard) {
                 if replica == primary
                     || self.nodes[replica].store.is_none()
                     || self.dirty.contains(&(shard, replica))
@@ -499,7 +451,7 @@ impl Cluster {
                     Ok(()) => {
                         *self.applied[shard].entry(replica).or_insert(0) += rec_len;
                         acks += 1;
-                        if acks == self.config.write_quorum {
+                        if acks == WRITE_QUORUM {
                             ack_at = Some(ship_start - t0 + Self::ACK_HOP_US);
                         }
                         spans.extend(span(
@@ -532,7 +484,7 @@ impl Cluster {
             break;
         }
 
-        let acked = acks >= self.config.write_quorum;
+        let acked = acks >= WRITE_QUORUM;
         if acked {
             self.acked_seq[shard] = seq;
             self.stats.acked_writes += 1;
@@ -584,9 +536,9 @@ impl Cluster {
     /// replicates, between the shard primary's replicated WAL offset
     /// and the node's own.
     fn refresh_lag_gauges(&self) {
-        for node in 0..self.config.nodes {
+        for node in 0..NODES {
             let mut lag = 0u64;
-            for shard in 0..self.config.shards {
+            for shard in 0..SHARDS {
                 let applied = &self.applied[shard];
                 let Some(node_off) = applied.get(&node).copied() else {
                     continue; // node does not replicate this shard
@@ -598,27 +550,27 @@ impl Cluster {
         }
     }
 
-    /// Quorum read: consults `R` replicas (primary plus a rotating
-    /// in-ring member), returns the newest version and repairs stale
-    /// consulted replicas in place.
+    /// Quorum read: consults [`READ_QUORUM`] replicas (primary plus a
+    /// rotating in-ring member), returns the newest version and repairs
+    /// stale consulted replicas in place.
     ///
     /// # Errors
     ///
     /// Returns an error when the shard has no promotable replica.
     pub fn get(&mut self, key: &[u8]) -> std::io::Result<Option<(u64, Vec<u8>)>> {
-        let shard = self.map.shard_of(key);
+        let shard = shard_of(key);
         let primary = self.ensure_primary(shard)?;
         self.read_rotation += 1;
 
         // Read set: primary first, then alive replicas in ring order
         // starting at a rotating offset.
-        let replicas = self.map.replicas(shard);
-        let others: Vec<usize> = (0..replicas.len())
-            .map(|i| replicas[(self.read_rotation as usize + i) % replicas.len()])
+        let set = replicas(shard);
+        let others: Vec<usize> = (0..set.len())
+            .map(|i| set[(self.read_rotation as usize + i) % set.len()])
             .filter(|&n| n != primary && self.nodes[n].store.is_some())
             .collect();
         let mut read_set = vec![primary];
-        read_set.extend(others.into_iter().take(self.config.read_quorum - 1));
+        read_set.extend(others.into_iter().take(READ_QUORUM - 1));
 
         let mut versions: Vec<(usize, Option<Version>)> = Vec::new();
         for node in read_set {
@@ -667,7 +619,7 @@ impl Cluster {
             return Ok(out);
         };
         for (key, value) in store.scan(&[], &MAX_KEY)? {
-            if self.map.shard_of(&key) != shard {
+            if shard_of(&key) != shard {
                 continue;
             }
             if let Some((seq, payload)) = decode_value(&value) {
@@ -712,12 +664,8 @@ impl Cluster {
         if self.nodes[current].store.is_some() {
             return Ok(current);
         }
-        let candidates: Vec<usize> = self
-            .map
-            .replicas(shard)
-            .into_iter()
-            .filter(|&n| self.nodes[n].store.is_some())
-            .collect();
+        let candidates: Vec<usize> =
+            replicas(shard).into_iter().filter(|&n| self.nodes[n].store.is_some()).collect();
         let pick = |pool: &[usize], applied: &BTreeMap<usize, u64>| -> Option<usize> {
             pool.iter().copied().max_by(|&a, &b| {
                 let (oa, ob) =

@@ -2,26 +2,26 @@
 //!
 //! The paper runs Cloud OLTP on a 14-node HBase cluster where node
 //! loss and recovery are the normal case. This crate simulates that
-//! deployment shape deterministically, in one process: a [`ShardMap`]
-//! hash-partitions keys across N simulated nodes, each node an
-//! independent [`bdb_kvstore::Store`] with its own WAL and SSTable
-//! directory, and a [`Cluster`] coordinator replicates every write to
-//! a replica set.
+//! deployment shape deterministically, in one process, at one fixed
+//! size: keys hash-partition across [`SHARDS`] shards on [`NODES`]
+//! simulated nodes, each node an independent [`bdb_kvstore::Store`]
+//! with its own WAL and SSTable directory, and a [`Cluster`]
+//! coordinator replicates every write to [`REPLICATION`] nodes.
 //!
 //! The protocol (DESIGN §8):
 //!
 //! * **Acknowledged replication.** A put is applied on the shard's
 //!   primary and shipped to the in-sync replicas through their normal
-//!   WAL-first write path; the write is *acknowledged* once `W` nodes
-//!   (default 2 of 3) applied it. A replica whose ship fails — lost
-//!   in transit or torn mid-record on the replica's WAL — drops out of
-//!   the in-sync set and receives no further ships until an
-//!   anti-entropy pass reconciles it, so in-sync replicas always hold
-//!   an exact prefix of the shard's log.
+//!   WAL-first write path; the write is *acknowledged* once
+//!   [`WRITE_QUORUM`] nodes (2 of 3) applied it. A replica whose ship
+//!   fails — lost in transit or torn mid-record on the replica's WAL —
+//!   drops out of the in-sync set and receives no further ships until
+//!   an anti-entropy pass reconciles it, so in-sync replicas always
+//!   hold an exact prefix of the shard's log.
 //! * **Deterministic failover.** When a node dies, each shard it led
 //!   promotes, on next access, the alive replica with the highest
 //!   replicated WAL offset (ties break to the lowest node id).
-//! * **Read-repair.** Quorum reads consult `R` replicas (default 2),
+//! * **Read-repair.** Quorum reads consult [`READ_QUORUM`] replicas (2),
 //!   return the highest sequence number, and write that version back
 //!   to any consulted replica that returned a stale one.
 //! * **Anti-entropy.** A rejoining (or ship-lossy) replica is
@@ -40,9 +40,31 @@ mod cluster;
 mod history;
 mod shard;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterEvent, ClusterStats, PutOutcome};
+pub use cluster::{Cluster, ClusterEvent, ClusterStats, PutOutcome};
 pub use history::{check_history, CheckReport, History, Op};
-pub use shard::ShardMap;
+
+/// Simulated nodes, each an independent `Store` directory.
+pub const NODES: usize = 4;
+/// Hash shards.
+pub const SHARDS: usize = 8;
+/// Replicas per shard, on distinct consecutive nodes of the ring.
+pub const REPLICATION: usize = 3;
+/// Nodes that must apply a write before it is acknowledged.
+pub const WRITE_QUORUM: usize = 2;
+/// Replicas consulted by a read.
+pub const READ_QUORUM: usize = 2;
+
+// Replicas must land on distinct nodes, and both quorums must fit the
+// replica set.
+const _: () = assert!(
+    SHARDS > 0
+        && REPLICATION > 0
+        && REPLICATION <= NODES
+        && WRITE_QUORUM >= 1
+        && WRITE_QUORUM <= REPLICATION
+        && READ_QUORUM >= 1
+        && READ_QUORUM <= REPLICATION
+);
 
 /// Named fault-injection sites the cluster layer consults.
 pub mod sites {

@@ -1,65 +1,25 @@
-//! Key → shard → replica-set placement.
+//! Key → shard → replica-set placement over the fixed cluster shape.
+//!
+//! Keys hash-partition across [`SHARDS`] shards, and each shard's
+//! replicas sit on consecutive nodes of the ring (HBase region
+//! assignment flattened to a static map — deterministic and
+//! balance-friendly).
 
-/// Hash-partitions keys across `shards` shards and places each shard's
-/// replicas on consecutive nodes of the ring (HBase region assignment
-/// flattened to a static map — deterministic and balance-friendly).
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    shards: usize,
-    nodes: usize,
-    replication: usize,
+use crate::{NODES, REPLICATION, SHARDS};
+use bdb_archsim::layout::fnv1a;
+
+/// The shard owning `key` (FNV-1a of the key, mod [`SHARDS`]).
+#[must_use]
+pub(crate) fn shard_of(key: &[u8]) -> usize {
+    (fnv1a(key) % SHARDS as u64) as usize
 }
 
-impl ShardMap {
-    /// Builds a map of `shards` shards over `nodes` nodes with
-    /// `replication`-way placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero or `replication > nodes`
-    /// (replicas must land on distinct nodes).
-    #[must_use]
-    pub fn new(shards: usize, nodes: usize, replication: usize) -> Self {
-        assert!(shards > 0 && nodes > 0 && replication > 0, "degenerate shard map");
-        assert!(replication <= nodes, "replication factor exceeds node count");
-        Self { shards, nodes, replication }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Replication factor.
-    #[must_use]
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// The shard owning `key` (FNV-1a of the key, mod shards).
-    #[must_use]
-    pub fn shard_of(&self, key: &[u8]) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in key {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % self.shards as u64) as usize
-    }
-
-    /// The replica set of `shard`: `replication` consecutive nodes
-    /// starting at `shard % nodes`. The first entry is the shard's
-    /// initial primary.
-    #[must_use]
-    pub fn replicas(&self, shard: usize) -> Vec<usize> {
-        (0..self.replication).map(|i| (shard + i) % self.nodes).collect()
-    }
+/// The replica set of `shard`: [`REPLICATION`] consecutive nodes
+/// starting at `shard % NODES`. The first entry is the shard's initial
+/// primary.
+#[must_use]
+pub(crate) fn replicas(shard: usize) -> [usize; REPLICATION] {
+    std::array::from_fn(|i| (shard + i) % NODES)
 }
 
 #[cfg(test)]
@@ -68,35 +28,32 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_and_distinct() {
-        let map = ShardMap::new(8, 4, 3);
         for shard in 0..8 {
-            let reps = map.replicas(shard);
+            let reps = replicas(shard);
             assert_eq!(reps.len(), 3);
-            let mut uniq = reps.clone();
+            let mut uniq = reps.to_vec();
             uniq.sort_unstable();
             uniq.dedup();
             assert_eq!(uniq.len(), 3, "replicas land on distinct nodes");
-            assert_eq!(reps, map.replicas(shard));
+            assert_eq!(reps, replicas(shard));
         }
     }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
-        let map = ShardMap::new(8, 4, 3);
         for i in 0..100u32 {
             let key = format!("user{i:06}").into_bytes();
-            let s = map.shard_of(&key);
+            let s = shard_of(&key);
             assert!(s < 8);
-            assert_eq!(s, map.shard_of(&key));
+            assert_eq!(s, shard_of(&key));
         }
     }
 
     #[test]
     fn keys_spread_over_all_shards() {
-        let map = ShardMap::new(8, 4, 3);
         let mut seen = [false; 8];
         for i in 0..200u32 {
-            seen[map.shard_of(format!("user{i:06}").as_bytes())] = true;
+            seen[shard_of(format!("user{i:06}").as_bytes())] = true;
         }
         assert!(seen.iter().all(|&s| s), "200 keys cover all 8 shards");
     }
@@ -106,7 +63,6 @@ mod tests {
     /// history, so these values must never change.
     #[test]
     fn placement_golden() {
-        let map = ShardMap::new(8, 4, 3);
         let golden: [(&[u8], usize); 20] = [
             (&b""[..], 5),
             (&b"a"[..], 4),
@@ -130,11 +86,11 @@ mod tests {
             (&b"k"[..], 2),
         ];
         for (key, shard) in golden {
-            assert_eq!(map.shard_of(key), shard, "{key:?}");
+            assert_eq!(shard_of(key), shard, "{key:?}");
         }
-        let replicas: Vec<Vec<usize>> = (0..8).map(|s| map.replicas(s)).collect();
+        let sets: Vec<[usize; 3]> = (0..8).map(replicas).collect();
         assert_eq!(
-            replicas,
+            sets,
             [
                 [0, 1, 2],
                 [1, 2, 3],
@@ -146,11 +102,5 @@ mod tests {
                 [3, 0, 1]
             ]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "replication factor exceeds node count")]
-    fn overwide_replication_panics() {
-        let _ = ShardMap::new(4, 2, 3);
     }
 }

@@ -2,7 +2,7 @@
 //! failover, quorum reads repair stale replicas, and anti-entropy
 //! reconciles a rejoined node — all deterministic from the fault seed.
 
-use bdb_cluster::{check_history, sites, Cluster, ClusterConfig, History, Op};
+use bdb_cluster::{check_history, sites, Cluster, History, Op, NODES};
 use bdb_faults::FaultPlan;
 use bdb_kvstore::StoreConfig;
 use bdb_telemetry::TraceId;
@@ -24,17 +24,14 @@ fn val(i: u32, round: u32) -> Vec<u8> {
     format!("profile-{i}-v{round}").into_bytes()
 }
 
-fn config() -> ClusterConfig {
-    ClusterConfig {
-        store: StoreConfig { memtable_flush_bytes: 1 << 30, max_tables: 100, ..Default::default() },
-        ..Default::default()
-    }
+fn store_config() -> StoreConfig {
+    StoreConfig { memtable_flush_bytes: 1 << 30, max_tables: 100, ..Default::default() }
 }
 
 #[test]
 fn acked_writes_survive_primary_failover() {
     let root = tmproot("failover");
-    let mut c = Cluster::open(&root, config(), FaultPlan::disabled()).unwrap();
+    let mut c = Cluster::open(&root, store_config(), FaultPlan::disabled()).unwrap();
     for i in 0..40 {
         let out = c.put(&key(i), &val(i, 0)).unwrap();
         assert!(out.acked, "no faults: every write acks");
@@ -73,7 +70,7 @@ fn lost_ship_is_read_repaired() {
     let root = tmproot("read-repair");
     // Lose exactly the first ship: one replica misses one record.
     let plan = FaultPlan::builder(11).io_error_nth(sites::SHIP_WRITE, 0).build();
-    let mut c = Cluster::open(&root, config(), plan).unwrap();
+    let mut c = Cluster::open(&root, store_config(), plan).unwrap();
     let out = c.put(&key(7), &val(7, 0)).unwrap();
     assert!(out.acked, "W=2 of 3 still reached with one lost ship");
     assert_eq!(c.stats().lost_ships, 1);
@@ -91,7 +88,7 @@ fn lost_ship_is_read_repaired() {
 #[test]
 fn rejoined_node_is_reconciled_by_anti_entropy() {
     let root = tmproot("anti-entropy");
-    let mut c = Cluster::open(&root, config(), FaultPlan::disabled()).unwrap();
+    let mut c = Cluster::open(&root, store_config(), FaultPlan::disabled()).unwrap();
     for i in 0..30 {
         assert!(c.put(&key(i), &val(i, 0)).unwrap().acked);
     }
@@ -127,7 +124,7 @@ fn node_kill_trigger_fires_from_virtual_time() {
     let root = tmproot("vt-kill");
     let plan =
         FaultPlan::builder(5).node_kill_at(sites::NODE_KILL, Duration::from_millis(10)).build();
-    let mut c = Cluster::open(&root, config(), plan.clone()).unwrap();
+    let mut c = Cluster::open(&root, store_config(), plan.clone()).unwrap();
     c.advance(Duration::from_millis(5));
     assert!(!plan.node_killed(sites::NODE_KILL), "before the deadline");
     c.advance(Duration::from_millis(12));
@@ -140,7 +137,7 @@ fn traced_writes_chain_and_feed_node_metrics() {
     let root = tmproot("traced");
     // Lose exactly the second ship so one replica diverges mid-run.
     let plan = FaultPlan::builder(5).io_error_nth(sites::SHIP_WRITE, 1).build();
-    let mut c = Cluster::open(&root, config(), plan).unwrap();
+    let mut c = Cluster::open(&root, store_config(), plan).unwrap();
     for i in 0..20u32 {
         c.advance(Duration::from_micros(u64::from(i + 1) * 500));
         let out = c.put_traced(&key(i), &val(i, 0), TraceId(0x1000 + u64::from(i))).unwrap();
@@ -168,7 +165,7 @@ fn traced_writes_chain_and_feed_node_metrics() {
     // The lost ship surfaces in the per-node metrics and as a nonzero
     // replication-lag gauge on the diverged replica...
     assert_eq!(c.stats().lost_ships, 1);
-    let nodes = 0..config().nodes;
+    let nodes = 0..NODES;
     let lost: u64 =
         nodes.clone().map(|n| c.node_metrics(n).counter("cluster.ships_lost_total").get()).sum();
     assert_eq!(lost, 1);
@@ -204,7 +201,7 @@ fn traced_writes_chain_and_feed_node_metrics() {
 fn history_checker_accepts_a_faulty_but_correct_run() {
     let root = tmproot("history");
     let plan = FaultPlan::builder(3).io_error_nth(sites::SHIP_WRITE, 2).build();
-    let mut c = Cluster::open(&root, config(), plan).unwrap();
+    let mut c = Cluster::open(&root, store_config(), plan).unwrap();
     let mut h = History::new();
     let mut t = 0u64;
     for round in 0..3u32 {
@@ -248,7 +245,7 @@ proptest! {
         let plan = FaultPlan::builder(seed)
             .io_error_p(sites::SHIP_WRITE, 0.05)
             .build();
-        let mut c = Cluster::open(&root, config(), plan).unwrap();
+        let mut c = Cluster::open(&root, store_config(), plan).unwrap();
         let mut h = History::new();
         let mut acked: std::collections::BTreeMap<Vec<u8>, u64> = Default::default();
         let mut killed = false;

@@ -13,7 +13,7 @@
 
 use bdb_datagen::text::TextGenerator;
 use bdb_datagen::{GraphGenerator, RmatParams};
-use bdb_graph::{pagerank, CsrGraph, PageRankConfig};
+use bdb_graph::{pagerank, CsrGraph};
 use bdb_serving::loadgen::run_offered_load;
 use bdb_serving::search::SearchServer;
 use std::time::Duration;
@@ -34,7 +34,7 @@ fn main() {
     // 3. PageRank over a Google-web-fitted synthetic graph.
     let edges = GraphGenerator::new(RmatParams::google_web(), 99).generate(4096);
     let graph = CsrGraph::from_edges(edges.nodes, &edges.edges);
-    let (ranks, iters) = pagerank::pagerank(&graph, PageRankConfig::default());
+    let (ranks, iters) = pagerank::pagerank(&graph, 100);
     let mut top: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
     top.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\nPageRank converged in {iters} iterations; top pages:");

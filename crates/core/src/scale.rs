@@ -6,8 +6,8 @@
 /// The paper fixes a per-workload baseline (Table 6: 32 GB of text, 2^15
 /// vertices, 10^6 pages, 100 requests/s) and multiplies it by 1/4/8/16/32.
 /// We keep the multipliers and shrink the baselines: `fraction` scales
-/// every workload's library-scale baseline, so `RunScale::baseline()`
-/// runs in milliseconds and `RunScale::full()` in seconds.
+/// every workload's library-scale baseline: `RunScale::baseline()` is
+/// the library scale itself and `RunScale::quick()` a sixteenth of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunScale {
     /// The paper's data-volume multiplier (1, 4, 8, 16 or 32).
@@ -52,18 +52,18 @@ impl RunScale {
     }
 
     /// Native input size: `baseline_units × fraction × multiplier`,
-    /// at least 1.
+    /// at least 1 and at most `u64::MAX`.
     pub fn native_units(&self, baseline_units: u64) -> u64 {
         let base = (baseline_units as f64 * self.fraction).max(1.0) as u64;
-        (base * self.multiplier as u64).max(1)
+        base.saturating_mul(u64::from(self.multiplier)).max(1)
     }
 
     /// Traced input size: a quarter of native (simulation is ~100×
     /// slower per byte than native execution), still multiplier-scaled,
-    /// at least 1.
+    /// at least 1 and at most `u64::MAX`.
     pub fn traced_units(&self, baseline_units: u64) -> u64 {
         let base = (baseline_units as f64 * self.fraction / 4.0).max(1.0) as u64;
-        (base * self.multiplier as u64).max(1)
+        base.saturating_mul(u64::from(self.multiplier)).max(1)
     }
 
     /// A seed derived for sub-component `tag` so generators stay
@@ -116,6 +116,13 @@ mod tests {
         let s = RunScale::baseline();
         assert_ne!(s.seed_for(1), s.seed_for(2));
         assert_ne!(RunScale::at(1).seed_for(1), RunScale::at(4).seed_for(1));
+    }
+
+    #[test]
+    fn huge_fractions_saturate_instead_of_overflowing() {
+        let s = RunScale::at(32).with_fraction(1e300);
+        assert_eq!(s.native_units(1000), u64::MAX);
+        assert_eq!(s.traced_units(1000), u64::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::workload::{Workload, WorkloadId};
 use bdb_archsim::{CharacterizationReport, MachineConfig, Probe, SimProbe};
 use bdb_datagen::text::TextGenerator;
 use bdb_datagen::{GraphGenerator, RmatParams};
-use bdb_graph::{pagerank, CsrGraph, GraphTraceModel, PageRankConfig};
+use bdb_graph::{pagerank, CsrGraph, GraphTraceModel};
 use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
 use std::time::Instant;
 
@@ -39,8 +39,7 @@ impl Workload for PageRankWorkload {
         let graph = web_graph(scale, pages);
         let bytes = graph.byte_size();
         let start = Instant::now();
-        let (ranks, iterations) =
-            pagerank::pagerank(&graph, PageRankConfig { max_iterations: 20, ..Default::default() });
+        let (ranks, iterations) = pagerank::pagerank(&graph, 20);
         let seconds = start.elapsed().as_secs_f64();
         let top = ranks.iter().cloned().fold(0.0f64, f64::max);
         WorkloadReport::new(
@@ -59,14 +58,12 @@ impl Workload for PageRankWorkload {
         let mut trace = Some(GraphTraceModel::new(&graph));
         let mut fw = FrameworkModel::new();
         // Warm: one power iteration plus framework code.
-        let warm_cfg = PageRankConfig { max_iterations: 1, ..Default::default() };
-        pagerank::pagerank_traced(&graph, warm_cfg, &mut probe, &mut trace);
+        pagerank::pagerank_traced(&graph, 1, &mut probe, &mut trace);
         fw.warm(&mut probe);
         probe.reset_stats();
         // Hadoop PageRank re-reads every vertex's adjacency record from
         // HDFS each iteration and shuffles one contribution per edge.
-        let config = PageRankConfig { max_iterations: 5, ..Default::default() };
-        let (_, iterations) = pagerank::pagerank_traced(&graph, config, &mut probe, &mut trace);
+        let (_, iterations) = pagerank::pagerank_traced(&graph, 5, &mut probe, &mut trace);
         for _ in 0..iterations {
             for v in 0..graph.nodes() {
                 let record = 16 + 8 * graph.out_degree(v) as usize;

@@ -17,6 +17,11 @@
 //! vertices are block-partitioned over logical ranks and frontier
 //! exchanges are counted as communication volume.
 //!
+//! PageRank runs with the canonical damping factor
+//! ([`pagerank::DAMPING`]) and convergence tolerance
+//! ([`pagerank::TOLERANCE`]); its entry points take only an iteration
+//! cap.
+//!
 //! # Example
 //!
 //! ```
@@ -40,5 +45,5 @@ pub mod trace;
 pub use bfs::{bfs, bfs_partitioned, BfsResult};
 pub use cc::{connected_components, label_propagation, label_propagation_instrumented};
 pub use csr::CsrGraph;
-pub use pagerank::{pagerank, pagerank_instrumented, PageRankConfig};
+pub use pagerank::{pagerank, pagerank_instrumented};
 pub use trace::GraphTraceModel;

@@ -5,27 +5,17 @@ use crate::trace::GraphTraceModel;
 use bdb_archsim::{NullProbe, Probe};
 use bdb_telemetry::{span, SpanRecorder};
 
-/// PageRank parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PageRankConfig {
-    /// Damping factor (the canonical 0.85).
-    pub damping: f64,
-    /// Stop when the L1 delta between iterations falls below this.
-    pub tolerance: f64,
-    /// Hard iteration cap.
-    pub max_iterations: u32,
-}
+/// Damping factor (the canonical 0.85).
+pub const DAMPING: f64 = 0.85;
+/// Iteration stops when the L1 delta between iterations falls below
+/// this.
+pub const TOLERANCE: f64 = 1e-7;
 
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        Self { damping: 0.85, tolerance: 1e-7, max_iterations: 100 }
-    }
-}
-
-/// Computes PageRank. Returns `(ranks, iterations)`; ranks sum to 1
-/// (dangling mass redistributed uniformly).
-pub fn pagerank(graph: &CsrGraph, config: PageRankConfig) -> (Vec<f64>, u32) {
-    pagerank_traced(graph, config, &mut NullProbe, &mut None)
+/// Computes PageRank in at most `max_iterations` power-iteration
+/// rounds. Returns `(ranks, iterations)`; ranks sum to 1 (dangling
+/// mass redistributed uniformly).
+pub fn pagerank(graph: &CsrGraph, max_iterations: u32) -> (Vec<f64>, u32) {
+    pagerank_traced(graph, max_iterations, &mut NullProbe, &mut None)
 }
 
 /// [`pagerank`] with per-iteration spans on `telemetry` (one
@@ -33,10 +23,10 @@ pub fn pagerank(graph: &CsrGraph, config: PageRankConfig) -> (Vec<f64>, u32) {
 /// round's L1 delta).
 pub fn pagerank_instrumented(
     graph: &CsrGraph,
-    config: PageRankConfig,
+    max_iterations: u32,
     telemetry: &SpanRecorder,
 ) -> (Vec<f64>, u32) {
-    pagerank_impl(graph, config, &mut NullProbe, &mut None, telemetry)
+    pagerank_impl(graph, max_iterations, &mut NullProbe, &mut None, telemetry)
 }
 
 /// Instrumented [`pagerank`]. The traced access pattern is the push
@@ -44,16 +34,16 @@ pub fn pagerank_instrumented(
 /// out-neighbors (data-dependent stores into the next-rank array).
 pub fn pagerank_traced<P: Probe + ?Sized>(
     graph: &CsrGraph,
-    config: PageRankConfig,
+    max_iterations: u32,
     probe: &mut P,
     trace: &mut Option<GraphTraceModel>,
 ) -> (Vec<f64>, u32) {
-    pagerank_impl(graph, config, probe, trace, &SpanRecorder::disabled())
+    pagerank_impl(graph, max_iterations, probe, trace, &SpanRecorder::disabled())
 }
 
 fn pagerank_impl<P: Probe + ?Sized>(
     graph: &CsrGraph,
-    config: PageRankConfig,
+    max_iterations: u32,
     probe: &mut P,
     trace: &mut Option<GraphTraceModel>,
     telemetry: &SpanRecorder,
@@ -67,7 +57,7 @@ fn pagerank_impl<P: Probe + ?Sized>(
     let mut ranks = vec![init; n];
     let mut next = vec![0.0f64; n];
     let mut iterations = 0;
-    for _ in 0..config.max_iterations {
+    for _ in 0..max_iterations {
         iterations += 1;
         if probe.is_active() {
             probe.phase(&format!("iter-{iterations}"));
@@ -103,10 +93,10 @@ fn pagerank_impl<P: Probe + ?Sized>(
             }
         }
         let dangling_share = dangling / n as f64;
-        let base = (1.0 - config.damping) / n as f64;
+        let base = (1.0 - DAMPING) / n as f64;
         let mut delta = 0.0;
         for v in 0..n {
-            let r = base + config.damping * (next[v] + dangling_share);
+            let r = base + DAMPING * (next[v] + dangling_share);
             probe.fp_ops(4);
             delta += (r - ranks[v]).abs();
             ranks[v] = r;
@@ -117,7 +107,7 @@ fn pagerank_impl<P: Probe + ?Sized>(
                 iter_span.arg(k, v);
             }
         }
-        if delta < config.tolerance {
+        if delta < TOLERANCE {
             break;
         }
     }
@@ -135,7 +125,7 @@ mod tests {
 
     #[test]
     fn uniform_on_cycle() {
-        let (ranks, _) = pagerank(&cycle(10), PageRankConfig::default());
+        let (ranks, _) = pagerank(&cycle(10), 100);
         for r in &ranks {
             assert!((r - 0.1).abs() < 1e-6, "cycle is symmetric: {r}");
         }
@@ -145,7 +135,7 @@ mod tests {
     fn ranks_sum_to_one() {
         // A graph with a dangling node (2 has no out-edges).
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let (ranks, _) = pagerank(&g, PageRankConfig::default());
+        let (ranks, _) = pagerank(&g, 100);
         let sum: f64 = ranks.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "sum = {sum}");
     }
@@ -155,7 +145,7 @@ mod tests {
         // Star pointing inward: everyone links to 0.
         let edges: Vec<(u32, u32)> = (1..10).map(|i| (i, 0)).collect();
         let g = CsrGraph::from_edges(10, &edges);
-        let (ranks, _) = pagerank(&g, PageRankConfig::default());
+        let (ranks, _) = pagerank(&g, 100);
         for leaf in 1..10 {
             assert!(ranks[0] > ranks[leaf] * 3.0, "hub should dominate");
         }
@@ -163,17 +153,16 @@ mod tests {
 
     #[test]
     fn converges_and_reports_iterations() {
-        let (_, iters) = pagerank(&cycle(50), PageRankConfig::default());
+        let (_, iters) = pagerank(&cycle(50), 100);
         assert!(iters < 100, "cycle converges quickly: {iters}");
-        let strict = PageRankConfig { max_iterations: 3, ..Default::default() };
-        let (_, capped) = pagerank(&cycle(50), strict);
+        let (_, capped) = pagerank(&cycle(50), 3);
         assert!(capped <= 3);
     }
 
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(0, &[]);
-        let (ranks, iters) = pagerank(&g, PageRankConfig::default());
+        let (ranks, iters) = pagerank(&g, 100);
         assert!(ranks.is_empty());
         assert_eq!(iters, 0);
     }
@@ -181,9 +170,8 @@ mod tests {
     #[test]
     fn instrumented_emits_one_span_per_iteration() {
         let telemetry = bdb_telemetry::SpanRecorder::enabled();
-        let (ranks, iters) =
-            pagerank_instrumented(&cycle(10), PageRankConfig::default(), &telemetry);
-        let (plain, _) = pagerank(&cycle(10), PageRankConfig::default());
+        let (ranks, iters) = pagerank_instrumented(&cycle(10), 100, &telemetry);
+        let (plain, _) = pagerank(&cycle(10), 100);
         assert_eq!(ranks, plain);
         let spans = telemetry.events().iter().filter(|e| e.name == "pagerank-iteration").count();
         assert_eq!(spans as u32, iters);
@@ -195,8 +183,8 @@ mod tests {
         let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 0), (4, 0), (5, 2)]);
         let mut probe = CountingProbe::default();
         let mut trace = Some(crate::trace::GraphTraceModel::new(&g));
-        let (traced, _) = pagerank_traced(&g, PageRankConfig::default(), &mut probe, &mut trace);
-        let (plain, _) = pagerank(&g, PageRankConfig::default());
+        let (traced, _) = pagerank_traced(&g, 100, &mut probe, &mut trace);
+        let (plain, _) = pagerank(&g, 100);
         assert_eq!(traced, plain);
         assert!(probe.mix().fp_ops > 0, "PageRank does real FP work");
         assert!(probe.mix().loads > 0);

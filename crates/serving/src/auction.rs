@@ -79,15 +79,13 @@ impl AuctionServer {
     /// The modeled service-time distribution for deterministic
     /// (host-independent) runs: relational browse/view/bid mix with a
     /// pronounced tail (bid writes contend), store-dominated.
-    pub fn service_model(&self) -> crate::model::ServiceTimeModel {
-        crate::model::ServiceTimeModel {
-            base_us: 2200.0,
-            sigma: 0.40,
-            tail_weight: 0.025,
-            tail_mult: 7.0,
-            store_share: (0.50, 0.75),
-        }
-    }
+    pub const SERVICE_MODEL: crate::model::ServiceTimeModel = crate::model::ServiceTimeModel {
+        base_us: 2200.0,
+        sigma: 0.40,
+        tail_weight: 0.025,
+        tail_mult: 7.0,
+        store_share: (0.50, 0.75),
+    };
 
     /// Pre-touches the modeled server code (ramp-up); no-op without
     /// tracing.

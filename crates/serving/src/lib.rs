@@ -20,9 +20,10 @@
 //!   queueing simulator ([`queue`]) that converts measured service times
 //!   into achieved-RPS/latency curves under the paper's offered loads
 //!   (100×(1..32) requests/s, Table 6). Latencies go into the
-//!   suite-wide [`bdb_telemetry::LatencyHistogram`], and the
-//!   `*_instrumented` load-generator variants also emit per-request
-//!   spans through a [`bdb_telemetry::SpanRecorder`].
+//!   suite-wide [`bdb_telemetry::LatencyHistogram`], and
+//!   [`loadgen::run_closed_loop_sampled`] also emits per-request spans
+//!   through a [`bdb_telemetry::SpanRecorder`] and scrapes its metrics
+//!   periodically.
 //!
 //! # Example
 //!
@@ -50,8 +51,7 @@ pub mod trace;
 
 pub use bdb_archsim::layout::fnv1a;
 pub use loadgen::{
-    run_closed_loop, run_closed_loop_instrumented, run_closed_loop_sampled, run_offered_load,
-    run_offered_load_shaped, PrometheusSampler, ServiceReport,
+    run_closed_loop, run_closed_loop_sampled, run_offered_load, PrometheusSampler, ServiceReport,
 };
 pub use model::{splitmix64, ServiceTimeModel};
 pub use queue::{QueuePolicy, QueueSim, RequestOutcome, RequestRecord};

@@ -1,7 +1,7 @@
 //! Load generation: closed-loop native measurement and offered-load
 //! simulation.
 
-use crate::queue::{QueuePolicy, QueueSim, RequestOutcome, RequestRecord};
+use crate::queue::{QueueSim, RequestOutcome, RequestRecord};
 use crate::server::Server;
 use bdb_archsim::NullProbe;
 use bdb_telemetry::{span, LatencyHistogram, MetricsRegistry, SpanRecorder};
@@ -24,12 +24,6 @@ pub struct ServiceReport {
     pub latency: LatencyHistogram,
     /// Sum of handler result sizes (sanity signal that work happened).
     pub result_units: u64,
-    /// Requests shed at admission by a bounded queue (offered-load runs
-    /// with a [`QueuePolicy`]; always zero for closed-loop runs).
-    pub shed: u64,
-    /// Requests abandoned after waiting past the policy deadline
-    /// (always zero for closed-loop runs).
-    pub timed_out: u64,
     /// Per-request outcome stream in arrival order (see
     /// [`RequestRecord`]). Offered-load runs forward the simulator's
     /// stream; closed-loop runs synthesize one `Completed` record per
@@ -87,31 +81,22 @@ impl PrometheusSampler {
 /// Runs `requests` back-to-back requests (closed loop, zero think time)
 /// natively, measuring true service times.
 pub fn run_closed_loop<S: Server>(server: &mut S, requests: usize, seed: u64) -> ServiceReport {
-    run_closed_loop_instrumented(
+    closed_loop_impl(
         server,
         requests,
         seed,
         &SpanRecorder::disabled(),
         &MetricsRegistry::new(),
+        None,
     )
 }
 
-/// [`run_closed_loop`] with telemetry: each request becomes a span on
-/// `telemetry` and its service time also feeds the
-/// `serving.request_us` histogram in `metrics`.
-pub fn run_closed_loop_instrumented<S: Server>(
-    server: &mut S,
-    requests: usize,
-    seed: u64,
-    telemetry: &SpanRecorder,
-    metrics: &MetricsRegistry,
-) -> ServiceReport {
-    closed_loop_impl(server, requests, seed, telemetry, metrics, None)
-}
-
-/// [`run_closed_loop_instrumented`] with periodic Prometheus scrapes:
-/// `sampler` ticks once per completed request, capturing text-format
-/// expositions of `metrics` at its cadence.
+/// [`run_closed_loop`] with telemetry and periodic Prometheus scrapes:
+/// each request becomes a span on `telemetry`, its service time feeds
+/// the `serving.request_us` histogram in `metrics` and it increments
+/// the `serving.requests` counter there, and `sampler` ticks once per
+/// completed request, capturing text-format expositions of `metrics`
+/// at its cadence.
 pub fn run_closed_loop_sampled<S: Server>(
     server: &mut S,
     requests: usize,
@@ -136,7 +121,7 @@ fn closed_loop_impl<S: Server>(
     let mut result_units = 0u64;
     let mut records = Vec::with_capacity(requests);
     let mut clock_ns = 0u64;
-    let instrumented = telemetry.is_enabled() || sampler.is_some();
+    let instrumented = sampler.is_some();
     let request_us =
         if instrumented { Some(metrics.histogram("serving.request_us")) } else { None };
     let completed_requests = metrics.counter("serving.requests");
@@ -185,8 +170,6 @@ fn closed_loop_impl<S: Server>(
         achieved_rps: if elapsed > 0.0 { requests as f64 / elapsed } else { 0.0 },
         latency,
         result_units,
-        shed: 0,
-        timed_out: 0,
         records,
     }
 }
@@ -207,61 +190,17 @@ pub fn run_offered_load<S: Server>(
     samples: usize,
     seed: u64,
 ) -> ServiceReport {
-    run_offered_load_shaped(
-        server,
-        offered_rps,
-        horizon,
-        workers,
-        samples,
-        seed,
-        QueuePolicy::default(),
-        &SpanRecorder::disabled(),
-        &MetricsRegistry::new(),
-    )
-}
-
-/// [`run_offered_load`] with telemetry and overload protection: the
-/// queueing simulation runs under `policy` (bounded queue, deadline),
-/// and drops are surfaced in the report and as the `serving.shed` /
-/// `serving.timed_out` counters in `metrics`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_offered_load_shaped<S: Server>(
-    server: &mut S,
-    offered_rps: f64,
-    horizon: Duration,
-    workers: u32,
-    samples: usize,
-    seed: u64,
-    policy: QueuePolicy,
-    telemetry: &SpanRecorder,
-    metrics: &MetricsRegistry,
-) -> ServiceReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut service_times = Vec::with_capacity(samples.max(1));
     let mut result_units = 0u64;
-    let request_us =
-        if telemetry.is_enabled() { Some(metrics.histogram("serving.request_us")) } else { None };
-    {
-        let _sampling =
-            span!(telemetry, "serving", "service-time-sampling", samples = samples.max(1));
-        for i in 0..samples.max(1) {
-            let req = server.sample_request(&mut rng);
-            let _s = span!(telemetry, "serving", "request", seq = i);
-            let t0 = Instant::now();
-            result_units += server.handle(&req, &mut NullProbe) as u64;
-            // Guard against timer quantization on very fast handlers.
-            let service_time = t0.elapsed().max(Duration::from_nanos(200));
-            service_times.push(service_time);
-            if let Some(h) = &request_us {
-                h.record(service_time);
-            }
-        }
+    for _ in 0..samples.max(1) {
+        let req = server.sample_request(&mut rng);
+        let t0 = Instant::now();
+        result_units += server.handle(&req, &mut NullProbe) as u64;
+        // Guard against timer quantization on very fast handlers.
+        service_times.push(t0.elapsed().max(Duration::from_nanos(200)));
     }
-    let _queueing = span!(telemetry, "serving", "queue-simulation", offered_rps = offered_rps);
-    let sim = QueueSim::new(workers).with_policy(policy);
-    let qr = sim.run(offered_rps, horizon, &service_times, seed ^ 0x51AB);
-    metrics.counter("serving.shed").add(qr.shed);
-    metrics.counter("serving.timed_out").add(qr.timed_out);
+    let qr = QueueSim::new(workers).run(offered_rps, horizon, &service_times, seed ^ 0x51AB);
     ServiceReport {
         name: server.name().to_owned(),
         offered_rps: Some(offered_rps),
@@ -269,8 +208,6 @@ pub fn run_offered_load_shaped<S: Server>(
         achieved_rps: qr.achieved_rps,
         latency: qr.latency,
         result_units,
-        shed: qr.shed,
-        timed_out: qr.timed_out,
         records: qr.records,
     }
 }
@@ -329,36 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn shaped_load_reports_and_counts_drops() {
-        let mut s = Spin;
-        let capacity = run_closed_loop(&mut s, 500, 2).achieved_rps;
-        let policy =
-            QueuePolicy { queue_capacity: Some(4), deadline: Some(Duration::from_millis(10)) };
-        let metrics = MetricsRegistry::new();
-        let r = run_offered_load_shaped(
-            &mut s,
-            capacity * 4.0,
-            Duration::from_secs(5),
-            1,
-            200,
-            3,
-            policy,
-            &SpanRecorder::disabled(),
-            &metrics,
-        );
-        assert!(r.shed > 0, "4x overload against a 4-deep queue must shed");
-        assert_eq!(metrics.counter("serving.shed").get(), r.shed);
-        assert_eq!(metrics.counter("serving.timed_out").get(), r.timed_out);
-        // Whatever is admitted completes within the bounded wait.
-        assert!(r.completed > 0);
-
-        // The permissive default drops nothing and the instrumented
-        // entry point still behaves exactly as before.
-        let clean = run_offered_load(&mut s, capacity * 0.05, Duration::from_secs(2), 1, 100, 3);
-        assert_eq!((clean.shed, clean.timed_out), (0, 0));
-    }
-
-    #[test]
     fn reports_carry_request_records() {
         let mut s = Spin;
         let closed = run_closed_loop(&mut s, 40, 5);
@@ -383,21 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_loop_emits_request_spans() {
-        let mut s = Spin;
-        let telemetry = SpanRecorder::enabled();
-        let metrics = MetricsRegistry::new();
-        let r = run_closed_loop_instrumented(&mut s, 25, 1, &telemetry, &metrics);
-        assert_eq!(r.completed, 25);
-        let events = telemetry.events();
-        let requests = events.iter().filter(|e| e.name == "request").count();
-        assert_eq!(requests, 25, "one span per request");
-        assert!(events.iter().any(|e| e.name == "closed-loop"));
-        assert_eq!(metrics.histogram("serving.request_us").snapshot().count(), 25);
-        assert_eq!(metrics.counter("serving.requests").get(), 25);
-    }
-
-    #[test]
     fn sampled_loop_scrapes_prometheus_periodically() {
         let mut s = Spin;
         let telemetry = SpanRecorder::enabled();
@@ -405,6 +297,11 @@ mod tests {
         let mut sampler = PrometheusSampler::every(10);
         let r = run_closed_loop_sampled(&mut s, 25, 1, &telemetry, &metrics, &mut sampler);
         assert_eq!(r.completed, 25);
+        let events = telemetry.events();
+        let requests = events.iter().filter(|e| e.name == "request").count();
+        assert_eq!(requests, 25, "one span per request");
+        assert!(events.iter().any(|e| e.name == "closed-loop"));
+        assert_eq!(metrics.histogram("serving.request_us").snapshot().count(), 25);
         // Scrapes after requests 10 and 20, plus the final one.
         let snapshots = sampler.finish(&metrics);
         assert_eq!(snapshots.len(), 3);

@@ -75,15 +75,13 @@ impl SearchServer {
     /// (host-independent) runs: moderate body spread, occasional long
     /// postings-intersection outliers, index lookups roughly half the
     /// request.
-    pub fn service_model(&self) -> crate::model::ServiceTimeModel {
-        crate::model::ServiceTimeModel {
-            base_us: 2500.0,
-            sigma: 0.35,
-            tail_weight: 0.02,
-            tail_mult: 6.0,
-            store_share: (0.35, 0.55),
-        }
-    }
+    pub const SERVICE_MODEL: crate::model::ServiceTimeModel = crate::model::ServiceTimeModel {
+        base_us: 2500.0,
+        sigma: 0.35,
+        tail_weight: 0.02,
+        tail_mult: 6.0,
+        store_share: (0.35, 0.55),
+    };
 
     /// Number of indexed documents.
     pub fn doc_count(&self) -> u32 {

@@ -98,15 +98,13 @@ impl SocialServer {
     /// (host-independent) runs: wide body (feed size varies with
     /// friend count), fan-out tail, store-heavy (feed merge reads
     /// dominate).
-    pub fn service_model(&self) -> crate::model::ServiceTimeModel {
-        crate::model::ServiceTimeModel {
-            base_us: 1800.0,
-            sigma: 0.45,
-            tail_weight: 0.03,
-            tail_mult: 5.0,
-            store_share: (0.45, 0.70),
-        }
-    }
+    pub const SERVICE_MODEL: crate::model::ServiceTimeModel = crate::model::ServiceTimeModel {
+        base_us: 1800.0,
+        sigma: 0.45,
+        tail_weight: 0.03,
+        tail_mult: 5.0,
+        store_share: (0.45, 0.70),
+    };
 
     /// Number of users.
     pub fn users(&self) -> u32 {

@@ -99,7 +99,7 @@ pub fn render_node_dashboard(db: &Tsdb, node: &str, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{SeriesKey, TsdbConfig};
+    use crate::store::SeriesKey;
 
     #[test]
     fn sparkline_scales_and_pads() {
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn dashboard_lists_only_the_nodes_series() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::new();
         let mine = SeriesKey::new("cluster.applies_total", &[("node", "node-0")]);
         let gauge = SeriesKey::new("cluster.replication_lag_bytes", &[("node", "node-0")]);
         let theirs = SeriesKey::new("cluster.applies_total", &[("node", "node-1")]);

@@ -10,7 +10,7 @@
 //!   varint timestamps (virtual time) and XOR-compressed f64 values,
 //!   bit-exact for every finite float.
 //! - [`store`]: labeled series ([`SeriesKey`]) in append-only blocks
-//!   with retention, 10:1 downsampling into summary blocks, and a
+//!   of [`BLOCK_SAMPLES`] samples, kept for the store's life, and a
 //!   byte-deterministic snapshot format ([`Tsdb::snapshot_bytes`]).
 //! - [`scrape`]: a virtual-time [`Scraper`] sampling every registered
 //!   [`bdb_telemetry::MetricsRegistry`] into series.
@@ -42,5 +42,5 @@ pub use dash::{render_node_dashboard, sparkline};
 pub use query::{histogram_quantile, rate, select, sum_by, value_at};
 pub use rules::replay_burn_rules;
 pub use scrape::Scraper;
-pub use store::{Block, SeriesKey, Tsdb, TsdbConfig};
+pub use store::{Block, SeriesKey, Tsdb, BLOCK_SAMPLES};
 pub use timeline::{reconstruct_writes, render_timeline, TimelineEvent, WriteChain};

@@ -124,13 +124,12 @@ pub fn histogram_quantile(
 mod tests {
     use super::*;
     use crate::scrape::Scraper;
-    use crate::store::TsdbConfig;
     use bdb_telemetry::MetricsRegistry;
 
     type SeriesSpec<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [(u64, f64)]);
 
     fn db_with(series: &[SeriesSpec]) -> Tsdb {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::new();
         for (name, labels, samples) in series {
             let key = SeriesKey::new(name, labels);
             for &(t, v) in *samples {
@@ -197,7 +196,7 @@ mod tests {
         }
         let mut scraper = Scraper::new();
         scraper.add_target(&[("node", "n0")], &registry);
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::new();
         scraper.scrape_at(&mut db, 1_000);
 
         let snapshot = registry.histogram_snapshots().remove(0).1;

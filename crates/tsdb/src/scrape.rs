@@ -79,7 +79,6 @@ impl Scraper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TsdbConfig;
 
     #[test]
     fn scrapes_counters_gauges_and_histograms_into_labeled_series() {
@@ -94,7 +93,7 @@ mod tests {
         scraper.add_target(&[("workload", "oltp"), ("node", "node-2")], &registry);
         assert_eq!(scraper.target_count(), 1);
 
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::new();
         scraper.scrape_at(&mut db, 1_000);
         registry.counter("reqs.total").add(3);
         scraper.scrape_at(&mut db, 2_000);

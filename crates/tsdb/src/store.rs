@@ -1,6 +1,6 @@
-//! The labeled series store: append-only Gorilla blocks per series,
-//! retention with 10:1 downsampling into summary blocks, and a
-//! byte-deterministic snapshot format.
+//! The labeled series store: append-only Gorilla blocks of
+//! [`BLOCK_SAMPLES`] samples per series, kept for the store's life, and
+//! a byte-deterministic snapshot format.
 
 use crate::gorilla;
 use std::collections::BTreeMap;
@@ -80,10 +80,6 @@ impl Block {
 
 #[derive(Debug, Default)]
 struct Series {
-    /// Downsampled history (10:1), oldest first.
-    summary: Vec<Block>,
-    /// Open downsampled samples not yet sealed into a summary block.
-    summary_open: Vec<(u64, f64)>,
     /// Raw sealed blocks, oldest first.
     raw: Vec<Block>,
     /// Open raw samples not yet sealed.
@@ -95,55 +91,36 @@ impl Series {
     fn all_samples(&self, t0: u64, t1: u64) -> Vec<(u64, f64)> {
         let mut out = Vec::new();
         let in_range = |s: &(u64, f64)| s.0 >= t0 && s.0 <= t1;
-        for block in self.summary.iter().chain(self.raw.iter()) {
+        for block in &self.raw {
             if block.end_us < t0 || block.start_us > t1 {
                 continue;
             }
             out.extend(block.samples().into_iter().filter(in_range));
         }
-        out.extend(self.summary_open.iter().copied().filter(in_range));
         out.extend(self.open.iter().copied().filter(in_range));
         out.sort_by_key(|&(t, _)| t);
         out
     }
 }
 
-/// Sizing and retention policy.
-#[derive(Debug, Clone)]
-pub struct TsdbConfig {
-    /// Samples per sealed block.
-    pub block_samples: usize,
-    /// Raw samples older than this (relative to the newest observed
-    /// time) are downsampled into summary blocks. `None` keeps raw
-    /// samples forever.
-    pub retention_us: Option<u64>,
-    /// Raw samples folded into each summary sample.
-    pub downsample: usize,
-}
-
-impl Default for TsdbConfig {
-    fn default() -> Self {
-        Self { block_samples: 120, retention_us: None, downsample: 10 }
-    }
-}
+/// Samples per sealed block.
+pub const BLOCK_SAMPLES: usize = 120;
 
 /// The embedded time-series database: a deterministic map of
 /// [`SeriesKey`] → compressed sample history.
 #[derive(Debug, Default)]
 pub struct Tsdb {
-    config: TsdbConfig,
     series: BTreeMap<SeriesKey, Series>,
-    now_us: u64,
 }
 
 /// Snapshot magic + version.
 const MAGIC: &[u8; 8] = b"BDBTSDB1";
 
 impl Tsdb {
-    /// An empty store under `config`.
+    /// An empty store.
     #[must_use]
-    pub fn new(config: TsdbConfig) -> Self {
-        Self { config, series: BTreeMap::new(), now_us: 0 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Series currently stored.
@@ -164,68 +141,31 @@ impl Tsdb {
     ///
     /// Panics if `t_us` precedes the series' newest sample.
     pub fn append(&mut self, key: &SeriesKey, t_us: u64, value: f64) {
-        self.now_us = self.now_us.max(t_us);
-        let block_samples = self.config.block_samples;
         let series = self.series.entry(key.clone()).or_default();
         if let Some(last) = series.last_us {
             assert!(t_us >= last, "tsdb: series {} fed out of time order", key.render());
         }
         series.last_us = Some(t_us);
         series.open.push((t_us, value));
-        if series.open.len() >= block_samples {
+        if series.open.len() >= BLOCK_SAMPLES {
             series.raw.push(Block::seal(&series.open));
             series.open.clear();
         }
     }
 
-    /// All samples of `key` in `[t0, t1]`, oldest first (summary
-    /// history followed by raw, merged on the timeline).
+    /// All samples of `key` in `[t0, t1]`, oldest first.
     #[must_use]
     pub fn samples(&self, key: &SeriesKey, t0: u64, t1: u64) -> Vec<(u64, f64)> {
         self.series.get(key).map(|s| s.all_samples(t0, t1)).unwrap_or_default()
     }
 
-    /// Applies the retention policy: raw blocks wholly older than
-    /// `retention_us` (relative to the newest appended timestamp) are
-    /// folded `downsample`:1 into summary samples — each group of
-    /// `downsample` raw samples becomes one summary sample holding the
-    /// group mean at the group's last timestamp.
-    pub fn enforce_retention(&mut self) {
-        let Some(retention) = self.config.retention_us else {
-            return;
-        };
-        let horizon = self.now_us.saturating_sub(retention);
-        let factor = self.config.downsample.max(1);
-        let block_samples = self.config.block_samples;
-        for series in self.series.values_mut() {
-            while series.raw.first().is_some_and(|b| b.end_us < horizon) {
-                let block = series.raw.remove(0);
-                for group in block.samples().chunks(factor) {
-                    let mean = group.iter().map(|&(_, v)| v).sum::<f64>() / group.len() as f64;
-                    let t = group.last().expect("chunks are non-empty").0;
-                    series.summary_open.push((t, mean));
-                    if series.summary_open.len() >= block_samples {
-                        series.summary.push(Block::seal(&series.summary_open));
-                        series.summary_open.clear();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Raw and summary block counts across all series (diagnostics).
-    #[must_use]
-    pub fn block_counts(&self) -> (usize, usize) {
-        let raw = self.series.values().map(|s| s.raw.len()).sum();
-        let summary = self.series.values().map(|s| s.summary.len()).sum();
-        (raw, summary)
-    }
-
     /// Serializes the store to the byte-deterministic snapshot format:
     /// a fixed magic, then every series in sorted key order with its
-    /// summary and raw blocks (open sample runs are sealed into final
-    /// blocks on the way out; the store itself is not mutated). Two
-    /// stores with equal contents produce identical bytes on any host.
+    /// blocks (the open sample run is sealed into a final block on the
+    /// way out; the store itself is not mutated). Two stores with equal
+    /// contents produce identical bytes on any host. Each series also
+    /// carries a count of downsampled summary blocks ahead of its
+    /// blocks; the store keeps none, so the count is always 0.
     #[must_use]
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -238,18 +178,15 @@ impl Tsdb {
                 write_str(&mut out, k);
                 write_str(&mut out, v);
             }
-            for (blocks, open) in
-                [(&series.summary, &series.summary_open), (&series.raw, &series.open)]
-            {
-                let sealed_open = (!open.is_empty()).then(|| Block::seal(open));
-                write_u32(&mut out, (blocks.len() + usize::from(sealed_open.is_some())) as u32);
-                for block in blocks.iter().chain(sealed_open.iter()) {
-                    write_u64(&mut out, block.start_us);
-                    write_u64(&mut out, block.end_us);
-                    write_u32(&mut out, block.count);
-                    write_u32(&mut out, block.data.len() as u32);
-                    out.extend_from_slice(&block.data);
-                }
+            write_u32(&mut out, 0); // summary blocks
+            let sealed_open = (!series.open.is_empty()).then(|| Block::seal(&series.open));
+            write_u32(&mut out, (series.raw.len() + usize::from(sealed_open.is_some())) as u32);
+            for block in series.raw.iter().chain(sealed_open.iter()) {
+                write_u64(&mut out, block.start_us);
+                write_u64(&mut out, block.end_us);
+                write_u32(&mut out, block.count);
+                write_u32(&mut out, block.data.len() as u32);
+                out.extend_from_slice(&block.data);
             }
         }
         out
@@ -261,8 +198,9 @@ impl Tsdb {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a bad magic or truncated payload.
-    pub fn from_snapshot_bytes(bytes: &[u8], config: TsdbConfig) -> std::io::Result<Self> {
+    /// Returns `InvalidData` on a bad magic, a truncated payload or a
+    /// series with summary blocks.
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> std::io::Result<Self> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned());
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> std::io::Result<&[u8]> {
@@ -286,7 +224,7 @@ impl Tsdb {
             String::from_utf8(take(pos, len)?.to_vec())
                 .map_err(|_| bad("tsdb snapshot: invalid utf-8"))
         };
-        let mut db = Tsdb::new(config);
+        let mut db = Tsdb::new();
         let n_series = read_u32(&mut pos)?;
         for _ in 0..n_series {
             let name = read_str(&mut pos)?;
@@ -296,24 +234,18 @@ impl Tsdb {
                 labels.push((read_str(&mut pos)?, read_str(&mut pos)?));
             }
             let key = SeriesKey { name, labels };
+            if read_u32(&mut pos)? != 0 {
+                return Err(bad("tsdb snapshot: summary blocks are not supported"));
+            }
             let mut series = Series::default();
-            for which in 0..2 {
-                let n_blocks = read_u32(&mut pos)?;
-                for _ in 0..n_blocks {
-                    let start_us = read_u64(&mut pos)?;
-                    let end_us = read_u64(&mut pos)?;
-                    let count = read_u32(&mut pos)?;
-                    let len = read_u32(&mut pos)? as usize;
-                    let data = take(&mut pos, len)?.to_vec();
-                    let block = Block { start_us, end_us, count, data };
-                    if which == 0 {
-                        series.summary.push(block);
-                    } else {
-                        series.last_us = Some(end_us);
-                        db.now_us = db.now_us.max(end_us);
-                        series.raw.push(block);
-                    }
-                }
+            for _ in 0..read_u32(&mut pos)? {
+                let start_us = read_u64(&mut pos)?;
+                let end_us = read_u64(&mut pos)?;
+                let count = read_u32(&mut pos)?;
+                let len = read_u32(&mut pos)? as usize;
+                let data = take(&mut pos, len)?.to_vec();
+                series.last_us = Some(end_us);
+                series.raw.push(Block { start_us, end_us, count, data });
             }
             db.series.insert(key, series);
         }
@@ -357,83 +289,67 @@ mod tests {
 
     #[test]
     fn append_seals_blocks_and_queries_ranges() {
-        let mut db = Tsdb::new(TsdbConfig { block_samples: 16, ..Default::default() });
+        let mut db = Tsdb::new();
         let k = key("m", "node-0");
-        for i in 0..50u64 {
+        for i in 0..250u64 {
             db.append(&k, i * 100, i as f64);
         }
-        let (raw, summary) = db.block_counts();
-        assert_eq!(raw, 3, "48 samples sealed at 16/block");
-        assert_eq!(summary, 0);
+        assert_eq!(db.series[&k].raw.len(), 2, "240 samples sealed at BLOCK_SAMPLES/block");
         let all = db.samples(&k, 0, u64::MAX);
-        assert_eq!(all.len(), 50, "sealed + open samples all visible");
-        let mid = db.samples(&k, 1_000, 2_000);
+        assert_eq!(all.len(), 250, "sealed + open samples all visible");
+        // A range across the first block boundary (sample 120).
+        let mid = db.samples(&k, 11_500, 12_500);
         assert_eq!(mid.len(), 11);
-        assert_eq!(mid[0], (1_000, 10.0));
-        assert_eq!(mid[10], (2_000, 20.0));
-    }
-
-    #[test]
-    fn retention_downsamples_ten_to_one() {
-        let mut db =
-            Tsdb::new(TsdbConfig { block_samples: 20, retention_us: Some(1_000), downsample: 10 });
-        let k = key("m", "node-1");
-        for i in 0..100u64 {
-            db.append(&k, i * 100, i as f64);
-        }
-        db.enforce_retention();
-        // now = 9_900, horizon = 8_900: raw blocks ending before that
-        // (four of them: 80 samples) fold to 8 summary samples.
-        let (raw, _) = db.block_counts();
-        assert_eq!(raw, 1, "old raw blocks were downsampled away");
-        let summary = db.samples(&k, 0, 7_999);
-        assert_eq!(summary.len(), 8, "80 raw samples -> 8 summary samples");
-        // First summary sample: mean of values 0..=9 at t = 900.
-        assert_eq!(summary[0], (900, 4.5));
-        // Recent raw samples are untouched.
-        let recent = db.samples(&k, 8_000, u64::MAX);
-        assert_eq!(recent.first(), Some(&(8_000, 80.0)));
+        assert_eq!(mid[0], (11_500, 115.0));
+        assert_eq!(mid[10], (12_500, 125.0));
     }
 
     #[test]
     fn snapshot_round_trips_byte_identically() {
         let build = || {
-            let mut db = Tsdb::new(TsdbConfig {
-                block_samples: 8,
-                retention_us: Some(2_000),
-                downsample: 10,
-            });
+            let mut db = Tsdb::new();
             for node in ["node-0", "node-1"] {
                 let k = key("cluster.applies_total", node);
-                for i in 0..40u64 {
+                for i in 0..300u64 {
                     db.append(&k, i * 250, (i * 3) as f64);
                 }
             }
-            db.enforce_retention();
             db
         };
-        let a = build().snapshot_bytes();
+        let db = build();
+        let k = key("cluster.applies_total", "node-0");
+        assert_eq!(db.series[&k].raw.len(), 2, "sealed blocks plus an open run");
+        let a = db.snapshot_bytes();
         let b = build().snapshot_bytes();
         assert_eq!(a, b, "same inputs snapshot to identical bytes");
 
-        let loaded = Tsdb::from_snapshot_bytes(&a, TsdbConfig::default()).expect("parses");
+        let loaded = Tsdb::from_snapshot_bytes(&a).expect("parses");
         assert_eq!(loaded.snapshot_bytes(), a, "load + re-snapshot is identity");
-        let k = key("cluster.applies_total", "node-0");
-        assert_eq!(loaded.samples(&k, 0, u64::MAX), build().samples(&k, 0, u64::MAX));
+        assert_eq!(loaded.samples(&k, 0, u64::MAX), db.samples(&k, 0, u64::MAX));
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
-        assert!(Tsdb::from_snapshot_bytes(b"nonsense", TsdbConfig::default()).is_err());
-        let mut ok = Tsdb::new(TsdbConfig::default()).snapshot_bytes();
+        assert!(Tsdb::from_snapshot_bytes(b"nonsense").is_err());
+        let mut ok = Tsdb::new().snapshot_bytes();
         ok.push(0xFF);
-        assert!(Tsdb::from_snapshot_bytes(&ok, TsdbConfig::default()).is_err());
+        assert!(Tsdb::from_snapshot_bytes(&ok).is_err());
+
+        // One series `m` with no labels: magic, series count, name,
+        // label count, then the summary-block count at byte 21.
+        let mut db = Tsdb::new();
+        db.append(&SeriesKey::new("m", &[]), 0, 1.0);
+        let mut summary = db.snapshot_bytes();
+        assert_eq!(summary[21..25], [0; 4]);
+        summary[21] = 1;
+        let err = Tsdb::from_snapshot_bytes(&summary).expect_err("summary blocks rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     #[should_panic(expected = "time order")]
     fn out_of_order_appends_panic() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::new();
         let k = key("m", "n");
         db.append(&k, 100, 1.0);
         db.append(&k, 50, 2.0);
