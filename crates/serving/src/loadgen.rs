@@ -290,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_loop_scrapes_prometheus_periodically() {
+    fn instrumented_loop_emits_request_spans() {
         let mut s = Spin;
         let telemetry = SpanRecorder::enabled();
         let metrics = MetricsRegistry::new();
@@ -302,6 +302,17 @@ mod tests {
         assert_eq!(requests, 25, "one span per request");
         assert!(events.iter().any(|e| e.name == "closed-loop"));
         assert_eq!(metrics.histogram("serving.request_us").snapshot().count(), 25);
+        assert_eq!(metrics.counter("serving.requests").get(), 25);
+    }
+
+    #[test]
+    fn sampled_loop_scrapes_prometheus_periodically() {
+        let mut s = Spin;
+        let telemetry = SpanRecorder::enabled();
+        let metrics = MetricsRegistry::new();
+        let mut sampler = PrometheusSampler::every(10);
+        let r = run_closed_loop_sampled(&mut s, 25, 1, &telemetry, &metrics, &mut sampler);
+        assert_eq!(r.completed, 25);
         // Scrapes after requests 10 and 20, plus the final one.
         let snapshots = sampler.finish(&metrics);
         assert_eq!(snapshots.len(), 3);
