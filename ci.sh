@@ -30,6 +30,8 @@ run() {
 # was not carried into Cargo.lock fails the gate instead of silently
 # rewriting the lockfile.
 run cargo fmt --all -- --check
+# wallbench is its own workspace, so the root call does not reach it.
+run cargo fmt --manifest-path wallbench/Cargo.toml -- --check
 run cargo clippy --locked --workspace --all-targets -- -D warnings
 # Rustdoc gate: a stale intra-doc link (often left behind when code is
 # deleted) fails here rather than only in a rendered doc page.

@@ -82,46 +82,31 @@ fn run_query(
     items: &ColumnarTable,
     probe: Option<(&mut SimProbe, &mut SqlTraceModel)>,
 ) -> usize {
-    match (kind, probe) {
-        (QueryKind::Select, None) => {
-            kernel::select(items, &col("GOODS_PRICE").gt(lit(50.0)), &["ITEM_ID", "GOODS_AMOUNT"])
-                .expect("valid query")
-                .len()
+    let rows = match kind {
+        QueryKind::Select => {
+            let (pred, proj) = (col("GOODS_PRICE").gt(lit(50.0)), ["ITEM_ID", "GOODS_AMOUNT"]);
+            match probe {
+                None => kernel::select(items, &pred, &proj),
+                Some((p, t)) => kernel::select_traced(items, &pred, &proj, p, t),
+            }
         }
-        (QueryKind::Select, Some((p, t))) => kernel::select_traced(
-            items,
-            &col("GOODS_PRICE").gt(lit(50.0)),
-            &["ITEM_ID", "GOODS_AMOUNT"],
-            p,
-            t,
-        )
-        .expect("valid query")
-        .len(),
-        (QueryKind::Aggregate, None) => kernel::aggregate(
-            items,
-            "GOODS_ID",
-            &[Aggregation::count(), Aggregation::sum("GOODS_AMOUNT")],
-        )
-        .expect("valid query")
-        .len(),
-        (QueryKind::Aggregate, Some((p, t))) => kernel::aggregate_traced(
-            items,
-            "GOODS_ID",
-            &[Aggregation::count(), Aggregation::sum("GOODS_AMOUNT")],
-            p,
-            t,
-        )
-        .expect("valid query")
-        .len(),
-        (QueryKind::Join, None) => {
-            kernel::hash_join(orders, "ORDER_ID", items, "ORDER_ID").expect("valid join").len()
+        QueryKind::Aggregate => {
+            let (group, aggs) =
+                ("GOODS_ID", [Aggregation::count(), Aggregation::sum("GOODS_AMOUNT")]);
+            match probe {
+                None => kernel::aggregate(items, group, &aggs),
+                Some((p, t)) => kernel::aggregate_traced(items, group, &aggs, p, t),
+            }
         }
-        (QueryKind::Join, Some((p, t))) => {
-            kernel::hash_join_traced(orders, "ORDER_ID", items, "ORDER_ID", p, t)
-                .expect("valid join")
-                .len()
+        QueryKind::Join => {
+            let on = "ORDER_ID";
+            match probe {
+                None => kernel::hash_join(orders, on, items, on),
+                Some((p, t)) => kernel::hash_join_traced(orders, on, items, on, p, t),
+            }
         }
-    }
+    };
+    rows.expect("valid query").len()
 }
 
 macro_rules! query_workload {

@@ -1,6 +1,6 @@
 //! Hash aggregation over column batches.
 //!
-//! The parallel path is hash-partitioned so float accumulation stays
+//! The aggregate is hash-partitioned so float accumulation stays
 //! bit-identical to the row oracle: rows are split by group hash into
 //! [`PARTITIONS`] disjoint partitions (a group lives wholly in one
 //! partition), each morsel keeping one row list per partition. A
@@ -9,15 +9,17 @@
 //! exactly the order the single-threaded row oracle adds them,
 //! regardless of worker count.
 
-use super::{for_each_index, for_each_morsel, U64Map};
-use crate::column::{ColumnVec, ColumnarTable};
-use crate::exec::{Acc, Aggregation};
+use super::{for_each_morsel, resolve, resolve_agg_cols, Hooks, Probe, U64Map};
+use crate::column::ColumnarTable;
+use crate::exec::{Acc, AggregateFn, Aggregation};
+use crate::schema::ColumnType;
 use crate::value::{Value, ValueRef};
+use crate::SqlError;
 use bdb_archsim::layout::splitmix64;
 use bdb_telemetry::{span, SpanRecorder};
 use std::ops::Range;
 
-/// Number of hash partitions in the parallel paths (power of two).
+/// Number of hash partitions of the aggregate and the join (power of two).
 pub(crate) const PARTITIONS: usize = 16;
 
 /// The partition a group hash belongs to (any pure function of the
@@ -36,10 +38,19 @@ pub(crate) struct MorselPartitions {
 }
 
 impl MorselPartitions {
-    /// Pass 1 of the parallel aggregate and join: hashes `col` over
-    /// `rows` and groups the rows by partition with a counting sort.
-    /// With `skip_null`, NULL keys are left out (they never join).
-    pub(crate) fn new(col: &ColumnVec, rows: Range<usize>, skip_null: bool) -> Self {
+    /// Pass 1 of the aggregate and the join build: hashes column `col`
+    /// of `t` over `rows` and groups the rows by partition with a
+    /// counting sort. With `skip_null`, NULL keys are left out (they
+    /// never join).
+    pub(super) fn new<H: Hooks>(
+        t: &ColumnarTable,
+        col: usize,
+        rows: Range<usize>,
+        skip_null: bool,
+        hooks: &mut H,
+    ) -> Self {
+        hooks.trace(|probe, trace| trace.column_scan(probe, t, col, rows.clone()));
+        let col = t.column(col);
         let mut hashed = Vec::with_capacity(rows.len());
         let mut starts = [0u32; PARTITIONS + 1];
         for row in rows {
@@ -52,6 +63,8 @@ impl MorselPartitions {
             starts[p + 1] += 1;
             hashed.push((row as u32, h, p as u8));
         }
+        // The hash, the partition index and the scatter.
+        hooks.trace(|probe, _| probe.int_ops(3 * hashed.len() as u64));
         for p in 0..PARTITIONS {
             starts[p + 1] += starts[p];
         }
@@ -108,7 +121,7 @@ impl GroupTable {
 
     /// Finalizes every group into its output row (the key, then one
     /// value per aggregation), in group-id order, and returns the rows
-    /// with the first-row list [`sort_groups`] reads the keys from.
+    /// with the first-row list the key sort reads the keys from.
     pub(crate) fn into_rows(
         self,
         t: &ColumnarTable,
@@ -131,15 +144,67 @@ impl GroupTable {
     }
 }
 
-/// Orders finished groups (one [`GroupTable::into_rows`] result per
-/// table) by group key, the row oracle's output order. Each key is read
-/// once from its group's first row; the sort moves `(key, table, group)`
-/// triples and each row then moves once into place.
-pub(crate) fn sort_groups(
+/// Partitioned hash aggregation: morsels, then partitions, each a unit
+/// of work on `hooks`' scheduler.
+pub(super) fn aggregate<H: Hooks>(
     t: &ColumnarTable,
-    gcol: usize,
-    mut tables: Vec<(Vec<u32>, Vec<Vec<Value>>)>,
-) -> Vec<Vec<Value>> {
+    group_by: &str,
+    aggs: &[Aggregation],
+    telemetry: &SpanRecorder,
+    hooks: &mut H,
+) -> Result<Vec<Vec<Value>>, SqlError> {
+    let gcol = resolve(t.schema(), group_by)?;
+    let acols = &resolve_agg_cols(t.schema(), gcol, aggs)?;
+    // Float-accumulating aggregations pay one FP add per row.
+    let fp_per_row = acols
+        .iter()
+        .zip(aggs)
+        .filter(|(&c, a)| {
+            matches!(a.func, AggregateFn::Sum | AggregateFn::Avg)
+                && matches!(t.schema().column_type(c), ColumnType::Float | ColumnType::Int)
+        })
+        .count() as u64;
+    let buckets = (t.len() / 4).max(64);
+    hooks.trace(|probe, trace| trace.on_query(probe));
+    // Pass 1: hash the group column morsel-by-morsel and split row ids
+    // into partitions.
+    let per_morsel = for_each_morsel(hooks, "scan", t.len(), |m, rows, hooks| {
+        let mut span = span!(telemetry, "sql", "agg-morsel", morsel = m, rows = rows.len());
+        let parts = MorselPartitions::new(t, gcol, rows, false, hooks);
+        span.arg(
+            "partitions_touched",
+            (0..PARTITIONS).filter(|&p| !parts.part(p).is_empty()).count(),
+        );
+        parts
+    });
+    // Pass 2: aggregate partitions independently, each reading its
+    // lists in morsel order: global row order within the partition, the
+    // invariant float exactness rests on. The aggregate inputs are read
+    // row by row in that order, not scanned.
+    let mut tables = hooks.for_each("agg", PARTITIONS, |p, hooks| {
+        let mut span = span!(telemetry, "sql", "agg-partition", partition = p);
+        let mut gt = GroupTable::default();
+        let mut rows = 0;
+        for parts in &per_morsel {
+            for &(row, h) in parts.part(p) {
+                hooks.trace(|probe, trace| {
+                    trace.hash_access(probe, h, buckets, false);
+                    trace.hash_access(probe, h, buckets, true);
+                    for &c in acols {
+                        trace.gather(probe, t, c, row as usize);
+                    }
+                    probe.fp_ops(fp_per_row);
+                });
+                gt.update(t, acols, aggs, row as usize, h);
+            }
+            rows += parts.part(p).len();
+        }
+        span.arg("rows", rows);
+        gt.into_rows(t, gcol, aggs.len())
+    });
+    // Order the groups by key, the row oracle's output order. Each key
+    // is read once from its group's first row; the sort moves `(key,
+    // partition, group)` triples and each row then moves once into place.
     let col = t.column(gcol);
     let mut order: Vec<(ValueRef<'_>, u32, u32)> = tables
         .iter()
@@ -153,46 +218,8 @@ pub(crate) fn sort_groups(
         .collect();
     // Distinct groups have distinct keys, so the order is total.
     order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    order
+    Ok(order
         .into_iter()
         .map(|(_, p, g)| std::mem::take(&mut tables[p as usize].1[g as usize]))
-        .collect()
-}
-
-/// Morsel-parallel partitioned hash aggregation.
-pub(crate) fn aggregate_parallel(
-    t: &ColumnarTable,
-    gcol: usize,
-    acols: &[usize],
-    aggs: &[Aggregation],
-    telemetry: &SpanRecorder,
-) -> Vec<Vec<Value>> {
-    // Pass 1: hash the group column morsel-by-morsel and split row ids
-    // into partitions.
-    let per_morsel = for_each_morsel(t.len(), |m, rows| {
-        let mut span = span!(telemetry, "sql", "agg-morsel", morsel = m, rows = rows.len());
-        let parts = MorselPartitions::new(t.column(gcol), rows, false);
-        span.arg(
-            "partitions_touched",
-            (0..PARTITIONS).filter(|&p| !parts.part(p).is_empty()).count(),
-        );
-        parts
-    });
-    // Pass 2: aggregate partitions independently, each reading its
-    // lists in morsel order: global row order within the partition, the
-    // invariant float exactness rests on.
-    let tables = for_each_index(PARTITIONS, |p| {
-        let mut span = span!(telemetry, "sql", "agg-partition", partition = p);
-        let mut gt = GroupTable::default();
-        let mut rows = 0;
-        for parts in &per_morsel {
-            for &(row, h) in parts.part(p) {
-                gt.update(t, acols, aggs, row as usize, h);
-            }
-            rows += parts.part(p).len();
-        }
-        span.arg("rows", rows);
-        gt.into_rows(t, gcol, aggs.len())
-    });
-    sort_groups(t, gcol, tables)
+        .collect())
 }

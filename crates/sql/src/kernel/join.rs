@@ -11,9 +11,10 @@
 
 use super::agg::{partition_of, MorselPartitions, PARTITIONS};
 use super::project::gather_row;
-use super::{concat, for_each_index, for_each_morsel, U64Map};
+use super::{concat, for_each_morsel, resolve, Hooks, U64Map};
 use crate::column::ColumnarTable;
 use crate::value::Value;
+use crate::SqlError;
 use bdb_telemetry::{span, SpanRecorder};
 use std::collections::hash_map::Entry;
 
@@ -74,28 +75,35 @@ impl BuildTable {
     }
 }
 
-/// Morsel-parallel partitioned hash join; returns `left.row ++
-/// right.row` for every match, in probe order.
-pub(crate) fn join_parallel(
+/// Partitioned hash join: build morsels, build partitions, then probe
+/// morsels, each a unit of work on `hooks`' scheduler. Returns
+/// `left.row ++ right.row` for every match, in probe order.
+pub(super) fn hash_join<H: Hooks>(
     left: &ColumnarTable,
-    li: usize,
+    lcol: &str,
     right: &ColumnarTable,
-    ri: usize,
+    rcol: &str,
     telemetry: &SpanRecorder,
-) -> Vec<Vec<Value>> {
+    hooks: &mut H,
+) -> Result<Vec<Vec<Value>>, SqlError> {
+    let li = resolve(left.schema(), lcol)?;
+    let ri = resolve(right.schema(), rcol)?;
+    let buckets = left.len().max(64);
+    hooks.trace(|probe, trace| trace.on_query(probe));
     // Build pass 1: hash the left key column into partitions; NULL
     // never joins.
-    let per_morsel = for_each_morsel(left.len(), |m, rows| {
+    let per_morsel = for_each_morsel(hooks, "build", left.len(), |m, rows, hooks| {
         let _s = span!(telemetry, "sql", "build-morsel", morsel = m, rows = rows.len());
-        MorselPartitions::new(left.column(li), rows, true)
+        MorselPartitions::new(left, li, rows, true, hooks)
     });
     // Build pass 2: one table per partition, reading the morsels' lists
     // in morsel order so chains keep row order.
-    let tables: Vec<BuildTable> = for_each_index(PARTITIONS, |p| {
+    let tables: Vec<BuildTable> = hooks.for_each("build", PARTITIONS, |p, hooks| {
         let mut span = span!(telemetry, "sql", "build-partition", partition = p);
         let mut table =
             BuildTable::with_capacity(per_morsel.iter().map(|parts| parts.part(p).len()).sum());
         for &(row, h) in per_morsel.iter().flat_map(|parts| parts.part(p)) {
+            hooks.trace(|probe, trace| trace.hash_access(probe, h, buckets, true));
             table.insert(h, row);
         }
         span.arg("keys", table.keys());
@@ -105,8 +113,9 @@ pub(crate) fn join_parallel(
     // and materialize matches late.
     let lcols: Vec<usize> = (0..left.schema().arity()).collect();
     let rcols: Vec<usize> = (0..right.schema().arity()).collect();
-    let out_per_morsel = for_each_morsel(right.len(), |m, rows| {
+    let out_per_morsel = for_each_morsel(hooks, "probe", right.len(), |m, rows, hooks| {
         let mut span = span!(telemetry, "sql", "probe-morsel", morsel = m, rows = rows.len());
+        hooks.trace(|probe, trace| trace.column_scan(probe, right, ri, rows.clone()));
         let col = right.column(ri);
         let lkey = left.column(li);
         let mut out = Vec::new();
@@ -116,9 +125,18 @@ pub(crate) fn join_parallel(
                 continue;
             }
             let h = key.hash64();
+            hooks.trace(|probe, trace| trace.hash_access(probe, h, buckets, false));
             for lrow in tables[partition_of(h)].matches(h) {
                 // Re-check equality (hash collisions).
                 if lkey.value_ref(lrow).total_cmp(&key) == std::cmp::Ordering::Equal {
+                    hooks.trace(|probe, trace| {
+                        for &c in &lcols {
+                            trace.gather(probe, left, c, lrow);
+                        }
+                        for &c in &rcols {
+                            trace.gather(probe, right, c, row);
+                        }
+                    });
                     let mut joined = Vec::with_capacity(lcols.len() + rcols.len());
                     gather_row(left, &lcols, lrow, &mut joined);
                     gather_row(right, &rcols, row, &mut joined);
@@ -129,5 +147,5 @@ pub(crate) fn join_parallel(
         span.arg("output_rows", out.len());
         out
     });
-    concat(out_per_morsel)
+    Ok(concat(out_per_morsel))
 }

@@ -11,9 +11,10 @@
 //!   converted once to an encoded [`ColumnarTable`] ([`mod@column`]) for
 //!   execution;
 //! * [`kernel`] — the engine: vectorized `select`, `aggregate` and
-//!   `hash_join` in three forms — plain (morsel-parallel),
-//!   `_instrumented` (one telemetry span per morsel) and `_traced`
-//!   (single-threaded under a [`bdb_archsim::Probe`], reporting
+//!   `hash_join`, each one body run three ways — plain
+//!   (morsel-parallel), `_instrumented` (one telemetry span per morsel
+//!   or partition) and `_traced` (the same morsels and partitions in
+//!   order on one thread under a [`bdb_archsim::Probe`], reporting
 //!   column-scan and hash-probe access patterns through a
 //!   [`SqlTraceModel`]);
 //! * [`exec`] — the row-at-a-time oracle: the same three operators as

@@ -3,11 +3,12 @@
 //! Columnar scans stream sequentially over column arrays; hash
 //! aggregation and hash joins probe scattered hash-table slots. The
 //! model registers each columnar table's columns at synthetic addresses
-//! so the `_traced` kernels in [`crate::kernel`] emit the *real* access
-//! pattern of each operator — the
-//! sequential/scattered mix that gives the paper's realtime-analytics
-//! workloads their cache profile — plus a query-engine code stack
-//! (parser/planner/operator layers, Impala-style).
+//! so the `_traced` kernels in [`crate::kernel`], which run the native
+//! kernels' own per-morsel and per-partition bodies, emit the access
+//! pattern of the code that runs natively — the sequential/scattered
+//! mix that gives the paper's realtime-analytics workloads their cache
+//! profile — plus a query-engine code stack (parser/planner/operator
+//! layers, Impala-style).
 
 use crate::column::ColumnarTable;
 use bdb_archsim::layout::{regions, splitmix64};

@@ -9,12 +9,14 @@
 //! ints, floats, dictionary-encoded strings and dates. The small-table
 //! properties fit in one morsel; `kernels_match_row_oracle_across_morsels`
 //! runs tables of two to four morsels, so partition lists, build chains
-//! and output concatenation all cross morsel boundaries.
+//! and output concatenation all cross morsel boundaries, on both the
+//! morsel-parallel and the traced schedule.
 
+use bdb_archsim::CountingProbe;
 use bdb_sql::exec;
 use bdb_sql::expr::{col, lit, Expr};
 use bdb_sql::kernel;
-use bdb_sql::{Aggregation, ColumnType, ColumnarTable, Schema, Table, Value};
+use bdb_sql::{Aggregation, ColumnType, ColumnarTable, Schema, SqlTraceModel, Table, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::mem::discriminant;
@@ -227,7 +229,9 @@ proptest! {
     /// each column type: per-morsel partition lists must reach each
     /// partition in global row order (float sums are order-sensitive),
     /// build chains that cross morsels must keep build-row order, and
-    /// per-morsel probe output must concatenate in morsel order.
+    /// per-morsel probe output must concatenate in morsel order. The
+    /// traced entry points run the same bodies one unit at a time under
+    /// a probe and must return the same rows.
     #[test]
     fn kernels_match_row_oracle_across_morsels(
         left in key_rows_strategy(),
@@ -246,13 +250,23 @@ proptest! {
             Aggregation::min("s"),
             Aggregation::max("d"),
         ];
+        let mut trace = SqlTraceModel::new();
+        trace.register_columnar(&lc);
+        trace.register_columnar(&rc);
+        let mut probe = CountingProbe::default();
         for key in ["k", "s", "d", "x"] {
             let want = exec::aggregate(&lt, key, &aggs).expect("oracle");
             let got = kernel::aggregate(&lc, key, &aggs).expect("kernel");
             check_identical(&format!("aggregate by {key}"), &got, &want)?;
+            let got = kernel::aggregate_traced(&lc, key, &aggs, &mut probe, &mut trace)
+                .expect("traced kernel");
+            check_identical(&format!("traced aggregate by {key}"), &got, &want)?;
             let want = exec::hash_join(&lt, key, &rt, key).expect("oracle");
             let got = kernel::hash_join(&lc, key, &rc, key).expect("kernel");
             check_identical(&format!("join on {key}"), &got, &want)?;
+            let got = kernel::hash_join_traced(&lc, key, &rc, key, &mut probe, &mut trace)
+                .expect("traced kernel");
+            check_identical(&format!("traced join on {key}"), &got, &want)?;
         }
     }
 }
