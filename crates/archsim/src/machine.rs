@@ -275,6 +275,7 @@ impl MachineSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
 
     #[test]
     fn e5645_matches_table5() {
@@ -378,6 +379,92 @@ mod tests {
         }
         // A fully biased branch should be almost always predicted.
         assert!(m.predictor.mispredicts < 20);
+    }
+
+    /// A fixed event stream: strided loads and stores over working sets
+    /// of 48, 160 and 640 pages (within both DTLBs, within the E5310's
+    /// only, within neither), accesses that cross a page boundary, three
+    /// code regions (one of 256 pages, more than the ITLB maps), and
+    /// xorshift-driven branches.
+    fn drive_golden_stream(m: &mut MachineSim) {
+        let code = [
+            CodeRegion::new(0x40_0000, 256, 60),
+            CodeRegion::new(0x40_0f80, 8192, 2000),
+            CodeRegion::new(0x60_0000, 1 << 20, 50_000),
+        ];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for (set, pages) in [48u64, 160, 640].into_iter().enumerate() {
+            let base = (set as u64 + 1) << 32;
+            for round in 0..3 {
+                m.ifetch(code[0]);
+                m.ifetch(code[1]);
+                for p in 0..pages {
+                    let page = base + p * 4096;
+                    m.data_access(page + (p * 200) % 4096, 8, p % 3 == 0);
+                    if p % 8 == 7 {
+                        m.data_access(page + 4092, 8, true);
+                    }
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    m.branch(x & 3 != 0);
+                    m.int_ops(2);
+                }
+                m.fp_ops(round * 10 + 1);
+            }
+            m.ifetch(code[2]);
+        }
+    }
+
+    /// Every counter of [`drive_golden_stream`] on both machines. These
+    /// values pin the cache and TLB model: a change of data structure
+    /// must leave them untouched.
+    #[test]
+    fn counters_golden() {
+        let stats = |accesses, misses| CacheStats { accesses, misses };
+        let mix = InstructionMix {
+            loads: 38769,
+            stores: 14646,
+            branches: 31194,
+            int_ops: 5088,
+            fp_ops: 1107,
+            other: 88329,
+        };
+        let e5645 = CounterSnapshot {
+            mix,
+            l1i: stats(50340, 49548),
+            l1d: stats(3180, 2550),
+            l2: stats(52098, 51010),
+            l3: Some(stats(51010, 17574)),
+            itlb: stats(804, 777),
+            dtlb: stats(3180, 2455),
+            requested_bytes: 22896,
+            llc_misses: 17574,
+            mispredicts: 756,
+            dram_bytes: 1124736,
+            cycles: 4515457,
+        };
+        let e5310 = CounterSnapshot {
+            mix,
+            l1i: stats(50340, 49548),
+            l1d: stats(3180, 2550),
+            l2: stats(52098, 17574),
+            l3: None,
+            itlb: stats(804, 777),
+            dtlb: stats(3180, 2133),
+            requested_bytes: 22896,
+            llc_misses: 17574,
+            mispredicts: 756,
+            dram_bytes: 1124736,
+            cycles: 4550861,
+        };
+        for (config, golden) in
+            [(MachineConfig::xeon_e5645(), e5645), (MachineConfig::xeon_e5310(), e5310)]
+        {
+            let mut m = MachineSim::new(config);
+            drive_golden_stream(&mut m);
+            assert_eq!(m.snapshot_counters(), golden, "{}", m.config().name);
+        }
     }
 
     #[test]

@@ -132,6 +132,17 @@ fn help_documents_the_bench_flags() {
 }
 
 #[test]
+fn table5_prints_each_processors_tlb_geometry() {
+    let out = reproduce().arg("--table5").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (e5645, e5310) = stdout.split_once("Xeon E5310:").expect("an E5310 section");
+    assert!(e5645.contains("Xeon E5645:"), "{stdout}");
+    assert!(e5645.contains("ITLB 128x4-way, DTLB 64x4-way"), "{stdout}");
+    assert!(e5310.contains("ITLB 128x4-way, DTLB 256x4-way"), "{stdout}");
+}
+
+#[test]
 fn slo_pass_is_byte_deterministic_and_writes_all_artifacts() {
     let base = std::env::temp_dir().join(format!("bdb-slo-cli-{}", std::process::id()));
     let (a, b) = (base.join("a"), base.join("b"));
