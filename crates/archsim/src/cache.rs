@@ -3,8 +3,8 @@
 //! The model is deliberately simple — physically indexed, tag-only (no
 //! data array), write-allocate, and with statistics sufficient to compute
 //! the misses-per-kilo-instruction (MPKI) numbers the paper reports. A
-//! single [`Cache`] simulates one level; [`crate::MachineSim`] wires
-//! levels into a hierarchy.
+//! single [`Cache`] simulates one level, or one TLB when its lines are
+//! pages; [`crate::MachineSim`] wires levels into a hierarchy.
 
 use std::fmt;
 
@@ -116,6 +116,19 @@ impl fmt::Display for CacheStats {
     }
 }
 
+/// The address of each `line`-aligned line that `[addr, addr + bytes)`
+/// overlaps, in ascending order; none when `bytes` is zero. `line` must
+/// be a power of two.
+pub(crate) fn lines(addr: u64, bytes: u64, line: u64) -> impl Iterator<Item = u64> {
+    let shift = line.trailing_zeros();
+    let first = addr >> shift;
+    let end = match bytes {
+        0 => first,
+        _ => ((addr + (bytes - 1)) >> shift) + 1,
+    };
+    (first..end).map(move |n| n << shift)
+}
+
 /// One set: tags ordered most-recently-used first.
 #[derive(Debug, Clone, Default)]
 struct Set {
@@ -198,24 +211,9 @@ impl Cache {
     }
 
     /// Accesses every line overlapped by `[addr, addr + bytes)`, returning
-    /// the number of lines that missed.
+    /// the number of lines that missed. An empty range touches no line.
     pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
-        debug_assert!(bytes > 0);
-        let line = self.config.line_size as u64;
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut misses = 0;
-        let mut a = first;
-        loop {
-            if !self.access(a) {
-                misses += 1;
-            }
-            if a == last {
-                break;
-            }
-            a += line;
-        }
-        misses
+        lines(addr, bytes, self.config.line_size as u64).filter(|&a| !self.access(a)).count() as u64
     }
 
     /// Zeroes the statistics while keeping cache contents (for
@@ -258,6 +256,21 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn bad_geometry_panics() {
         CacheConfig::new("bad", 1000, 3, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_line_panics() {
+        CacheConfig::new("bad", 4000, 1, 1000);
+    }
+
+    #[test]
+    fn empty_range_touches_nothing() {
+        let mut c = tiny();
+        assert_eq!(c.access_range(4096, 0), 0);
+        assert_eq!(c.access_range(u64::MAX, 0), 0);
+        assert_eq!(c.stats(), CacheStats::default());
+        assert_eq!(c.resident_lines(), 0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! trace-driven machine model: workload kernels are written against the
 //! [`Probe`] trait and report every memory access, instruction-fetch,
 //! branch and arithmetic operation they perform; a [`MachineSim`] replays
-//! those events through simulated cache and TLB hierarchies and a simple
-//! pipeline timing model.
+//! those events through a hierarchy of set-associative [`Cache`]s (the
+//! TLBs are caches whose lines are 4 KiB pages) and a simple pipeline
+//! timing model, and counts them in one [`CounterSnapshot`].
 //!
 //! Two probe implementations matter:
 //!
@@ -43,15 +44,12 @@ pub mod machine;
 pub mod metrics;
 pub mod probe;
 pub mod timing;
-pub mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use layout::{AddressSpace, CodeRegion, SoftwareStack, StackLayer};
 pub use machine::{MachineConfig, MachineSim};
 pub use metrics::{
-    CharacterizationReport, CounterSnapshot, InstructionMix, LevelStats, PhaseCounters,
-    BASE_FEATURES,
+    CharacterizationReport, CounterSnapshot, InstructionMix, PhaseCounters, BASE_FEATURES,
 };
 pub use probe::{CountingProbe, NullProbe, Probe, SimProbe};
 pub use timing::TimingModel;
-pub use tlb::{Tlb, TlbConfig};

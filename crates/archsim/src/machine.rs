@@ -3,15 +3,30 @@
 //! [`MachineConfig`] captures the two processors from the paper's Tables
 //! 5 and 7; [`MachineSim`] routes data accesses and instruction fetches
 //! through the hierarchy and produces a
-//! [`CharacterizationReport`].
+//! [`CharacterizationReport`]. Every level is a [`Cache`]: a TLB is one
+//! whose lines are 4 KiB pages, so its capacity is entries × page.
 
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{lines, Cache, CacheConfig};
 use crate::layout::CodeRegion;
 use crate::metrics::{CharacterizationReport, CounterSnapshot, InstructionMix};
 use crate::timing::TimingModel;
-use crate::tlb::{Tlb, TlbConfig};
+
+/// Page size of both machines; the TLBs' line size.
+const PAGE: usize = 4096;
 
 /// Full machine description: hierarchy geometry plus timing parameters.
+///
+/// # Example
+///
+/// A TLB is a [`Cache`] over 4 KiB pages:
+///
+/// ```
+/// use bdb_archsim::{Cache, MachineConfig};
+/// let mut dtlb = Cache::new(MachineConfig::xeon_e5645().dtlb);
+/// assert!(!dtlb.access(0)); // cold miss
+/// assert!(dtlb.access(100)); // same page: hit
+/// assert!(!dtlb.access(4096)); // next page: miss
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Marketing name, e.g. `"Xeon E5645"`.
@@ -28,10 +43,11 @@ pub struct MachineConfig {
     pub l2: CacheConfig,
     /// Unified L3 geometry, if the machine has one.
     pub l3: Option<CacheConfig>,
-    /// Instruction TLB geometry.
-    pub itlb: TlbConfig,
-    /// Data TLB geometry.
-    pub dtlb: TlbConfig,
+    /// Instruction TLB geometry: lines are pages, capacity is entries ×
+    /// page.
+    pub itlb: CacheConfig,
+    /// Data TLB geometry, as for `itlb`.
+    pub dtlb: CacheConfig,
     /// Pipeline timing parameters.
     pub timing: TimingModel,
 }
@@ -48,8 +64,8 @@ impl MachineConfig {
             l1d: CacheConfig::new("L1D", 32 * 1024, 8, 64),
             l2: CacheConfig::new("L2", 256 * 1024, 8, 64),
             l3: Some(CacheConfig::new("L3", 12 * 1024 * 1024, 16, 64)),
-            itlb: TlbConfig::new("ITLB", 128, 4, 4096),
-            dtlb: TlbConfig::new("DTLB", 64, 4, 4096),
+            itlb: CacheConfig::new("ITLB", 128 * PAGE, 4, PAGE),
+            dtlb: CacheConfig::new("DTLB", 64 * PAGE, 4, PAGE),
             timing: TimingModel::westmere(),
         }
     }
@@ -65,8 +81,8 @@ impl MachineConfig {
             l1d: CacheConfig::new("L1D", 32 * 1024, 8, 64),
             l2: CacheConfig::new("L2", 4 * 1024 * 1024, 16, 64),
             l3: None,
-            itlb: TlbConfig::new("ITLB", 128, 4, 4096),
-            dtlb: TlbConfig::new("DTLB", 256, 4, 4096),
+            itlb: CacheConfig::new("ITLB", 128 * PAGE, 4, PAGE),
+            dtlb: CacheConfig::new("DTLB", 256 * PAGE, 4, PAGE),
             timing: TimingModel::clovertown(),
         }
     }
@@ -110,8 +126,8 @@ pub struct MachineSim {
     l1d: Cache,
     l2: Cache,
     l3: Option<Cache>,
-    itlb: Tlb,
-    dtlb: Tlb,
+    itlb: Cache,
+    dtlb: Cache,
     predictor: BranchPredictor,
     mix: InstructionMix,
     requested_bytes: u64,
@@ -128,8 +144,8 @@ impl MachineSim {
             l1d: Cache::new(config.l1d.clone()),
             l2: Cache::new(config.l2.clone()),
             l3: config.l3.clone().map(Cache::new),
-            itlb: Tlb::new(config.itlb.clone()),
-            dtlb: Tlb::new(config.dtlb.clone()),
+            itlb: Cache::new(config.itlb.clone()),
+            dtlb: Cache::new(config.dtlb.clone()),
             predictor: BranchPredictor::new(),
             mix: InstructionMix::default(),
             requested_bytes: 0,
@@ -185,11 +201,7 @@ impl MachineSim {
 
     /// Walks each line of `[addr, addr+bytes)` through L1→L2→L3.
     fn walk_lines(&mut self, addr: u64, bytes: u64, instruction: bool) {
-        let line = self.l2.line_size() as u64;
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut a = first;
-        loop {
+        for a in lines(addr, bytes, self.l2.line_size() as u64) {
             let l1 = if instruction { &mut self.l1i } else { &mut self.l1d };
             if !l1.access(a) {
                 if self.l2.access(a) {
@@ -204,10 +216,6 @@ impl MachineSim {
                     self.llc_misses += 1;
                 }
             }
-            if a == last {
-                break;
-            }
-            a += line;
         }
     }
 
@@ -268,7 +276,12 @@ impl MachineSim {
 
     /// Builds the characterization report for events so far.
     pub fn report(&self) -> CharacterizationReport {
-        self.snapshot_counters().to_report(&self.config.name, self.config.freq_mhz)
+        CharacterizationReport {
+            machine: self.config.name.clone(),
+            freq_mhz: self.config.freq_mhz,
+            counters: self.snapshot_counters(),
+            phases: Vec::new(),
+        }
     }
 }
 
@@ -295,6 +308,48 @@ mod tests {
         assert_eq!(c.freq_mhz, 1600);
     }
 
+    /// The E5645's DTLB: 16 sets of 4 pages.
+    fn dtlb() -> Cache {
+        Cache::new(MachineConfig::xeon_e5645().dtlb)
+    }
+
+    #[test]
+    fn tlb_hits_within_a_page_and_misses_on_the_next() {
+        let mut t = dtlb();
+        assert!(!t.access(0));
+        assert!(t.access(4095));
+        assert!(!t.access(4096));
+        assert_eq!(t.stats(), CacheStats { accesses: 3, misses: 2 });
+    }
+
+    #[test]
+    fn tlb_range_spans_pages() {
+        assert_eq!(dtlb().access_range(4090, 10), 2);
+    }
+
+    #[test]
+    fn tlb_evicts_the_least_recently_used_page() {
+        let mut t = dtlb();
+        // Pages 0, 16, 32, 48 and 64 share set 0.
+        let page = |n: u64| n * 4096;
+        for n in [0, 16, 32, 48] {
+            t.access(page(n));
+        }
+        t.access(page(0)); // page 16 becomes LRU
+        t.access(page(64)); // evicts page 16
+        assert!(t.access(page(0)));
+        assert!(!t.access(page(16)));
+    }
+
+    #[test]
+    fn tlb_reset_restores_cold_state() {
+        let mut t = dtlb();
+        t.access(0);
+        t.reset();
+        assert!(!t.access(0));
+        assert_eq!(t.stats().accesses, 1);
+    }
+
     #[test]
     fn streaming_misses_go_to_dram() {
         let mut m = MachineSim::new(MachineConfig::xeon_e5645());
@@ -303,11 +358,11 @@ mod tests {
             m.data_access(i * 64, 8, false);
         }
         let r = m.report();
-        assert_eq!(r.mix.loads, 1 << 20);
+        assert_eq!(r.counters.mix.loads, 1 << 20);
         // Each access touches a fresh line: all should miss every level.
-        assert_eq!(r.l1d.stats.misses, 1 << 20);
+        assert_eq!(r.counters.l1d.misses, 1 << 20);
         assert_eq!(m.llc_misses(), 1 << 20);
-        assert_eq!(r.dram_bytes, (1u64 << 20) * 64);
+        assert_eq!(r.counters.dram_bytes, (1u64 << 20) * 64);
     }
 
     #[test]
@@ -319,7 +374,7 @@ mod tests {
             }
         }
         let r = m.report();
-        assert_eq!(r.l1d.stats.misses, 128); // cold misses only
+        assert_eq!(r.counters.l1d.misses, 128); // cold misses only
         assert_eq!(m.llc_misses(), 128);
     }
 
@@ -336,7 +391,7 @@ mod tests {
         let r = m.report();
         // After the cold pass, L2 thrashes but L3 holds everything.
         assert_eq!(m.llc_misses(), lines);
-        assert!(r.l2.stats.misses > lines, "L2 should keep missing");
+        assert!(r.counters.l2.misses > lines, "L2 should keep missing");
     }
 
     #[test]
@@ -355,7 +410,7 @@ mod tests {
         };
         let big = run(MachineConfig::xeon_e5645());
         let small = run(MachineConfig::xeon_e5310());
-        assert!(small.dram_bytes > big.dram_bytes);
+        assert!(small.counters.dram_bytes > big.counters.dram_bytes);
         // Which is exactly why FP intensity is higher on E5645 (paper §6.3.1).
     }
 
@@ -365,10 +420,10 @@ mod tests {
         m.ifetch(CodeRegion::new(0x400000, 8192, 2000));
         let r = m.report();
         assert_eq!(r.instructions(), 2000);
-        assert!(r.mix.other > 1000, "majority is integer-class framework code");
-        assert!(r.mix.fp_ops > 0, "code decomposition includes a sliver of FP");
-        assert!(r.itlb.stats.accesses >= 2);
-        assert!(r.l1i.stats.misses > 0);
+        assert!(r.counters.mix.other > 1000, "majority is integer-class framework code");
+        assert!(r.counters.mix.fp_ops > 0, "code decomposition includes a sliver of FP");
+        assert!(r.counters.itlb.accesses >= 2);
+        assert!(r.counters.l1i.misses > 0);
     }
 
     #[test]
@@ -465,6 +520,18 @@ mod tests {
             drive_golden_stream(&mut m);
             assert_eq!(m.snapshot_counters(), golden, "{}", m.config().name);
         }
+    }
+
+    #[test]
+    fn report_carries_the_snapshot_machine_and_frequency() {
+        let mut m = MachineSim::new(MachineConfig::xeon_e5310());
+        drive_golden_stream(&mut m);
+        let r = m.report();
+        assert_eq!(r.machine, "Xeon E5310");
+        assert_eq!(r.freq_mhz, 1600);
+        assert_eq!(r.counters, m.snapshot_counters());
+        assert!(r.mips() > 0.0);
+        assert!(r.phases.is_empty());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Characterization metrics mirroring the paper's Section 6.
 //!
-//! A [`CharacterizationReport`] carries everything needed to regenerate
-//! Figures 2–6: the dynamic instruction breakdown (Figure 4), per-level
-//! cache and TLB statistics (Figures 2 and 6), operation intensities
-//! (Figure 5), and the timing-model MIPS estimate (Figure 3-1).
+//! One counter record, [`CounterSnapshot`], holds every counter a
+//! [`crate::MachineSim`] keeps: the dynamic instruction breakdown
+//! (Figure 4), per-level cache and TLB statistics (Figures 2 and 6),
+//! DRAM traffic and timing-model cycles. A [`CharacterizationReport`] is
+//! a whole run's snapshot plus its per-phase deltas, and derives the
+//! operation intensities (Figure 5) and the MIPS estimate (Figure 3-1)
+//! from it.
 
 use crate::cache::CacheStats;
 use std::fmt;
@@ -121,26 +124,6 @@ pub enum InstClass {
     Fp,
 }
 
-/// Per-level cache/TLB statistics in a finished report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelStats {
-    /// Raw access counters.
-    pub stats: CacheStats,
-}
-
-impl LevelStats {
-    /// Misses per kilo-instruction at this level.
-    pub fn mpki(&self, instructions: u64) -> f64 {
-        self.stats.mpki(instructions)
-    }
-}
-
-impl From<CacheStats> for LevelStats {
-    fn from(stats: CacheStats) -> Self {
-        Self { stats }
-    }
-}
-
 /// A point-in-time copy of every counter a [`crate::MachineSim`] keeps.
 ///
 /// Snapshots are cheap (a handful of integers, no cache contents) and
@@ -247,28 +230,6 @@ impl CounterSnapshot {
             ("counter.cycles", self.cycles),
         ]
     }
-
-    /// Expands the snapshot into a full [`CharacterizationReport`] (with
-    /// no phases of its own) so per-phase counters can reuse every
-    /// derived metric — MPKI, MIPS, operation intensity.
-    pub fn to_report(&self, machine: &str, freq_mhz: u64) -> CharacterizationReport {
-        CharacterizationReport {
-            machine: machine.to_owned(),
-            mix: self.mix,
-            l1i: self.l1i.into(),
-            l1d: self.l1d.into(),
-            l2: self.l2.into(),
-            l3: self.l3.map(Into::into),
-            itlb: self.itlb.into(),
-            dtlb: self.dtlb.into(),
-            dram_bytes: self.dram_bytes,
-            requested_bytes: self.requested_bytes,
-            mispredicts: self.mispredicts,
-            cycles: self.cycles,
-            freq_mhz,
-            phases: Vec::new(),
-        }
-    }
 }
 
 /// Counter deltas attributed to one named phase of a run.
@@ -302,109 +263,92 @@ pub const BASE_FEATURES: [&str; 16] = [
     "fp_per_dram_byte",
 ];
 
-/// Everything the simulator learned from one characterized run.
+/// Everything the simulator learned from one characterized run: the
+/// machine's counters, plus the name and frequency its derived metrics
+/// need.
 #[derive(Debug, Clone, Default)]
 pub struct CharacterizationReport {
     /// Machine configuration name (e.g. `"Xeon E5645"`).
     pub machine: String,
-    /// Dynamic instruction breakdown.
-    pub mix: InstructionMix,
-    /// L1 instruction cache.
-    pub l1i: LevelStats,
-    /// L1 data cache.
-    pub l1d: LevelStats,
-    /// Unified L2.
-    pub l2: LevelStats,
-    /// Unified L3 (zero stats when the machine has no L3, e.g. E5310).
-    pub l3: Option<LevelStats>,
-    /// Instruction TLB.
-    pub itlb: LevelStats,
-    /// Data TLB.
-    pub dtlb: LevelStats,
-    /// Bytes transferred from DRAM (last-level misses × line size).
-    pub dram_bytes: u64,
-    /// Total bytes requested by loads and stores (pre-hierarchy).
-    pub requested_bytes: u64,
-    /// Branch mispredictions from the 2-bit/gshare predictor.
-    pub mispredicts: u64,
-    /// Cycles estimated by the timing model.
-    pub cycles: u64,
     /// Core frequency in MHz used for the MIPS estimate.
     pub freq_mhz: u64,
+    /// Whole-run counters. `counters.l3` is `None` when the machine has
+    /// no L3 (e.g. E5310).
+    pub counters: CounterSnapshot,
     /// Per-phase counter deltas in first-appearance order; empty when
     /// the probe saw no phase marks. Integer counters sum exactly to
-    /// the whole-run totals above (deltas telescope).
+    /// `counters` (deltas telescope).
     pub phases: Vec<PhaseCounters>,
 }
 
 impl CharacterizationReport {
     /// Total dynamic instructions.
     pub fn instructions(&self) -> u64 {
-        self.mix.total()
+        self.counters.instructions()
     }
 
     /// Million instructions per second from the timing model
     /// (paper Figure 3-1).
     pub fn mips(&self) -> f64 {
-        if self.cycles == 0 {
+        if self.counters.cycles == 0 {
             0.0
         } else {
-            self.mix.total() as f64 * self.freq_mhz as f64 / self.cycles as f64
+            self.instructions() as f64 * self.freq_mhz as f64 / self.counters.cycles as f64
         }
     }
 
     /// Instructions per cycle from the timing model.
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
+        if self.counters.cycles == 0 {
             0.0
         } else {
-            self.mix.total() as f64 / self.cycles as f64
+            self.instructions() as f64 / self.counters.cycles as f64
         }
     }
 
     /// Floating-point operation intensity: FP instructions per byte of
     /// DRAM traffic (paper Figure 5-1, after Williams et al.'s roofline).
     pub fn fp_intensity(&self) -> f64 {
-        if self.dram_bytes == 0 {
+        if self.counters.dram_bytes == 0 {
             0.0
         } else {
-            self.mix.fp_ops as f64 / self.dram_bytes as f64
+            self.counters.mix.fp_ops as f64 / self.counters.dram_bytes as f64
         }
     }
 
     /// Integer operation intensity: integer-class instructions per byte
     /// of DRAM traffic (paper Figure 5-2).
     pub fn int_intensity(&self) -> f64 {
-        if self.dram_bytes == 0 {
+        if self.counters.dram_bytes == 0 {
             0.0
         } else {
-            self.mix.integer_class() as f64 / self.dram_bytes as f64
+            self.counters.mix.integer_class() as f64 / self.counters.dram_bytes as f64
         }
     }
 
     /// L1I misses per kilo-instruction.
     pub fn l1i_mpki(&self) -> f64 {
-        self.l1i.mpki(self.instructions())
+        self.counters.l1i.mpki(self.instructions())
     }
 
     /// L2 misses per kilo-instruction.
     pub fn l2_mpki(&self) -> f64 {
-        self.l2.mpki(self.instructions())
+        self.counters.l2.mpki(self.instructions())
     }
 
     /// L3 misses per kilo-instruction; zero for machines without L3.
     pub fn l3_mpki(&self) -> f64 {
-        self.l3.map_or(0.0, |l| l.mpki(self.instructions()))
+        self.counters.l3.map_or(0.0, |l| l.mpki(self.instructions()))
     }
 
     /// ITLB misses per kilo-instruction.
     pub fn itlb_mpki(&self) -> f64 {
-        self.itlb.mpki(self.instructions())
+        self.counters.itlb.mpki(self.instructions())
     }
 
     /// DTLB misses per kilo-instruction.
     pub fn dtlb_mpki(&self) -> f64 {
-        self.dtlb.mpki(self.instructions())
+        self.counters.dtlb.mpki(self.instructions())
     }
 
     /// Branch mispredictions per kilo-instruction.
@@ -413,7 +357,7 @@ impl CharacterizationReport {
         if instructions == 0 {
             0.0
         } else {
-            self.mispredicts as f64 * 1000.0 / instructions as f64
+            self.counters.mispredicts as f64 * 1000.0 / instructions as f64
         }
     }
 
@@ -428,17 +372,17 @@ impl CharacterizationReport {
             ("ipc", self.ipc()),
             ("mips", self.mips()),
             ("l1i_mpki", self.l1i_mpki()),
-            ("l1d_mpki", self.l1d.mpki(self.instructions())),
+            ("l1d_mpki", self.counters.l1d.mpki(self.instructions())),
             ("l2_mpki", self.l2_mpki()),
             ("l3_mpki", self.l3_mpki()),
             ("itlb_mpki", self.itlb_mpki()),
             ("dtlb_mpki", self.dtlb_mpki()),
             ("branch_mpki", self.branch_mpki()),
-            ("load_frac", self.mix.fraction(InstClass::Load)),
-            ("store_frac", self.mix.fraction(InstClass::Store)),
-            ("branch_frac", self.mix.fraction(InstClass::Branch)),
-            ("int_frac", self.mix.fraction(InstClass::Int)),
-            ("fp_frac", self.mix.fraction(InstClass::Fp)),
+            ("load_frac", self.counters.mix.fraction(InstClass::Load)),
+            ("store_frac", self.counters.mix.fraction(InstClass::Store)),
+            ("branch_frac", self.counters.mix.fraction(InstClass::Branch)),
+            ("int_frac", self.counters.mix.fraction(InstClass::Int)),
+            ("fp_frac", self.counters.mix.fraction(InstClass::Fp)),
             ("int_per_dram_byte", self.int_intensity()),
             ("fp_per_dram_byte", self.fp_intensity()),
         ];
@@ -454,7 +398,15 @@ impl CharacterizationReport {
     pub fn phase_reports(&self) -> Vec<(String, CharacterizationReport)> {
         self.phases
             .iter()
-            .map(|p| (p.name.clone(), p.counters.to_report(&self.machine, self.freq_mhz)))
+            .map(|p| {
+                let report = CharacterizationReport {
+                    machine: self.machine.clone(),
+                    freq_mhz: self.freq_mhz,
+                    counters: p.counters.clone(),
+                    phases: Vec::new(),
+                };
+                (p.name.clone(), report)
+            })
             .collect()
     }
 }
@@ -478,7 +430,7 @@ impl fmt::Display for CharacterizationReport {
             "intensity  fp {:.4}  int {:.3}  int:fp {:.1}",
             self.fp_intensity(),
             self.int_intensity(),
-            self.mix.int_to_fp_ratio()
+            self.counters.mix.int_to_fp_ratio()
         )
     }
 }
@@ -524,10 +476,13 @@ mod tests {
     fn report_derived_metrics() {
         let r = CharacterizationReport {
             machine: "t".into(),
-            mix: mix(),
-            cycles: 1000,
             freq_mhz: 2400,
-            dram_bytes: 1000,
+            counters: CounterSnapshot {
+                mix: mix(),
+                cycles: 1000,
+                dram_bytes: 1000,
+                ..Default::default()
+            },
             ..Default::default()
         };
         // 500 inst / 1000 cycles * 2400 MHz = 1200 MIPS
@@ -593,21 +548,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_to_report_carries_derived_metrics() {
-        let s = snap(4);
-        let r = s.to_report("Xeon E5645", 2400);
-        assert_eq!(r.machine, "Xeon E5645");
-        assert_eq!(r.instructions(), s.instructions());
-        assert_eq!(r.cycles, s.cycles);
-        assert!(r.mips() > 0.0);
-        assert!(r.phases.is_empty());
-    }
-
-    #[test]
     fn feature_vector_matches_base_features_and_derived_metrics() {
         let mut s = snap(4);
         s.mispredicts = 3;
-        let r = s.to_report("Xeon E5645", 2400);
+        let r = CharacterizationReport {
+            machine: "Xeon E5645".into(),
+            freq_mhz: 2400,
+            counters: s,
+            phases: Vec::new(),
+        };
         let v = r.feature_vector();
         assert_eq!(v.len(), BASE_FEATURES.len());
         let names: Vec<&str> = v.iter().map(|(n, _)| *n).collect();

@@ -1,6 +1,6 @@
 //! Property-based invariants of the cache/TLB/machine simulators.
 
-use bdb_archsim::{Cache, CacheConfig, MachineConfig, MachineSim, Tlb, TlbConfig};
+use bdb_archsim::{Cache, CacheConfig, MachineConfig, MachineSim};
 use proptest::prelude::*;
 
 fn small_cache() -> Cache {
@@ -68,18 +68,23 @@ proptest! {
         prop_assert_eq!(c.stats().misses, distinct.len() as u64);
     }
 
-    /// TLB: misses bounded, page-granular hits.
+    /// TLB: misses bounded, page-granular hits, and no more pages
+    /// resident than entries, on both shipped DTLB geometries.
     #[test]
     fn tlb_invariants(pages in proptest::collection::vec(0u64..1000, 1..400)) {
-        let mut t = Tlb::new(TlbConfig::new("t", 64, 4, 4096));
-        for &p in &pages {
-            t.access(p * 4096);
-            // Same page again: must hit.
-            assert!(t.access(p * 4096 + 123));
+        for config in [MachineConfig::xeon_e5645().dtlb, MachineConfig::xeon_e5310().dtlb] {
+            let entries = config.capacity / config.line_size;
+            let mut t = Cache::new(config);
+            for &p in &pages {
+                t.access(p * 4096);
+                // Same page again: must hit.
+                prop_assert!(t.access(p * 4096 + 123));
+            }
+            let s = t.stats();
+            prop_assert_eq!(s.accesses, pages.len() as u64 * 2);
+            prop_assert!(s.misses <= pages.len() as u64);
+            prop_assert!(t.resident_lines() <= entries);
         }
-        let s = t.stats();
-        prop_assert_eq!(s.accesses, pages.len() as u64 * 2);
-        prop_assert!(s.misses <= pages.len() as u64);
     }
 
     /// MachineSim: a random event stream keeps the report internally
@@ -93,13 +98,13 @@ proptest! {
             m.data_access(*addr, *bytes, *store);
         }
         let r = m.report();
-        prop_assert_eq!(r.mix.loads + r.mix.stores, ops.len() as u64);
+        prop_assert_eq!(r.counters.mix.loads + r.counters.mix.stores, ops.len() as u64);
         // The hierarchy filters: L2 sees at most L1D misses, L3 at most L2 misses.
-        prop_assert!(r.l2.stats.accesses <= r.l1d.stats.misses + r.l1i.stats.misses);
-        let l3 = r.l3.expect("E5645 has L3");
-        prop_assert!(l3.stats.accesses <= r.l2.stats.misses);
-        prop_assert!(r.cycles > 0);
-        prop_assert!(r.dram_bytes.is_multiple_of(64), "DRAM traffic is line-granular");
+        prop_assert!(r.counters.l2.accesses <= r.counters.l1d.misses + r.counters.l1i.misses);
+        let l3 = r.counters.l3.expect("E5645 has L3");
+        prop_assert!(l3.accesses <= r.counters.l2.misses);
+        prop_assert!(r.counters.cycles > 0);
+        prop_assert!(r.counters.dram_bytes.is_multiple_of(64), "DRAM traffic is line-granular");
     }
 
     /// reset_stats zeroes counters but preserves cache warmth.
@@ -115,6 +120,6 @@ proptest! {
         // Re-access the last address: it must be warm (L1 hit, no DRAM).
         m.data_access(*addrs.last().expect("nonempty"), 8, false);
         let r = m.report();
-        prop_assert_eq!(r.l1d.stats.misses, 0);
+        prop_assert_eq!(r.counters.l1d.misses, 0);
     }
 }

@@ -4,6 +4,7 @@
 
 use super::{section, Args, Artifact, Failure, PASSES};
 use crate::table::{fnum, TextTable};
+use bdb_archsim::CacheConfig;
 use bdb_telemetry::json::ObjectWriter;
 use bigdatabench::characterize::{self, Fig2Row, Fig3Row, Fig4Row, Fig5Row, Fig6Row};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
@@ -253,9 +254,13 @@ fn table5() {
                 .map(|l3| format!("{} MiB {}-way", l3.capacity / (1024 * 1024), l3.associativity))
                 .unwrap_or_else(|| "none".to_owned()),
         );
+        let entries = |tlb: &CacheConfig| tlb.capacity / tlb.line_size;
         println!(
             "  ITLB {}x{}-way, DTLB {}x{}-way, 4 KiB pages\n",
-            cfg.itlb.entries, cfg.itlb.associativity, cfg.dtlb.entries, cfg.dtlb.associativity
+            entries(&cfg.itlb),
+            cfg.itlb.associativity,
+            entries(&cfg.dtlb),
+            cfg.dtlb.associativity
         );
     }
 }

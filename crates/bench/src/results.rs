@@ -107,7 +107,7 @@ pub fn collect(fraction: f64, ids: &[WorkloadId]) -> BenchResults {
         .iter()
         .map(|&id| {
             let report = suite.run_traced(id, 1, machine.clone());
-            let total = report.mix.total();
+            let total = report.instructions();
             let phases = report
                 .phases
                 .iter()
@@ -126,11 +126,11 @@ pub fn collect(fraction: f64, ids: &[WorkloadId]) -> BenchResults {
                 mips: report.mips(),
                 ipc: report.ipc(),
                 instructions: total,
-                cycles: report.cycles,
-                dram_bytes: report.dram_bytes,
+                cycles: report.counters.cycles,
+                dram_bytes: report.counters.dram_bytes,
                 mpki: [
                     report.l1i_mpki(),
-                    report.l1d.stats.mpki(total),
+                    report.counters.l1d.mpki(total),
                     report.l2_mpki(),
                     report.l3_mpki(),
                     report.itlb_mpki(),
@@ -138,11 +138,11 @@ pub fn collect(fraction: f64, ids: &[WorkloadId]) -> BenchResults {
                     report.branch_mpki(),
                 ],
                 mix: [
-                    report.mix.fraction(InstClass::Load),
-                    report.mix.fraction(InstClass::Store),
-                    report.mix.fraction(InstClass::Branch),
-                    report.mix.fraction(InstClass::Int),
-                    report.mix.fraction(InstClass::Fp),
+                    report.counters.mix.fraction(InstClass::Load),
+                    report.counters.mix.fraction(InstClass::Store),
+                    report.counters.mix.fraction(InstClass::Branch),
+                    report.counters.mix.fraction(InstClass::Int),
+                    report.counters.mix.fraction(InstClass::Fp),
                 ],
                 int_per_dram_byte: report.int_intensity(),
                 fp_per_dram_byte: report.fp_intensity(),

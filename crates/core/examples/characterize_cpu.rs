@@ -45,7 +45,7 @@ fn main() {
     row("INT intensity", e5645.int_intensity(), e5310.int_intensity());
     println!(
         "\nint:fp ratio {:.1}; {} dynamic instructions simulated",
-        e5645.mix.int_to_fp_ratio(),
+        e5645.counters.mix.int_to_fp_ratio(),
         e5645.instructions()
     );
     println!(

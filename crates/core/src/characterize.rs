@@ -10,7 +10,7 @@ use crate::scale::RunScale;
 use crate::suite::Suite;
 use crate::workload::WorkloadId;
 use crate::workloads::{traced_job, warm_len};
-use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
+use bdb_archsim::{CharacterizationReport, CounterSnapshot, MachineConfig, SimProbe};
 use bdb_dataflow::Dataset;
 use bdb_mapreduce::jobs::{words, WordCount};
 use bdb_mapreduce::Engine;
@@ -126,12 +126,12 @@ fn fig4_row(name: &str, r: &CharacterizationReport) -> Fig4Row {
     use bdb_archsim::metrics::InstClass;
     Fig4Row {
         name: name.to_owned(),
-        load: r.mix.fraction(InstClass::Load),
-        store: r.mix.fraction(InstClass::Store),
-        branch: r.mix.fraction(InstClass::Branch),
-        int: r.mix.fraction(InstClass::Int),
-        fp: r.mix.fraction(InstClass::Fp),
-        int_fp_ratio: r.mix.int_to_fp_ratio(),
+        load: r.counters.mix.fraction(InstClass::Load),
+        store: r.counters.mix.fraction(InstClass::Store),
+        branch: r.counters.mix.fraction(InstClass::Branch),
+        int: r.counters.mix.fraction(InstClass::Int),
+        fp: r.counters.mix.fraction(InstClass::Fp),
+        int_fp_ratio: r.counters.mix.int_to_fp_ratio(),
     }
 }
 
@@ -159,37 +159,20 @@ pub fn figure4(
     rows
 }
 
-/// Merges per-workload reports into a suite-average report (sums event
-/// counts, recomputes derived metrics).
+/// Merges per-workload reports into a suite-average report: the sum of
+/// their counters, under the first report's machine name and the last
+/// one's frequency, so derived metrics are recomputed over the suite.
 pub fn average_report(reports: &[(WorkloadId, CharacterizationReport)]) -> CharacterizationReport {
-    let mut avg = CharacterizationReport {
-        machine: reports.first().map(|(_, r)| r.machine.clone()).unwrap_or_default(),
-        ..Default::default()
-    };
+    let mut counters = CounterSnapshot::default();
     for (_, r) in reports {
-        avg.mix.merge(&r.mix);
-        avg.l1i.stats.accesses += r.l1i.stats.accesses;
-        avg.l1i.stats.misses += r.l1i.stats.misses;
-        avg.l1d.stats.accesses += r.l1d.stats.accesses;
-        avg.l1d.stats.misses += r.l1d.stats.misses;
-        avg.l2.stats.accesses += r.l2.stats.accesses;
-        avg.l2.stats.misses += r.l2.stats.misses;
-        if let Some(l3) = r.l3 {
-            let entry = avg.l3.get_or_insert_with(Default::default);
-            entry.stats.accesses += l3.stats.accesses;
-            entry.stats.misses += l3.stats.misses;
-        }
-        avg.itlb.stats.accesses += r.itlb.stats.accesses;
-        avg.itlb.stats.misses += r.itlb.stats.misses;
-        avg.dtlb.stats.accesses += r.dtlb.stats.accesses;
-        avg.dtlb.stats.misses += r.dtlb.stats.misses;
-        avg.dram_bytes += r.dram_bytes;
-        avg.requested_bytes += r.requested_bytes;
-        avg.mispredicts += r.mispredicts;
-        avg.cycles += r.cycles;
-        avg.freq_mhz = r.freq_mhz;
+        counters.merge(&r.counters);
     }
-    avg
+    CharacterizationReport {
+        machine: reports.first().map(|(_, r)| r.machine.clone()).unwrap_or_default(),
+        freq_mhz: reports.last().map_or(0, |(_, r)| r.freq_mhz),
+        counters,
+        phases: Vec::new(),
+    }
 }
 
 /// Figure 5 — operation intensity on both machines.
@@ -321,17 +304,17 @@ pub struct PhaseRow {
 /// Expands one traced report into per-phase rows. Empty when the run
 /// recorded no phase marks (e.g. refbench kernels).
 pub fn phase_rows(workload: &str, report: &CharacterizationReport) -> Vec<PhaseRow> {
-    let total_instructions = report.mix.total().max(1);
-    let total_cycles = report.cycles.max(1);
+    let total_instructions = report.instructions().max(1);
+    let total_cycles = report.counters.cycles.max(1);
     report
         .phase_reports()
         .iter()
         .map(|(phase, r)| PhaseRow {
             workload: workload.to_owned(),
             phase: phase.clone(),
-            instructions: r.mix.total(),
-            instruction_share: r.mix.total() as f64 / total_instructions as f64,
-            cycle_share: r.cycles as f64 / total_cycles as f64,
+            instructions: r.instructions(),
+            instruction_share: r.instructions() as f64 / total_instructions as f64,
+            cycle_share: r.counters.cycles as f64 / total_cycles as f64,
             mips: r.mips(),
             l1i_mpki: r.l1i_mpki(),
             l2_mpki: r.l2_mpki(),
@@ -423,8 +406,8 @@ mod tests {
             .map(|&id| (id, suite.run_traced(id, 1, machine.clone())))
             .collect();
         let avg = average_report(&reports);
-        assert_eq!(avg.mix.total(), reports[0].1.mix.total() + reports[1].1.mix.total());
-        assert!(avg.l3.is_some());
+        assert_eq!(avg.instructions(), reports[0].1.instructions() + reports[1].1.instructions());
+        assert!(avg.counters.l3.is_some());
     }
 
     #[test]
@@ -442,7 +425,7 @@ mod tests {
         assert!(names.contains(&"map"), "phases: {names:?}");
         assert!(names.contains(&"reduce"), "phases: {names:?}");
         let instructions: u64 = rows.iter().map(|r| r.instructions).sum();
-        assert_eq!(instructions, report.mix.total(), "phases partition the instruction stream");
+        assert_eq!(instructions, report.instructions(), "phases partition the instruction stream");
         let inst_share: f64 = rows.iter().map(|r| r.instruction_share).sum();
         let cycle_share: f64 = rows.iter().map(|r| r.cycle_share).sum();
         assert!((inst_share - 1.0).abs() < 1e-9, "shares sum to 1: {inst_share}");

@@ -158,15 +158,15 @@ mod tests {
     fn bayes_has_lowest_int_fp_ratio_shape() {
         // Paper Figure 4: Bayes has the suite's minimum int:fp ratio.
         let bayes = BayesWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
-        let ratio = bayes.mix.int_to_fp_ratio();
+        let ratio = bayes.counters.mix.int_to_fp_ratio();
         assert!(ratio.is_finite(), "Bayes does FP (log-space)");
-        assert!(bayes.mix.fp_ops > 0);
+        assert!(bayes.counters.mix.fp_ops > 0);
     }
 
     #[test]
     fn cf_traced_includes_framework() {
         let r = CfWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
-        assert!(r.mix.other > 0);
+        assert!(r.counters.mix.other > 0);
         assert!(r.instructions() > 1000);
     }
 }

@@ -248,7 +248,7 @@ mod tests {
         ] {
             let r = w.run_traced(&scale, MachineConfig::xeon_e5645());
             assert!(r.instructions() > 1000, "{:?}", w.id());
-            assert!(r.l1i.stats.accesses > 0, "{:?}", w.id());
+            assert!(r.counters.l1i.accesses > 0, "{:?}", w.id());
         }
     }
 

@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn traced_oltp_reports_server_stack() {
         let r = ReadWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
-        assert!(r.mix.other > 0, "LSM server stack instructions recorded");
+        assert!(r.counters.mix.other > 0, "LSM server stack instructions recorded");
         assert!(r.instructions() > 1000);
     }
 }

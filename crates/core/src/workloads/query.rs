@@ -248,8 +248,8 @@ mod tests {
     #[test]
     fn traced_queries_record_engine_activity() {
         let r = AggregateWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
-        assert!(r.mix.other > 0, "engine stack recorded");
-        assert!(r.mix.loads > 0);
+        assert!(r.counters.mix.other > 0, "engine stack recorded");
+        assert!(r.counters.mix.loads > 0);
         assert!(r.instructions() > 1000);
     }
 }

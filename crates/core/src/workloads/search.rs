@@ -194,8 +194,8 @@ mod tests {
         let scale = RunScale::quick();
         let pr = PageRankWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
         let ix = IndexWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
-        assert!(pr.mix.other > 0);
+        assert!(pr.counters.mix.other > 0);
         assert!(ix.l1i_mpki() > 2.0, "Index on Hadoop: L1I MPKI {}", ix.l1i_mpki());
-        assert!(pr.mix.fp_ops > 0, "PageRank does FP");
+        assert!(pr.counters.mix.fp_ops > 0, "PageRank does FP");
     }
 }

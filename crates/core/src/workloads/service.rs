@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn traced_services_show_deep_stacks() {
         let r = OlioWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
-        assert!(r.mix.other > 0);
+        assert!(r.counters.mix.other > 0);
         assert!(r.l1i_mpki() > 5.0, "app-server stack L1I MPKI {}", r.l1i_mpki());
         assert!(r.l2_mpki() > 1.0, "large resident state L2 MPKI {}", r.l2_mpki());
     }

@@ -179,7 +179,7 @@ mod tests {
         let scale = RunScale::quick();
         let km = KMeansWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
         let cc = CcWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
-        assert!(km.mix.other > 0 && cc.mix.other > 0);
-        assert!(km.mix.fp_ops > 0, "K-means distance math is FP");
+        assert!(km.counters.mix.other > 0 && cc.counters.mix.other > 0);
+        assert!(km.counters.mix.fp_ops > 0, "K-means distance math is FP");
     }
 }

@@ -1138,8 +1138,8 @@ mod tests {
         native.sort();
         assert_eq!(traced, native);
         let report = probe.finish();
-        assert!(report.mix.other > 0, "framework instructions recorded");
-        assert!(report.l1i.stats.accesses > 0);
+        assert!(report.counters.mix.other > 0, "framework instructions recorded");
+        assert!(report.counters.l1i.accesses > 0);
     }
 
     #[test]
@@ -1241,7 +1241,7 @@ mod tests {
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["map", "shuffle", "reduce"], "phases in first-appearance order");
         let summed: u64 = report.phases.iter().map(|p| p.counters.instructions()).sum();
-        assert_eq!(summed, report.mix.total(), "phase counters sum to whole-run totals");
+        assert_eq!(summed, report.instructions(), "phase counters sum to whole-run totals");
 
         // The map-phase span and each reduce-partition span carry the
         // full fixed counter-delta key set.

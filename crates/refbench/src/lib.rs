@@ -24,7 +24,7 @@
 //! let kernels = kernels_for(RefSuite::Hpcc);
 //! assert_eq!(kernels.len(), 7);
 //! let report = characterize_suite(RefSuite::SpecInt, 1 << 14, MachineConfig::xeon_e5645());
-//! assert!(report.mix.fp_ops < report.mix.int_ops);
+//! assert!(report.counters.mix.fp_ops < report.counters.mix.int_ops);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -135,8 +135,9 @@ mod tests {
     fn specint_is_integer_dominated_specfp_is_not() {
         let int = characterize_suite(RefSuite::SpecInt, 1 << 14, MachineConfig::xeon_e5645());
         let fp = characterize_suite(RefSuite::SpecFp, 1 << 14, MachineConfig::xeon_e5645());
-        assert!(int.mix.int_to_fp_ratio() > 50.0, "SPECINT ratio {}", int.mix.int_to_fp_ratio());
-        assert!(fp.mix.int_to_fp_ratio() < 3.0, "SPECFP ratio {}", fp.mix.int_to_fp_ratio());
+        let (int, fp) = (int.counters.mix, fp.counters.mix);
+        assert!(int.int_to_fp_ratio() > 50.0, "SPECINT ratio {}", int.int_to_fp_ratio());
+        assert!(fp.int_to_fp_ratio() < 3.0, "SPECFP ratio {}", fp.int_to_fp_ratio());
     }
 
     #[test]
@@ -157,8 +158,8 @@ mod tests {
         // produce DRAM traffic; below that everything cache-resides and
         // intensity is undefined (0/0).
         let r = characterize_suite(RefSuite::Hpcc, 1 << 20, MachineConfig::xeon_e5645());
-        assert!(r.mix.fp_ops > 0);
-        assert!(r.dram_bytes > 0, "streaming kernels must reach DRAM");
+        assert!(r.counters.mix.fp_ops > 0);
+        assert!(r.counters.dram_bytes > 0, "streaming kernels must reach DRAM");
         assert!(r.fp_intensity() > 0.01, "HPCC fp intensity {}", r.fp_intensity());
     }
 }

@@ -69,12 +69,12 @@ fn int_fp_ratio_ordering() {
     let grep = s.run_traced(WorkloadId::Grep, 1, machine.clone());
     let bayes = s.run_traced(WorkloadId::NaiveBayes, 1, machine.clone());
     let kmeans = s.run_traced(WorkloadId::KMeans, 1, machine);
-    assert!(bayes.mix.fp_ops > 0 && kmeans.mix.fp_ops > 0);
+    assert!(bayes.counters.mix.fp_ops > 0 && kmeans.counters.mix.fp_ops > 0);
     assert!(
-        grep.mix.int_to_fp_ratio() > bayes.mix.int_to_fp_ratio() * 5.0,
+        grep.counters.mix.int_to_fp_ratio() > bayes.counters.mix.int_to_fp_ratio() * 5.0,
         "Grep {} vs Bayes {}",
-        grep.mix.int_to_fp_ratio(),
-        bayes.mix.int_to_fp_ratio()
+        grep.counters.mix.int_to_fp_ratio(),
+        bayes.counters.mix.int_to_fp_ratio()
     );
 }
 
@@ -83,8 +83,8 @@ fn specint_specfp_split() {
     let machine = MachineConfig::xeon_e5645();
     let int = characterize_suite(RefSuite::SpecInt, 1 << 16, machine.clone());
     let fp = characterize_suite(RefSuite::SpecFp, 1 << 16, machine);
-    assert!(int.mix.int_to_fp_ratio() > 100.0);
-    assert!(fp.mix.fp_ops > fp.mix.int_ops);
+    assert!(int.counters.mix.int_to_fp_ratio() > 100.0);
+    assert!(fp.counters.mix.fp_ops > fp.counters.mix.int_ops);
 }
 
 #[test]
