@@ -143,6 +143,17 @@ fn table5_prints_each_processors_tlb_geometry() {
 }
 
 #[test]
+fn checks_alone_judge_no_claim_without_figure_rows() {
+    // With no figure flag no figure is computed, so no shape check has
+    // rows to judge; none may print as failed.
+    let out = reproduce().arg("--checks").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("0/0 shape checks passed"), "{stdout}");
+    assert!(!stdout.contains("FAIL"), "{stdout}");
+}
+
+#[test]
 fn slo_pass_is_byte_deterministic_and_writes_all_artifacts() {
     let base = std::env::temp_dir().join(format!("bdb-slo-cli-{}", std::process::id()));
     let (a, b) = (base.join("a"), base.join("b"));

@@ -21,7 +21,8 @@
 //!   its substrate crate.
 //!
 //! The 19 workloads of the paper's Table 4 are enumerated by
-//! [`WorkloadId`]; [`Suite`] builds and runs them.
+//! [`WorkloadId`], the suite's one list of them; [`Suite`] runs any of
+//! them in either mode.
 //!
 //! ## Quick start
 //!
@@ -47,4 +48,4 @@ pub use bdb_archsim::{CharacterizationReport, MachineConfig};
 pub use report::{MetricKind, UserMetric, WorkloadReport};
 pub use scale::RunScale;
 pub use suite::Suite;
-pub use workload::{ApplicationType, Workload, WorkloadId};
+pub use workload::{ApplicationType, WorkloadId};

@@ -1,8 +1,8 @@
-//! The suite facade: build, run and sweep workloads.
+//! The suite facade: run and sweep workloads.
 
 use crate::report::WorkloadReport;
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use crate::workloads;
 use bdb_archsim::{CharacterizationReport, MachineConfig};
 
@@ -60,24 +60,24 @@ impl Suite {
         RunScale { multiplier, fraction: self.fraction, seed: self.seed }
     }
 
-    /// Builds the implementation of one workload.
-    pub fn workload(&self, id: WorkloadId) -> Box<dyn Workload> {
-        workloads::build(id)
-    }
-
-    /// Runs one workload natively at `multiplier` × baseline.
+    /// Runs one workload natively (parallel, uninstrumented) at
+    /// `multiplier` × baseline and reports its user-perceivable metric.
     pub fn run_native(&self, id: WorkloadId, multiplier: u32) -> WorkloadReport {
-        workloads::build(id).run_native(&self.scale(multiplier))
+        workloads::run_native(id, &self.scale(multiplier))
     }
 
-    /// Runs one workload on the simulated machine at `multiplier`.
+    /// Runs one workload single-threaded on the simulated `machine` at
+    /// `multiplier` and reports its micro-architectural
+    /// characterization. Traced inputs are smaller than native inputs
+    /// (see [`RunScale::traced_units`]) so simulation stays tractable,
+    /// but still scale with the multiplier.
     pub fn run_traced(
         &self,
         id: WorkloadId,
         multiplier: u32,
         machine: MachineConfig,
     ) -> CharacterizationReport {
-        workloads::build(id).run_traced(&self.scale(multiplier), machine)
+        workloads::run_traced(id, &self.scale(multiplier), machine)
     }
 
     /// Native sweep over the paper's multipliers for one workload.

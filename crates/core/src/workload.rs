@@ -1,8 +1,5 @@
-//! The workload abstraction and the 19-workload taxonomy of Table 4.
+//! The 19-workload taxonomy of Table 4.
 
-use crate::report::WorkloadReport;
-use crate::scale::RunScale;
-use bdb_archsim::{CharacterizationReport, MachineConfig};
 use std::fmt;
 
 /// Application types from the paper's methodology (Section 4.1).
@@ -163,25 +160,6 @@ impl fmt::Display for WorkloadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// One runnable workload.
-///
-/// Implementations live in [`crate::workloads`]; [`crate::Suite`] owns a
-/// boxed instance per [`WorkloadId`].
-pub trait Workload: Send {
-    /// Which workload this is.
-    fn id(&self) -> WorkloadId;
-
-    /// Runs at native speed (parallel, uninstrumented) and reports the
-    /// user-perceivable metric.
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport;
-
-    /// Runs single-threaded on the simulated `machine` and reports the
-    /// micro-architectural characterization. Traced inputs are smaller
-    /// than native inputs (see [`RunScale::traced_units`]) so simulation
-    /// stays tractable, but still scale with the multiplier.
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport;
 }
 
 #[cfg(test)]

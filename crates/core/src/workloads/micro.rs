@@ -4,7 +4,7 @@
 use super::traced_job;
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
 use bdb_datagen::text::TextGenerator;
 use bdb_datagen::{GraphGenerator, RmatParams};
@@ -34,107 +34,76 @@ fn engine_for(buffer: usize) -> Engine {
 }
 
 /// Sorts text lines by content (the TeraSort-style micro benchmark).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SortWorkload;
+pub(crate) fn sort_native(scale: &RunScale) -> WorkloadReport {
+    let bytes = scale.native_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(SORT_BUFFER_BYTES);
+    let start = Instant::now();
+    let (out, stats) = engine.run(&Sort, &lines);
+    let seconds = start.elapsed().as_secs_f64();
+    WorkloadReport::new(
+        WorkloadId::Sort,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{} records, {} spills", out.len(), stats.spills))
+}
 
-impl Workload for SortWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::Sort
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let bytes = scale.native_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(SORT_BUFFER_BYTES);
-        let start = Instant::now();
-        let (out, stats) = engine.run(&Sort, &lines);
-        let seconds = start.elapsed().as_secs_f64();
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!("{} records, {} spills", out.len(), stats.spills))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(SORT_BUFFER_BYTES);
-        traced_job(&engine, &Sort, &lines, machine).0
-    }
+pub(crate) fn sort_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(SORT_BUFFER_BYTES);
+    traced_job(&engine, &Sort, &lines, machine).0
 }
 
 /// Pattern matching over text lines (`grep` for frequent terms).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GrepWorkload;
+pub(crate) fn grep_native(scale: &RunScale) -> WorkloadReport {
+    let bytes = scale.native_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(64 << 20);
+    let start = Instant::now();
+    let (hits, _) = engine.run(&Grep { pattern: "time" }, &lines);
+    let seconds = start.elapsed().as_secs_f64();
+    WorkloadReport::new(
+        WorkloadId::Grep,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{} matching lines", hits.len()))
+}
 
-impl Workload for GrepWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::Grep
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let bytes = scale.native_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(64 << 20);
-        let start = Instant::now();
-        let (hits, _) = engine.run(&Grep { pattern: "time" }, &lines);
-        let seconds = start.elapsed().as_secs_f64();
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!("{} matching lines", hits.len()))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(64 << 20);
-        traced_job(&engine, &Grep { pattern: "time" }, &lines, machine).0
-    }
+pub(crate) fn grep_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(64 << 20);
+    traced_job(&engine, &Grep { pattern: "time" }, &lines, machine).0
 }
 
 /// Word frequency counting with a combiner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WordCountWorkload;
-
-impl Workload for WordCountWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::WordCount
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let bytes = scale.native_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(64 << 20);
-        let start = Instant::now();
-        let (counts, _) = engine.run(&WordCount, &lines);
-        let seconds = start.elapsed().as_secs_f64();
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!("{} distinct words", counts.len()))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
-        let lines = corpus(scale, bytes);
-        let engine = engine_for(64 << 20);
-        traced_job(&engine, &WordCount, &lines, machine).0
-    }
+pub(crate) fn wordcount_native(scale: &RunScale) -> WorkloadReport {
+    let bytes = scale.native_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(64 << 20);
+    let start = Instant::now();
+    let (counts, _) = engine.run(&WordCount, &lines);
+    let seconds = start.elapsed().as_secs_f64();
+    WorkloadReport::new(
+        WorkloadId::WordCount,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{} distinct words", counts.len()))
 }
 
-/// MPI-style breadth-first search over an R-MAT web graph.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BfsWorkload;
+pub(crate) fn wordcount_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let bytes = scale.traced_units(TEXT_BASELINE_BYTES);
+    let lines = corpus(scale, bytes);
+    let engine = engine_for(64 << 20);
+    traced_job(&engine, &WordCount, &lines, machine).0
+}
 
 fn bfs_graph(scale: &RunScale, vertices: u64) -> CsrGraph {
     let g = GraphGenerator::new(RmatParams::google_web(), scale.seed_for(4))
@@ -142,47 +111,42 @@ fn bfs_graph(scale: &RunScale, vertices: u64) -> CsrGraph {
     CsrGraph::from_edges(g.nodes, &g.edges)
 }
 
-impl Workload for BfsWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::Bfs
-    }
+/// MPI-style breadth-first search over an R-MAT web graph.
+pub(crate) fn bfs_native(scale: &RunScale) -> WorkloadReport {
+    let vertices = scale.native_units(GRAPH_BASELINE_VERTICES);
+    let graph = bfs_graph(scale, vertices);
+    let bytes = graph.byte_size();
+    let start = Instant::now();
+    let result = bfs::bfs_partitioned(&graph, 0, 4);
+    let seconds = start.elapsed().as_secs_f64();
+    let reached = result.levels.iter().flatten().count();
+    WorkloadReport::new(
+        WorkloadId::Bfs,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!(
+        "{reached} vertices reached, {} supersteps, {} remote sends",
+        result.supersteps, result.remote_sends
+    ))
+}
 
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let vertices = scale.native_units(GRAPH_BASELINE_VERTICES);
-        let graph = bfs_graph(scale, vertices);
-        let bytes = graph.byte_size();
-        let start = Instant::now();
-        let result = bfs::bfs_partitioned(&graph, 0, 4);
-        let seconds = start.elapsed().as_secs_f64();
-        let reached = result.levels.iter().flatten().count();
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!(
-            "{reached} vertices reached, {} supersteps, {} remote sends",
-            result.supersteps, result.remote_sends
-        ))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        // Graph kernels are cheap to simulate, so traced runs keep the
-        // full native graph (the footprint IS the phenomenon: BFS is the
-        // paper's data-side outlier).
-        let vertices = scale.native_units(GRAPH_BASELINE_VERTICES);
-        let graph = bfs_graph(scale, vertices);
-        let mut probe = SimProbe::new(machine);
-        let mut trace = Some(GraphTraceModel::new(&graph));
-        // BFS visits each vertex once, so a prior full run would be an
-        // artificial warm-up; warm the (thin) runtime code only and
-        // measure one genuine traversal.
-        trace.as_mut().expect("set").warm(&mut probe);
-        probe.reset_stats();
-        bfs::bfs_traced(&graph, 0, &mut probe, &mut trace);
-        probe.finish()
-    }
+pub(crate) fn bfs_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    // Graph kernels are cheap to simulate, so traced runs keep the
+    // full native graph (the footprint IS the phenomenon: BFS is the
+    // paper's data-side outlier).
+    let vertices = scale.native_units(GRAPH_BASELINE_VERTICES);
+    let graph = bfs_graph(scale, vertices);
+    let mut probe = SimProbe::new(machine);
+    let mut trace = GraphTraceModel::new(&graph);
+    // BFS visits each vertex once, so a prior full run would be an
+    // artificial warm-up; warm the (thin) runtime code only and
+    // measure one genuine traversal.
+    trace.warm(&mut probe);
+    probe.reset_stats();
+    bfs::bfs_traced(&graph, 0, &mut probe, &mut trace);
+    probe.finish()
 }
 
 #[cfg(test)]
@@ -195,7 +159,7 @@ mod tests {
 
     #[test]
     fn sort_reports_dps() {
-        let r = SortWorkload.run_native(&quick());
+        let r = sort_native(&quick());
         assert!(matches!(r.metric, UserMetric::Dps { .. }));
         assert!(r.metric.value() > 0.0);
         assert_eq!(r.workload, "Sort");
@@ -204,7 +168,7 @@ mod tests {
     #[test]
     fn sort_spills_at_large_multiplier() {
         // 1 MiB baseline × 16 = 16 MiB input > 4 MiB sort buffer.
-        let r = SortWorkload.run_native(&RunScale::at(16));
+        let r = sort_native(&RunScale::at(16));
         assert!(r.detail.contains("spills"));
         let spills: u64 = r
             .detail
@@ -218,21 +182,21 @@ mod tests {
 
     #[test]
     fn grep_finds_matches() {
-        let r = GrepWorkload.run_native(&quick());
+        let r = grep_native(&quick());
         let hits: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(hits > 0, "pattern 'time' is a common word");
     }
 
     #[test]
     fn wordcount_counts_distinct_words() {
-        let r = WordCountWorkload.run_native(&quick());
+        let r = wordcount_native(&quick());
         let words: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(words > 50);
     }
 
     #[test]
     fn bfs_reaches_most_of_the_graph() {
-        let r = BfsWorkload.run_native(&quick());
+        let r = bfs_native(&quick());
         let reached: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(reached > 50, "web graph giant component: {}", r.detail);
     }
@@ -240,22 +204,17 @@ mod tests {
     #[test]
     fn traced_runs_produce_reports() {
         let scale = quick();
-        for w in [
-            Box::new(SortWorkload) as Box<dyn Workload>,
-            Box::new(GrepWorkload),
-            Box::new(WordCountWorkload),
-            Box::new(BfsWorkload),
-        ] {
-            let r = w.run_traced(&scale, MachineConfig::xeon_e5645());
-            assert!(r.instructions() > 1000, "{:?}", w.id());
-            assert!(r.counters.l1i.accesses > 0, "{:?}", w.id());
+        for id in [WorkloadId::Sort, WorkloadId::Grep, WorkloadId::WordCount, WorkloadId::Bfs] {
+            let r = crate::workloads::run_traced(id, &scale, MachineConfig::xeon_e5645());
+            assert!(r.instructions() > 1000, "{id:?}");
+            assert!(r.counters.l1i.accesses > 0, "{id:?}");
         }
     }
 
     #[test]
     fn hadoop_micro_workloads_have_high_l1i_mpki() {
         // The paper's headline: deep software stacks thrash the L1I.
-        let r = WordCountWorkload.run_traced(&quick(), MachineConfig::xeon_e5645());
+        let r = wordcount_traced(&quick(), MachineConfig::xeon_e5645());
         assert!(r.l1i_mpki() > 5.0, "L1I MPKI {}", r.l1i_mpki());
     }
 }

@@ -1,5 +1,7 @@
-//! Implementations of the nineteen workloads, grouped by the paper's
-//! application scenarios (Table 4).
+//! The nineteen workloads, grouped by the paper's application
+//! scenarios (Table 4). Each workload is a pair of plain functions, one
+//! per mode, and `run_native` / `run_traced` here pick the pair for a
+//! [`WorkloadId`]; [`crate::Suite`] calls them.
 //!
 //! | Module | Scenario | Workloads |
 //! |---|---|---|
@@ -19,7 +21,9 @@ pub mod search;
 pub mod service;
 pub mod social;
 
-use crate::workload::{Workload, WorkloadId};
+use crate::report::WorkloadReport;
+use crate::scale::RunScale;
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
 use bdb_mapreduce::{Engine, FrameworkModel, Job};
 
@@ -48,40 +52,54 @@ pub(crate) fn traced_job<J: Job>(
     (probe.finish(), out)
 }
 
-/// Builds the workload implementation for `id`.
-pub fn build(id: WorkloadId) -> Box<dyn Workload> {
+/// Runs workload `id` natively at `scale`: parallel, uninstrumented,
+/// reporting the user-perceivable metric.
+pub(crate) fn run_native(id: WorkloadId, scale: &RunScale) -> WorkloadReport {
     match id {
-        WorkloadId::Sort => Box::new(micro::SortWorkload),
-        WorkloadId::Grep => Box::new(micro::GrepWorkload),
-        WorkloadId::WordCount => Box::new(micro::WordCountWorkload),
-        WorkloadId::Bfs => Box::new(micro::BfsWorkload),
-        WorkloadId::Read => Box::new(oltp::ReadWorkload),
-        WorkloadId::Write => Box::new(oltp::WriteWorkload),
-        WorkloadId::Scan => Box::new(oltp::ScanWorkload),
-        WorkloadId::SelectQuery => Box::new(query::SelectWorkload),
-        WorkloadId::AggregateQuery => Box::new(query::AggregateWorkload),
-        WorkloadId::JoinQuery => Box::new(query::JoinWorkload),
-        WorkloadId::NutchServer => Box::new(service::NutchWorkload),
-        WorkloadId::PageRank => Box::new(search::PageRankWorkload),
-        WorkloadId::Index => Box::new(search::IndexWorkload),
-        WorkloadId::OlioServer => Box::new(service::OlioWorkload),
-        WorkloadId::KMeans => Box::new(social::KMeansWorkload),
-        WorkloadId::ConnectedComponents => Box::new(social::CcWorkload),
-        WorkloadId::RubisServer => Box::new(service::RubisWorkload),
-        WorkloadId::CollaborativeFiltering => Box::new(ecommerce::CfWorkload),
-        WorkloadId::NaiveBayes => Box::new(ecommerce::BayesWorkload),
+        WorkloadId::Sort => micro::sort_native(scale),
+        WorkloadId::Grep => micro::grep_native(scale),
+        WorkloadId::WordCount => micro::wordcount_native(scale),
+        WorkloadId::Bfs => micro::bfs_native(scale),
+        WorkloadId::Read | WorkloadId::Write | WorkloadId::Scan => oltp::native(id, scale),
+        WorkloadId::SelectQuery | WorkloadId::AggregateQuery | WorkloadId::JoinQuery => {
+            query::native(id, scale)
+        }
+        WorkloadId::NutchServer => service::nutch_native(scale),
+        WorkloadId::PageRank => search::pagerank_native(scale),
+        WorkloadId::Index => search::index_native(scale),
+        WorkloadId::OlioServer => service::olio_native(scale),
+        WorkloadId::KMeans => social::kmeans_native(scale),
+        WorkloadId::ConnectedComponents => social::cc_native(scale),
+        WorkloadId::RubisServer => service::rubis_native(scale),
+        WorkloadId::CollaborativeFiltering => ecommerce::cf_native(scale),
+        WorkloadId::NaiveBayes => ecommerce::bayes_native(scale),
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_id_builds_and_matches() {
-        for id in WorkloadId::ALL {
-            let w = build(id);
-            assert_eq!(w.id(), id);
+/// Runs workload `id` single-threaded on the simulated `machine` and
+/// reports its micro-architectural characterization.
+pub(crate) fn run_traced(
+    id: WorkloadId,
+    scale: &RunScale,
+    machine: MachineConfig,
+) -> CharacterizationReport {
+    match id {
+        WorkloadId::Sort => micro::sort_traced(scale, machine),
+        WorkloadId::Grep => micro::grep_traced(scale, machine),
+        WorkloadId::WordCount => micro::wordcount_traced(scale, machine),
+        WorkloadId::Bfs => micro::bfs_traced(scale, machine),
+        WorkloadId::Read | WorkloadId::Write | WorkloadId::Scan => oltp::traced(id, scale, machine),
+        WorkloadId::SelectQuery | WorkloadId::AggregateQuery | WorkloadId::JoinQuery => {
+            query::traced(id, scale, machine)
         }
+        WorkloadId::NutchServer => service::nutch_traced(scale, machine),
+        WorkloadId::PageRank => search::pagerank_traced(scale, machine),
+        WorkloadId::Index => search::index_traced(scale, machine),
+        WorkloadId::OlioServer => service::olio_traced(scale, machine),
+        WorkloadId::KMeans => social::kmeans_traced(scale, machine),
+        WorkloadId::ConnectedComponents => social::cc_traced(scale, machine),
+        WorkloadId::RubisServer => service::rubis_traced(scale, machine),
+        WorkloadId::CollaborativeFiltering => ecommerce::cf_traced(scale, machine),
+        WorkloadId::NaiveBayes => ecommerce::bayes_traced(scale, machine),
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, Probe, SimProbe};
 use bdb_datagen::convert::resumes_to_kv;
 use bdb_datagen::ResumeGenerator;
@@ -24,10 +24,12 @@ const SCAN_SPAN: u64 = 100;
 /// A store directory no other run in this process uses, so concurrent
 /// runs never share (and delete) each other's store. A leftover from an
 /// earlier process with the same pid is cleared first.
-fn fresh_dir(tag: &str) -> PathBuf {
+fn fresh_dir(workload: WorkloadId, mode: &str) -> PathBuf {
     static NEXT_ID: AtomicU64 = AtomicU64::new(0);
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("bdb-oltp-{tag}-{}-{id}", std::process::id()));
+    let tag = workload.name().to_lowercase();
+    let dir =
+        std::env::temp_dir().join(format!("bdb-oltp-{tag}-{mode}-{}-{id}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -96,67 +98,54 @@ fn run_ops<P: Probe + ?Sized>(
     (ops, touched)
 }
 
-macro_rules! oltp_workload {
-    ($name:ident, $id:expr, $tag:literal, $ops_divisor:expr) => {
-        /// Cloud OLTP workload (see module docs).
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $name;
-
-        impl Workload for $name {
-            fn id(&self) -> WorkloadId {
-                $id
-            }
-
-            fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-                let ops = scale.native_units(OLTP_BASELINE_OPS) / $ops_divisor;
-                let rows = scale.native_units(PRELOAD_ROWS);
-                let dir = fresh_dir($tag);
-                let mut store = preload(&dir, rows, scale.seed_for(10), false);
-                let start = Instant::now();
-                let (done, touched) = run_ops(
-                    $id,
-                    &mut store,
-                    ops.max(1),
-                    rows,
-                    scale.seed_for(11),
-                    &mut bdb_archsim::NullProbe,
-                );
-                let seconds = start.elapsed().as_secs_f64();
-                let _ = std::fs::remove_dir_all(&dir);
-                WorkloadReport::new(
-                    $id,
-                    scale.multiplier,
-                    UserMetric::Ops { operations: done, seconds },
-                    rows * 200,
-                )
-                .with_detail(format!("{touched} rows touched over {done} ops"))
-            }
-
-            fn run_traced(
-                &self,
-                scale: &RunScale,
-                machine: MachineConfig,
-            ) -> CharacterizationReport {
-                let ops = (scale.traced_units(OLTP_BASELINE_OPS) / $ops_divisor).max(10);
-                let rows = scale.traced_units(PRELOAD_ROWS).max(100);
-                let dir = fresh_dir(concat!($tag, "-traced"));
-                let mut store = preload(&dir, rows, scale.seed_for(10), true);
-                let mut probe = SimProbe::new(machine);
-                store.warm_trace(&mut probe);
-                run_ops($id, &mut store, (ops / 5).max(5), rows, scale.seed_for(12), &mut probe);
-                probe.reset_stats();
-                run_ops($id, &mut store, ops, rows, scale.seed_for(11), &mut probe);
-                let _ = std::fs::remove_dir_all(&dir);
-                probe.finish()
-            }
-        }
-    };
+/// Operations per run at `units` baseline ops: scans touch ~100 rows
+/// each, so they run fewer operations for comparable work.
+fn op_count(id: WorkloadId, units: u64) -> u64 {
+    if id == WorkloadId::Scan {
+        units / 20
+    } else {
+        units
+    }
 }
 
-oltp_workload!(ReadWorkload, WorkloadId::Read, "read", 1);
-oltp_workload!(WriteWorkload, WorkloadId::Write, "write", 1);
-// Scans touch ~100 rows each; run fewer of them for comparable work.
-oltp_workload!(ScanWorkload, WorkloadId::Scan, "scan", 20);
+/// Runs Cloud OLTP workload `id` (Read, Write or Scan) natively.
+pub(crate) fn native(id: WorkloadId, scale: &RunScale) -> WorkloadReport {
+    let ops = op_count(id, scale.native_units(OLTP_BASELINE_OPS));
+    let rows = scale.native_units(PRELOAD_ROWS);
+    let dir = fresh_dir(id, "native");
+    let mut store = preload(&dir, rows, scale.seed_for(10), false);
+    let start = Instant::now();
+    let (done, touched) =
+        run_ops(id, &mut store, ops.max(1), rows, scale.seed_for(11), &mut bdb_archsim::NullProbe);
+    let seconds = start.elapsed().as_secs_f64();
+    let _ = std::fs::remove_dir_all(&dir);
+    WorkloadReport::new(
+        id,
+        scale.multiplier,
+        UserMetric::Ops { operations: done, seconds },
+        rows * 200,
+    )
+    .with_detail(format!("{touched} rows touched over {done} ops"))
+}
+
+/// Runs Cloud OLTP workload `id` (Read, Write or Scan) on `machine`.
+pub(crate) fn traced(
+    id: WorkloadId,
+    scale: &RunScale,
+    machine: MachineConfig,
+) -> CharacterizationReport {
+    let ops = op_count(id, scale.traced_units(OLTP_BASELINE_OPS)).max(10);
+    let rows = scale.traced_units(PRELOAD_ROWS).max(100);
+    let dir = fresh_dir(id, "traced");
+    let mut store = preload(&dir, rows, scale.seed_for(10), true);
+    let mut probe = SimProbe::new(machine);
+    store.warm_trace(&mut probe);
+    run_ops(id, &mut store, (ops / 5).max(5), rows, scale.seed_for(12), &mut probe);
+    probe.reset_stats();
+    run_ops(id, &mut store, ops, rows, scale.seed_for(11), &mut probe);
+    let _ = std::fs::remove_dir_all(&dir);
+    probe.finish()
+}
 
 #[cfg(test)]
 mod tests {
@@ -164,7 +153,7 @@ mod tests {
 
     #[test]
     fn read_hits_preloaded_rows() {
-        let r = ReadWorkload.run_native(&RunScale::quick());
+        let r = native(WorkloadId::Read, &RunScale::quick());
         assert!(matches!(r.metric, UserMetric::Ops { .. }));
         assert!(r.metric.value() > 0.0);
         let touched: u64 = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
@@ -173,21 +162,21 @@ mod tests {
 
     #[test]
     fn write_appends_rows() {
-        let r = WriteWorkload.run_native(&RunScale::quick());
+        let r = native(WorkloadId::Write, &RunScale::quick());
         let touched: u64 = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert_eq!(touched, RunScale::quick().native_units(OLTP_BASELINE_OPS));
     }
 
     #[test]
     fn scan_returns_ranges() {
-        let r = ScanWorkload.run_native(&RunScale::quick());
+        let r = native(WorkloadId::Scan, &RunScale::quick());
         let touched: u64 = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(touched > 100, "scans return many rows: {}", r.detail);
     }
 
     #[test]
     fn traced_oltp_reports_server_stack() {
-        let r = ReadWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
+        let r = traced(WorkloadId::Read, &RunScale::quick(), MachineConfig::xeon_e5645());
         assert!(r.counters.mix.other > 0, "LSM server stack instructions recorded");
         assert!(r.instructions() > 1000);
     }

@@ -9,7 +9,7 @@
 
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
 use bdb_datagen::EcommerceGenerator;
 use bdb_sql::expr::{col, lit};
@@ -70,27 +70,21 @@ fn table_bytes(order_t: &Table, item_t: &Table) -> u64 {
     (order_t.byte_size() + item_t.byte_size()) as u64
 }
 
-enum QueryKind {
-    Select,
-    Aggregate,
-    Join,
-}
-
 fn run_query(
-    kind: &QueryKind,
+    id: WorkloadId,
     orders: &ColumnarTable,
     items: &ColumnarTable,
     probe: Option<(&mut SimProbe, &mut SqlTraceModel)>,
 ) -> usize {
-    let rows = match kind {
-        QueryKind::Select => {
+    let rows = match id {
+        WorkloadId::SelectQuery => {
             let (pred, proj) = (col("GOODS_PRICE").gt(lit(50.0)), ["ITEM_ID", "GOODS_AMOUNT"]);
             match probe {
                 None => kernel::select(items, &pred, &proj),
                 Some((p, t)) => kernel::select_traced(items, &pred, &proj, p, t),
             }
         }
-        QueryKind::Aggregate => {
+        WorkloadId::AggregateQuery => {
             let (group, aggs) =
                 ("GOODS_ID", [Aggregation::count(), Aggregation::sum("GOODS_AMOUNT")]);
             match probe {
@@ -98,72 +92,59 @@ fn run_query(
                 Some((p, t)) => kernel::aggregate_traced(items, group, &aggs, p, t),
             }
         }
-        QueryKind::Join => {
+        WorkloadId::JoinQuery => {
             let on = "ORDER_ID";
             match probe {
                 None => kernel::hash_join(orders, on, items, on),
                 Some((p, t)) => kernel::hash_join_traced(orders, on, items, on, p, t),
             }
         }
+        _ => unreachable!("not a query workload"),
     };
     rows.expect("valid query").len()
 }
 
-macro_rules! query_workload {
-    ($name:ident, $id:expr, $kind:expr) => {
-        /// Relational-query workload (see module docs).
-        #[derive(Debug, Clone, Copy, Default)]
-        pub struct $name;
-
-        impl Workload for $name {
-            fn id(&self) -> WorkloadId {
-                $id
-            }
-
-            fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-                let n = scale.native_units(ORDERS_BASELINE);
-                let (orders, items) = build_tables(scale, n);
-                let bytes = table_bytes(&orders, &items);
-                let orders = ColumnarTable::from_table(&orders);
-                let items = ColumnarTable::from_table(&items);
-                let start = Instant::now();
-                let rows = run_query(&$kind, &orders, &items, None);
-                let seconds = start.elapsed().as_secs_f64();
-                WorkloadReport::new(
-                    $id,
-                    scale.multiplier,
-                    UserMetric::Dps { input_bytes: bytes, seconds },
-                    bytes,
-                )
-                .with_detail(format!("{rows} result rows"))
-            }
-
-            fn run_traced(
-                &self,
-                scale: &RunScale,
-                machine: MachineConfig,
-            ) -> CharacterizationReport {
-                let n = scale.traced_units(ORDERS_BASELINE).max(50);
-                let (orders, items) = build_tables(scale, n);
-                let orders = ColumnarTable::from_table(&orders);
-                let items = ColumnarTable::from_table(&items);
-                let mut probe = SimProbe::new(machine);
-                let mut trace = SqlTraceModel::new();
-                trace.register_columnar(&orders);
-                trace.register_columnar(&items);
-                trace.warm(&mut probe);
-                run_query(&$kind, &orders, &items, Some((&mut probe, &mut trace)));
-                probe.reset_stats();
-                run_query(&$kind, &orders, &items, Some((&mut probe, &mut trace)));
-                probe.finish()
-            }
-        }
-    };
+/// Runs relational-query workload `id` (Select, Aggregate or Join)
+/// natively.
+pub(crate) fn native(id: WorkloadId, scale: &RunScale) -> WorkloadReport {
+    let n = scale.native_units(ORDERS_BASELINE);
+    let (orders, items) = build_tables(scale, n);
+    let bytes = table_bytes(&orders, &items);
+    let orders = ColumnarTable::from_table(&orders);
+    let items = ColumnarTable::from_table(&items);
+    let start = Instant::now();
+    let rows = run_query(id, &orders, &items, None);
+    let seconds = start.elapsed().as_secs_f64();
+    WorkloadReport::new(
+        id,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{rows} result rows"))
 }
 
-query_workload!(SelectWorkload, WorkloadId::SelectQuery, QueryKind::Select);
-query_workload!(AggregateWorkload, WorkloadId::AggregateQuery, QueryKind::Aggregate);
-query_workload!(JoinWorkload, WorkloadId::JoinQuery, QueryKind::Join);
+/// Runs relational-query workload `id` (Select, Aggregate or Join) on
+/// `machine`.
+pub(crate) fn traced(
+    id: WorkloadId,
+    scale: &RunScale,
+    machine: MachineConfig,
+) -> CharacterizationReport {
+    let n = scale.traced_units(ORDERS_BASELINE).max(50);
+    let (orders, items) = build_tables(scale, n);
+    let orders = ColumnarTable::from_table(&orders);
+    let items = ColumnarTable::from_table(&items);
+    let mut probe = SimProbe::new(machine);
+    let mut trace = SqlTraceModel::new();
+    trace.register_columnar(&orders);
+    trace.register_columnar(&items);
+    trace.warm(&mut probe);
+    run_query(id, &orders, &items, Some((&mut probe, &mut trace)));
+    probe.reset_stats();
+    run_query(id, &orders, &items, Some((&mut probe, &mut trace)));
+    probe.finish()
+}
 
 #[cfg(test)]
 mod tests {
@@ -171,7 +152,7 @@ mod tests {
 
     #[test]
     fn select_filters_rows() {
-        let r = SelectWorkload.run_native(&RunScale::quick());
+        let r = native(WorkloadId::SelectQuery, &RunScale::quick());
         let rows: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(rows > 0);
         assert!(matches!(r.metric, UserMetric::Dps { .. }));
@@ -179,7 +160,7 @@ mod tests {
 
     #[test]
     fn aggregate_groups_by_goods() {
-        let r = AggregateWorkload.run_native(&RunScale::quick());
+        let r = native(WorkloadId::AggregateQuery, &RunScale::quick());
         let rows: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         assert!(rows > 10, "many goods groups: {rows}");
     }
@@ -187,7 +168,7 @@ mod tests {
     #[test]
     fn join_matches_every_item() {
         let scale = RunScale::quick();
-        let r = JoinWorkload.run_native(&scale);
+        let r = native(WorkloadId::JoinQuery, &scale);
         let rows: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         // Every ORDER_ITEM row has a parent order, so the join returns
         // exactly the item count (≈ 6.3 per order).
@@ -247,7 +228,7 @@ mod tests {
 
     #[test]
     fn traced_queries_record_engine_activity() {
-        let r = AggregateWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
+        let r = traced(WorkloadId::AggregateQuery, &RunScale::quick(), MachineConfig::xeon_e5645());
         assert!(r.counters.mix.other > 0, "engine stack recorded");
         assert!(r.counters.mix.loads > 0);
         assert!(r.instructions() > 1000);

@@ -3,7 +3,7 @@
 
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, SimProbe};
 use bdb_serving::auction::AuctionServer;
 use bdb_serving::loadgen::run_offered_load;
@@ -81,72 +81,45 @@ fn traced_report<S: Server>(
 }
 
 /// The search-engine front-end under load (Nutch stand-in).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NutchWorkload;
+pub(crate) fn nutch_native(scale: &RunScale) -> WorkloadReport {
+    let docs = (2000.0 * scale.fraction).max(100.0) as u32;
+    let mut server = SearchServer::build(docs, scale.seed_for(42));
+    native_report(WorkloadId::NutchServer, &mut server, scale)
+}
 
-impl Workload for NutchWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::NutchServer
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let docs = (2000.0 * scale.fraction).max(100.0) as u32;
-        let mut server = SearchServer::build(docs, scale.seed_for(42));
-        native_report(self.id(), &mut server, scale)
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let docs = (1000.0 * scale.fraction).max(100.0) as u32;
-        let mut server = SearchServer::build(docs, scale.seed_for(42));
-        server.enable_tracing();
-        traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
-    }
+pub(crate) fn nutch_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let docs = (1000.0 * scale.fraction).max(100.0) as u32;
+    let mut server = SearchServer::build(docs, scale.seed_for(42));
+    server.enable_tracing();
+    traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
 }
 
 /// The social-event site under load (Olio stand-in).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OlioWorkload;
+pub(crate) fn olio_native(scale: &RunScale) -> WorkloadReport {
+    let users = (2000.0 * scale.fraction).max(100.0) as u32;
+    let mut server = SocialServer::build(users, 20, scale.seed_for(43));
+    native_report(WorkloadId::OlioServer, &mut server, scale)
+}
 
-impl Workload for OlioWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::OlioServer
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let users = (2000.0 * scale.fraction).max(100.0) as u32;
-        let mut server = SocialServer::build(users, 20, scale.seed_for(43));
-        native_report(self.id(), &mut server, scale)
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let users = (1000.0 * scale.fraction).max(100.0) as u32;
-        let mut server = SocialServer::build(users, 20, scale.seed_for(43));
-        server.enable_tracing();
-        traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
-    }
+pub(crate) fn olio_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let users = (1000.0 * scale.fraction).max(100.0) as u32;
+    let mut server = SocialServer::build(users, 20, scale.seed_for(43));
+    server.enable_tracing();
+    traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
 }
 
 /// The auction site under load (Rubis stand-in).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RubisWorkload;
+pub(crate) fn rubis_native(scale: &RunScale) -> WorkloadReport {
+    let items = (5000.0 * scale.fraction).max(200.0) as u32;
+    let mut server = AuctionServer::build(items, 20, items / 4, scale.seed_for(44));
+    native_report(WorkloadId::RubisServer, &mut server, scale)
+}
 
-impl Workload for RubisWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::RubisServer
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let items = (5000.0 * scale.fraction).max(200.0) as u32;
-        let mut server = AuctionServer::build(items, 20, items / 4, scale.seed_for(44));
-        native_report(self.id(), &mut server, scale)
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let items = (2000.0 * scale.fraction).max(200.0) as u32;
-        let mut server = AuctionServer::build(items, 20, items / 4, scale.seed_for(44));
-        server.enable_tracing();
-        traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
-    }
+pub(crate) fn rubis_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let items = (2000.0 * scale.fraction).max(200.0) as u32;
+    let mut server = AuctionServer::build(items, 20, items / 4, scale.seed_for(44));
+    server.enable_tracing();
+    traced_report(&mut server, scale, machine, |s, p| s.warm_trace(p))
 }
 
 #[cfg(test)]
@@ -155,27 +128,22 @@ mod tests {
 
     #[test]
     fn services_track_light_offered_load() {
-        for w in [
-            Box::new(NutchWorkload) as Box<dyn Workload>,
-            Box::new(OlioWorkload),
-            Box::new(RubisWorkload),
-        ] {
-            let r = w.run_native(&RunScale::quick());
+        for id in [WorkloadId::NutchServer, WorkloadId::OlioServer, WorkloadId::RubisServer] {
+            let r = crate::workloads::run_native(id, &RunScale::quick());
             let UserMetric::Rps { offered, achieved, .. } = r.metric else {
                 panic!("services report RPS");
             };
             assert_eq!(offered, 100.0);
             assert!(
                 (achieved - offered).abs() / offered < 0.2,
-                "{:?}: achieved {achieved} at offered {offered}",
-                w.id()
+                "{id:?}: achieved {achieved} at offered {offered}"
             );
         }
     }
 
     #[test]
     fn traced_services_show_deep_stacks() {
-        let r = OlioWorkload.run_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
+        let r = olio_traced(&RunScale::quick(), MachineConfig::xeon_e5645());
         assert!(r.counters.mix.other > 0);
         assert!(r.l1i_mpki() > 5.0, "app-server stack L1I MPKI {}", r.l1i_mpki());
         assert!(r.l2_mpki() > 1.0, "large resident state L2 MPKI {}", r.l2_mpki());

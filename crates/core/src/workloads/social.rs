@@ -3,7 +3,7 @@
 
 use crate::report::{UserMetric, WorkloadReport};
 use crate::scale::RunScale;
-use crate::workload::{Workload, WorkloadId};
+use crate::workload::WorkloadId;
 use bdb_archsim::{CharacterizationReport, MachineConfig, Probe, SimProbe};
 use bdb_datagen::{GraphGenerator, RmatParams};
 use bdb_graph::{cc, CsrGraph, GraphTraceModel};
@@ -40,66 +40,52 @@ fn points(scale: &RunScale, n: u64) -> Vec<Vec<f64>> {
 
 /// K-means over clustered points (Hadoop K-means in the paper — the
 /// traced run overlays framework cost per point per pass).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KMeansWorkload;
-
-impl Workload for KMeansWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::KMeans
-    }
-
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let n = scale.native_units(POINTS_BASELINE);
-        let data = points(scale, n);
-        let bytes = n * (DIM as u64) * 8;
-        let kmeans = KMeans { k: K, max_iterations: 10, tolerance: 1e-4 };
-        let start = Instant::now();
-        let model = kmeans.fit(&data, scale.seed_for(51));
-        let seconds = start.elapsed().as_secs_f64();
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!("{} iterations, inertia {:.1}", model.iterations, model.inertia))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let n = scale.native_units(POINTS_BASELINE).max(200);
-        let data = points(scale, n);
-        let kmeans = KMeans { k: K, max_iterations: 5, tolerance: 1e-4 };
-        let mut probe = SimProbe::new(machine);
-        let mut fw = FrameworkModel::new();
-        // Warm-up pass (one iteration + framework code), then measure.
-        KMeans { k: K, max_iterations: 1, tolerance: 1e-4 }.fit_traced(
-            &data,
-            scale.seed_for(51),
-            &mut probe,
-        );
-        fw.warm(&mut probe);
-        probe.reset_stats();
-        let model = kmeans.fit_traced(&data, scale.seed_for(51), &mut probe);
-        // Hadoop K-means re-reads every point (as a text record, ~20
-        // bytes per coordinate) from HDFS each iteration.
-        for _ in 0..model.iterations {
-            for i in 0..n {
-                fw.on_map_record(&mut probe, DIM * 12);
-                // Text-to-float parsing dominates Hadoop K-means.
-                probe.int_ops(DIM as u64 * 40);
-                if i % 8 == 0 {
-                    fw.on_emit(&mut probe, DIM * 8 + 8);
-                }
-            }
-        }
-        probe.finish()
-    }
+pub(crate) fn kmeans_native(scale: &RunScale) -> WorkloadReport {
+    let n = scale.native_units(POINTS_BASELINE);
+    let data = points(scale, n);
+    let bytes = n * (DIM as u64) * 8;
+    let kmeans = KMeans { k: K, max_iterations: 10, tolerance: 1e-4 };
+    let start = Instant::now();
+    let model = kmeans.fit(&data, scale.seed_for(51));
+    let seconds = start.elapsed().as_secs_f64();
+    WorkloadReport::new(
+        WorkloadId::KMeans,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{} iterations, inertia {:.1}", model.iterations, model.inertia))
 }
 
-/// Connected Components by MapReduce-style label propagation over the
-/// Facebook-fitted social graph.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CcWorkload;
+pub(crate) fn kmeans_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let n = scale.native_units(POINTS_BASELINE).max(200);
+    let data = points(scale, n);
+    let kmeans = KMeans { k: K, max_iterations: 5, tolerance: 1e-4 };
+    let mut probe = SimProbe::new(machine);
+    let mut fw = FrameworkModel::new();
+    // Warm-up pass (one iteration + framework code), then measure.
+    KMeans { k: K, max_iterations: 1, tolerance: 1e-4 }.fit_traced(
+        &data,
+        scale.seed_for(51),
+        &mut probe,
+    );
+    fw.warm(&mut probe);
+    probe.reset_stats();
+    let model = kmeans.fit_traced(&data, scale.seed_for(51), &mut probe);
+    // Hadoop K-means re-reads every point (as a text record, ~20
+    // bytes per coordinate) from HDFS each iteration.
+    for _ in 0..model.iterations {
+        for i in 0..n {
+            fw.on_map_record(&mut probe, DIM * 12);
+            // Text-to-float parsing dominates Hadoop K-means.
+            probe.int_ops(DIM as u64 * 40);
+            if i % 8 == 0 {
+                fw.on_emit(&mut probe, DIM * 8 + 8);
+            }
+        }
+    }
+    probe.finish()
+}
 
 fn social_graph(scale: &RunScale, vertices: u64) -> CsrGraph {
     let g = GraphGenerator::new(RmatParams::facebook_social(), scale.seed_for(52))
@@ -107,51 +93,47 @@ fn social_graph(scale: &RunScale, vertices: u64) -> CsrGraph {
     CsrGraph::from_edges(g.nodes, &g.edges)
 }
 
-impl Workload for CcWorkload {
-    fn id(&self) -> WorkloadId {
-        WorkloadId::ConnectedComponents
-    }
+/// Connected Components by MapReduce-style label propagation over the
+/// Facebook-fitted social graph.
+pub(crate) fn cc_native(scale: &RunScale) -> WorkloadReport {
+    let vertices = scale.native_units(CC_BASELINE_VERTICES);
+    let graph = social_graph(scale, vertices);
+    let bytes = graph.byte_size();
+    let start = Instant::now();
+    let (labels, iterations) = cc::label_propagation(&graph);
+    let seconds = start.elapsed().as_secs_f64();
+    let components = cc::component_count(&labels);
+    WorkloadReport::new(
+        WorkloadId::ConnectedComponents,
+        scale.multiplier,
+        UserMetric::Dps { input_bytes: bytes, seconds },
+        bytes,
+    )
+    .with_detail(format!("{components} components in {iterations} iterations"))
+}
 
-    fn run_native(&self, scale: &RunScale) -> WorkloadReport {
-        let vertices = scale.native_units(CC_BASELINE_VERTICES);
-        let graph = social_graph(scale, vertices);
-        let bytes = graph.byte_size();
-        let start = Instant::now();
-        let (labels, iterations) = cc::label_propagation(&graph);
-        let seconds = start.elapsed().as_secs_f64();
-        let components = cc::component_count(&labels);
-        WorkloadReport::new(
-            self.id(),
-            scale.multiplier,
-            UserMetric::Dps { input_bytes: bytes, seconds },
-            bytes,
-        )
-        .with_detail(format!("{components} components in {iterations} iterations"))
-    }
-
-    fn run_traced(&self, scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
-        let vertices = scale.native_units(CC_BASELINE_VERTICES).max(128);
-        let graph = social_graph(scale, vertices);
-        let mut probe = SimProbe::new(machine);
-        let mut trace = Some(GraphTraceModel::new(&graph));
-        let mut fw = FrameworkModel::new();
-        cc::label_propagation_traced(&graph, &mut probe, &mut trace);
-        fw.warm(&mut probe);
-        probe.reset_stats();
-        let (_, iterations) = cc::label_propagation_traced(&graph, &mut probe, &mut trace);
-        // Hadoop CC re-reads every adjacency record each iteration and
-        // shuffles candidate labels along edges.
-        for _ in 0..iterations.min(8) {
-            for v in 0..graph.nodes() {
-                let record = 8 + 4 * graph.out_degree(v) as usize;
-                fw.on_map_record(&mut probe, record);
-                if v % 4 == 0 {
-                    fw.on_emit(&mut probe, 8);
-                }
+pub(crate) fn cc_traced(scale: &RunScale, machine: MachineConfig) -> CharacterizationReport {
+    let vertices = scale.native_units(CC_BASELINE_VERTICES).max(128);
+    let graph = social_graph(scale, vertices);
+    let mut probe = SimProbe::new(machine);
+    let mut trace = GraphTraceModel::new(&graph);
+    let mut fw = FrameworkModel::new();
+    cc::label_propagation_traced(&graph, &mut probe, &mut trace);
+    fw.warm(&mut probe);
+    probe.reset_stats();
+    let (_, iterations) = cc::label_propagation_traced(&graph, &mut probe, &mut trace);
+    // Hadoop CC re-reads every adjacency record each iteration and
+    // shuffles candidate labels along edges.
+    for _ in 0..iterations.min(8) {
+        for v in 0..graph.nodes() {
+            let record = 8 + 4 * graph.out_degree(v) as usize;
+            fw.on_map_record(&mut probe, record);
+            if v % 4 == 0 {
+                fw.on_emit(&mut probe, 8);
             }
         }
-        probe.finish()
     }
+    probe.finish()
 }
 
 #[cfg(test)]
@@ -160,14 +142,14 @@ mod tests {
 
     #[test]
     fn kmeans_clusters_blobs() {
-        let r = KMeansWorkload.run_native(&RunScale::quick());
+        let r = kmeans_native(&RunScale::quick());
         assert!(matches!(r.metric, UserMetric::Dps { .. }));
         assert!(r.detail.contains("iterations"));
     }
 
     #[test]
     fn cc_finds_giant_component() {
-        let r = CcWorkload.run_native(&RunScale::quick());
+        let r = cc_native(&RunScale::quick());
         let components: usize = r.detail.split(' ').next().and_then(|s| s.parse().ok()).unwrap();
         let vertices = RunScale::quick().native_units(CC_BASELINE_VERTICES) as usize;
         // Facebook-density R-MAT: most vertices join one big component.
@@ -177,8 +159,8 @@ mod tests {
     #[test]
     fn traced_runs_include_framework_overlay() {
         let scale = RunScale::quick();
-        let km = KMeansWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
-        let cc = CcWorkload.run_traced(&scale, MachineConfig::xeon_e5645());
+        let km = kmeans_traced(&scale, MachineConfig::xeon_e5645());
+        let cc = cc_traced(&scale, MachineConfig::xeon_e5645());
         assert!(km.counters.mix.other > 0 && cc.counters.mix.other > 0);
         assert!(km.counters.mix.fp_ops > 0, "K-means distance math is FP");
     }

@@ -7,7 +7,7 @@ use bdb_archsim::{NullProbe, Probe};
 /// Level-synchronous BFS from `source`. Returns each vertex's level
 /// (`None` for unreachable).
 pub fn bfs(graph: &CsrGraph, source: u32) -> Vec<Option<u32>> {
-    bfs_traced(graph, source, &mut NullProbe, &mut None)
+    bfs_impl(graph, source, &mut NullProbe, None)
 }
 
 /// Instrumented [`bfs`].
@@ -19,7 +19,16 @@ pub fn bfs_traced<P: Probe + ?Sized>(
     graph: &CsrGraph,
     source: u32,
     probe: &mut P,
-    trace: &mut Option<GraphTraceModel>,
+    trace: &mut GraphTraceModel,
+) -> Vec<Option<u32>> {
+    bfs_impl(graph, source, probe, Some(trace))
+}
+
+fn bfs_impl<P: Probe + ?Sized>(
+    graph: &CsrGraph,
+    source: u32,
+    probe: &mut P,
+    mut trace: Option<&mut GraphTraceModel>,
 ) -> Vec<Option<u32>> {
     assert!(source < graph.nodes(), "source out of range");
     let n = graph.nodes() as usize;
@@ -184,7 +193,7 @@ mod tests {
     fn traced_bfs_matches_and_records() {
         use bdb_archsim::CountingProbe;
         let g = chain();
-        let mut trace = Some(crate::trace::GraphTraceModel::new(&g));
+        let mut trace = crate::trace::GraphTraceModel::new(&g);
         let mut probe = CountingProbe::default();
         let traced = bfs_traced(&g, 0, &mut probe, &mut trace);
         assert_eq!(traced, bfs(&g, 0));

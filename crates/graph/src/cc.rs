@@ -50,7 +50,7 @@ pub fn connected_components(graph: &CsrGraph) -> Vec<u32> {
 /// label among itself and its neighbors until a fixpoint. Returns
 /// `(labels, iterations)`.
 pub fn label_propagation(graph: &CsrGraph) -> (Vec<u32>, u32) {
-    label_propagation_traced(graph, &mut NullProbe, &mut None)
+    label_propagation_impl(graph, &mut NullProbe, None, &SpanRecorder::disabled())
 }
 
 /// [`label_propagation`] with per-iteration spans on `telemetry` (one
@@ -59,22 +59,22 @@ pub fn label_propagation_instrumented(
     graph: &CsrGraph,
     telemetry: &SpanRecorder,
 ) -> (Vec<u32>, u32) {
-    label_propagation_impl(graph, &mut NullProbe, &mut None, telemetry)
+    label_propagation_impl(graph, &mut NullProbe, None, telemetry)
 }
 
 /// Instrumented [`label_propagation`].
 pub fn label_propagation_traced<P: Probe + ?Sized>(
     graph: &CsrGraph,
     probe: &mut P,
-    trace: &mut Option<GraphTraceModel>,
+    trace: &mut GraphTraceModel,
 ) -> (Vec<u32>, u32) {
-    label_propagation_impl(graph, probe, trace, &SpanRecorder::disabled())
+    label_propagation_impl(graph, probe, Some(trace), &SpanRecorder::disabled())
 }
 
 fn label_propagation_impl<P: Probe + ?Sized>(
     graph: &CsrGraph,
     probe: &mut P,
-    trace: &mut Option<GraphTraceModel>,
+    mut trace: Option<&mut GraphTraceModel>,
     telemetry: &SpanRecorder,
 ) -> (Vec<u32>, u32) {
     let _run_span = span!(telemetry, "graph", "connected-components", nodes = graph.nodes());
@@ -85,7 +85,6 @@ fn label_propagation_impl<P: Probe + ?Sized>(
         if probe.is_active() {
             probe.phase(&format!("iter-{iterations}"));
         }
-        let counters_before = probe.counters();
         let mut iter_span = span!(telemetry, "graph", "cc-iteration", iter = iterations);
         if let Some(t) = trace.as_mut() {
             t.on_superstep(probe);
@@ -117,11 +116,6 @@ fn label_propagation_impl<P: Probe + ?Sized>(
             }
         }
         iter_span.arg("changed", changed);
-        if let (Some(b), Some(a)) = (counters_before, probe.counters()) {
-            for (k, v) in a.delta_since(&b).named_counters() {
-                iter_span.arg(k, v);
-            }
-        }
         if !changed {
             break;
         }
@@ -205,7 +199,7 @@ mod tests {
         use bdb_archsim::CountingProbe;
         let g = two_triangles();
         let mut probe = CountingProbe::default();
-        let mut trace = Some(crate::trace::GraphTraceModel::new(&g));
+        let mut trace = crate::trace::GraphTraceModel::new(&g);
         let (traced, _) = label_propagation_traced(&g, &mut probe, &mut trace);
         assert_eq!(traced, connected_components(&g));
         assert!(probe.mix().loads > 0);

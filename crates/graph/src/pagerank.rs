@@ -15,7 +15,7 @@ pub const TOLERANCE: f64 = 1e-7;
 /// rounds. Returns `(ranks, iterations)`; ranks sum to 1 (dangling
 /// mass redistributed uniformly).
 pub fn pagerank(graph: &CsrGraph, max_iterations: u32) -> (Vec<f64>, u32) {
-    pagerank_traced(graph, max_iterations, &mut NullProbe, &mut None)
+    pagerank_impl(graph, max_iterations, &mut NullProbe, None, &SpanRecorder::disabled())
 }
 
 /// [`pagerank`] with per-iteration spans on `telemetry` (one
@@ -26,7 +26,7 @@ pub fn pagerank_instrumented(
     max_iterations: u32,
     telemetry: &SpanRecorder,
 ) -> (Vec<f64>, u32) {
-    pagerank_impl(graph, max_iterations, &mut NullProbe, &mut None, telemetry)
+    pagerank_impl(graph, max_iterations, &mut NullProbe, None, telemetry)
 }
 
 /// Instrumented [`pagerank`]. The traced access pattern is the push
@@ -36,16 +36,16 @@ pub fn pagerank_traced<P: Probe + ?Sized>(
     graph: &CsrGraph,
     max_iterations: u32,
     probe: &mut P,
-    trace: &mut Option<GraphTraceModel>,
+    trace: &mut GraphTraceModel,
 ) -> (Vec<f64>, u32) {
-    pagerank_impl(graph, max_iterations, probe, trace, &SpanRecorder::disabled())
+    pagerank_impl(graph, max_iterations, probe, Some(trace), &SpanRecorder::disabled())
 }
 
 fn pagerank_impl<P: Probe + ?Sized>(
     graph: &CsrGraph,
     max_iterations: u32,
     probe: &mut P,
-    trace: &mut Option<GraphTraceModel>,
+    mut trace: Option<&mut GraphTraceModel>,
     telemetry: &SpanRecorder,
 ) -> (Vec<f64>, u32) {
     let n = graph.nodes() as usize;
@@ -62,7 +62,6 @@ fn pagerank_impl<P: Probe + ?Sized>(
         if probe.is_active() {
             probe.phase(&format!("iter-{iterations}"));
         }
-        let counters_before = probe.counters();
         let mut iter_span = span!(telemetry, "graph", "pagerank-iteration", iter = iterations);
         if let Some(t) = trace.as_mut() {
             t.on_superstep(probe);
@@ -102,11 +101,6 @@ fn pagerank_impl<P: Probe + ?Sized>(
             ranks[v] = r;
         }
         iter_span.arg("delta", delta);
-        if let (Some(b), Some(a)) = (counters_before, probe.counters()) {
-            for (k, v) in a.delta_since(&b).named_counters() {
-                iter_span.arg(k, v);
-            }
-        }
         if delta < TOLERANCE {
             break;
         }
@@ -182,7 +176,7 @@ mod tests {
         use bdb_archsim::CountingProbe;
         let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 0), (4, 0), (5, 2)]);
         let mut probe = CountingProbe::default();
-        let mut trace = Some(crate::trace::GraphTraceModel::new(&g));
+        let mut trace = crate::trace::GraphTraceModel::new(&g);
         let (traced, _) = pagerank_traced(&g, 100, &mut probe, &mut trace);
         let (plain, _) = pagerank(&g, 100);
         assert_eq!(traced, plain);

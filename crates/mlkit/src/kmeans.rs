@@ -121,7 +121,6 @@ impl KMeans {
             if probe.is_active() {
                 probe.phase(&format!("iter-{iterations}"));
             }
-            let counters_before = probe.counters();
             let mut iter_span = span!(telemetry, "mlkit", "kmeans-iteration", iter = iterations);
             inertia = 0.0;
             // Assign.
@@ -165,11 +164,6 @@ impl KMeans {
                 centroids[c] = new;
             }
             iter_span.arg("movement", movement);
-            if let (Some(b), Some(a)) = (counters_before, probe.counters()) {
-                for (key, value) in a.delta_since(&b).named_counters() {
-                    iter_span.arg(key, value);
-                }
-            }
             if movement < self.tolerance {
                 break;
             }
