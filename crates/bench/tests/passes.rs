@@ -88,6 +88,7 @@ fn rows() -> Vec<Row> {
                         .expect("dashboard written");
                     assert!(dash.contains("[page] fast-burn"), "{stem} dashboard shows the page");
                 }
+                pin(dir, "slo_report.json", 2_648, 0xfb2a_7b69_f782_5cbd);
             },
         },
         Row {
@@ -121,9 +122,24 @@ fn rows() -> Vec<Row> {
                 assert!(timeline.contains("48 of 48 chains causally complete"), "{timeline}");
                 let snapshot = std::fs::read(dir.join("tsdb_snapshot.bin")).expect("snapshot");
                 assert_eq!(&snapshot[..8], b"BDBTSDB1", "the snapshot header is the contract");
+                pin(dir, "tsdb_snapshot.bin", 25_598, 0x30f2_4367_87fc_27f0);
             },
         },
     ]
+}
+
+/// Asserts that `dir/name` has `len` bytes whose 64-bit FNV-1a is
+/// `hash`: the seed fixes the artifact, so it must match on every host,
+/// not only between two runs of one build.
+fn pin(dir: &Path, name: &str, len: usize, hash: u64) {
+    let bytes = std::fs::read(dir.join(name)).expect("pinned artifact written");
+    let got = bdb_archsim::layout::fnv1a(&bytes);
+    assert_eq!(
+        (bytes.len(), got),
+        (len, hash),
+        "{name} is {} bytes, FNV-1a {got:#018x}",
+        bytes.len()
+    );
 }
 
 /// Runs `row` with its output in `dir` and checks what it wrote.
