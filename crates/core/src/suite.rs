@@ -8,8 +8,9 @@ use bdb_archsim::{CharacterizationReport, MachineConfig};
 
 /// Entry point for running BigDataBench-RS workloads.
 ///
-/// A `Suite` fixes the global shrink fraction and seed; each run method
-/// takes the paper's data-volume multiplier.
+/// A `Suite` fixes the global shrink fraction (the seed is always
+/// [`RunScale::baseline`]'s); each run method takes the paper's
+/// data-volume multiplier.
 ///
 /// # Example
 ///
@@ -24,19 +25,18 @@ use bdb_archsim::{CharacterizationReport, MachineConfig};
 #[derive(Debug, Clone)]
 pub struct Suite {
     fraction: f64,
-    seed: u64,
 }
 
 impl Suite {
     /// Full library-scale inputs (baseline ≈ 1 MiB of text, 2^12
     /// vertices, ...; a full 19-workload native run takes seconds).
     pub fn new() -> Self {
-        Self { fraction: 1.0, seed: RunScale::baseline().seed }
+        Self { fraction: 1.0 }
     }
 
     /// Tiny inputs (1/16 of library scale) for tests and smoke runs.
     pub fn quick() -> Self {
-        Self { fraction: 1.0 / 16.0, seed: RunScale::baseline().seed }
+        Self { fraction: 1.0 / 16.0 }
     }
 
     /// A suite with an explicit shrink fraction.
@@ -46,18 +46,12 @@ impl Suite {
     /// Panics if `fraction` is not positive.
     pub fn with_fraction(fraction: f64) -> Self {
         assert!(fraction > 0.0, "fraction must be positive");
-        Self { fraction, seed: RunScale::baseline().seed }
-    }
-
-    /// Replaces the generator seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        Self { fraction }
     }
 
     /// The [`RunScale`] this suite uses at `multiplier`.
     pub fn scale(&self, multiplier: u32) -> RunScale {
-        RunScale { multiplier, fraction: self.fraction, seed: self.seed }
+        RunScale { multiplier, fraction: self.fraction, ..RunScale::baseline() }
     }
 
     /// Runs one workload natively (parallel, uninstrumented) at
@@ -115,11 +109,10 @@ mod tests {
 
     #[test]
     fn scale_carries_fraction_and_seed() {
-        let suite = Suite::with_fraction(0.5).with_seed(9);
-        let s = suite.scale(8);
+        let s = Suite::with_fraction(0.5).scale(8);
         assert_eq!(s.multiplier, 8);
         assert_eq!(s.fraction, 0.5);
-        assert_eq!(s.seed, 9);
+        assert_eq!(s.seed, RunScale::baseline().seed);
     }
 
     #[test]
