@@ -3,22 +3,15 @@
 
 use super::{gate, section, Args, Artifact, Failure};
 use crate::table::TextTable;
-use bdb_obs::{dash, phase_salt, report, ObsConfig, ObsPipeline, Severity, SteadyThenOverload};
+use bdb_obs::{dash, phase_salt, report, ObsPipeline, Severity, SteadyThenOverload, HEAD_RATE};
 use bdb_serving::ServiceTimeModel;
 use bigdatabench::WorkloadId;
-use std::time::Duration;
 
 /// The seed of the serving passes' load.
 const SEED: u64 = 42;
-/// The SLO's latency threshold: a request at or over it is bad.
-pub(super) const THRESHOLD: Duration = Duration::from_millis(50);
-// Steady horizon = rolling span (8 × 2 s windows) so the
-// rolling-vs-whole-run gate compares the same stationary stretch.
-const STEADY: Duration = Duration::from_secs(16);
-const OVERLOAD: Duration = Duration::from_secs(8);
 
 /// One serving workload under the load the SLO and time-series passes
-/// drive: 400 req/s for 16 s, then a shaped 3,200 req/s for 8 s.
+/// drive: [`bdb_obs::STEADY`], then a shaped [`bdb_obs::OVERLOAD`].
 pub(super) struct ServingLoad {
     /// The service-time distribution, modeled on the real server so the
     /// passes track its shape.
@@ -42,13 +35,14 @@ impl ServingLoad {
         };
         let seed = SEED ^ phase_salt(salt);
         let times = model.sample_times(2048, seed);
-        let load = SteadyThenOverload::run(&times, (400.0, STEADY), (3200.0, OVERLOAD), seed);
+        let load = SteadyThenOverload::run(&times, seed);
         Self { model, seed, load }
     }
 
-    /// The observability config of the service under the SLO.
-    pub(super) fn config(&self) -> ObsConfig {
-        ObsConfig::default_for(THRESHOLD, self.seed)
+    /// A pipeline observing the service as `name`, seeded with the
+    /// service's seed.
+    pub(super) fn pipeline(&self, name: &str) -> ObsPipeline {
+        ObsPipeline::new(name, self.seed, HEAD_RATE)
     }
 }
 
@@ -93,7 +87,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
 
         // Gate: the steady phase alone stays quiet and its rolling
         // tails agree with the whole-run histogram.
-        let mut quiet = ObsPipeline::new(name, serving.config());
+        let mut quiet = serving.pipeline(name);
         quiet.ingest_phase("steady", 0, &load.steady.records, model);
         let quiet = quiet.finish();
         if !quiet.alerts.is_empty() {
@@ -115,7 +109,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         }
 
         // The artifact run: steady then shaped overload on one timeline.
-        let mut pipe = ObsPipeline::new(name, serving.config());
+        let mut pipe = serving.pipeline(name);
         load.ingest(&mut pipe, model);
         let obs = pipe.finish();
 

@@ -1,10 +1,11 @@
 //! `--tsdb DIR`: a faulty cluster and a serving overload scraped into
 //! the embedded time-series store, which must answer for both runs.
 
-use super::slo::{ServingLoad, THRESHOLD};
+use super::slo::ServingLoad;
 use super::{gate, io_err, section, Args, Artifact, Failure};
 use bdb_cluster::{Cluster, NODES};
-use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline};
+use bdb_obs::slo::{THRESHOLD, WINDOW};
+use bdb_obs::{derive_trace_id, phase_salt};
 use bdb_serving::queue::RequestOutcome;
 use bdb_telemetry::MetricsRegistry;
 use bdb_tsdb::{
@@ -20,7 +21,6 @@ const TSDB_SEED: u64 = 42;
 const WRITES: u64 = 48;
 const STEP_US: u64 = 500;
 const SCRAPE_US: u64 = 500_000;
-const DASH_WIDTH: usize = 40;
 
 /// Embedded time-series pass: the cluster and the serving tier run
 /// under scrape, every sample lands in the `bdb-tsdb` store, and the
@@ -134,9 +134,8 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     // --- Serving half: live pipeline and scraped registry in parallel.
     let serving = ServingLoad::new(WorkloadId::NutchServer, "NutchServer");
     let load = &serving.load;
-    let ObsConfig { spec, rules, window, .. } = serving.config();
-    let window_us = window.as_micros() as u64;
-    let mut pipe = ObsPipeline::new("NutchServer", serving.config());
+    let window_us = WINDOW.as_micros() as u64;
+    let mut pipe = serving.pipeline("NutchServer");
     load.ingest(&mut pipe, &serving.model);
     let obs = pipe.finish();
 
@@ -213,9 +212,6 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     };
     let n_windows = obs.window_table.last().map_or(0, |w| w.index + 1);
     let replayed = replay_burn_rules(
-        spec,
-        rules,
-        window_us,
         &series_of("serving.bad_total"),
         &series_of("serving.requests_total"),
         n_windows,
@@ -245,7 +241,7 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
 
     let node_files = node_names.iter().map(|n| (n.as_str(), format!("node-{n}.dash.txt")));
     for (node, file) in node_files.chain([("serving", "serving.dash.txt".to_owned())]) {
-        out.push(Artifact::new(dir.join(file), render_node_dashboard(&db, node, DASH_WIDTH)));
+        out.push(Artifact::new(dir.join(file), render_node_dashboard(&db, node)));
     }
     out.push(Artifact::new(dir.join("timeline.txt"), render_timeline(&events, &chains)));
 

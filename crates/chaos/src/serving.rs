@@ -7,7 +7,7 @@ use crate::report::{CampaignReport, CheckerVerdict};
 use crate::sites;
 use crate::ROUNDS;
 use bdb_faults::FaultPlan;
-use bdb_obs::{ObsConfig, ObsPipeline};
+use bdb_obs::ObsPipeline;
 use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
 use std::time::Duration;
 
@@ -31,12 +31,9 @@ pub fn serving_campaign(seed: u64) -> CampaignReport {
         .straggle_p(sites::SERVING_STRAGGLE, 0.01, Duration::from_millis(40))
         .build();
 
-    let threshold = Duration::from_millis(50);
-    let mut config = ObsConfig::default_for(threshold, seed);
     // A low head rate makes the invariant sharp: failures survive only
     // through the tail sampler.
-    config.sampling.head_rate = 0.02;
-    let mut pipe = ObsPipeline::new("Nutch Server", config.clone());
+    let mut pipe = ObsPipeline::new("Nutch Server", seed, 0.02);
 
     let phase_len = Duration::from_secs(3);
     let mut offered = 0u64;

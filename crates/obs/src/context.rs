@@ -7,10 +7,10 @@
 //! Within a trace, spans carry small fixed span ids forming the causal
 //! chain loadgen → queue → handler → store.
 
+use crate::slo::THRESHOLD;
 use bdb_serving::queue::{RequestOutcome, RequestRecord};
 use bdb_serving::{fnv1a, splitmix64};
 use bdb_telemetry::TraceId;
-use std::time::Duration;
 
 /// Derives the trace id for request `seq` of phase `phase_salt` under
 /// `seed`. Pure; collision-free in practice for one run's volumes.
@@ -60,15 +60,12 @@ impl SampleDecision {
 /// decidable at admission before the outcome is known, exactly like a
 /// front-end propagating a sampled flag). Tail sampling overrides the
 /// head decision after the fact for the requests worth keeping even at
-/// a low head rate: anything slower than `slow_threshold` and anything
-/// the service dropped.
+/// a low head rate: anything at or over the SLO's [`THRESHOLD`] and
+/// anything the service dropped.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplingPolicy {
     /// Fraction of traces kept by the head sampler, in `[0, 1]`.
     pub head_rate: f64,
-    /// Completed requests at or above this sojourn time are always
-    /// kept.
-    pub slow_threshold: Duration,
 }
 
 impl SamplingPolicy {
@@ -84,7 +81,7 @@ impl SamplingPolicy {
         match record.outcome {
             RequestOutcome::Shed | RequestOutcome::TimedOut => SampleDecision::TailError,
             RequestOutcome::Completed | RequestOutcome::Unfinished => {
-                if record.latency_ns() >= self.slow_threshold.as_nanos() as u64 {
+                if record.latency_ns() >= THRESHOLD.as_nanos() as u64 {
                     SampleDecision::TailSlow
                 } else if self.head_sampled(trace) {
                     SampleDecision::Head
@@ -129,7 +126,7 @@ mod tests {
 
     #[test]
     fn head_rate_is_roughly_honored() {
-        let policy = SamplingPolicy { head_rate: 0.1, slow_threshold: Duration::from_millis(50) };
+        let policy = SamplingPolicy { head_rate: 0.1 };
         let kept =
             (0..10_000u64).filter(|&i| policy.head_sampled(derive_trace_id(7, 0, i))).count();
         assert!((800..1200).contains(&kept), "kept {kept} of 10k at 10%");
@@ -141,7 +138,7 @@ mod tests {
 
     #[test]
     fn tail_sampling_always_keeps_slow_and_dropped() {
-        let policy = SamplingPolicy { head_rate: 0.0, slow_threshold: Duration::from_millis(50) };
+        let policy = SamplingPolicy { head_rate: 0.0 };
         let t = TraceId(42);
         assert_eq!(
             policy.decide(t, &record(RequestOutcome::Completed, 60)),
@@ -153,7 +150,7 @@ mod tests {
             policy.decide(t, &record(RequestOutcome::TimedOut, 70)),
             SampleDecision::TailError
         );
-        let all = SamplingPolicy { head_rate: 1.0, slow_threshold: Duration::from_millis(50) };
+        let all = SamplingPolicy { head_rate: 1.0 };
         assert_eq!(all.decide(t, &record(RequestOutcome::Completed, 10)), SampleDecision::Head);
     }
 }

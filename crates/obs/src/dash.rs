@@ -2,6 +2,7 @@
 //! monitor, rendered once at end of run from the same windowed state
 //! the SLO engine evaluated. Deterministic for a given observation.
 
+use crate::slo::{OBJECTIVE, ROLLING_WINDOWS, SLO_NAME, THRESHOLD, WINDOW};
 use crate::ServiceObservation;
 
 fn ms(us: u64) -> f64 {
@@ -14,10 +15,10 @@ pub fn render(obs: &ServiceObservation) -> String {
     out.push_str(&format!("== {} · SLO dashboard ==\n", obs.service));
     out.push_str(&format!(
         "SLO {}: {:.1}% of requests < {}ms over {}s windows\n",
-        obs.spec.name,
-        obs.spec.objective * 100.0,
-        obs.spec.threshold.as_millis(),
-        obs.window.as_secs_f64(),
+        SLO_NAME,
+        OBJECTIVE * 100.0,
+        THRESHOLD.as_millis(),
+        WINDOW.as_secs_f64(),
     ));
     let t = obs.totals;
     out.push_str(&format!(
@@ -33,7 +34,7 @@ pub fn render(obs: &ServiceObservation) -> String {
     ));
     out.push_str(&format!(
         "rolling tails (last {} windows): p50 {:.1}ms · p99 {:.1}ms · p99.9 {:.1}ms\n",
-        obs.rolling_windows,
+        ROLLING_WINDOWS,
         ms(obs.rolling.p50().as_micros() as u64),
         ms(obs.rolling.p99().as_micros() as u64),
         ms(obs.rolling.p999().as_micros() as u64),
@@ -79,7 +80,7 @@ pub fn render(obs: &ServiceObservation) -> String {
                 "  [{}] {} on {} at {:.1}s (window {}, long burn {:.1}x, short burn {:.1}x)\n",
                 a.severity.label(),
                 a.rule,
-                a.slo,
+                SLO_NAME,
                 a.at_ns as f64 / 1e9,
                 a.window_index,
                 a.long_burn,
@@ -92,28 +93,14 @@ pub fn render(obs: &ServiceObservation) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ObsConfig, ObsPipeline, SteadyThenOverload};
-    use bdb_serving::ServiceTimeModel;
-    use std::time::Duration;
+    use crate::{ObsPipeline, SteadyThenOverload, HEAD_RATE};
 
     #[test]
     fn dashboard_shows_tails_budget_and_alerts() {
-        let m = ServiceTimeModel {
-            base_us: 2000.0,
-            sigma: 0.3,
-            tail_weight: 0.02,
-            tail_mult: 5.0,
-            store_share: (0.4, 0.6),
-        };
+        let m = crate::tests::model();
         let times = m.sample_times(512, 4);
-        let load = SteadyThenOverload::run(
-            &times,
-            (300.0, Duration::from_secs(8)),
-            (2600.0, Duration::from_secs(8)),
-            4,
-        );
-        let mut pipe =
-            ObsPipeline::new("Nutch Server", ObsConfig::default_for(Duration::from_millis(50), 4));
+        let load = SteadyThenOverload::run(&times, 4);
+        let mut pipe = ObsPipeline::new("Nutch Server", 4, HEAD_RATE);
         load.ingest(&mut pipe, &m);
         let obs = pipe.finish();
         let text = super::render(&obs);

@@ -15,9 +15,9 @@
 //!   windows giving rolling p50/p99/p99.9 and outcome rates, exported
 //!   as Prometheus text with exemplar trace ids and as Chrome-trace
 //!   counter tracks;
-//! * [`slo`] — declarative SLOs, error-budget accounting, and
-//!   multi-window burn-rate alerts (fast/slow rule pairs à la the SRE
-//!   workbook);
+//! * [`slo`] — the suite's one SLO (99% of requests under 50 ms over
+//!   2 s windows) as constants, error-budget accounting, and the
+//!   SRE-workbook fast/slow multi-window burn-rate alerts;
 //! * [`chain`] — sampled requests as linked span chains
 //!   (loadgen → queue → handler → store) that [`chain::reconstruct`]
 //!   can rebuild and verify from the flat trace alone;
@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use bdb_obs::{ObsConfig, ObsPipeline};
+//! use bdb_obs::{ObsPipeline, HEAD_RATE};
 //! use bdb_serving::{QueueSim, ServiceTimeModel};
 //! use std::time::Duration;
 //!
@@ -44,7 +44,7 @@
 //! };
 //! let times = model.sample_times(512, 7);
 //! let result = QueueSim::new(4).run(300.0, Duration::from_secs(8), &times, 7);
-//! let mut pipe = ObsPipeline::new("demo", ObsConfig::default_for(Duration::from_millis(50), 7));
+//! let mut pipe = ObsPipeline::new("demo", 7, HEAD_RATE);
 //! pipe.ingest_phase("steady", 0, &result.records, &model);
 //! let obs = pipe.finish();
 //! assert_eq!(obs.totals.offered, result.records.len() as u64);
@@ -63,7 +63,7 @@ pub mod window;
 
 pub use chain::{reconstruct, synthesize_chain, ChainInput, ChainView};
 pub use context::{derive_trace_id, phase_salt, SampleDecision, SamplingPolicy};
-pub use slo::{AlertEvent, BudgetStatus, BurnRateRule, Severity, SloEngine, SloSpec};
+pub use slo::{AlertEvent, BudgetStatus, BurnRateRule, Severity, SloEngine};
 pub use window::{ReqEvent, WindowRing, WindowStats};
 
 use bdb_serving::queue::{QueueResult, RequestOutcome, RequestRecord};
@@ -71,47 +71,16 @@ use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
 use bdb_telemetry::{ArgValue, CounterTrack, LatencyHistogram, SpanEvent};
 use std::time::Duration;
 
-/// Full pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Sliding-window width.
-    pub window: Duration,
-    /// Closed windows retained by the ring.
-    pub ring_capacity: usize,
-    /// Windows merged for the rolling tails / exposition.
-    pub rolling_windows: usize,
-    /// Head/tail sampling policy.
-    pub sampling: SamplingPolicy,
-    /// The SLO under evaluation.
-    pub spec: SloSpec,
-    /// Burn-rate alert rules.
-    pub rules: Vec<BurnRateRule>,
-    /// Run seed (trace-id derivation).
-    pub seed: u64,
-}
+/// The head-sampling rate of the `--slo` and `--tsdb` passes.
+pub const HEAD_RATE: f64 = 0.05;
 
-impl ObsConfig {
-    /// A sensible default configuration for a given SLO threshold:
-    /// 2-second windows, a 32-window ring, rolling tails over 8
-    /// windows, 5% head sampling with tail-keep at the threshold,
-    /// "99% under threshold" objective, and the standard fast/slow
-    /// burn-rate pair.
-    pub fn default_for(threshold: Duration, seed: u64) -> Self {
-        Self {
-            window: Duration::from_secs(2),
-            ring_capacity: 32,
-            rolling_windows: 8,
-            sampling: SamplingPolicy { head_rate: 0.05, slow_threshold: threshold },
-            spec: SloSpec {
-                name: format!("p99-under-{}ms", threshold.as_millis()),
-                objective: 0.99,
-                threshold,
-            },
-            rules: BurnRateRule::standard_pair(),
-            seed,
-        }
-    }
-}
+// The steady horizon equals the rolling span (8 × 2 s windows), so
+// the rolling-vs-whole-run check compares the same stationary stretch.
+/// [`SteadyThenOverload`]'s steady phase: 400 req/s for 16 s.
+pub const STEADY: (f64, Duration) =
+    (400.0, Duration::from_secs(slo::WINDOW.as_secs() * slo::ROLLING_WINDOWS as u64));
+/// [`SteadyThenOverload`]'s shaped overload: 3,200 req/s for 8 s.
+pub const OVERLOAD: (f64, Duration) = (3200.0, Duration::from_secs(8));
 
 /// Cumulative outcome totals across every ingested phase.
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,19 +138,14 @@ pub struct WindowRow {
 pub struct ServiceObservation {
     /// Service name (e.g. `"Nutch Server"`).
     pub service: String,
-    /// The SLO evaluated.
-    pub spec: SloSpec,
-    /// Window width used.
-    pub window: Duration,
-    /// Windows merged for the rolling views.
-    pub rolling_windows: usize,
     /// Cumulative outcome totals.
     pub totals: Totals,
     /// Error-budget state at end of run.
     pub budget: BudgetStatus,
     /// Alerts fired, in firing order.
     pub alerts: Vec<AlertEvent>,
-    /// Rolling latency distribution (last `rolling_windows` windows).
+    /// Rolling latency distribution (last
+    /// [`ROLLING_WINDOWS`](slo::ROLLING_WINDOWS) windows).
     pub rolling: LatencyHistogram,
     /// Whole-run latency distribution.
     pub whole: LatencyHistogram,
@@ -207,7 +171,8 @@ pub struct ServiceObservation {
 #[derive(Debug)]
 pub struct ObsPipeline {
     service: String,
-    config: ObsConfig,
+    seed: u64,
+    policy: SamplingPolicy,
     ring: WindowRing,
     engine: SloEngine,
     spans: Vec<SpanEvent>,
@@ -216,15 +181,16 @@ pub struct ObsPipeline {
 }
 
 impl ObsPipeline {
-    /// A pipeline observing `service` under `config`.
-    pub fn new(service: &str, config: ObsConfig) -> Self {
-        let ring = WindowRing::new(config.window, config.ring_capacity, config.spec.threshold);
-        let engine = SloEngine::new(config.spec.clone(), config.rules.clone(), config.window);
+    /// A pipeline observing `service` against the [`slo`] constants;
+    /// `seed` derives the trace ids and `head_rate` is the fraction of
+    /// traces the head sampler keeps.
+    pub fn new(service: &str, seed: u64, head_rate: f64) -> Self {
         Self {
             service: service.to_owned(),
-            config,
-            ring,
-            engine,
+            seed,
+            policy: SamplingPolicy { head_rate },
+            ring: WindowRing::new(slo::WINDOW, slo::RING_WINDOWS, slo::THRESHOLD),
+            engine: SloEngine::new(),
             spans: Vec::new(),
             totals: Totals::default(),
             sampling: SamplingCounts::default(),
@@ -240,9 +206,9 @@ impl ObsPipeline {
             tid: 0,
             ctx: None,
             args: vec![
-                ("rule", ArgValue::Str(a.rule.clone())),
+                ("rule", ArgValue::Str(a.rule.to_owned())),
                 ("severity", ArgValue::Str(a.severity.label().to_owned())),
-                ("slo", ArgValue::Str(a.slo.clone())),
+                ("slo", ArgValue::Str(slo::SLO_NAME.to_owned())),
                 ("long_burn", ArgValue::Float(a.long_burn)),
                 ("short_burn", ArgValue::Float(a.short_burn)),
             ],
@@ -283,22 +249,20 @@ impl ObsPipeline {
 
         for (t, _, seq, kind) in events {
             let r = &records[seq as usize];
-            let trace = derive_trace_id(self.config.seed, salt, seq);
+            let trace = derive_trace_id(self.seed, salt, seq);
             let ev = match kind {
                 Kind::Arrive => ReqEvent::Offered,
                 Kind::Terminal => match r.outcome {
-                    RequestOutcome::Shed => ReqEvent::Shed {
-                        trace,
-                        sampled: self.config.sampling.decide(trace, r).keep(),
-                    },
-                    RequestOutcome::TimedOut => ReqEvent::TimedOut {
-                        trace,
-                        sampled: self.config.sampling.decide(trace, r).keep(),
-                    },
+                    RequestOutcome::Shed => {
+                        ReqEvent::Shed { trace, sampled: self.policy.decide(trace, r).keep() }
+                    }
+                    RequestOutcome::TimedOut => {
+                        ReqEvent::TimedOut { trace, sampled: self.policy.decide(trace, r).keep() }
+                    }
                     _ => ReqEvent::Completed {
                         latency_us: r.latency_ns() / 1_000,
                         trace,
-                        sampled: self.config.sampling.decide(trace, r).keep(),
+                        sampled: self.policy.decide(trace, r).keep(),
                     },
                 },
             };
@@ -316,7 +280,7 @@ impl ObsPipeline {
             match r.outcome {
                 RequestOutcome::Completed => {
                     self.totals.completed += 1;
-                    if r.latency_ns() >= self.config.spec.threshold.as_nanos() as u64 {
+                    if r.latency_ns() >= slo::THRESHOLD.as_nanos() as u64 {
                         self.totals.bad += 1;
                     }
                 }
@@ -330,8 +294,8 @@ impl ObsPipeline {
                 }
                 RequestOutcome::Unfinished => {}
             }
-            let trace = derive_trace_id(self.config.seed, salt, r.seq);
-            let decision = self.config.sampling.decide(trace, r);
+            let trace = derive_trace_id(self.seed, salt, r.seq);
+            let decision = self.policy.decide(trace, r);
             if !decision.keep() {
                 continue;
             }
@@ -360,8 +324,7 @@ impl ObsPipeline {
             let instant = self.alert_instant(&alert);
             self.spans.push(instant);
         }
-        let width_s = self.config.window.as_secs_f64();
-        let budget_frac = self.config.spec.budget_fraction();
+        let width_s = slo::WINDOW.as_secs_f64();
         let window_table: Vec<WindowRow> = self
             .ring
             .closed()
@@ -377,20 +340,17 @@ impl ObsPipeline {
                 burn: if w.total() == 0 {
                     0.0
                 } else {
-                    (w.bad() as f64 / w.total() as f64) / budget_frac
+                    (w.bad() as f64 / w.total() as f64) / slo::BUDGET
                 },
             })
             .collect();
         let views = reconstruct(&self.spans);
         let chains_complete = views.iter().filter(|v| v.complete).count() as u64;
-        let rolling = self.ring.rolling_hist(self.config.rolling_windows);
-        let prometheus = self.ring.prometheus_text(&self.service, self.config.rolling_windows);
-        let tracks = self.ring.counter_tracks(&self.service, 0);
+        let rolling = self.ring.rolling_hist(slo::ROLLING_WINDOWS);
+        let prometheus = self.ring.prometheus_text(&self.service, slo::ROLLING_WINDOWS);
+        let tracks = self.ring.counter_tracks(&self.service);
         ServiceObservation {
             service: self.service,
-            spec: self.engine.spec().clone(),
-            window: self.config.window,
-            rolling_windows: self.config.rolling_windows,
             totals: self.totals,
             budget: self.engine.budget(),
             alerts: self.engine.alerts().to_vec(),
@@ -407,7 +367,7 @@ impl ObsPipeline {
     }
 }
 
-/// A steady phase followed by a shaped overload on one virtual
+/// A [`STEADY`] phase followed by a shaped [`OVERLOAD`] on one virtual
 /// timeline: the load under which the burn-rate alerts must first stay
 /// quiet and then fire. Both phases run on four workers; the overload
 /// runs behind a 64-deep queue with an 80 ms deadline and is seeded
@@ -423,26 +383,16 @@ pub struct SteadyThenOverload {
 }
 
 impl SteadyThenOverload {
-    /// Simulates `steady` then `overload`, each an offered rate in
-    /// requests per second and a horizon, drawing service times
+    /// Simulates [`STEADY`] then [`OVERLOAD`], drawing service times
     /// round-robin from `times`.
-    pub fn run(
-        times: &[Duration],
-        steady: (f64, Duration),
-        overload: (f64, Duration),
-        seed: u64,
-    ) -> Self {
+    pub fn run(times: &[Duration], seed: u64) -> Self {
         let policy =
             QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
+        let overload = QueueSim::new(4).with_policy(policy);
         Self {
-            steady: QueueSim::new(4).run(steady.0, steady.1, times, seed),
-            overload: QueueSim::new(4).with_policy(policy).run(
-                overload.0,
-                overload.1,
-                times,
-                seed ^ 0xBEEF,
-            ),
-            overload_at_ns: steady.1.as_nanos() as u64,
+            steady: QueueSim::new(4).run(STEADY.0, STEADY.1, times, seed),
+            overload: overload.run(OVERLOAD.0, OVERLOAD.1, times, seed ^ 0xBEEF),
+            overload_at_ns: STEADY.1.as_nanos() as u64,
         }
     }
 
@@ -457,7 +407,8 @@ impl SteadyThenOverload {
 mod tests {
     use super::*;
 
-    fn model() -> ServiceTimeModel {
+    /// The service-time model of the crate's unit tests.
+    pub(crate) fn model() -> ServiceTimeModel {
         ServiceTimeModel {
             base_us: 2000.0,
             sigma: 0.3,
@@ -467,16 +418,12 @@ mod tests {
         }
     }
 
-    fn config(seed: u64) -> ObsConfig {
-        ObsConfig::default_for(Duration::from_millis(50), seed)
-    }
-
     #[test]
     fn steady_run_stays_quiet_and_reconciles() {
         let m = model();
         let times = m.sample_times(1024, 11);
         let qr = QueueSim::new(4).run(300.0, Duration::from_secs(10), &times, 11);
-        let mut pipe = ObsPipeline::new("svc", config(11));
+        let mut pipe = ObsPipeline::new("svc", 11, HEAD_RATE);
         pipe.ingest_phase("steady", 0, &qr.records, &m);
         let obs = pipe.finish();
         assert_eq!(obs.totals.offered, qr.records.len() as u64);
@@ -497,20 +444,15 @@ mod tests {
         let run = |seed: u64| {
             let m = model();
             let times = m.sample_times(1024, seed);
-            let load = SteadyThenOverload::run(
-                &times,
-                (300.0, Duration::from_secs(10)),
-                (2600.0, Duration::from_secs(8)),
-                seed,
-            );
-            let mut pipe = ObsPipeline::new("svc", config(seed));
+            let load = SteadyThenOverload::run(&times, seed);
+            let mut pipe = ObsPipeline::new("svc", seed, HEAD_RATE);
             load.ingest(&mut pipe, &m);
             pipe.finish()
         };
         let a = run(5);
         let pages: Vec<_> = a.alerts.iter().filter(|al| al.severity == Severity::Page).collect();
         assert_eq!(pages.len(), 1, "sustained overload fires the page rule once: {:?}", a.alerts);
-        assert!(pages[0].at_ns > 10_000_000_000, "fires inside the overload phase");
+        assert!(pages[0].at_ns > STEADY.1.as_nanos() as u64, "fires inside the overload phase");
         assert!(pages[0].long_burn >= 14.0 && pages[0].short_burn >= 14.0);
         // Alert instants land in the span stream.
         assert!(a.spans.iter().any(|s| s.name == "slo-alert" && s.dur_us.is_none()));
@@ -527,12 +469,10 @@ mod tests {
     fn rolling_tails_match_whole_run_within_one_bucket_on_steady_state() {
         let m = model();
         let times = m.sample_times(2048, 3);
-        // Horizon = ring capacity × window so nothing is evicted and
-        // the load is stationary throughout.
-        let qr = QueueSim::new(4).run(400.0, Duration::from_secs(16), &times, 3);
-        let mut cfg = config(3);
-        cfg.rolling_windows = 8;
-        let mut pipe = ObsPipeline::new("svc", cfg);
+        // The steady horizon is the rolling span, so the rolling view
+        // and the whole run cover the same stationary load.
+        let qr = QueueSim::new(4).run(STEADY.0, STEADY.1, &times, 3);
+        let mut pipe = ObsPipeline::new("svc", 3, HEAD_RATE);
         pipe.ingest_phase("steady", 0, &qr.records, &m);
         let obs = pipe.finish();
         for q in [0.99, 0.999] {
@@ -554,7 +494,7 @@ mod tests {
             let m = model();
             let times = m.sample_times(512, 9);
             let qr = QueueSim::new(4).run(500.0, Duration::from_secs(6), &times, 9);
-            let mut pipe = ObsPipeline::new("svc", config(9));
+            let mut pipe = ObsPipeline::new("svc", 9, HEAD_RATE);
             pipe.ingest_phase("steady", 0, &qr.records, &m);
             pipe.finish()
         };

@@ -7,6 +7,7 @@
 //! byte-deterministic for a given seed — the reproduce gate diffs two
 //! runs directly.
 
+use crate::slo::{OBJECTIVE, SLO_NAME, THRESHOLD, WINDOW};
 use crate::ServiceObservation;
 use bdb_telemetry::json::ObjectWriter;
 
@@ -16,10 +17,10 @@ fn service_json(out: &mut String, obs: &ServiceObservation) {
     {
         let buf = o.field_raw("slo");
         let mut slo = ObjectWriter::new(buf);
-        slo.field_str("name", &obs.spec.name)
-            .field_f64("objective", obs.spec.objective)
-            .field_u64("threshold_us", obs.spec.threshold.as_micros() as u64)
-            .field_u64("window_ms", obs.window.as_millis() as u64);
+        slo.field_str("name", SLO_NAME)
+            .field_f64("objective", OBJECTIVE)
+            .field_u64("threshold_us", THRESHOLD.as_micros() as u64)
+            .field_u64("window_ms", WINDOW.as_millis() as u64);
         slo.finish();
     }
     {
@@ -75,9 +76,9 @@ fn service_json(out: &mut String, obs: &ServiceObservation) {
                 buf.push(',');
             }
             let mut al = ObjectWriter::new(buf);
-            al.field_str("rule", &a.rule)
+            al.field_str("rule", a.rule)
                 .field_str("severity", a.severity.label())
-                .field_str("slo", &a.slo)
+                .field_str("slo", SLO_NAME)
                 .field_u64("window", a.window_index)
                 .field_u64("at_ms", a.at_ns / 1_000_000)
                 .field_f64("long_burn", round4(a.long_burn))
@@ -118,22 +119,15 @@ pub fn render_report(seed: u64, observations: &[ServiceObservation]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ObsConfig, ObsPipeline};
-    use bdb_serving::{QueueSim, ServiceTimeModel};
+    use crate::{ObsPipeline, HEAD_RATE};
+    use bdb_serving::QueueSim;
     use std::time::Duration;
 
     fn observe(seed: u64) -> crate::ServiceObservation {
-        let m = ServiceTimeModel {
-            base_us: 2000.0,
-            sigma: 0.3,
-            tail_weight: 0.02,
-            tail_mult: 5.0,
-            store_share: (0.4, 0.6),
-        };
+        let m = crate::tests::model();
         let times = m.sample_times(512, seed);
         let qr = QueueSim::new(4).run(400.0, Duration::from_secs(6), &times, seed);
-        let mut pipe =
-            ObsPipeline::new("svc", ObsConfig::default_for(Duration::from_millis(50), seed));
+        let mut pipe = ObsPipeline::new("svc", seed, HEAD_RATE);
         pipe.ingest_phase("steady", 0, &qr.records, &m);
         pipe.finish()
     }

@@ -1,38 +1,72 @@
-//! Declarative SLOs, error budgets, and multi-window burn-rate alerts.
+//! The suite's one SLO, its error budget, and multi-window burn-rate
+//! alerts.
 //!
-//! An [`SloSpec`] states the objective ("99% of requests < 50ms");
-//! the [`SloEngine`] consumes closed windows from the
-//! [`crate::window::WindowRing`] and maintains (a) cumulative
-//! error-budget accounting and (b) the SRE-workbook multi-window
-//! burn-rate rules: an alert fires when the budget burn rate measured
-//! over a *long* trailing window AND a *short* trailing window both
-//! exceed the rule's factor — the long window keeps alerts from
-//! flapping on blips, the short window makes them reset quickly once
-//! the incident ends. Rules fire on the rising edge only, so one
-//! sustained overload produces exactly one alert event per rule.
+//! The SLO is fixed: [`OBJECTIVE`] of requests must finish under
+//! [`THRESHOLD`], judged over [`WINDOW`]-wide windows, and shed or
+//! timed-out requests always count as bad. The [`SloEngine`] consumes
+//! closed windows from the [`crate::window::WindowRing`] and maintains
+//! (a) cumulative error-budget accounting and (b) the SRE-workbook
+//! multi-window burn-rate [`RULES`]: an alert fires when the budget
+//! burn rate measured over a *long* trailing window AND a *short*
+//! trailing window both exceed the rule's factor — the long window
+//! keeps alerts from flapping on blips, the short window makes them
+//! reset quickly once the incident ends. Rules fire on the rising edge
+//! only, so one sustained overload produces exactly one alert event per
+//! rule.
 
 use crate::window::WindowStats;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// A latency/availability SLO: `objective` of requests must finish
-/// under `threshold`. Shed and timed-out requests always count as bad.
-#[derive(Debug, Clone)]
-pub struct SloSpec {
-    /// Human/report name, e.g. `"search-p99-50ms"`.
-    pub name: String,
-    /// Target good fraction in `(0, 1)`, e.g. `0.99`.
-    pub objective: f64,
-    /// Latency threshold separating good from bad completions.
-    pub threshold: Duration,
-}
+/// Width of one SLO window.
+pub const WINDOW: Duration = Duration::from_secs(2);
+/// Closed windows the pipeline's ring retains.
+pub const RING_WINDOWS: usize = 32;
+/// Windows merged for the rolling tails and the exposition.
+pub const ROLLING_WINDOWS: usize = 8;
+/// Latency threshold: a completion at or over it is bad.
+pub const THRESHOLD: Duration = Duration::from_millis(50);
+/// Target good fraction.
+pub const OBJECTIVE: f64 = 0.99;
+/// The SLO's name in reports, dashboards and alert instants.
+pub const SLO_NAME: &str = "p99-under-50ms";
 
-impl SloSpec {
-    /// The allowed bad fraction, `1 - objective`.
-    pub fn budget_fraction(&self) -> f64 {
-        1.0 - self.objective
+/// The SRE-workbook fast/slow pair, in window counts: a page rule
+/// (factor 14 over 8 windows, gated by the last 2) and a ticket rule
+/// (factor 3 over 24 windows, gated by the last 6).
+pub const RULES: [BurnRateRule; 2] = [
+    BurnRateRule {
+        name: "fast-burn",
+        severity: Severity::Page,
+        long_windows: 8,
+        short_windows: 2,
+        factor: 14.0,
+    },
+    BurnRateRule {
+        name: "slow-burn",
+        severity: Severity::Ticket,
+        long_windows: 24,
+        short_windows: 6,
+        factor: 3.0,
+    },
+];
+
+/// The allowed bad fraction.
+pub(crate) const BUDGET: f64 = 1.0 - OBJECTIVE;
+
+/// Closed windows the engine keeps: the longest rule window.
+const DEPTH: usize = RULES[1].long_windows;
+
+const _: () = {
+    assert!(OBJECTIVE > 0.0 && OBJECTIVE < 1.0, "objective in (0,1)");
+    let mut i = 0;
+    while i < RULES.len() {
+        let r = &RULES[i];
+        assert!(r.short_windows >= 1 && r.short_windows <= r.long_windows, "short within long");
+        assert!(r.long_windows <= DEPTH, "the engine keeps every rule's long window");
+        i += 1;
     }
-}
+};
 
 /// Alert severity, ordered by urgency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +91,7 @@ impl Severity {
 #[derive(Debug, Clone)]
 pub struct BurnRateRule {
     /// Rule name, e.g. `"fast-burn"`.
-    pub name: String,
+    pub name: &'static str,
     /// What firing means.
     pub severity: Severity,
     /// Trailing window count for the long (flap-damping) condition.
@@ -68,39 +102,13 @@ pub struct BurnRateRule {
     pub factor: f64,
 }
 
-impl BurnRateRule {
-    /// The SRE-workbook fast/slow pair, in window counts: a page rule
-    /// (factor 14 over 8 windows, gated by the last 2) and a ticket
-    /// rule (factor 3 over 24 windows, gated by the last 6).
-    pub fn standard_pair() -> Vec<BurnRateRule> {
-        vec![
-            BurnRateRule {
-                name: "fast-burn".into(),
-                severity: Severity::Page,
-                long_windows: 8,
-                short_windows: 2,
-                factor: 14.0,
-            },
-            BurnRateRule {
-                name: "slow-burn".into(),
-                severity: Severity::Ticket,
-                long_windows: 24,
-                short_windows: 6,
-                factor: 3.0,
-            },
-        ]
-    }
-}
-
 /// A structured alert: one rising edge of one rule.
 #[derive(Debug, Clone)]
 pub struct AlertEvent {
     /// The rule that fired.
-    pub rule: String,
+    pub rule: &'static str,
     /// Its severity.
     pub severity: Severity,
-    /// The SLO it guards.
-    pub slo: String,
     /// Index of the window whose close fired the rule.
     pub window_index: u64,
     /// Virtual time of that window's close, nanoseconds.
@@ -132,62 +140,22 @@ impl BudgetStatus {
     }
 }
 
-/// Online SLO evaluator over a stream of closed windows.
-#[derive(Debug)]
+/// Online evaluator of [`RULES`] over a stream of closed windows.
+#[derive(Debug, Default)]
 pub struct SloEngine {
-    spec: SloSpec,
-    rules: Vec<BurnRateRule>,
-    width_ns: u64,
     /// Trailing (bad, total) per closed window, bounded by the longest
     /// rule window.
     history: VecDeque<(u64, u64)>,
-    depth: usize,
-    active: Vec<bool>,
+    active: [bool; RULES.len()],
     alerts: Vec<AlertEvent>,
     total: u64,
     bad: u64,
 }
 
 impl SloEngine {
-    /// An engine for `spec` evaluating `rules` over windows of
-    /// `width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the objective is not in `(0, 1)` or a rule's short
-    /// window exceeds its long window.
-    pub fn new(spec: SloSpec, rules: Vec<BurnRateRule>, width: Duration) -> Self {
-        assert!(spec.objective > 0.0 && spec.objective < 1.0, "objective in (0,1)");
-        for r in &rules {
-            assert!(
-                r.short_windows >= 1 && r.short_windows <= r.long_windows,
-                "short window within long window: {}",
-                r.name
-            );
-        }
-        let depth = rules.iter().map(|r| r.long_windows).max().unwrap_or(1);
-        let n_rules = rules.len();
-        Self {
-            spec,
-            rules,
-            width_ns: width.as_nanos() as u64,
-            history: VecDeque::new(),
-            depth,
-            active: vec![false; n_rules],
-            alerts: Vec::new(),
-            total: 0,
-            bad: 0,
-        }
-    }
-
-    /// The spec under evaluation.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[BurnRateRule] {
-        &self.rules
+    /// An engine that has seen no window.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Budget burn rate over the last `n` closed windows: the observed
@@ -203,30 +171,29 @@ impl SloEngine {
         if total == 0 {
             return 0.0;
         }
-        (bad as f64 / total as f64) / self.spec.budget_fraction()
+        (bad as f64 / total as f64) / BUDGET
     }
 
     /// Feeds one closed window; returns the alerts that fired on this
     /// close (rising edges only).
     pub fn on_window_close(&mut self, w: &WindowStats) -> Vec<AlertEvent> {
         self.history.push_back((w.bad(), w.total()));
-        if self.history.len() > self.depth {
+        if self.history.len() > DEPTH {
             self.history.pop_front();
         }
         self.total += w.total();
         self.bad += w.bad();
         let mut fired = Vec::new();
-        for (i, rule) in self.rules.iter().enumerate() {
+        for (i, rule) in RULES.iter().enumerate() {
             let long_burn = self.burn_over(rule.long_windows);
             let short_burn = self.burn_over(rule.short_windows);
             let firing = long_burn >= rule.factor && short_burn >= rule.factor;
             if firing && !self.active[i] {
                 let ev = AlertEvent {
-                    rule: rule.name.clone(),
+                    rule: rule.name,
                     severity: rule.severity,
-                    slo: self.spec.name.clone(),
                     window_index: w.index,
-                    at_ns: (w.index + 1) * self.width_ns,
+                    at_ns: (w.index + 1) * WINDOW.as_nanos() as u64,
                     long_burn,
                     short_burn,
                 };
@@ -245,7 +212,7 @@ impl SloEngine {
 
     /// Cumulative budget accounting over everything observed.
     pub fn budget(&self) -> BudgetStatus {
-        let allowed = self.total as f64 * self.spec.budget_fraction();
+        let allowed = self.total as f64 * BUDGET;
         BudgetStatus {
             total: self.total,
             bad: self.bad,
@@ -260,14 +227,6 @@ mod tests {
     use super::*;
     use bdb_telemetry::LatencyHistogram;
 
-    fn spec() -> SloSpec {
-        SloSpec {
-            name: "test-99-50ms".into(),
-            objective: 0.99,
-            threshold: Duration::from_millis(50),
-        }
-    }
-
     fn window(index: u64, completed: u64, slow: u64, shed: u64) -> WindowStats {
         let mut hist = LatencyHistogram::new();
         for _ in 0..completed {
@@ -276,13 +235,9 @@ mod tests {
         WindowStats { index, offered: completed + shed, completed, shed, timed_out: 0, slow, hist }
     }
 
-    fn engine(rules: Vec<BurnRateRule>) -> SloEngine {
-        SloEngine::new(spec(), rules, Duration::from_secs(1))
-    }
-
     #[test]
     fn clean_windows_never_alert_and_keep_budget() {
-        let mut e = engine(BurnRateRule::standard_pair());
+        let mut e = SloEngine::new();
         for i in 0..50 {
             let fired = e.on_window_close(&window(i, 100, 0, 0));
             assert!(fired.is_empty());
@@ -295,7 +250,7 @@ mod tests {
 
     #[test]
     fn sustained_burn_fires_once_per_rule_on_the_rising_edge() {
-        let mut e = engine(BurnRateRule::standard_pair());
+        let mut e = SloEngine::new();
         for i in 0..10 {
             assert!(e.on_window_close(&window(i, 100, 0, 0)).is_empty());
         }
@@ -323,30 +278,25 @@ mod tests {
 
     #[test]
     fn short_window_gates_stale_long_burn() {
-        // A rule with a long memory must not fire on history alone
-        // once the short window is clean.
-        let rule = BurnRateRule {
-            name: "fast".into(),
-            severity: Severity::Page,
-            long_windows: 8,
-            short_windows: 2,
-            factor: 10.0,
-        };
-        let mut e = engine(vec![rule]);
+        // The page rule has a long memory but must not fire on history
+        // alone once its short window is clean.
+        let page = &RULES[0];
+        let mut e = SloEngine::new();
+        let pages = |fired: Vec<AlertEvent>| fired.iter().filter(|a| a.rule == page.name).count();
         // Two very bad windows, then clean ones: long burn stays high
         // for a while but the short window clears immediately.
-        let fired = e.on_window_close(&window(0, 0, 0, 100));
-        assert_eq!(fired.len(), 1, "incident fires");
-        assert!(e.on_window_close(&window(1, 0, 0, 100)).is_empty(), "still active, no re-fire");
+        assert_eq!(pages(e.on_window_close(&window(0, 0, 0, 100))), 1, "incident fires");
+        assert_eq!(pages(e.on_window_close(&window(1, 0, 0, 100))), 0, "still active, no re-fire");
         for i in 2..6 {
             let fired = e.on_window_close(&window(i, 100, 0, 0));
             assert!(fired.is_empty(), "clean short window suppresses re-fire at {i}");
+            assert!(e.burn_over(page.long_windows) >= page.factor, "long burn still high at {i}");
         }
     }
 
     #[test]
     fn burn_math_matches_definition() {
-        let mut e = engine(vec![]);
+        let mut e = SloEngine::new();
         e.on_window_close(&window(0, 98, 0, 2));
         // 2 bad of 100 at 1% budget = 2× burn.
         assert!((e.burn_over(1) - 2.0).abs() < 1e-9);
@@ -358,18 +308,8 @@ mod tests {
 
     #[test]
     fn slow_completions_count_as_bad() {
-        let mut e = engine(vec![]);
+        let mut e = SloEngine::new();
         e.on_window_close(&window(0, 100, 5, 0));
         assert_eq!(e.budget().bad, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "objective")]
-    fn objective_must_be_fractional() {
-        SloEngine::new(
-            SloSpec { name: "x".into(), objective: 1.0, threshold: Duration::from_millis(1) },
-            vec![],
-            Duration::from_secs(1),
-        );
     }
 }

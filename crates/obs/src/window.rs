@@ -138,11 +138,6 @@ impl WindowRing {
         }
     }
 
-    /// Window width.
-    pub fn width(&self) -> Duration {
-        Duration::from_nanos(self.width_ns)
-    }
-
     fn close_current(&mut self) -> WindowStats {
         let next = WindowStats::empty(self.current.index + 1);
         let done = std::mem::replace(&mut self.current, next);
@@ -234,9 +229,9 @@ impl WindowRing {
     }
 
     /// The retained windows as Chrome-trace counter tracks, one sample
-    /// per closed window at its end time (plus `offset_us`): rates for
-    /// offered/completed/shed/timed-out and the window p99 in µs.
-    pub fn counter_tracks(&self, service: &str, offset_us: u64) -> Vec<CounterTrack> {
+    /// per closed window at its end time: rates for offered/completed/
+    /// shed/timed-out and the window p99 in µs.
+    pub fn counter_tracks(&self, service: &str) -> Vec<CounterTrack> {
         let width_us = self.width_ns / 1_000;
         let secs = self.width_ns as f64 / 1e9;
         let track = |name: &str, values: Vec<u64>| CounterTrack {
@@ -245,7 +240,7 @@ impl WindowRing {
                 .closed
                 .iter()
                 .zip(values)
-                .map(|(w, v)| (offset_us + (w.index + 1) * width_us, v))
+                .map(|(w, v)| ((w.index + 1) * width_us, v))
                 .collect(),
         };
         let per = |f: fn(&WindowStats) -> u64| {
@@ -494,7 +489,7 @@ obs_rolling_p999_us{service="evil \"svc\"\\name\n"} 1707
             }
         }
         ring.flush();
-        let tracks = ring.counter_tracks("nutch", 0);
+        let tracks = ring.counter_tracks("nutch");
         assert_eq!(tracks.len(), 5);
         let completed_track = tracks.iter().find(|t| t.name == "nutch completed_rps").unwrap();
         assert_eq!(completed_track.samples.len(), 3);

@@ -5,7 +5,9 @@
 //! corresponding failure counter so an operator can jump from the
 //! counter straight to a concrete failed trace.
 
-use bdb_obs::{derive_trace_id, phase_salt, ObsConfig, ObsPipeline, SampleDecision};
+use bdb_obs::{
+    derive_trace_id, phase_salt, ObsPipeline, SampleDecision, SamplingPolicy, HEAD_RATE,
+};
 use bdb_serving::queue::QueueResult;
 use bdb_serving::{QueuePolicy, QueueSim, RequestOutcome, ServiceTimeModel};
 use bdb_telemetry::assert_prometheus_grammar;
@@ -50,20 +52,19 @@ fn fault_failed_requests_are_always_tail_sampled() {
 
     // Zero head rate: the only way a failure survives is the tail
     // sampler, and the policy guarantees it does.
-    let mut config = ObsConfig::default_for(Duration::from_millis(50), SEED);
-    config.sampling.head_rate = 0.0;
+    let policy = SamplingPolicy { head_rate: 0.0 };
     let salt = phase_salt("overload");
     for r in &failures {
         let trace = derive_trace_id(SEED, salt, r.seq);
         assert_eq!(
-            config.sampling.decide(trace, r),
+            policy.decide(trace, r),
             SampleDecision::TailError,
             "failed request {} must be tail-sampled",
             r.seq
         );
     }
 
-    let mut pipe = ObsPipeline::new("Nutch Server", config);
+    let mut pipe = ObsPipeline::new("Nutch Server", SEED, policy.head_rate);
     pipe.ingest_phase("overload", 0, &result.records, &model());
     let obs = pipe.finish();
     assert_eq!(obs.totals.shed, result.shed);
@@ -79,8 +80,7 @@ fn fault_failed_requests_are_always_tail_sampled() {
 #[test]
 fn failure_counters_carry_exemplar_trace_ids() {
     let result = overloaded_run();
-    let config = ObsConfig::default_for(Duration::from_millis(50), SEED);
-    let mut pipe = ObsPipeline::new("Nutch Server", config);
+    let mut pipe = ObsPipeline::new("Nutch Server", SEED, HEAD_RATE);
     pipe.ingest_phase("overload", 0, &result.records, &model());
     let obs = pipe.finish();
     assert_prometheus_grammar(&obs.prometheus);

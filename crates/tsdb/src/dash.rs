@@ -9,6 +9,9 @@ use std::fmt::Write as _;
 /// Density ramp from quiet to loud.
 const RAMP: &[u8] = b" .:-=+*#%@";
 
+/// Sparkline width of a node dashboard, in columns.
+const WIDTH: usize = 40;
+
 /// Renders `values` as a fixed-`width` sparkline: values are bucketed
 /// into `width` columns (column mean; empty columns repeat the last
 /// seen level) and scaled min..max onto the ASCII ramp.
@@ -54,10 +57,10 @@ fn fmt_value(v: f64) -> String {
 
 /// Renders the dashboard for one node: every non-bucket series
 /// carrying `node="<node>"`, with counters (`*_total`) shown as
-/// per-second rates and everything else shown raw. `width` is the
-/// sparkline width in columns.
+/// per-second rates and everything else shown raw, each as a sparkline
+/// of `WIDTH` (40) columns.
 #[must_use]
-pub fn render_node_dashboard(db: &Tsdb, node: &str, width: usize) -> String {
+pub fn render_node_dashboard(db: &Tsdb, node: &str) -> String {
     let mut out = format!("== {node} · tsdb dashboard ==\n");
     let names: Vec<String> = {
         let mut names: Vec<String> = db
@@ -86,7 +89,7 @@ pub fn render_node_dashboard(db: &Tsdb, node: &str, width: usize) -> String {
                 out,
                 "{:<44} |{}| {} min {} max {}",
                 key.render(),
-                sparkline(&values, width),
+                sparkline(&values, WIDTH),
                 kind,
                 fmt_value(lo),
                 fmt_value(hi),
@@ -126,7 +129,7 @@ mod tests {
             db.append(&theirs, i * 1_000_000, (i * 2) as f64);
             db.append(&bucket, i * 1_000_000, i as f64);
         }
-        let dash = render_node_dashboard(&db, "node-0", 24);
+        let dash = render_node_dashboard(&db, "node-0");
         assert!(dash.contains("node-0 · tsdb dashboard"));
         assert!(dash.contains("cluster.applies_total"));
         assert!(dash.contains("rate/s"), "counter rendered as a rate");
@@ -134,6 +137,6 @@ mod tests {
         assert!(!dash.contains("node-1"), "other nodes' series excluded");
         assert!(!dash.contains("_bucket"), "bucket series excluded");
         // Deterministic: same store renders the same text.
-        assert_eq!(dash, render_node_dashboard(&db, "node-0", 24));
+        assert_eq!(dash, render_node_dashboard(&db, "node-0"));
     }
 }

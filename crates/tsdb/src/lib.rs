@@ -17,8 +17,9 @@
 //! - [`query`]: range selects by label matchers with [`query::rate`],
 //!   [`query::sum_by`], and [`query::histogram_quantile`] re-derived
 //!   from scraped bucket series.
-//! - [`rules`]: a recording-rule evaluator that replays the live
-//!   [`bdb_obs::SloEngine`] burn-rate rules over stored series.
+//! - [`rules`]: a recording-rule evaluator that replays the SLO's
+//!   burn-rate rules ([`bdb_obs::slo::RULES`]) through a
+//!   [`bdb_obs::SloEngine`] over stored series.
 //! - [`dash`]: ASCII sparkline dashboards per node.
 //! - [`timeline`]: Dapper-style write-chain reconstruction (route →
 //!   WAL append → replica ship → quorum ack) from a flat span stream,

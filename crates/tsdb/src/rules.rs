@@ -1,5 +1,6 @@
-//! Recording rules: re-evaluates [`SloEngine`] burn-rate rules over
-//! *stored* series instead of the live window stream.
+//! Recording rules: re-evaluates the SLO's burn-rate
+//! [`RULES`](bdb_obs::slo::RULES) over *stored* series instead of the
+//! live window stream.
 //!
 //! The evaluator reconstructs per-window `(bad, total)` increments
 //! from two scraped cumulative counters and feeds them through a real
@@ -10,27 +11,26 @@
 //! indices as the engine that watched the run live.
 
 use crate::query::value_at;
-use bdb_obs::{AlertEvent, BurnRateRule, SloEngine, SloSpec, WindowStats};
+use bdb_obs::slo::WINDOW;
+use bdb_obs::{AlertEvent, SloEngine, WindowStats};
 use bdb_telemetry::LatencyHistogram;
-use std::time::Duration;
 
-/// Replays `rules` for `spec` over stored cumulative counters.
+/// Replays the SLO's burn-rate rules over stored cumulative counters.
 ///
 /// `bad` and `total` are scraped samples of the cumulative bad-event
-/// and total-event counters; windows tile `[0, n_windows * width_us)`.
+/// and total-event counters; [`WINDOW`]-wide windows tile
+/// `[0, n_windows * WINDOW)`.
 /// The counter value at each boundary is the last sample at or before
 /// it (0 before the first sample), so scrapes must land on every
 /// boundary for an exact replay.
 #[must_use]
 pub fn replay_burn_rules(
-    spec: SloSpec,
-    rules: Vec<BurnRateRule>,
-    width_us: u64,
     bad: &[(u64, f64)],
     total: &[(u64, f64)],
     n_windows: u64,
 ) -> Vec<AlertEvent> {
-    let mut engine = SloEngine::new(spec, rules, Duration::from_micros(width_us));
+    let width_us = WINDOW.as_micros() as u64;
+    let mut engine = SloEngine::new();
     let counter_at = |samples: &[(u64, f64)], t: u64| value_at(samples, t).unwrap_or(0.0) as u64;
     for index in 0..n_windows {
         let (t0, t1) = (index * width_us, (index + 1) * width_us);
@@ -57,28 +57,19 @@ mod tests {
     use super::*;
     use bdb_obs::Severity;
 
-    fn spec() -> SloSpec {
-        SloSpec {
-            name: "replayed-99".into(),
-            objective: 0.99,
-            threshold: Duration::from_millis(50),
-        }
-    }
-
     /// A live engine and the stored-series replay must agree on every
     /// alert when counters are scraped on the window boundaries.
     #[test]
     fn replay_matches_a_live_engine() {
-        const WIDTH_US: u64 = 2_000_000;
         const WINDOWS: u64 = 40;
+        let width_us = WINDOW.as_micros() as u64;
         // Per-window traffic: clean, then a 25%-bad incident, then
         // clean again (so rules latch, reset, and could re-arm).
         let traffic: Vec<(u64, u64)> = (0..WINDOWS)
             .map(|i| if (12..20).contains(&i) { (25, 100) } else { (0, 100) })
             .collect();
 
-        let mut live =
-            SloEngine::new(spec(), BurnRateRule::standard_pair(), Duration::from_micros(WIDTH_US));
+        let mut live = SloEngine::new();
         let (mut bad_series, mut total_series) = (Vec::new(), Vec::new());
         let (mut bad_c, mut total_c) = (0u64, 0u64);
         for (i, &(bad, total)) in traffic.iter().enumerate() {
@@ -95,21 +86,14 @@ mod tests {
             total_c += total;
             // Scrape lands exactly on the close boundary (plus an
             // off-boundary extra scrape the replay must ignore).
-            let t = (i as u64 + 1) * WIDTH_US;
+            let t = (i as u64 + 1) * width_us;
             bad_series.push((t, bad_c as f64));
             total_series.push((t, total_c as f64));
-            bad_series.push((t + WIDTH_US / 4, bad_c as f64));
-            total_series.push((t + WIDTH_US / 4, total_c as f64));
+            bad_series.push((t + width_us / 4, bad_c as f64));
+            total_series.push((t + width_us / 4, total_c as f64));
         }
 
-        let replayed = replay_burn_rules(
-            spec(),
-            BurnRateRule::standard_pair(),
-            WIDTH_US,
-            &bad_series,
-            &total_series,
-            WINDOWS,
-        );
+        let replayed = replay_burn_rules(&bad_series, &total_series, WINDOWS);
         let live_alerts = live.alerts();
         assert!(!live_alerts.is_empty(), "the incident must fire at least one rule");
         assert_eq!(replayed.len(), live_alerts.len());
@@ -125,8 +109,6 @@ mod tests {
 
     #[test]
     fn empty_series_replay_quietly() {
-        let alerts =
-            replay_burn_rules(spec(), BurnRateRule::standard_pair(), 1_000_000, &[], &[], 20);
-        assert!(alerts.is_empty());
+        assert!(replay_burn_rules(&[], &[], 20).is_empty());
     }
 }
