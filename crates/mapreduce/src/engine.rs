@@ -1365,4 +1365,57 @@ mod tests {
         assert_eq!(buf.pairs, 0);
         assert!(buf.sort_and_combine(&WordCount).is_empty());
     }
+
+    fn push_all<K: Datum + Ord, V: Datum>(buf: &mut SortBuffer<K, V>, pairs: Vec<(K, V)>) {
+        let mut scratch = Vec::new();
+        for (k, v) in pairs {
+            buf.push(k.encoded_hash(&mut scratch), k, v);
+        }
+    }
+
+    #[test]
+    fn sort_buffer_is_empty_after_a_flush() {
+        let mut buf = SortBuffer::default();
+        push_all(&mut buf, vec![("x".to_owned(), 1), ("y".to_owned(), 2), ("x".to_owned(), 3)]);
+        let run = buf.sort_and_combine(&WordCount);
+        assert_eq!(run, [("x".to_owned(), 4), ("y".to_owned(), 2)]);
+        // A key seen before the flush starts a fresh group after it.
+        push_all(&mut buf, vec![("y".to_owned(), 10), ("z".to_owned(), 20)]);
+        assert_eq!(buf.pairs, 2);
+        let run = buf.sort_and_combine(&WordCount);
+        assert_eq!(run, [("y".to_owned(), 10), ("z".to_owned(), 20)]);
+    }
+
+    #[test]
+    fn sort_buffer_keeps_every_zero_sized_value() {
+        let mut buf = SortBuffer::default();
+        push_all(&mut buf, [3u64, 1, 3, 2, 1, 3].map(|k| (k, ())).to_vec());
+        let run: Vec<u64> = buf.sort_and_combine(&SortJob).into_iter().map(|(k, ())| k).collect();
+        assert_eq!(run, [1, 1, 2, 3, 3, 3]);
+    }
+
+    /// Combines a key's values into their digits in the order given, so
+    /// any reordering of a key's values shows in the run.
+    struct Digits;
+    impl Job for Digits {
+        type Input = u64;
+        type Key = String;
+        type Value = u64;
+        type Output = u64;
+        fn map<P: Probe + ?Sized>(&self, _: &u64, _: &mut Emitter<String, u64>, _: &mut P) {}
+        fn combine(&self, _: &String, values: Vec<u64>) -> Vec<u64> {
+            vec![values.into_iter().fold(0, |acc, v| acc * 10 + v)]
+        }
+        fn reduce<P: Probe + ?Sized>(&self, _: String, _: Vec<u64>, _: &mut Vec<u64>, _: &mut P) {}
+    }
+
+    #[test]
+    fn sort_buffer_combines_interleaved_keys_in_emission_order() {
+        let mut buf = SortBuffer::default();
+        let pairs = [("b", 1), ("a", 2), ("c", 3), ("b", 4), ("a", 5), ("b", 6), ("a", 7)];
+        push_all(&mut buf, pairs.map(|(k, v)| (k.to_owned(), v)).to_vec());
+        let run = buf.sort_and_combine(&Digits);
+        let expect = [("a", 257), ("b", 146), ("c", 3)].map(|(k, v)| (k.to_owned(), v));
+        assert_eq!(run, expect);
+    }
 }
