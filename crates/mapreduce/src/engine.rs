@@ -817,10 +817,10 @@ impl Engine {
         let mut spill_span = span!(self.telemetry, "mapreduce", "spill", task = task_id);
         let mut spilled_bytes = 0u64;
         for (p, buf) in buffers.iter_mut().enumerate() {
-            if buf.pairs == 0 {
+            let n = buf.pairs();
+            if n == 0 {
                 continue;
             }
-            let n = buf.pairs;
             let sort_start = Instant::now();
             let run = buf.sort_and_combine(job);
             result.sort_time += sort_start.elapsed();
@@ -990,38 +990,74 @@ impl Hasher for PassThrough {
     }
 }
 
-/// One partition's map-side sort buffer. Pairs are grouped by key as
-/// they arrive, each key's values kept in emission order, so a flush
-/// sorts only the distinct keys instead of every buffered pair. The
-/// runs it yields equal a stable sort of the pairs grouped per key.
+/// One partition's map-side sort buffer. A table gives each distinct
+/// key a dense group id; every pair takes one slot in two append-only
+/// arenas, its group id and its value, in emission order. So a push
+/// allocates only when an arena doubles, and a flush sorts only the
+/// distinct keys instead of every buffered pair. The runs it yields
+/// equal a stable sort of the pairs grouped per key.
 struct SortBuffer<K, V> {
-    groups: HashMap<Hashed<K>, Vec<V>, BuildHasherDefault<PassThrough>>,
-    /// Pairs pushed since the last flush.
-    pairs: usize,
+    /// Each distinct key pushed since the last flush, with its group id.
+    ids: HashMap<Hashed<K>, u32, BuildHasherDefault<PassThrough>>,
+    /// The group id of each pair pushed since the last flush.
+    group_ids: Vec<u32>,
+    /// The value of each pair pushed since the last flush.
+    values: Vec<V>,
 }
 
 impl<K, V> Default for SortBuffer<K, V> {
     fn default() -> Self {
-        Self { groups: HashMap::default(), pairs: 0 }
+        Self { ids: HashMap::default(), group_ids: Vec::new(), values: Vec::new() }
     }
 }
 
 impl<K: Datum + Ord, V: Datum> SortBuffer<K, V> {
+    /// Pairs pushed since the last flush.
+    fn pairs(&self) -> usize {
+        self.values.len()
+    }
+
     /// Buffers one pair; `hash` is the key's [`Datum::encoded_hash`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair brings the distinct keys since the last flush
+    /// past `u32::MAX + 1`. Spills are taken on emitted bytes, so they
+    /// do not bound this: zero-sized pairs never trigger one.
     fn push(&mut self, hash: u64, key: K, value: V) {
-        self.pairs += 1;
-        self.groups.entry(Hashed { hash, key }).or_default().push(value);
+        let next = self.ids.len();
+        let id = *self.ids.entry(Hashed { hash, key }).or_insert_with(|| {
+            u32::try_from(next).expect("more than 2^32 distinct keys in one map-side sort buffer")
+        });
+        self.group_ids.push(id);
+        self.values.push(value);
     }
 
     /// Empties the buffer into one run sorted by key, calling the job's
     /// combiner once per key on that key's values in emission order.
+    /// The arenas and the table are freed as they are read, so a flush
+    /// never holds them beside the run it builds.
     fn sort_and_combine<J: Job<Key = K, Value = V>>(&mut self, job: &J) -> Vec<(K, V)> {
-        self.pairs = 0;
+        // Size each group's values exactly, then fill them in one
+        // sequential pass over the arenas, which keeps emission order.
+        let mut counts = vec![0usize; self.ids.len()];
+        for &id in &self.group_ids {
+            counts[id as usize] += 1;
+        }
+        let mut grouped: Vec<Vec<V>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let group_ids = std::mem::take(&mut self.group_ids);
+        for (id, value) in group_ids.into_iter().zip(std::mem::take(&mut self.values)) {
+            grouped[id as usize].push(value);
+        }
         // Keys in the table are distinct, so an unstable sort is exact.
-        let mut groups: Vec<_> = self.groups.drain().collect();
-        groups.sort_unstable_by(|a, b| a.0.key.cmp(&b.0.key));
-        let mut run = Vec::with_capacity(groups.len());
-        for (Hashed { key, .. }, values) in groups {
+        let mut keys: Vec<(K, u32)> = std::mem::take(&mut self.ids)
+            .into_iter()
+            .map(|(Hashed { key, .. }, id)| (key, id))
+            .collect();
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut run = Vec::with_capacity(keys.len());
+        for (key, id) in keys {
+            let values = std::mem::take(&mut grouped[id as usize]);
             let mut combined = job.combine(&key, values).into_iter();
             let Some(mut last) = combined.next() else { continue };
             for v in combined {
@@ -1359,10 +1395,10 @@ mod tests {
         buf.push(7, "b".to_owned(), 1);
         buf.push(7, "a".to_owned(), 2);
         buf.push(7, "b".to_owned(), 3);
-        assert_eq!(buf.pairs, 3);
+        assert_eq!(buf.pairs(), 3);
         let run = buf.sort_and_combine(&WordCount);
         assert_eq!(run, [("a".to_owned(), 2), ("b".to_owned(), 4)]);
-        assert_eq!(buf.pairs, 0);
+        assert_eq!(buf.pairs(), 0);
         assert!(buf.sort_and_combine(&WordCount).is_empty());
     }
 
@@ -1381,7 +1417,7 @@ mod tests {
         assert_eq!(run, [("x".to_owned(), 4), ("y".to_owned(), 2)]);
         // A key seen before the flush starts a fresh group after it.
         push_all(&mut buf, vec![("y".to_owned(), 10), ("z".to_owned(), 20)]);
-        assert_eq!(buf.pairs, 2);
+        assert_eq!(buf.pairs(), 2);
         let run = buf.sort_and_combine(&WordCount);
         assert_eq!(run, [("y".to_owned(), 10), ("z".to_owned(), 20)]);
     }
