@@ -68,7 +68,7 @@ pub use window::{ReqEvent, WindowRing, WindowStats};
 
 use bdb_serving::queue::{QueueResult, RequestOutcome, RequestRecord};
 use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
-use bdb_telemetry::{ArgValue, CounterTrack, LatencyHistogram, SpanEvent};
+use bdb_telemetry::{ArgValue, CounterTrack, LatencyHistogram, SpanEvent, TraceId};
 use std::time::Duration;
 
 /// The head-sampling rate of the `--slo` and `--tsdb` passes.
@@ -234,36 +234,33 @@ impl ObsPipeline {
         #[derive(Clone, Copy)]
         enum Kind {
             Arrive,
-            Terminal,
+            Terminal { trace: TraceId, sampled: bool },
         }
+        // Each terminal request's sampling is decided once, here, and
+        // reused by the event loop and the totals loop below.
+        let mut decided: Vec<Option<(TraceId, SampleDecision)>> = Vec::with_capacity(records.len());
         let mut events: Vec<(u64, u8, u64, Kind)> = Vec::with_capacity(records.len() * 2);
         for r in records {
             events.push((r.arrival_ns, 0, r.seq, Kind::Arrive));
             // Unfinished requests have no terminal event inside the
             // horizon; they count as offered only.
-            if let Some(t) = r.terminal_ns() {
-                events.push((t, 1, r.seq, Kind::Terminal));
-            }
+            decided.push(r.terminal_ns().map(|t| {
+                let trace = derive_trace_id(self.seed, salt, r.seq);
+                let decision = self.policy.decide(trace, r);
+                events.push((t, 1, r.seq, Kind::Terminal { trace, sampled: decision.keep() }));
+                (trace, decision)
+            }));
         }
         events.sort_by_key(|&(t, kind, seq, _)| (t, kind, seq));
 
         for (t, _, seq, kind) in events {
             let r = &records[seq as usize];
-            let trace = derive_trace_id(self.seed, salt, seq);
             let ev = match kind {
                 Kind::Arrive => ReqEvent::Offered,
-                Kind::Terminal => match r.outcome {
-                    RequestOutcome::Shed => {
-                        ReqEvent::Shed { trace, sampled: self.policy.decide(trace, r).keep() }
-                    }
-                    RequestOutcome::TimedOut => {
-                        ReqEvent::TimedOut { trace, sampled: self.policy.decide(trace, r).keep() }
-                    }
-                    _ => ReqEvent::Completed {
-                        latency_us: r.latency_ns() / 1_000,
-                        trace,
-                        sampled: self.policy.decide(trace, r).keep(),
-                    },
+                Kind::Terminal { trace, sampled } => match r.outcome {
+                    RequestOutcome::Shed => ReqEvent::Shed { trace, sampled },
+                    RequestOutcome::TimedOut => ReqEvent::TimedOut { trace, sampled },
+                    _ => ReqEvent::Completed { latency_us: r.latency_ns() / 1_000, trace, sampled },
                 },
             };
             for closed in self.ring.observe(offset_ns + t, ev) {
@@ -274,8 +271,8 @@ impl ObsPipeline {
             }
         }
 
-        // Totals, sampling decisions, and span chains per request.
-        for r in records {
+        // Totals, sampling counts, and span chains per request.
+        for (r, decided) in records.iter().zip(decided) {
             self.totals.offered += 1;
             match r.outcome {
                 RequestOutcome::Completed => {
@@ -294,8 +291,10 @@ impl ObsPipeline {
                 }
                 RequestOutcome::Unfinished => {}
             }
-            let trace = derive_trace_id(self.seed, salt, r.seq);
-            let decision = self.policy.decide(trace, r);
+            let (trace, decision) = decided.unwrap_or_else(|| {
+                let trace = derive_trace_id(self.seed, salt, r.seq);
+                (trace, self.policy.decide(trace, r))
+            });
             if !decision.keep() {
                 continue;
             }
