@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Run before every merge.
 #
-#   ./ci.sh                # full gate: fmt, clippy, rustdoc, release build, tests
+#   ./ci.sh                # full gate: fmt, clippy, rustdoc, release build, tests,
+#                          # wallbench's tests and a one-second correctness
+#                          # smoke of each wallbench workload
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
 #
 # Every `reproduce` pass gate (profile, charmap, SLO,
@@ -24,6 +26,26 @@ done
 run() {
     echo "== $* =="
     "$@"
+}
+
+# Benchmark correctness smoke: wallbench exits 0 even when its output
+# check fails, so each workload runs for one second at benchmark scale
+# and its last line, the result JSON, must report a correct run with
+# no failed operation.
+wallbench_smoke() {
+    local workload result
+    for workload in wordcount sort-spill oltp-mixed query; do
+        echo "== wallbench --workload $workload --seed 1 --seconds 1 =="
+        result="$(cargo run --release --offline -q --manifest-path wallbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)" || return 1
+        case "$result" in
+            *'"correct": true,'*'"failed": 0,'*) ;;
+            *)
+                echo "ci: wallbench $workload output check failed: $result" >&2
+                return 1
+                ;;
+        esac
+    done
 }
 
 # `--locked` on every root-workspace cargo call: a manifest edit that
@@ -50,10 +72,13 @@ if [ "$fast" -eq 0 ]; then
     cp wallbench/Cargo.lock "$wblock"
     wbstatus=0
     run cargo test --release --offline -q --manifest-path wallbench/Cargo.toml || wbstatus=$?
+    if [ "$wbstatus" -eq 0 ]; then
+        wallbench_smoke || wbstatus=$?
+    fi
     cp "$wblock" wallbench/Cargo.lock
     rm -f "$wblock"
     if [ "$wbstatus" -ne 0 ]; then
-        echo "ci: wallbench does not build or its tests fail" >&2
+        echo "ci: wallbench does not build, its tests fail or a workload's output is wrong" >&2
         exit 1
     fi
 
