@@ -9,12 +9,14 @@
 //! * **map** — user function over input records, emitting `(key, value)`
 //!   pairs into per-partition sort buffers. A pair's partition is the
 //!   [`bdb_archsim::layout::fnv1a_words`] hash of its encoded key modulo
-//!   the reducer count; the buffer groups values under their key as they
-//!   arrive, reusing that hash;
+//!   the reducer count; the buffer gives each distinct key a dense group
+//!   id in a table that reuses that hash, and appends every pair's group
+//!   id and value to two flat arenas, one slot per pair;
 //! * **combine** — optional map-side pre-aggregation, applied when a
-//!   buffer is flushed (at each spill and at task end): the buffer sorts
-//!   its distinct keys and combines each key's values in emission order,
-//!   exactly as a stable sort of every buffered pair would group them;
+//!   buffer is flushed (at each spill and at task end): the buffer moves
+//!   each group's values out of the arenas in emission order, sorts its
+//!   distinct keys and combines each key's values, exactly as a stable
+//!   sort of every buffered pair would group them;
 //! * **spill** — when a map task's buffer exceeds its memory budget the
 //!   sorted run is serialized to a temporary file, exactly the mechanism
 //!   that makes Sort degrade once inputs exceed memory (paper Figure 3-2);
