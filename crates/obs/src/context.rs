@@ -8,8 +8,8 @@
 //! chain loadgen → queue → handler → store.
 
 use crate::slo::THRESHOLD;
+use bdb_archsim::layout::{fnv1a, splitmix64};
 use bdb_serving::queue::{RequestOutcome, RequestRecord};
-use bdb_serving::{fnv1a, splitmix64};
 use bdb_telemetry::TraceId;
 
 /// Derives the trace id for request `seq` of phase `phase_salt` under

@@ -49,11 +49,10 @@ pub mod server;
 pub mod social;
 pub mod trace;
 
-pub use bdb_archsim::layout::fnv1a;
 pub use loadgen::{
     run_closed_loop, run_closed_loop_sampled, run_offered_load, PrometheusSampler, ServiceReport,
 };
-pub use model::{splitmix64, ServiceTimeModel};
+pub use model::ServiceTimeModel;
 pub use queue::{QueuePolicy, QueueSim, RequestOutcome, RequestRecord};
 pub use server::Server;
 pub use trace::ServingTraceModel;

@@ -15,12 +15,8 @@
 //! RNG state leaks between calls, so samples are reproducible and
 //! order-independent.
 
+use bdb_archsim::layout::splitmix64;
 use std::time::Duration;
-
-/// SplitMix64 (the simulator's mixer), used both as the sample stream
-/// generator and as the trace-id hash shared with the observability
-/// layer's sampling decisions.
-pub use bdb_archsim::layout::splitmix64;
 
 /// Uniform in [0, 1) from one mixed word.
 fn unit(x: u64) -> f64 {
