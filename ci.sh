@@ -7,9 +7,11 @@
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
 #
 # Every `reproduce` pass gate (profile, charmap, SLO,
-# BENCH_RESULTS.json drift, chaos seeds, tsdb) is a row of
+# BENCH_RESULTS.json, chaos seeds, tsdb) is a row of
 # crates/bench/tests/passes.rs, so `cargo test --workspace` runs them
-# all, byte-diffing two runs of each seed-fixed pass. Fault recovery
+# all, checking both runs of each seed-fixed pass against one pin table
+# (the committed BENCH_RESULTS.json and charmap.json byte for byte,
+# every other file by length and FNV-1a). Fault recovery
 # is crates/mapreduce/tests/faults.rs, in the same run and in the
 # concurrency loop below; wall-clock numbers come from wallbench.
 set -euo pipefail

@@ -1,10 +1,9 @@
-//! `--charmap DIR` / `--charmap-baseline PATH`: the workload
-//! characterization map and its subset stability gate.
+//! `--charmap DIR`: the workload characterization map.
 
-use super::{gate, io_err, section, Args, Artifact, Failure};
+use super::{gate, section, Args, Artifact, Failure};
 use crate::results::DEFAULT_WORKLOADS;
 use crate::table::TextTable;
-use bdb_charmap::{analyze, validate_baseline, DEFAULT_SEED, VARIANCE_TARGET};
+use bdb_charmap::{analyze, DEFAULT_SEED, VARIANCE_TARGET};
 
 /// Workload characterization pass: metric vectors over the default
 /// workload set -> PCA -> clustering -> representative subset, written
@@ -13,21 +12,12 @@ use bdb_charmap::{analyze, validate_baseline, DEFAULT_SEED, VARIANCE_TARGET};
 /// regressions without parsing the artifacts:
 ///
 /// * the retained components must cover the variance target;
-/// * the subset must be non-empty and smaller than the full set;
-/// * with `--charmap-baseline`, the fresh map must satisfy the subset
-///   stability rule against the committed artifact.
+/// * the subset must be non-empty and smaller than the full set.
+///
+/// The map is fixed by the seed, so the committed `charmap.json` is
+/// checked byte for byte against a fresh run by the pass test.
 pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     section("Workload characterization map — PCA + clustering + subset");
-    // Read the committed baseline up front so an unreadable path fails
-    // before the expensive characterization pass, not after.
-    let committed = match args.path("--charmap-baseline") {
-        Some(path) => Some((
-            path,
-            std::fs::read_to_string(path)
-                .map_err(io_err(format!("reading charmap baseline {}", path.display())))?,
-        )),
-        None => None,
-    };
     eprintln!(
         "characterizing {} workloads at fraction {} (seed {DEFAULT_SEED})...",
         DEFAULT_WORKLOADS.len(),
@@ -72,16 +62,6 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         out.push(Artifact::new(dir.join("charmap.txt"), map.to_text()));
         out.push(Artifact::new(dir.join("charmap.json"), map.to_json()));
     }
-
-    if let Some((path, committed)) = &committed {
-        validate_baseline(&map, committed)
-            .map_err(|e| Failure::Gate(format!("charmap-check FAIL: {e}")))?;
-        println!(
-            "charmap-check PASS: subset stable against {} (k = {}, subset: {})",
-            path.display(),
-            map.k,
-            map.subset.join(", ")
-        );
-    }
+    println!("charmap PASS: k = {}, subset: {}", map.k, map.subset.join(", "));
     Ok(())
 }

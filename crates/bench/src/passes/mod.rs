@@ -92,19 +92,13 @@ const PASSES: &[Pass] = &[
         run: Some(trace::run),
     },
     Pass {
-        flags: &[
-            ("--bench-json PATH", "write the versioned performance artifact to PATH"),
-            ("--bench-baseline PATH", "fail if a gated metric drifts over 2% from PATH"),
-        ],
+        flags: &[("--bench-json PATH", "write the versioned performance artifact to PATH")],
         artifacts: &["BENCH_RESULTS.json"],
         seed_fixed: true,
         run: Some(bench::run),
     },
     Pass {
-        flags: &[
-            ("--charmap DIR", "characterization map: metric vectors -> PCA -> clusters"),
-            ("--charmap-baseline PATH", "fail unless the map keeps PATH's subset"),
-        ],
+        flags: &[("--charmap DIR", "characterization map: metric vectors -> PCA -> clusters")],
         artifacts: &["charmap.txt", "charmap.json"],
         seed_fixed: true,
         run: Some(charmap::run),

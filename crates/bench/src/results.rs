@@ -3,20 +3,18 @@
 //! [`collect`] runs a fixed set of workloads under the architecture
 //! simulator (for MIPS, MPKI, instruction mix, operation intensity and
 //! the per-phase counter breakdown), then renders everything as one
-//! stable JSON document, byte-identical for the same fraction.
-//! [`compare_json`] diffs two such documents and reports every
-//! simulated metric that drifted beyond a tolerance — the
-//! `reproduce --bench-baseline` gate. Wall-clock numbers come from
-//! `wallbench`, not from this artifact.
+//! stable JSON document, byte-identical for the same fraction, so the
+//! committed copy is checked byte for byte. Wall-clock numbers come
+//! from `wallbench`, not from this artifact.
 //!
-//! The JSON is written and read back through [`bdb_telemetry::json`],
-//! the workspace's one JSON codec.
+//! The JSON is written through [`bdb_telemetry::json`], the
+//! workspace's one JSON codec.
 
-use bdb_telemetry::json::{self, Json, ObjectWriter};
+use bdb_telemetry::json::ObjectWriter;
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
 
-/// Bumped whenever the JSON layout changes incompatibly; the
-/// comparator refuses to diff documents of different versions.
+/// Bumped whenever the JSON layout changes incompatibly, so a reader
+/// can tell the layouts apart.
 /// v2: `mpki` gained `branch` (mispredicts per kilo-instruction) and
 /// the workload set grew from 5 to all 8 traced workloads.
 /// v3: workloads gained a gated top-level `dram_bytes` counter and the
@@ -26,7 +24,8 @@ use bigdatabench::{MachineConfig, Suite, WorkloadId};
 /// `metric_value` are gone, so the whole document is fixed by the seed.
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// Workloads captured in the artifact: every traced workload, covering
+/// The default rows of the artifact and the characterization map: ten
+/// of the suite's workloads (every workload has a traced body), covering
 /// each paper scenario family (micro MapReduce ×2, graph analytics ×2,
 /// machine learning, relational query ×3, search serving, Cloud OLTP).
 pub const DEFAULT_WORKLOADS: [WorkloadId; 10] = [
@@ -230,130 +229,10 @@ fn write_workload(out: &mut String, w: &WorkloadResult) {
     o.finish();
 }
 
-/// One simulated metric that moved beyond tolerance between two
-/// artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Drift {
-    /// Workload name.
-    pub workload: String,
-    /// Metric path within the workload object (e.g. `mpki.l2`).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Relative change in percent (positive = increased).
-    pub change_pct: f64,
-}
-
-impl std::fmt::Display for Drift {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{}: {} -> {} ({:+.2}%)",
-            self.workload, self.metric, self.baseline, self.current, self.change_pct
-        )
-    }
-}
-
-/// The gated metric paths: deterministic simulator outputs only.
-const GATED: [&str; 5] = ["mips", "ipc", "instructions", "cycles", "dram_bytes"];
-
-fn change_pct(baseline: f64, current: f64) -> f64 {
-    if baseline == 0.0 {
-        if current == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (current - baseline) / baseline * 100.0
-    }
-}
-
-fn require_f64(v: &Json, workload: &str, path: &str) -> Result<f64, String> {
-    let mut node = v;
-    for part in path.split('.') {
-        node =
-            node.get(part).ok_or_else(|| format!("workload {workload}: missing field {path}"))?;
-    }
-    node.as_f64().ok_or_else(|| format!("workload {workload}: field {path} is not a number"))
-}
-
-/// The drift `reproduce --bench-baseline` allows per gated metric, in
-/// percent.
-pub const TOLERANCE_PCT: f64 = 2.0;
-
-/// Diffs two artifacts, returning every gated metric whose relative
-/// change exceeds `tolerance_pct` in either direction.
-///
-/// # Errors
-///
-/// Returns an explanation when the documents are not comparable:
-/// malformed JSON, different schema versions, different input
-/// fractions, or a baseline workload missing from the current run.
-pub fn compare_json(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
-) -> Result<Vec<Drift>, String> {
-    let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cur = json::parse(current).map_err(|e| format!("current: {e}"))?;
-    for (doc, label) in [(&base, "baseline"), (&cur, "current")] {
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{label}: missing schema_version"))?;
-        if version != SCHEMA_VERSION as f64 {
-            return Err(format!(
-                "{label}: schema_version {version} != supported {SCHEMA_VERSION}; regenerate the baseline"
-            ));
-        }
-    }
-    let base_fraction = base.get("fraction").and_then(Json::as_f64);
-    let cur_fraction = cur.get("fraction").and_then(Json::as_f64);
-    if base_fraction != cur_fraction {
-        return Err(format!(
-            "input fractions differ (baseline {base_fraction:?}, current {cur_fraction:?}); \
-             the runs are not comparable"
-        ));
-    }
-    let empty: [Json; 0] = [];
-    let base_workloads = base.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
-    let cur_workloads = cur.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
-    let mut drifts = Vec::new();
-    for bw in base_workloads {
-        let name = bw.get("name").and_then(Json::as_str).unwrap_or("?").to_owned();
-        let Some(cw) =
-            cur_workloads.iter().find(|w| w.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            return Err(format!(
-                "workload {name} present in baseline but missing from current run"
-            ));
-        };
-        let mut paths: Vec<String> = GATED.iter().map(|m| (*m).to_owned()).collect();
-        paths.extend(MPKI_KEYS.iter().map(|k| format!("mpki.{k}")));
-        for path in paths {
-            let b = require_f64(bw, &name, &path)?;
-            let c = require_f64(cw, &name, &path)?;
-            let pct = change_pct(b, c);
-            if pct.abs() > tolerance_pct {
-                drifts.push(Drift {
-                    workload: name.clone(),
-                    metric: path,
-                    baseline: b,
-                    current: c,
-                    change_pct: pct,
-                });
-            }
-        }
-    }
-    Ok(drifts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdb_telemetry::json::{self, Json};
 
     fn tiny() -> BenchResults {
         collect(1.0 / 64.0, &[WorkloadId::WordCount])
@@ -379,45 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_artifacts_show_no_drift() {
-        let json = tiny().to_json();
-        let drifts = compare_json(&json, &json, 0.0).expect("comparable");
-        assert!(drifts.is_empty(), "{drifts:?}");
-    }
-
-    #[test]
-    fn drift_beyond_tolerance_is_reported() {
-        let results = tiny();
-        let mut moved = results.clone();
-        moved.workloads[0].mips *= 1.25;
-        moved.workloads[0].mpki[2] *= 0.9;
-        let drifts = compare_json(&results.to_json(), &moved.to_json(), 5.0).expect("comparable");
-        let metrics: Vec<&str> = drifts.iter().map(|d| d.metric.as_str()).collect();
-        assert!(metrics.contains(&"mips"), "{metrics:?}");
-        assert!(metrics.contains(&"mpki.l2"), "{metrics:?}");
-        assert!(drifts.iter().all(|d| d.change_pct.abs() > 5.0));
-        // Within tolerance the same pair is clean.
-        let ok = compare_json(&results.to_json(), &moved.to_json(), 30.0).expect("comparable");
-        assert!(ok.is_empty());
-    }
-
-    #[test]
-    fn incompatible_documents_are_refused() {
-        let json = tiny().to_json();
-        let other_version = json.replacen(
-            &format!("\"schema_version\":{SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{}", SCHEMA_VERSION + 1),
-            1,
-        );
-        assert!(compare_json(&other_version, &json, 5.0).is_err());
-        let other_fraction = json.replacen("\"fraction\":", "\"fraction\":0.5, \"x\":", 1);
-        assert!(compare_json(&json, &other_fraction, 5.0).is_err());
-        let renamed = json.replacen("\"name\":\"WordCount\"", "\"name\":\"Sort\"", 1);
-        assert!(compare_json(&renamed, &json, 5.0).is_err(), "missing workload is an error");
-        assert!(compare_json("not json", &json, 5.0).is_err());
-    }
-
-    #[test]
     fn artifact_reports_branch_mpki() {
         let json = tiny().to_json();
         let v = json::parse(&json).expect("parses");
@@ -435,7 +275,5 @@ mod tests {
         assert_eq!(a.workloads[0].cycles, b.workloads[0].cycles);
         assert_eq!(a.workloads[0].mpki, b.workloads[0].mpki);
         assert_eq!(a.to_json(), b.to_json(), "the artifact is fixed by the seed");
-        let drifts = compare_json(&a.to_json(), &b.to_json(), 0.0).expect("comparable");
-        assert!(drifts.is_empty(), "sim metrics must be bit-stable: {drifts:?}");
     }
 }

@@ -1,9 +1,9 @@
-//! Artifact emitters (`charmap.txt`, `charmap.json`) and the subset
-//! stability rule the full CI gate enforces.
+//! Artifact emitters (`charmap.txt`, `charmap.json`).
 //!
 //! The JSON artifact is schema-versioned and written with a stable key
 //! order and shortest-round-trip floats, so re-running the pipeline on
-//! unchanged inputs reproduces it byte-for-byte. The text artifact is
+//! unchanged inputs reproduces it byte-for-byte, and the committed copy
+//! is checked byte for byte. The text artifact is
 //! the human-readable companion: variance and loadings tables, cluster
 //! membership, the chosen subset, and a pairwise-distance heatmap.
 //!
@@ -12,7 +12,7 @@
 //! or hostile (embedded spaces, unicode, quotes) workload names get.
 
 use crate::{Charmap, SCHEMA_VERSION, VARIANCE_TARGET};
-use bdb_telemetry::json::{self, write_escaped, write_f64, write_f64_array, write_str_array, Json};
+use bdb_telemetry::json::{write_escaped, write_f64, write_f64_array, write_str_array};
 use std::fmt::Write as _;
 
 impl Charmap {
@@ -207,220 +207,28 @@ fn write_matrix(out: &mut String, rows: &[Vec<f64>]) {
     out.push(']');
 }
 
-/// The committed-baseline fields the stability rule compares against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Baseline {
-    /// Artifact schema version.
-    pub schema_version: u64,
-    /// Simulated machine of the committed run.
-    pub machine: String,
-    /// Input-scale fraction of the committed run.
-    pub fraction: f64,
-    /// Clustering seed of the committed run.
-    pub seed: u64,
-    /// Committed cluster count.
-    pub k: usize,
-    /// Committed representative subset, sorted.
-    pub subset: Vec<String>,
-    /// Committed workload list.
-    pub workloads: Vec<String>,
-}
-
-impl Baseline {
-    /// Parses the fields this module needs from a committed
-    /// `charmap.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description for malformed JSON or missing fields.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| format!("charmap baseline: {e}"))?;
-        let num = |path: &[&str]| -> Result<f64, String> {
-            let mut v: &Json = &doc;
-            for key in path {
-                v = v
-                    .get(key)
-                    .ok_or_else(|| format!("charmap baseline: missing {}", path.join(".")))?;
-            }
-            v.as_f64()
-                .ok_or_else(|| format!("charmap baseline: {} is not a number", path.join(".")))
-        };
-        let strs = |key: &str| -> Result<Vec<String>, String> {
-            doc.get(key)
-                .and_then(Json::as_array)
-                .and_then(|items| items.iter().map(|v| v.as_str().map(str::to_owned)).collect())
-                .ok_or_else(|| format!("charmap baseline: missing string array {key}"))
-        };
-        Ok(Self {
-            schema_version: num(&["schema_version"])? as u64,
-            machine: doc
-                .get("machine")
-                .and_then(Json::as_str)
-                .ok_or("charmap baseline: missing machine")?
-                .to_owned(),
-            fraction: num(&["fraction"])?,
-            seed: num(&["seed"])? as u64,
-            k: num(&["clustering", "k"])? as usize,
-            subset: strs("subset")?,
-            workloads: strs("workloads")?,
-        })
-    }
-}
-
-/// Validates a freshly computed [`Charmap`] against the committed
-/// `charmap.json`, enforcing the documented **subset stability rule**:
-///
-/// 1. the runs must be comparable — same schema version, machine,
-///    fraction, seed, and workload list;
-/// 2. the fresh run must retain at least [`VARIANCE_TARGET`] variance;
-/// 3. the fresh run must choose the same `k`; and
-/// 4. every fresh cluster must contain **exactly one** committed
-///    representative.
-///
-/// Rule 4 is deliberately looser than byte equality: a representative
-/// may drift *within* its cluster (tiny counter deltas moving which
-/// member sits nearest the centroid) without failing the gate, but any
-/// change to the cluster *structure* — representatives merging into
-/// one cluster, or a cluster with none — means the committed subset no
-/// longer covers the workload space and must be regenerated.
-///
-/// # Errors
-///
-/// Returns a human-readable explanation of the first violated rule.
-pub fn validate_baseline(fresh: &Charmap, committed_json: &str) -> Result<(), String> {
-    let committed = Baseline::parse(committed_json)?;
-    if committed.schema_version != SCHEMA_VERSION {
-        return Err(format!(
-            "charmap schema mismatch: committed v{}, tool writes v{SCHEMA_VERSION}",
-            committed.schema_version
-        ));
-    }
-    if committed.machine != fresh.machine {
-        return Err(format!(
-            "charmap machine mismatch: committed {:?}, fresh {:?}",
-            committed.machine, fresh.machine
-        ));
-    }
-    if committed.fraction != fresh.fraction {
-        return Err(format!(
-            "charmap fraction mismatch: committed {}, fresh {}",
-            committed.fraction, fresh.fraction
-        ));
-    }
-    if committed.seed != fresh.seed {
-        return Err(format!(
-            "charmap seed mismatch: committed {}, fresh {}",
-            committed.seed, fresh.seed
-        ));
-    }
-    if committed.workloads != fresh.workloads {
-        return Err(format!(
-            "charmap workload list changed: committed {:?}, fresh {:?} — regenerate the baseline",
-            committed.workloads, fresh.workloads
-        ));
-    }
-    if fresh.variance_retained < VARIANCE_TARGET {
-        return Err(format!(
-            "charmap retains only {:.2}% variance (target {:.0}%)",
-            fresh.variance_retained * 100.0,
-            VARIANCE_TARGET * 100.0
-        ));
-    }
-    if committed.k != fresh.k {
-        return Err(format!(
-            "charmap cluster count drifted: committed k={}, fresh k={} — regenerate the baseline",
-            committed.k, fresh.k
-        ));
-    }
-    for (i, cluster) in fresh.clusters.iter().enumerate() {
-        let reps: Vec<&String> =
-            cluster.members.iter().filter(|m| committed.subset.contains(m)).collect();
-        if reps.len() != 1 {
-            return Err(format!(
-                "charmap subset unstable: fresh cluster {i} ({:?}) contains {} committed \
-                 representatives (want exactly 1 of {:?}) — regenerate the baseline",
-                cluster.members,
-                reps.len(),
-                committed.subset
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{analyze, tests::fixture, DEFAULT_SEED};
+    use bdb_telemetry::json::{parse, Json};
 
     #[test]
     fn json_artifact_round_trips_and_is_stable() {
         let map = analyze(&fixture(), DEFAULT_SEED).unwrap();
         let doc = map.to_json();
         assert_eq!(doc, map.to_json(), "emission is pure");
-        let baseline = Baseline::parse(&doc).expect("parses back");
-        assert_eq!(baseline.schema_version, SCHEMA_VERSION);
-        assert_eq!(baseline.k, map.k);
-        assert_eq!(baseline.subset, map.subset);
-        assert_eq!(baseline.workloads, map.workloads);
-        assert_eq!(baseline.seed, DEFAULT_SEED);
-    }
-
-    #[test]
-    fn fresh_run_validates_against_its_own_artifact() {
-        let map = analyze(&fixture(), DEFAULT_SEED).unwrap();
-        validate_baseline(&map, &map.to_json()).expect("self-consistent");
-    }
-
-    #[test]
-    fn stability_rule_allows_in_cluster_representative_drift() {
-        let map = analyze(&fixture(), DEFAULT_SEED).unwrap();
-        // Move one committed representative to a same-cluster sibling.
-        let mut drifted = map.clone();
-        let cluster = drifted
-            .clusters
-            .iter_mut()
-            .find(|c| c.members.len() > 1)
-            .expect("a multi-member cluster");
-        let rep = cluster.representative.clone();
-        let sibling = cluster.members.iter().find(|m| **m != rep).expect("sibling member").clone();
-        cluster.representative = sibling.clone();
-        drifted.subset = drifted.clusters.iter().map(|c| c.representative.clone()).collect();
-        drifted.subset.sort();
-        // The drifted artifact still passes against the original run.
-        validate_baseline(&map, &drifted.to_json()).expect("in-cluster drift tolerated");
-    }
-
-    #[test]
-    fn stability_rule_rejects_structural_drift() {
-        let map = analyze(&fixture(), DEFAULT_SEED).unwrap();
-
-        let mut other_k = map.clone();
-        other_k.k += 1;
-        let err = validate_baseline(&map, &other_k.to_json()).unwrap_err();
-        assert!(err.contains("cluster count drifted"), "{err}");
-
-        // A committed subset whose representatives pile into one fresh
-        // cluster no longer covers the space.
-        let mut piled = map.clone();
-        let donor = piled.clusters.iter().position(|c| c.members.len() > 1).expect("multi-member");
-        let member = piled.clusters[donor]
-            .members
-            .iter()
-            .find(|m| **m != piled.clusters[donor].representative)
-            .unwrap()
-            .clone();
-        let victim = (0..piled.clusters.len()).find(|&i| i != donor).expect("second cluster");
-        piled.clusters[victim].representative = member;
-        piled.subset = piled.clusters.iter().map(|c| c.representative.clone()).collect();
-        piled.subset.sort();
-        let err = validate_baseline(&map, &piled.to_json()).unwrap_err();
-        assert!(err.contains("subset unstable"), "{err}");
-
-        let mut reseeded = map.clone();
-        reseeded.seed += 1;
-        let err = validate_baseline(&map, &reseeded.to_json()).unwrap_err();
-        assert!(err.contains("seed mismatch"), "{err}");
+        let v = parse(&doc).expect("parses back");
+        let num = |value: Option<&Json>| value.and_then(Json::as_u64);
+        let strs = |key: &str| -> Vec<String> {
+            let items = v.get(key).and_then(Json::as_array).expect("string array");
+            items.iter().map(|s| s.as_str().expect("string").to_owned()).collect()
+        };
+        assert_eq!(num(v.get("schema_version")), Some(SCHEMA_VERSION));
+        assert_eq!(num(v.get("seed")), Some(DEFAULT_SEED));
+        assert_eq!(num(v.get("clustering").and_then(|c| c.get("k"))), Some(map.k as u64));
+        assert_eq!(strs("subset"), map.subset);
+        assert_eq!(strs("workloads"), map.workloads);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden test for the BENCH_RESULTS.json regression artifact: the
-//! document must parse with the workspace JSON reader, carry every gated metric for
-//! all ten traced workloads, and its per-phase counters must sum to
+//! document must parse with the workspace JSON reader, carry every metric for
+//! its ten default workloads, and its per-phase counters must sum to
 //! the whole-run totals.
 
 use bdb_bench::results::{collect, DEFAULT_WORKLOADS, SCHEMA_VERSION};
@@ -35,7 +35,7 @@ fn artifact_has_every_required_metric_per_workload() {
     ] {
         assert!(names.contains(&required), "missing {required} in {names:?}");
     }
-    assert_eq!(names.len(), 10, "every traced workload is captured: {names:?}");
+    assert_eq!(names.len(), 10, "exactly the ten default workloads: {names:?}");
 
     for w in workloads {
         let name = w.get("name").and_then(|n| n.as_str()).unwrap_or("?");
