@@ -4,9 +4,10 @@
 
 use super::{section, Args, Artifact, Failure, PASSES};
 use crate::table::{fnum, TextTable};
-use bdb_archsim::CacheConfig;
+use bdb_archsim::metrics::InstClass;
+use bdb_archsim::{CacheConfig, CharacterizationReport};
 use bdb_telemetry::json::ObjectWriter;
-use bigdatabench::characterize::{self, Fig2Row, Fig3Row, Fig4Row, Fig5Row, Fig6Row};
+use bigdatabench::characterize::{self, Fig2Row, Fig3Row};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
 use std::path::Path;
 
@@ -129,42 +130,46 @@ const FIG3: Figure<Fig3Row> = Figure {
     ],
 };
 
-const FIG4: Figure<Fig4Row> = Figure {
+/// A row of Figures 4 and 6: a name and its E5645 report.
+type Named = (&'static str, CharacterizationReport);
+
+const FIG4: Figure<Named> = Figure {
     id: "fig4",
     label: "name",
-    name: |r| &r.name,
+    name: |r| r.0,
     cols: &[
-        col("load", "load", Show::Pct, |r| r.load),
-        col("store", "store", Show::Pct, |r| r.store),
-        col("branch", "branch", Show::Pct, |r| r.branch),
-        col("int", "int", Show::Pct, |r| r.int),
-        col("fp", "fp", Show::Pct, |r| r.fp),
-        col("int:fp", "int_fp_ratio", Show::Num, |r| r.int_fp_ratio),
+        col("load", "load", Show::Pct, |(_, r)| r.counters.mix.fraction(InstClass::Load)),
+        col("store", "store", Show::Pct, |(_, r)| r.counters.mix.fraction(InstClass::Store)),
+        col("branch", "branch", Show::Pct, |(_, r)| r.counters.mix.fraction(InstClass::Branch)),
+        col("int", "int", Show::Pct, |(_, r)| r.counters.mix.fraction(InstClass::Int)),
+        col("fp", "fp", Show::Pct, |(_, r)| r.counters.mix.fraction(InstClass::Fp)),
+        col("int:fp", "int_fp_ratio", Show::Num, |(_, r)| r.counters.mix.int_to_fp_ratio()),
     ],
 };
 
-const FIG5: Figure<Fig5Row> = Figure {
+/// Figure 5's columns read each name's E5310 and E5645 reports.
+const FIG5: Figure<(&'static str, [CharacterizationReport; 2])> = Figure {
     id: "fig5",
     label: "name",
-    name: |r| &r.name,
+    name: |r| r.0,
     cols: &[
-        col("FP E5310", "fp_e5310", Show::Num, |r| r.fp_e5310),
-        col("FP E5645", "fp_e5645", Show::Num, |r| r.fp_e5645),
-        col("INT E5310", "int_e5310", Show::Num, |r| r.int_e5310),
-        col("INT E5645", "int_e5645", Show::Num, |r| r.int_e5645),
+        col("FP E5310", "fp_e5310", Show::Num, |(_, [r, _])| r.fp_intensity()),
+        col("FP E5645", "fp_e5645", Show::Num, |(_, [_, r])| r.fp_intensity()),
+        col("INT E5310", "int_e5310", Show::Num, |(_, [r, _])| r.int_intensity()),
+        col("INT E5645", "int_e5645", Show::Num, |(_, [_, r])| r.int_intensity()),
     ],
 };
 
-const FIG6: Figure<Fig6Row> = Figure {
+const FIG6: Figure<Named> = Figure {
     id: "fig6",
     label: "name",
-    name: |r| &r.name,
+    name: |r| r.0,
     cols: &[
-        col("L1I", "l1i_mpki", Show::Num, |r| r.l1i_mpki),
-        col("L2", "l2_mpki", Show::Num, |r| r.l2_mpki),
-        col("L3", "l3_mpki", Show::Num, |r| r.l3_mpki),
-        col("ITLB", "itlb_mpki", Show::Num, |r| r.itlb_mpki),
-        col("DTLB", "dtlb_mpki", Show::Num, |r| r.dtlb_mpki),
+        col("L1I", "l1i_mpki", Show::Num, |(_, r)| r.l1i_mpki()),
+        col("L2", "l2_mpki", Show::Num, |(_, r)| r.l2_mpki()),
+        col("L3", "l3_mpki", Show::Num, |(_, r)| r.l3_mpki()),
+        col("ITLB", "itlb_mpki", Show::Num, |(_, r)| r.itlb_mpki()),
+        col("DTLB", "dtlb_mpki", Show::Num, |(_, r)| r.dtlb_mpki()),
     ],
 };
 
@@ -319,17 +324,21 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
 
     let mut fig2_rows = Vec::new();
     let mut fig3_rows = Vec::new();
-    let mut fig4_rows = Vec::new();
     let mut fig5_rows = Vec::new();
-    let mut fig6_rows = Vec::new();
 
-    let need_baseline = on("--fig4") || on("--fig6");
-    let baseline = if need_baseline {
-        eprintln!("characterizing all 19 workloads at baseline on {}...", machine.name);
-        characterize::baseline_reports(&suite, &machine)
+    // Figures 4, 5 and 6 read one characterization per machine.
+    let e5645_rows = if on("--fig4") || on("--fig5") || on("--fig6") {
+        eprintln!(
+            "characterizing all 19 workloads and 4 suites at baseline on {}...",
+            machine.name
+        );
+        characterize::figure_rows(&suite, &machine)
     } else {
         Vec::new()
     };
+    // The E5645 rows when `section` is shown, so a check is judged only
+    // with its figure.
+    let shown = |section: &str| if on(section) { e5645_rows.as_slice() } else { &[] };
 
     if on("--fig2") {
         eprintln!("figure 2: native sweeps + small/large characterization...");
@@ -351,27 +360,35 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
     }
 
     if on("--fig4") {
-        fig4_rows = characterize::figure4(&baseline, &machine);
-        FIG4.print("Figure 4 — instruction breakdown", &fig4_rows);
-        FIG4.save(out, json_dir, &fig4_rows);
+        FIG4.print("Figure 4 — instruction breakdown", &e5645_rows);
+        FIG4.save(out, json_dir, &e5645_rows);
     }
 
     if on("--fig5") {
-        eprintln!("figure 5: characterizing on both E5645 and E5310...");
-        fig5_rows = characterize::figure5(&suite);
+        let e5310 = MachineConfig::xeon_e5310();
+        eprintln!("figure 5: characterizing again on {}...", e5310.name);
+        fig5_rows = characterize::figure_rows(&suite, &e5310)
+            .into_iter()
+            .zip(&e5645_rows)
+            .map(|((name, r10), (_, r45))| (name, [r10, r45.clone()]))
+            .collect();
         FIG5.print("Figure 5 — operation intensity (ops per DRAM byte)", &fig5_rows);
         FIG5.save(out, json_dir, &fig5_rows);
     }
 
     if on("--fig6") {
-        fig6_rows = characterize::figure6(&baseline, &machine);
-        FIG6.print("Figure 6 — memory hierarchy MPKI", &fig6_rows);
-        FIG6.save(out, json_dir, &fig6_rows);
+        FIG6.print("Figure 6 — memory hierarchy MPKI", &e5645_rows);
+        FIG6.save(out, json_dir, &e5645_rows);
     }
 
     if on("--checks") {
-        let checks =
-            crate::paper::shape_checks(&fig2_rows, &fig3_rows, &fig4_rows, &fig5_rows, &fig6_rows);
+        let checks = crate::paper::shape_checks(
+            &fig2_rows,
+            &fig3_rows,
+            shown("--fig4"),
+            &fig5_rows,
+            shown("--fig6"),
+        );
         section("Shape checks vs the paper's headline claims");
         let mut t = TextTable::new(&["check", "claim", "measured", "verdict"]);
         let mut pass = 0;
@@ -393,15 +410,11 @@ mod tests {
 
     #[test]
     fn one_column_list_drives_table_cells_and_json() {
-        let row = Fig4Row {
-            name: "Grep".into(),
-            load: 0.25,
-            store: 0.5,
-            branch: 0.125,
-            int: 0.125,
-            fp: 0.0,
-            int_fp_ratio: f64::INFINITY,
-        };
+        use bdb_archsim::{metrics::InstructionMix, CounterSnapshot};
+        let mix =
+            InstructionMix { loads: 2, stores: 4, branches: 1, int_ops: 1, ..Default::default() };
+        let counters = CounterSnapshot { mix, ..Default::default() };
+        let row = ("Grep", CharacterizationReport { counters, ..Default::default() });
         let cells: Vec<String> = FIG4.cols.iter().map(|c| c.text(&row)).collect();
         assert_eq!(cells, ["25.0%", "50.0%", "12.5%", "12.5%", "0.0%", "inf"]);
         let mut out = Vec::new();

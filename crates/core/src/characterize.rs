@@ -1,9 +1,11 @@
 //! Figure-level orchestration: the data behind each of the paper's
 //! evaluation figures (2, 3-1, 3-2, 4, 5, 6).
 //!
-//! Each function returns plain rows; `bdb-bench`'s `reproduce` binary
-//! formats them as the paper's tables/series and EXPERIMENTS.md records
-//! the comparison.
+//! Figures 2 and 3 have their own rows. Figures 4, 5 and 6 share one
+//! list of whole reports, [`figure_rows`], characterized once per
+//! machine: Figures 4 and 6 read it on the E5645, Figure 5 on both
+//! Xeons. `bdb-bench`'s `reproduce` binary formats the rows as the
+//! paper's tables and series, and EXPERIMENTS.md records the comparison.
 
 use crate::report::WorkloadReport;
 use crate::scale::RunScale;
@@ -103,58 +105,23 @@ pub fn figure3(suite: &Suite, machine: &MachineConfig) -> Vec<Fig3Row> {
     WorkloadId::ALL.iter().flat_map(|&id| figure3_for(suite, id, machine)).collect()
 }
 
-/// Figure 4 — dynamic instruction breakdown.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Workload or suite-average name.
-    pub name: String,
-    /// Fraction of loads.
-    pub load: f64,
-    /// Fraction of stores.
-    pub store: f64,
-    /// Fraction of branches.
-    pub branch: f64,
-    /// Fraction of integer-class instructions.
-    pub int: f64,
-    /// Fraction of FP instructions.
-    pub fp: f64,
-    /// Integer-to-FP ratio.
-    pub int_fp_ratio: f64,
-}
-
-fn fig4_row(name: &str, r: &CharacterizationReport) -> Fig4Row {
-    use bdb_archsim::metrics::InstClass;
-    Fig4Row {
-        name: name.to_owned(),
-        load: r.counters.mix.fraction(InstClass::Load),
-        store: r.counters.mix.fraction(InstClass::Store),
-        branch: r.counters.mix.fraction(InstClass::Branch),
-        int: r.counters.mix.fraction(InstClass::Int),
-        fp: r.counters.mix.fraction(InstClass::Fp),
-        int_fp_ratio: r.counters.mix.int_to_fp_ratio(),
-    }
-}
-
-/// All per-workload traced reports at the baseline multiplier, in Table
-/// 6 order — shared input for Figures 4, 5 and 6.
-pub fn baseline_reports(
+/// The rows behind Figures 4, 5 and 6, in the figures' order: the 19
+/// workloads at the baseline input in Table 6 order, `Avg_BigData`
+/// over them, then the four traditional-suite averages. Each row is a
+/// whole report, characterized once on `machine`; the figures are
+/// column lists over these rows.
+pub fn figure_rows(
     suite: &Suite,
     machine: &MachineConfig,
-) -> Vec<(WorkloadId, CharacterizationReport)> {
-    WorkloadId::ALL.iter().map(|&id| (id, suite.run_traced(id, 1, machine.clone()))).collect()
-}
-
-/// Computes Figure 4: 19 workloads + the BigDataBench average + the four
-/// traditional-suite averages.
-pub fn figure4(
-    reports: &[(WorkloadId, CharacterizationReport)],
-    machine: &MachineConfig,
-) -> Vec<Fig4Row> {
-    let mut rows: Vec<Fig4Row> = reports.iter().map(|(id, r)| fig4_row(id.name(), r)).collect();
-    rows.push(fig4_row("Avg_BigData", &average_report(reports)));
-    for suite in RefSuite::ALL {
-        let r = characterize_suite(suite, REF_SCALE, machine.clone());
-        rows.push(fig4_row(suite.label(), &r));
+) -> Vec<(&'static str, CharacterizationReport)> {
+    let mut rows: Vec<_> = WorkloadId::ALL
+        .iter()
+        .map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone())))
+        .collect();
+    let avg = average_report(&rows);
+    rows.push(("Avg_BigData", avg));
+    for kind in RefSuite::ALL {
+        rows.push((kind.label(), characterize_suite(kind, REF_SCALE, machine.clone())));
     }
     rows
 }
@@ -162,7 +129,7 @@ pub fn figure4(
 /// Merges per-workload reports into a suite-average report: the sum of
 /// their counters, under the first report's machine name and the last
 /// one's frequency, so derived metrics are recomputed over the suite.
-pub fn average_report(reports: &[(WorkloadId, CharacterizationReport)]) -> CharacterizationReport {
+pub fn average_report(reports: &[(&str, CharacterizationReport)]) -> CharacterizationReport {
     let mut counters = CounterSnapshot::default();
     for (_, r) in reports {
         counters.merge(&r.counters);
@@ -173,104 +140,6 @@ pub fn average_report(reports: &[(WorkloadId, CharacterizationReport)]) -> Chara
         counters,
         phases: Vec::new(),
     }
-}
-
-/// Figure 5 — operation intensity on both machines.
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// Workload or suite-average name.
-    pub name: String,
-    /// FP operations per DRAM byte on the Xeon E5310.
-    pub fp_e5310: f64,
-    /// FP operations per DRAM byte on the Xeon E5645.
-    pub fp_e5645: f64,
-    /// Integer-class operations per DRAM byte on the E5310.
-    pub int_e5310: f64,
-    /// Integer-class operations per DRAM byte on the E5645.
-    pub int_e5645: f64,
-}
-
-/// Computes Figure 5: per workload plus suite averages, on both
-/// processor configurations.
-pub fn figure5(suite: &Suite) -> Vec<Fig5Row> {
-    let e5645 = MachineConfig::xeon_e5645();
-    let e5310 = MachineConfig::xeon_e5310();
-    let rep45 = baseline_reports(suite, &e5645);
-    let rep10 = baseline_reports(suite, &e5310);
-    let mut rows: Vec<Fig5Row> = rep45
-        .iter()
-        .zip(&rep10)
-        .map(|((id, r45), (_, r10))| Fig5Row {
-            name: id.name().to_owned(),
-            fp_e5310: r10.fp_intensity(),
-            fp_e5645: r45.fp_intensity(),
-            int_e5310: r10.int_intensity(),
-            int_e5645: r45.int_intensity(),
-        })
-        .collect();
-    let avg45 = average_report(&rep45);
-    let avg10 = average_report(&rep10);
-    rows.push(Fig5Row {
-        name: "Avg_BigData".to_owned(),
-        fp_e5310: avg10.fp_intensity(),
-        fp_e5645: avg45.fp_intensity(),
-        int_e5310: avg10.int_intensity(),
-        int_e5645: avg45.int_intensity(),
-    });
-    for suite_kind in RefSuite::ALL {
-        let r45 = characterize_suite(suite_kind, REF_SCALE, e5645.clone());
-        let r10 = characterize_suite(suite_kind, REF_SCALE, e5310.clone());
-        rows.push(Fig5Row {
-            name: suite_kind.label().to_owned(),
-            fp_e5310: r10.fp_intensity(),
-            fp_e5645: r45.fp_intensity(),
-            int_e5310: r10.int_intensity(),
-            int_e5645: r45.int_intensity(),
-        });
-    }
-    rows
-}
-
-/// Figure 6 — memory-hierarchy behaviour (cache and TLB MPKI).
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// Workload or suite-average name.
-    pub name: String,
-    /// L1 instruction cache MPKI.
-    pub l1i_mpki: f64,
-    /// L2 MPKI.
-    pub l2_mpki: f64,
-    /// L3 MPKI.
-    pub l3_mpki: f64,
-    /// Instruction TLB MPKI.
-    pub itlb_mpki: f64,
-    /// Data TLB MPKI.
-    pub dtlb_mpki: f64,
-}
-
-fn fig6_row(name: &str, r: &CharacterizationReport) -> Fig6Row {
-    Fig6Row {
-        name: name.to_owned(),
-        l1i_mpki: r.l1i_mpki(),
-        l2_mpki: r.l2_mpki(),
-        l3_mpki: r.l3_mpki(),
-        itlb_mpki: r.itlb_mpki(),
-        dtlb_mpki: r.dtlb_mpki(),
-    }
-}
-
-/// Computes Figure 6 rows from baseline reports plus suite averages.
-pub fn figure6(
-    reports: &[(WorkloadId, CharacterizationReport)],
-    machine: &MachineConfig,
-) -> Vec<Fig6Row> {
-    let mut rows: Vec<Fig6Row> = reports.iter().map(|(id, r)| fig6_row(id.name(), r)).collect();
-    rows.push(fig6_row("Avg_BigData", &average_report(reports)));
-    for suite in RefSuite::ALL {
-        let r = characterize_suite(suite, REF_SCALE, machine.clone());
-        rows.push(fig6_row(suite.label(), &r));
-    }
-    rows
 }
 
 /// One row of the per-phase breakdown: an execution phase of one
@@ -321,11 +190,6 @@ pub fn phase_rows(workload: &str, report: &CharacterizationReport) -> Vec<PhaseR
             l3_mpki: r.l3_mpki(),
         })
         .collect()
-}
-
-/// Computes the per-phase breakdown for every workload in `reports`.
-pub fn phase_breakdown(reports: &[(WorkloadId, CharacterizationReport)]) -> Vec<PhaseRow> {
-    reports.iter().flat_map(|(id, r)| phase_rows(id.name(), r)).collect()
 }
 
 /// The paper's planned stack swap (§6.3.2): one WordCount on two
@@ -403,7 +267,7 @@ mod tests {
         let machine = MachineConfig::xeon_e5645();
         let reports: Vec<_> = [WorkloadId::Grep, WorkloadId::Bfs]
             .iter()
-            .map(|&id| (id, suite.run_traced(id, 1, machine.clone())))
+            .map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone())))
             .collect();
         let avg = average_report(&reports);
         assert_eq!(avg.instructions(), reports[0].1.instructions() + reports[1].1.instructions());
