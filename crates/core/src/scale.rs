@@ -15,17 +15,18 @@ pub struct RunScale {
     /// Global shrink factor applied to native baselines (1.0 = the
     /// library-scale default).
     pub fraction: f64,
-    /// Deterministic seed for generators.
-    pub seed: u64,
 }
 
 impl RunScale {
     /// The paper's multiplier sweep.
     pub const MULTIPLIERS: [u32; 5] = [1, 4, 8, 16, 32];
 
+    /// The one seed every generator derives from ([`RunScale::seed_for`]).
+    pub const SEED: u64 = 0xB1D_DA7A;
+
     /// Baseline input (multiplier 1) at the default fraction.
     pub fn baseline() -> Self {
-        Self { multiplier: 1, fraction: 1.0, seed: 0xB1D_DA7A }
+        Self { multiplier: 1, fraction: 1.0 }
     }
 
     /// Baseline scaled by `multiplier`.
@@ -35,19 +36,13 @@ impl RunScale {
 
     /// A tiny configuration for tests: 1/16 of the library baseline.
     pub fn quick() -> Self {
-        Self { multiplier: 1, fraction: 1.0 / 16.0, seed: 0xB1D_DA7A }
+        Self { multiplier: 1, fraction: 1.0 / 16.0 }
     }
 
     /// Replaces the shrink fraction.
     pub fn with_fraction(mut self, fraction: f64) -> Self {
         assert!(fraction > 0.0, "fraction must be positive");
         self.fraction = fraction;
-        self
-    }
-
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -66,10 +61,11 @@ impl RunScale {
         base.saturating_mul(u64::from(self.multiplier)).max(1)
     }
 
-    /// A seed derived for sub-component `tag` so generators stay
-    /// independent but deterministic.
+    /// A seed derived from [`RunScale::SEED`] for sub-component `tag`
+    /// and this multiplier, so generators stay independent but
+    /// deterministic.
     pub fn seed_for(&self, tag: u64) -> u64 {
-        self.seed
+        Self::SEED
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(tag)
             .wrapping_add(self.multiplier as u64)

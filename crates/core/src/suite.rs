@@ -9,7 +9,7 @@ use bdb_archsim::{CharacterizationReport, MachineConfig};
 /// Entry point for running BigDataBench-RS workloads.
 ///
 /// A `Suite` fixes the global shrink fraction (the seed is always
-/// [`RunScale::baseline`]'s); each run method takes the paper's
+/// [`RunScale::SEED`]); each run method takes the paper's
 /// data-volume multiplier.
 ///
 /// # Example
@@ -51,7 +51,7 @@ impl Suite {
 
     /// The [`RunScale`] this suite uses at `multiplier`.
     pub fn scale(&self, multiplier: u32) -> RunScale {
-        RunScale { multiplier, fraction: self.fraction, ..RunScale::baseline() }
+        RunScale { multiplier, fraction: self.fraction }
     }
 
     /// Runs one workload natively (parallel, uninstrumented) at
@@ -112,7 +112,7 @@ mod tests {
         let s = Suite::with_fraction(0.5).scale(8);
         assert_eq!(s.multiplier, 8);
         assert_eq!(s.fraction, 0.5);
-        assert_eq!(s.seed, RunScale::baseline().seed);
+        assert_eq!(s.seed_for(7), RunScale::at(8).seed_for(7));
     }
 
     #[test]
