@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Run before every merge.
 #
-#   ./ci.sh                # full gate: fmt, clippy, rustdoc, release build, tests,
+#   ./ci.sh                # full gate: fmt, clippy, rustdoc, release build, a
+#                          # figure smoke (reproduce --all at fraction 0.02), tests,
 #                          # wallbench's tests and a one-second correctness
 #                          # smoke of each wallbench workload
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
@@ -62,6 +63,24 @@ run cargo clippy --locked --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline
 if [ "$fast" -eq 0 ]; then
     run cargo build --locked --workspace --release
+    # Figure smoke: no test runs Figures 2–6, so the release binary
+    # draws every paper section once at a small fraction. It must exit
+    # 0 (the pass fails on an empty artifact) and write all five
+    # figures. The figures are not pinned here; passes.rs holds the
+    # only pin table.
+    figdir="$(mktemp -d)"
+    echo "== reproduce --fraction 0.02 --all --json DIR =="
+    figstatus=0
+    cargo run --locked --release -q -p bdb-bench --bin reproduce -- \
+        --fraction 0.02 --all --json "$figdir" > /dev/null || figstatus=$?
+    for n in 2 3 4 5 6; do
+        [ -s "$figdir/fig$n.json" ] || figstatus=1
+    done
+    rm -rf "$figdir"
+    if [ "$figstatus" -ne 0 ]; then
+        echo "ci: reproduce --all failed or did not write fig2.json to fig6.json" >&2
+        exit 1
+    fi
 fi
 run cargo test --locked --workspace -q
 
