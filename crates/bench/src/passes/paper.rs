@@ -424,4 +424,43 @@ mod tests {
         assert_eq!(out[0].path, Path::new("d/fig4.json"));
         assert_eq!(out[0].bytes, format!("[\n  {object},\n  {object}\n]\n").into_bytes());
     }
+
+    /// The 19 workload rows and `Avg_BigData` of Figures 4–6 at
+    /// fraction 0.02, pinned by length and 64-bit FNV-1a. The four
+    /// reference-suite rows are left out: their fixed kernel scale makes
+    /// them most of a debug run's time.
+    #[test]
+    fn figure_workload_rows_hold_their_pins() {
+        use bdb_archsim::layout::fnv1a;
+        let suite = Suite::with_fraction(0.02);
+        let rows = |machine: MachineConfig| {
+            let mut rows: Vec<Named> = WorkloadId::ALL
+                .iter()
+                .map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone())))
+                .collect();
+            rows.push(("Avg_BigData", characterize::average_report(&rows)));
+            rows
+        };
+        let e5645 = rows(MachineConfig::xeon_e5645());
+        let fig5: Vec<_> = rows(MachineConfig::xeon_e5310())
+            .into_iter()
+            .zip(&e5645)
+            .map(|((name, r10), (_, r45))| (name, [r10, r45.clone()]))
+            .collect();
+        let dir = Some(Path::new("d"));
+        let mut out = Vec::new();
+        FIG4.save(&mut out, dir, &e5645);
+        FIG5.save(&mut out, dir, &fig5);
+        FIG6.save(&mut out, dir, &e5645);
+        let pins: Vec<_> = out
+            .iter()
+            .map(|a| (a.path.display().to_string(), a.bytes.len(), fnv1a(&a.bytes)))
+            .collect();
+        let want = [
+            ("d/fig4.json".to_owned(), 3_789, 0xee07_956f_32b7_162c),
+            ("d/fig5.json".to_owned(), 2_887, 0xdd62_33ad_7f8e_8b98),
+            ("d/fig6.json".to_owned(), 3_437, 0xc7e7_d528_e29a_ba82),
+        ];
+        assert_eq!(pins, want, "Figures 4-6's workload rows moved; got {pins:#x?}");
+    }
 }
