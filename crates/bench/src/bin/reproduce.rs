@@ -12,22 +12,13 @@ use bdb_bench::passes::{self, Failure};
 
 fn main() {
     quiet_injected_panics();
-    let status = match passes::run(std::env::args().skip(1)) {
-        Ok(()) => return,
-        Err(Failure::Gate(msg)) => {
-            eprintln!("{msg}");
-            1
-        }
-        Err(Failure::Usage(msg)) => {
-            eprintln!("error: {msg}\n\n{}", passes::usage());
-            2
-        }
-        Err(Failure::Io(msg)) => {
-            eprintln!("error: {msg}");
-            2
-        }
-    };
-    std::process::exit(status);
+    let Err(failure) = passes::run(std::env::args().skip(1)) else { return };
+    match &failure {
+        Failure::Gate(msg) => eprintln!("{msg}"),
+        Failure::Usage(msg) => eprintln!("error: {msg}\n\n{}", passes::usage()),
+        Failure::Io(msg) => eprintln!("error: {msg}"),
+    }
+    std::process::exit(failure.exit_code());
 }
 
 /// Keeps injected-fault panics off the console: the engine catches and

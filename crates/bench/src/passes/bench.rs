@@ -1,8 +1,10 @@
 //! `--bench-json PATH`: the BENCH_RESULTS.json performance artifact.
 
 use super::{section, Args, Artifact, Failure};
-use crate::results::{collect, DEFAULT_WORKLOADS};
+use crate::results::{to_json, DEFAULT_WORKLOADS};
 use crate::table::{fnum, TextTable};
+use bigdatabench::characterize::baseline;
+use bigdatabench::{MachineConfig, Suite};
 
 /// Collects the BENCH_RESULTS.json artifact over every default workload.
 pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
@@ -12,22 +14,23 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         DEFAULT_WORKLOADS.len(),
         args.fraction()
     );
-    let results = collect(args.fraction(), &DEFAULT_WORKLOADS);
+    let suite = Suite::with_fraction(args.fraction());
+    let rows = baseline(&suite, &DEFAULT_WORKLOADS, &MachineConfig::xeon_e5645());
     let mut t = TextTable::new(&["workload", "MIPS", "L1I", "L2", "L3 MPKI", "phases"]);
-    for w in &results.workloads {
+    for (name, r) in &rows {
         t.row(&[
-            w.name.clone(),
-            fnum(w.mips),
-            fnum(w.mpki[0]),
-            fnum(w.mpki[2]),
-            fnum(w.mpki[3]),
-            w.phases.len().to_string(),
+            (*name).to_owned(),
+            fnum(r.mips()),
+            fnum(r.l1i_mpki()),
+            fnum(r.l2_mpki()),
+            fnum(r.l3_mpki()),
+            r.phases.len().to_string(),
         ]);
     }
     println!("{}", t.render());
 
     if let Some(path) = args.path("--bench-json") {
-        out.push(Artifact::new(path.to_owned(), results.to_json()));
+        out.push(Artifact::new(path.to_owned(), to_json(args.fraction(), &rows)));
     }
     Ok(())
 }

@@ -4,6 +4,8 @@ use super::{gate, section, Args, Artifact, Failure};
 use crate::results::DEFAULT_WORKLOADS;
 use crate::table::TextTable;
 use bdb_charmap::{analyze, DEFAULT_SEED, VARIANCE_TARGET};
+use bigdatabench::characterize::baseline;
+use bigdatabench::{MachineConfig, Suite};
 
 /// Workload characterization pass: metric vectors over the default
 /// workload set -> PCA -> clustering -> representative subset, written
@@ -23,7 +25,9 @@ pub(super) fn run(args: &Args, out: &mut Vec<Artifact>) -> Result<(), Failure> {
         DEFAULT_WORKLOADS.len(),
         args.fraction()
     );
-    let input = crate::charmap::analysis_input(args.fraction(), &DEFAULT_WORKLOADS);
+    let suite = Suite::with_fraction(args.fraction());
+    let rows = baseline(&suite, &DEFAULT_WORKLOADS, &MachineConfig::xeon_e5645());
+    let input = crate::charmap::analysis_input(args.fraction(), &rows);
     let map =
         analyze(&input, DEFAULT_SEED).map_err(|e| Failure::Gate(format!("charmap FAIL: {e}")))?;
 

@@ -5,8 +5,8 @@
 //!
 //! Every flag is a row of `PASSES`; [`usage`] prints the text generated
 //! from it and [`run`] parses a command line and runs the passes it
-//! selects. A pass never exits: it returns a [`Failure`], which the
-//! binary maps to its exit status.
+//! selects. A pass never exits: it returns a [`Failure`], whose
+//! [`Failure::exit_code`] is the binary's exit status.
 
 use bigdatabench::MachineConfig;
 use std::path::{Path, PathBuf};
@@ -266,7 +266,8 @@ fn missing_value(usage: &str) -> String {
     format!("{name} needs {} (`{usage}`)", nouns.join(" and "))
 }
 
-/// Why a run stopped; the binary maps each kind to its exit status.
+/// Why a run stopped; [`Failure::exit_code`] maps each kind to the
+/// binary's exit status.
 pub enum Failure {
     /// A pass's gate rejected the run (exit 1).
     Gate(String),
@@ -274,6 +275,18 @@ pub enum Failure {
     Usage(String),
     /// Reading an input or writing an artifact failed (exit 2).
     Io(String),
+}
+
+impl Failure {
+    /// The exit status `reproduce` ends with: 1 for a failed gate, 2
+    /// for a usage or I/O error.
+    #[must_use]
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Failure::Gate(_) => 1,
+            Failure::Usage(_) | Failure::Io(_) => 2,
+        }
+    }
 }
 
 /// Maps an error to a [`Failure::Io`] that says what was being done.
@@ -353,4 +366,16 @@ pub fn run(raw: impl Iterator<Item = String>) -> Result<(), Failure> {
 
 fn section(title: &str) {
     println!("\n=== {title} ===\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_gate_exits_1_and_a_usage_or_io_error_2() {
+        assert_eq!(Failure::Gate("charmap FAIL".into()).exit_code(), 1);
+        assert_eq!(Failure::Usage("unknown argument".into()).exit_code(), 2);
+        assert_eq!(Failure::Io("writing d".into()).exit_code(), 2);
+    }
 }

@@ -4,7 +4,9 @@
 //! Figures 2 and 3 have their own rows. Figures 4, 5 and 6 share one
 //! list of whole reports, [`figure_rows`], characterized once per
 //! machine: Figures 4 and 6 read it on the E5645, Figure 5 on both
-//! Xeons. `bdb-bench`'s `reproduce` binary formats the rows as the
+//! Xeons. Its workload rows come from [`baseline`], the named reports
+//! that `bdb-bench`'s `BENCH_RESULTS.json` and characterization map
+//! read too. `bdb-bench`'s `reproduce` binary formats the rows as the
 //! paper's tables and series, and EXPERIMENTS.md records the comparison.
 
 use crate::report::WorkloadReport;
@@ -105,19 +107,27 @@ pub fn figure3(suite: &Suite, machine: &MachineConfig) -> Vec<Fig3Row> {
     WorkloadId::ALL.iter().flat_map(|&id| figure3_for(suite, id, machine)).collect()
 }
 
+/// One traced run per id at the baseline input, in `ids` order, each
+/// named by its Table 6 spelling: the one counter record that
+/// Figures 4–6, `BENCH_RESULTS.json` and the characterization map read.
+pub fn baseline(
+    suite: &Suite,
+    ids: &[WorkloadId],
+    machine: &MachineConfig,
+) -> Vec<(&'static str, CharacterizationReport)> {
+    ids.iter().map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone()))).collect()
+}
+
 /// The rows behind Figures 4, 5 and 6, in the figures' order: the 19
-/// workloads at the baseline input in Table 6 order, `Avg_BigData`
-/// over them, then the four traditional-suite averages. Each row is a
-/// whole report, characterized once on `machine`; the figures are
-/// column lists over these rows.
+/// workloads' [`baseline`] in Table 6 order, `Avg_BigData` over them,
+/// then the four traditional-suite averages. Each row is a whole
+/// report, characterized once on `machine`; the figures are column
+/// lists over these rows.
 pub fn figure_rows(
     suite: &Suite,
     machine: &MachineConfig,
 ) -> Vec<(&'static str, CharacterizationReport)> {
-    let mut rows: Vec<_> = WorkloadId::ALL
-        .iter()
-        .map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone())))
-        .collect();
+    let mut rows = baseline(suite, &WorkloadId::ALL, machine);
     let avg = average_report(&rows);
     rows.push(("Avg_BigData", avg));
     for kind in RefSuite::ALL {
@@ -140,56 +150,6 @@ pub fn average_report(reports: &[(&str, CharacterizationReport)]) -> Characteriz
         counters,
         phases: Vec::new(),
     }
-}
-
-/// One row of the per-phase breakdown: an execution phase of one
-/// workload (map/spill/shuffle/reduce for MapReduce jobs, `iter-N` for
-/// iterative algorithms, per-operator for SQL) with the figure-level
-/// metrics recomputed over that phase alone. This is the drill-down
-/// behind Figures 2–6: the same MPKI and instruction-mix axes, but
-/// attributed to the phase that caused them.
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Workload name.
-    pub workload: String,
-    /// Phase name, in first-appearance order.
-    pub phase: String,
-    /// Instructions retired within the phase.
-    pub instructions: u64,
-    /// This phase's share of the run's instructions (0..=1).
-    pub instruction_share: f64,
-    /// This phase's share of the run's modeled cycles (0..=1).
-    pub cycle_share: f64,
-    /// Timing-model MIPS over the phase alone.
-    pub mips: f64,
-    /// L1 instruction-cache MPKI within the phase.
-    pub l1i_mpki: f64,
-    /// L2 MPKI within the phase.
-    pub l2_mpki: f64,
-    /// L3 MPKI within the phase.
-    pub l3_mpki: f64,
-}
-
-/// Expands one traced report into per-phase rows. Empty when the run
-/// recorded no phase marks (e.g. refbench kernels).
-pub fn phase_rows(workload: &str, report: &CharacterizationReport) -> Vec<PhaseRow> {
-    let total_instructions = report.instructions().max(1);
-    let total_cycles = report.counters.cycles.max(1);
-    report
-        .phase_reports()
-        .iter()
-        .map(|(phase, r)| PhaseRow {
-            workload: workload.to_owned(),
-            phase: phase.clone(),
-            instructions: r.instructions(),
-            instruction_share: r.instructions() as f64 / total_instructions as f64,
-            cycle_share: r.counters.cycles as f64 / total_cycles as f64,
-            mips: r.mips(),
-            l1i_mpki: r.l1i_mpki(),
-            l2_mpki: r.l2_mpki(),
-            l3_mpki: r.l3_mpki(),
-        })
-        .collect()
 }
 
 /// The paper's planned stack swap (§6.3.2): one WordCount on two
@@ -263,12 +223,8 @@ mod tests {
 
     #[test]
     fn average_report_sums() {
-        let suite = tiny_suite();
-        let machine = MachineConfig::xeon_e5645();
-        let reports: Vec<_> = [WorkloadId::Grep, WorkloadId::Bfs]
-            .iter()
-            .map(|&id| (id.name(), suite.run_traced(id, 1, machine.clone())))
-            .collect();
+        let ids = [WorkloadId::Grep, WorkloadId::Bfs];
+        let reports = baseline(&tiny_suite(), &ids, &MachineConfig::xeon_e5645());
         let avg = average_report(&reports);
         assert_eq!(avg.instructions(), reports[0].1.instructions() + reports[1].1.instructions());
         assert!(avg.counters.l3.is_some());
@@ -280,28 +236,19 @@ mod tests {
     }
 
     #[test]
-    fn phase_rows_partition_a_mapreduce_run() {
-        let suite = tiny_suite();
-        let report = suite.run_traced(WorkloadId::WordCount, 1, MachineConfig::xeon_e5645());
-        let rows = phase_rows("WordCount", &report);
-        assert!(!rows.is_empty(), "traced WordCount records phases");
-        let names: Vec<&str> = rows.iter().map(|r| r.phase.as_str()).collect();
-        assert!(names.contains(&"map"), "phases: {names:?}");
-        assert!(names.contains(&"reduce"), "phases: {names:?}");
-        let instructions: u64 = rows.iter().map(|r| r.instructions).sum();
-        assert_eq!(instructions, report.instructions(), "phases partition the instruction stream");
-        let inst_share: f64 = rows.iter().map(|r| r.instruction_share).sum();
-        let cycle_share: f64 = rows.iter().map(|r| r.cycle_share).sum();
-        assert!((inst_share - 1.0).abs() < 1e-9, "shares sum to 1: {inst_share}");
-        assert!((cycle_share - 1.0).abs() < 1e-9, "cycle shares sum to 1: {cycle_share}");
-        assert!(rows.iter().filter(|r| r.instructions > 0).all(|r| r.mips > 0.0));
-    }
-
-    #[test]
-    fn phase_rows_name_iterations_for_iterative_workloads() {
-        let suite = tiny_suite();
-        let report = suite.run_traced(WorkloadId::PageRank, 1, MachineConfig::xeon_e5645());
-        let rows = phase_rows("PageRank", &report);
-        assert!(rows.iter().any(|r| r.phase == "iter-1"), "per-iteration phases recorded");
+    fn baseline_names_each_id_in_order_with_its_phases() {
+        let ids = [WorkloadId::WordCount, WorkloadId::PageRank];
+        let rows = baseline(&tiny_suite(), &ids, &MachineConfig::xeon_e5645());
+        let names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["WordCount", "PageRank"]);
+        let phases =
+            |i: usize| -> Vec<&str> { rows[i].1.phases.iter().map(|p| p.name.as_str()).collect() };
+        assert!(phases(0).contains(&"map") && phases(0).contains(&"reduce"), "{:?}", phases(0));
+        assert!(phases(1).contains(&"iter-1"), "per-iteration phases recorded: {:?}", phases(1));
+        let wordcount = &rows[0].1;
+        let per_phase = wordcount.phase_reports();
+        let instructions: u64 = per_phase.iter().map(|(_, p)| p.instructions()).sum();
+        assert_eq!(instructions, wordcount.instructions(), "phases partition the run");
+        assert!(per_phase.iter().all(|(_, p)| p.instructions() == 0 || p.mips() > 0.0));
     }
 }

@@ -3,12 +3,16 @@
 //! its ten default workloads, and its per-phase counters must sum to
 //! the whole-run totals.
 
-use bdb_bench::results::{collect, DEFAULT_WORKLOADS, SCHEMA_VERSION};
+use bdb_bench::results::{to_json, DEFAULT_WORKLOADS, SCHEMA_VERSION};
 use bdb_telemetry::json::{self, Json};
+use bigdatabench::characterize::baseline;
+use bigdatabench::{MachineConfig, Suite};
 
 fn artifact() -> Json {
-    let results = collect(1.0 / 64.0, &DEFAULT_WORKLOADS);
-    json::parse(&results.to_json()).expect("artifact must be valid JSON")
+    let fraction = 1.0 / 64.0;
+    let suite = Suite::with_fraction(fraction);
+    let rows = baseline(&suite, &DEFAULT_WORKLOADS, &MachineConfig::xeon_e5645());
+    json::parse(&to_json(fraction, &rows)).expect("artifact must be valid JSON")
 }
 
 #[test]
@@ -41,15 +45,15 @@ fn artifact_has_every_required_metric_per_workload() {
         let name = w.get("name").and_then(|n| n.as_str()).unwrap_or("?");
         for scalar in ["mips", "ipc"] {
             let value = w.get(scalar).and_then(Json::as_f64);
-            assert!(value.is_some(), "{name}: {scalar} present");
+            assert!(value.is_some_and(|v| v > 0.0), "{name}: {scalar} positive, got {value:?}");
         }
         assert!(w.get("instructions").and_then(Json::as_u64).unwrap_or(0) > 0);
         assert!(w.get("dram_bytes").and_then(Json::as_u64).is_some(), "{name}: dram_bytes present");
         let mpki = w.get("mpki").expect("mpki object");
         for level in ["l1i", "l1d", "l2", "l3", "itlb", "dtlb", "branch"] {
             assert!(
-                mpki.get(level).and_then(Json::as_f64).is_some(),
-                "{name}: mpki.{level} present"
+                mpki.get(level).and_then(Json::as_f64).is_some_and(|v| v >= 0.0),
+                "{name}: mpki.{level} present and non-negative"
             );
         }
         let mix = w.get("mix").expect("mix object");
